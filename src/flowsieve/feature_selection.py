@@ -22,6 +22,12 @@ METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
 SCORES_CSV_HEADER = ("feature_index", "feature_name", "ig", "gain_ratio",
                      "relief", "su", "chi2", "anova_f", "mean_score")
 
+# Relief's neighbour search: sampled rows per pass and data rows per tile.
+# Two batch x tile x features float64 buffers (1.3 MB at 78 features) fit
+# in a 2 MB L2 cache; chosen by timing the relief_wide benchmark.
+RELIEF_BATCH = 16
+RELIEF_TILE = 64
+
 
 class ScoringError(ValueError):
     pass
@@ -215,6 +221,14 @@ def relief_weights(t: Table, m: int, seed: int,
     difference indicator for the weight update compares binned feature values,
     since exact equality of raw continuous values is vacuous. Weights stay in
     [-1, 1] because each of the m updates moves a weight by at most 1/m.
+
+    The search handles RELIEF_BATCH sampled rows per pass over the data,
+    RELIEF_TILE data rows at a time, so that the batch-by-tile block of
+    feature differences stays in cache and lives in preallocated buffers.
+    Each distance is still one sum over the contiguous feature axis of a
+    row, so it equals the per-row distance bit for bit. Besides the feature
+    and bin matrices, the search holds O(RELIEF_BATCH * (rows +
+    RELIEF_TILE * features)) floats.
     """
     X = t.feature_matrix()
     y = t.labels()
@@ -239,22 +253,40 @@ def relief_weights(t: Table, m: int, seed: int,
 
     rng = np.random.default_rng(seed)
     sample = rng.choice(n, size=m, replace=False)
+    # Distances are laid out with the rows of classes[0] first, each class in
+    # row order, so the first argmin over a class's span is its lowest-index
+    # nearest row.
+    order = np.argsort(y, kind="stable")
+    position = np.argsort(order)
+    n0 = int(np.count_nonzero(y == classes[0]))
+    batch_rows = np.empty((RELIEF_BATCH, RELIEF_TILE, d))  # each sampled row, tile-high
+    diff = np.empty((RELIEF_BATCH, RELIEF_TILE, d))
+    dist = np.empty((RELIEF_BATCH, n))
     # integer tallies, one division at the end: exact 1.0 / 0.0 in the
     # label-identical and constant-feature cases
     delta = np.zeros(d, dtype=np.int64)
-    block = max(1, int(2e7) // max(d, 1))  # bound the temporary |X - X[r]| matrix
-    dist = np.empty(n)
-    for r in sample:
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            dist[start:stop] = np.abs(X[start:stop] - X[r]).sum(axis=1)
-        dist[r] = np.inf
-        same = y == y[r]
-        same[r] = False
-        hit = int(np.argmin(np.where(same, dist, np.inf)))
-        miss = int(np.argmin(np.where(~same, dist, np.inf)))
-        delta -= binned[r] != binned[hit]
-        delta += binned[r] != binned[miss]
+    for b in range(0, m, RELIEF_BATCH):
+        rows = sample[b:b + RELIEF_BATCH]
+        k = len(rows)
+        batch_rows[:k] = X[rows][:, None, :]
+        for start in range(0, n, RELIEF_TILE):
+            stop = min(start + RELIEF_TILE, n)
+            block = diff[:k, :stop - start]
+            # copying first lets the subtraction run in place over whole
+            # tiles, 2-3x faster than broadcasting each sampled row
+            np.copyto(block, batch_rows[:k, :stop - start])
+            np.subtract(X[order[start:stop]], block, out=block)
+            np.abs(block, out=block)
+            block.sum(axis=-1, out=dist[:k, start:stop])
+        dk = dist[:k]
+        dk[np.arange(k), position[rows]] = np.inf
+        nearest0 = order[dk[:, :n0].argmin(axis=1)]
+        nearest1 = order[n0 + dk[:, n0:].argmin(axis=1)]
+        in0 = y[rows] == classes[0]
+        hit = np.where(in0, nearest0, nearest1)
+        miss = np.where(in0, nearest1, nearest0)
+        delta -= (binned[rows] != binned[hit]).sum(axis=0)
+        delta += (binned[rows] != binned[miss]).sum(axis=0)
     return delta / m
 
 
@@ -275,7 +307,11 @@ class ScoreMatrix:
 def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
               seed: int = 0) -> ScoreMatrix:
     """Raw scores for every non-label feature of a cleaned, normalized,
-    binarized table."""
+    binarized table.
+
+    Relief samples min(rows, relief_m) rows, relief_m defaulting to 5000;
+    a relief_m above the row count is capped with a warning.
+    """
     names = t.feature_names
     if not names:
         raise ScoringError("table has no feature columns")
@@ -283,7 +319,10 @@ def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
     if len(np.unique(y)) < 2:
         raise ScoringError("labels are single-valued; nothing to score against")
     n = t.row_count
-    m = min(n, 5000) if relief_m is None else relief_m
+    if relief_m is not None and relief_m > n:
+        warnings.warn(f"relief_m={relief_m} exceeds the table's {n} rows; "
+                      f"relief samples all {n} rows", stacklevel=2)
+    m = min(n, 5000 if relief_m is None else relief_m)
 
     raw = np.zeros((len(names), len(METHODS)))
     relief = relief_weights(t, m, seed, bins=bins)

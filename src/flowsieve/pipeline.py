@@ -4,7 +4,9 @@ Each run appends a fresh directory named by timestamp plus config hash under
 the configured output directory; nothing inside an existing run is
 overwritten. Staged subcommands locate the newest run directory with the same
 config hash and continue it. The run manifest (written last) inventories every
-file the run produced.
+file the run produced; every command rewrites it, carrying over the stage
+history of the commands before it, and records partial progress and the
+error when a stage fails.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import json
 import re
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -185,8 +188,7 @@ def stage_select(ctx: RunContext, tables: dict[str, Table]) -> SelectOutput:
             t = tables[attack]
             adir = ctx.attack_dir(attack)
             bins = table_bin_edges(t, cfg.bin_count)
-            m = cfg.relief_m if cfg.relief_m is not None else min(t.row_count, 5000)
-            sm = score_all(t, bins, relief_m=m, seed=cfg.seed)
+            sm = score_all(t, bins, relief_m=cfg.relief_m, seed=cfg.seed)
             sm = aggregate_mean(normalize_scores(sm))
             _write_json(_fresh(adir / "bins.json"),
                         {name: e.to_json() for name, e in bins.items()})
@@ -328,41 +330,59 @@ def write_manifest(ctx: RunContext, error: str | None = None) -> Path:
     return path
 
 
-def cmd_preprocess(cfg: PipelineConfig) -> RunContext:
-    ctx = RunContext(cfg, new_run_dir(cfg))
-    stage_preprocess(ctx)
-    write_manifest(ctx)
-    return ctx
-
-
-def cmd_select(cfg: PipelineConfig) -> RunContext:
+def _resume_context(cfg: PipelineConfig) -> RunContext:
+    """Context for a staged command: the newest run with this config, with
+    the stage history, timings, warnings and skips of its manifest."""
     ctx = RunContext(cfg, find_run_dir(cfg))
-    tables = load_preprocessed(ctx)
-    stage_select(ctx, tables)
-    write_manifest(ctx)
+    path = ctx.run_dir / "run_manifest.json"
+    if path.exists():
+        with open(path, encoding="utf-8") as fh:
+            prior = json.load(fh)
+        ctx.stages_completed = list(prior["stages_completed"])
+        ctx.timings = dict(prior["stage_seconds"])
+        ctx.warnings = list(prior["warnings"])
+        ctx.skipped = list(prior["skipped"])
     return ctx
 
 
-def cmd_train_eval(cfg: PipelineConfig) -> RunContext:
-    ctx = RunContext(cfg, find_run_dir(cfg))
-    tables = load_preprocessed(ctx)
-    selections = load_selections(ctx)
-    stage_train_eval(ctx, tables, selections)
-    write_manifest(ctx)
-    return ctx
-
-
-def cmd_run(cfg: PipelineConfig) -> RunContext:
-    """All three stages into one fresh run directory; the manifest records
-    partial progress when a stage fails."""
-    ctx = RunContext(cfg, new_run_dir(cfg))
+@contextmanager
+def _manifest_on_exit(ctx: RunContext):
+    """Write the run manifest when the block ends, with the error if it raised."""
     try:
-        tables = stage_preprocess(ctx)
-        select_out = stage_select(ctx, tables)
-        selections = {a: sels for a, (_, sels) in select_out.items()}
-        stage_train_eval(ctx, tables, selections)
+        yield
     except Exception as exc:
         write_manifest(ctx, error=f"{type(exc).__name__}: {exc}")
         raise
     write_manifest(ctx)
+
+
+def cmd_preprocess(cfg: PipelineConfig) -> RunContext:
+    ctx = RunContext(cfg, new_run_dir(cfg))
+    with _manifest_on_exit(ctx):
+        stage_preprocess(ctx)
+    return ctx
+
+
+def cmd_select(cfg: PipelineConfig) -> RunContext:
+    ctx = _resume_context(cfg)
+    with _manifest_on_exit(ctx):
+        stage_select(ctx, load_preprocessed(ctx))
+    return ctx
+
+
+def cmd_train_eval(cfg: PipelineConfig) -> RunContext:
+    ctx = _resume_context(cfg)
+    with _manifest_on_exit(ctx):
+        stage_train_eval(ctx, load_preprocessed(ctx), load_selections(ctx))
+    return ctx
+
+
+def cmd_run(cfg: PipelineConfig) -> RunContext:
+    """All three stages into one fresh run directory."""
+    ctx = RunContext(cfg, new_run_dir(cfg))
+    with _manifest_on_exit(ctx):
+        tables = stage_preprocess(ctx)
+        select_out = stage_select(ctx, tables)
+        selections = {a: sels for a, (_, sels) in select_out.items()}
+        stage_train_eval(ctx, tables, selections)
     return ctx

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from flowsieve.discretize import apply_bins, equal_width_bins, table_bin_edges
-from flowsieve.feature_selection import (ContingencyTable, GroupStats,
+from flowsieve.feature_selection import (RELIEF_BATCH, RELIEF_TILE,
+                                         ContingencyTable, GroupStats,
                                          ScoringError, ThresholdSelection,
                                          aggregate_mean, anova_f, chi_squared,
                                          conditional_entropy, entropy,
@@ -15,6 +18,7 @@ from flowsieve.feature_selection import (ContingencyTable, GroupStats,
                                          score_all, select_by_threshold,
                                          split_info, symmetric_uncertainty,
                                          write_scores_csv)
+from flowsieve.tabular import ConstantColumnError
 
 from helpers import make_table, random_table
 
@@ -244,6 +248,57 @@ def test_relief_determinism_and_range():
     assert (np.abs(w1) <= 1.0).all()
     w3 = relief_weights(t, m=40, seed=12)
     assert not np.array_equal(w1, w3)
+
+
+def quantized_table(grid_cells, labels):
+    """Features on the grid k/8 (cells are the k), so every Manhattan distance
+    is exact in any summation order and ties between neighbours are common."""
+    X = np.asarray(grid_cells, dtype=float) / 8
+    return make_table({f"f{j}": X[:, j] for j in range(X.shape[1])}, labels)
+
+
+def relief_vs_oracle(t, m, seed):
+    """relief_weights and the exhaustive reference on the same seeded draw."""
+    bins = {}
+    for name in t.feature_names:
+        try:
+            bins[name] = equal_width_bins(t.column(name), 10, feature=name)
+        except ConstantColumnError:
+            pass
+    binned = np.column_stack(
+        [apply_bins(t.column(n), bins[n]) if n in bins else np.zeros(t.row_count, dtype=int)
+         for n in t.feature_names])
+    sample = np.random.default_rng(seed).choice(t.row_count, size=m, replace=False)
+    want = ref.relief_ref(t.feature_matrix().tolist(), t.labels().tolist(),
+                          binned.tolist(), sample.tolist(), m)
+    return relief_weights(t, m=m, seed=seed, bins=bins), np.array(want)
+
+
+@pytest.mark.parametrize("d", [5, 12])  # below and above NumPy's 8-way pairwise sum
+@pytest.mark.parametrize("m", [1, RELIEF_BATCH - 1, RELIEF_BATCH, RELIEF_BATCH + 1, None])
+def test_relief_batches_and_tiles_match_reference(m, d):
+    rng = np.random.default_rng(31 + d)
+    n = 2 * RELIEF_TILE + 5  # the last tile is partial
+    y = (rng.random(n) < 0.4).astype(float)
+    t = quantized_table(rng.integers(0, 9, size=(n, d)), y)
+    got, want = relief_vs_oracle(t, n if m is None else m, seed=7)  # None: every row
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_relief_property_quantized_tables(data):
+    n = data.draw(st.integers(4, 2 * RELIEF_TILE + 3), label="n")
+    d = data.draw(st.integers(1, 12), label="d")
+    cells = data.draw(st.lists(st.lists(st.integers(0, 8), min_size=d, max_size=d),
+                               min_size=n, max_size=n), label="cells")
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+    assume(2 <= sum(labels) <= n - 2)
+    m = data.draw(st.integers(1, n), label="m")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    got, want = relief_vs_oracle(quantized_table(cells, labels), m, seed)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert (np.abs(got) <= 1.0).all()
 
 
 def test_relief_errors():

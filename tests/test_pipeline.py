@@ -112,9 +112,12 @@ def test_preprocess_unknown_attack_label(tmp_path):
                                              "Ghost": "minority_protect"}})
     with pytest.raises(TableError, match="Ghost"):
         cmd_preprocess(cfg)
-    # the failed run still left no half-written manifest behind
+    # the failed run left one directory, whose manifest records the error
     runs = list(Path(cfg.output_dir).glob("run-*"))
     assert len(runs) == 1
+    manifest = json.loads((runs[0] / "run_manifest.json").read_text())
+    assert "Ghost" in manifest["error"]
+    assert manifest["stages_completed"] == []
 
 
 def test_staged_commands_resume_by_config_hash(cfg):
@@ -129,7 +132,10 @@ def test_staged_commands_resume_by_config_hash(cfg):
     assert tr.run_dir == pre.run_dir
     assert (tr.run_dir / "metrics.csv").exists()
     manifest = json.loads((tr.run_dir / "run_manifest.json").read_text())
-    assert set(manifest["stages_completed"]) == {"train_eval"}
+    # each staged command carries the history of the ones before it
+    assert manifest["stages_completed"] == ["preprocess", "select", "train_eval"]
+    assert set(manifest["stage_seconds"]) == {"preprocess", "select", "train_eval"}
+    assert manifest["error"] is None
 
 
 def test_select_requires_preprocess(cfg):
@@ -138,9 +144,13 @@ def test_select_requires_preprocess(cfg):
 
 
 def test_train_eval_requires_select(cfg):
-    cmd_preprocess(cfg)
+    pre = cmd_preprocess(cfg)
     with pytest.raises(PipelineError, match="select"):
         cmd_train_eval(cfg)
+    manifest = json.loads((pre.run_dir / "run_manifest.json").read_text())
+    assert "run `select` first" in manifest["error"]
+    assert manifest["stages_completed"] == ["preprocess"]
+    assert set(manifest["stage_seconds"]) == {"preprocess"}
 
 
 def test_append_only_rejects_rerun_into_same_dir(cfg):
@@ -245,6 +255,25 @@ def test_failed_run_writes_partial_manifest(tmp_path):
     manifest = json.loads((runs[-1] / "run_manifest.json").read_text())
     assert manifest["error"] is not None and "Ghost" in manifest["error"]
     assert manifest["stages_completed"] == []
+
+
+def test_relief_m_above_row_count_is_capped_with_warning(tmp_path):
+    (tmp_path / "data").mkdir()
+    big = synth_config(tmp_path, relief_m=10**6)
+    cmd_preprocess(big)
+    cmd_select(big)
+    capped = cmd_train_eval(big)
+    # the select warnings survive train-eval's rewrite of the manifest
+    manifest = json.loads((capped.run_dir / "run_manifest.json").read_text())
+    assert manifest["error"] is None
+    assert manifest["stages_completed"] == ["preprocess", "select", "train_eval"]
+    relief = [w for w in manifest["warnings"] if w.startswith("relief_m=1000000 exceeds")]
+    assert len(relief) == 2  # one per attack table
+    # capped at the row count, which the default (min(rows, 5000)) also uses here
+    default = cmd_run(synth_config(tmp_path, relief_m=None))
+    for attack in ("attacka", "attackb"):
+        rel = f"{attack}/feature_scores.csv"
+        assert (capped.run_dir / rel).read_bytes() == (default.run_dir / rel).read_bytes()
 
 
 def test_attack_slug():
