@@ -51,8 +51,6 @@ def check_manifest(model, t: Table) -> np.ndarray:
         raise ManifestMismatchError(
             f"feature columns {list(t.feature_names)} do not match the model's "
             f"manifest {list(model.feature_names)}")
-    if schema_fingerprint(t.feature_names) != model.fingerprint:
-        raise ManifestMismatchError("schema fingerprint mismatch")
     return t.feature_matrix()
 
 

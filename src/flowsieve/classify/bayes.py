@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..tabular import Table
-from .base import ClassifyError, schema_fingerprint, training_arrays
+from .base import ClassifyError, training_arrays
 from .params import NaiveBayesParams
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -18,10 +18,6 @@ class BayesModel:
     means: np.ndarray       # (2, n_features)
     sigmas: np.ndarray      # (2, n_features), floored standard deviations
     kind: str = field(default="naive_bayes", init=False)
-
-    @property
-    def fingerprint(self) -> str:
-        return schema_fingerprint(self.feature_names)
 
     def log_posteriors(self, X: np.ndarray) -> np.ndarray:
         """Unnormalized log posterior per class: log prior + sum of log densities."""

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..tabular import Table
-from .base import ClassifyError, schema_fingerprint, training_arrays
+from .base import ClassifyError, training_arrays
 from .params import LogisticParams
 
 THRESHOLD_SWEEP = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -26,10 +26,6 @@ class LogisticModel:
     coefficients: np.ndarray  # intercept first, then one weight per feature
     decision_threshold: float
     kind: str = field(default="logistic_regression", init=False)
-
-    @property
-    def fingerprint(self) -> str:
-        return schema_fingerprint(self.feature_names)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         z = self.coefficients[0] + X @ self.coefficients[1:]

@@ -63,7 +63,7 @@ def save_model(model, params, path) -> None:
         "algorithm": model.kind,
         "hyperparams": dataclasses.asdict(params) if params is not None else {},
         "feature_names": list(model.feature_names),
-        "schema_fingerprint": model.fingerprint,
+        "schema_fingerprint": schema_fingerprint(model.feature_names),
         "parameters": _parameters(model),
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..tabular import Table
-from .base import ClassifyError, schema_fingerprint, training_arrays
+from .base import ClassifyError, training_arrays
 from .logistic import _sigmoid
 from .params import SvmParams
 
@@ -23,10 +23,6 @@ class SvmModel:
     weights: np.ndarray
     bias: float
     kind: str = field(default="svm", init=False)
-
-    @property
-    def fingerprint(self) -> str:
-        return schema_fingerprint(self.feature_names)
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.bias

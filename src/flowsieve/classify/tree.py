@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..tabular import Table
-from .base import ClassifyError, schema_fingerprint, training_arrays
+from .base import ClassifyError, training_arrays
 from .params import ForestParams, TreeParams
 
 
@@ -134,10 +134,6 @@ class TreeModel:
     kind: str = field(default="decision_tree", init=False)
 
     @property
-    def fingerprint(self) -> str:
-        return schema_fingerprint(self.feature_names)
-
-    @property
     def node_count(self) -> int:
         return len(self.feature_index)
 
@@ -172,10 +168,6 @@ class ForestModel:
     trees: tuple[TreeModel, ...]
     vote_rule: str = "majority"
     kind: str = field(default="random_forest", init=False)
-
-    @property
-    def fingerprint(self) -> str:
-        return schema_fingerprint(self.feature_names)
 
     def decide(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         votes = np.zeros(len(X))

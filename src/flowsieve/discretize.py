@@ -67,6 +67,17 @@ def apply_bins(column, e: BinEdges) -> np.ndarray:
     return np.searchsorted(np.asarray(e.edges), col, side="right")
 
 
+def bin_matrix(t: Table, bins: dict[str, BinEdges]) -> np.ndarray:
+    """(rows, features) bin indices of every non-label column, in feature
+    order; a feature without edges (constant) is all bin 0."""
+    names = t.feature_names
+    out = np.zeros((t.row_count, len(names)), dtype=np.intp)
+    for j, name in enumerate(names):
+        if name in bins:
+            out[:, j] = apply_bins(t.column(name), bins[name])
+    return out
+
+
 def table_bin_edges(t: Table, k: int) -> dict[str, BinEdges]:
     """Equal-width edges for every non-label column; constant columns are skipped."""
     out = {}

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import BinEdges, apply_bins, equal_width_bins
-from .tabular import ConstantColumnError, Table
+from .discretize import BinEdges, bin_matrix, table_bin_edges
+from .tabular import Table
 
 METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
 
@@ -33,8 +33,107 @@ class ScoringError(ValueError):
     pass
 
 
+def _run_sums(terms, widths) -> np.ndarray:
+    """Sums of the consecutive runs of a 1-D array, run i being widths[i]
+    long, each bit for bit NumPy's sum of that run alone: NumPy sums
+    pairwise in an order set by the length, so the runs of each width are
+    summed along the rows of one C-contiguous (runs, width) block."""
+    starts = np.cumsum(widths) - widths
+    out = np.zeros(len(widths))
+    for w in np.unique(widths[widths > 0]):
+        runs = np.flatnonzero(widths == w)
+        out[runs] = terms[starts[runs, None] + np.arange(w)].sum(axis=1)
+    return out
+
+
+def _ordered_sums(terms) -> np.ndarray:
+    """Each row's sum taken left to right from 0.0, as a Python loop adds."""
+    return np.cumsum(np.hstack([np.zeros((len(terms), 1)), terms]), axis=1)[:, -1]
+
+
+def _count_tensor(binned, class_idx, n_classes: int) -> np.ndarray:
+    """(features, bins, classes) joint counts of a (rows, features) bin
+    matrix against per-row class indices, from one bincount. The bin axis
+    runs to the largest index present; empty bins change no score."""
+    features = binned.shape[1]
+    bins = int(binned.max()) + 1 if binned.size else 0
+    key = binned + np.arange(features) * bins
+    key *= n_classes
+    key += class_idx[:, None]
+    return np.bincount(key.ravel(), minlength=features * bins * n_classes).reshape(
+        features, bins, n_classes)
+
+
+def _entropy_rows(counts) -> np.ndarray:
+    """Entropy in bits of each row of a (rows, values) count matrix, bit for
+    bit what `entropy` gives the row alone; a row of zeros gets -0.0."""
+    c = np.ascontiguousarray(counts, dtype=np.float64)
+    nonzero = c > 0
+    widths = np.count_nonzero(nonzero, axis=1)
+    p = c[nonzero] / np.repeat(c.sum(axis=1), widths)
+    return -_run_sums(p * np.log2(p), widths)
+
+
+def _count_scores(counts) -> dict[str, np.ndarray]:
+    """The contingency-table scores of every feature of a (features, bins,
+    classes) count tensor. Chi-squared sums the cells of the occupied bins
+    and classes in row-major order."""
+    occupancy = counts.sum(axis=2)
+    class_totals = counts.sum(axis=1)
+    h = _entropy_rows(counts.reshape(-1, counts.shape[2])).reshape(occupancy.shape)
+    weighted = np.where(occupancy > 0, occupancy / occupancy.sum(axis=1)[:, None] * h, 0.0)
+    ce = _ordered_sums(weighted)
+    hy = _entropy_rows(class_totals)
+    ig = hy - ce
+    split = _entropy_rows(occupancy)
+    keep = (occupancy > 0)[:, :, None] & (class_totals > 0)[:, None, :]
+    widths = np.count_nonzero(keep, axis=(1, 2))
+    r, c = occupancy.astype(np.float64), class_totals.astype(np.float64)
+    expected = (r[:, :, None] * c[:, None, :])[keep] / np.repeat(r.sum(axis=1), widths)
+    return {"conditional_entropy": ce, "ig": ig, "split_info": split,
+            "gain_ratio": np.divide(ig, split, out=np.zeros_like(ig), where=split != 0),
+            "su": np.divide(2.0 * ig, split + hy, out=np.zeros_like(ig), where=split + hy != 0),
+            "chi2": _run_sums((counts[keep] - expected) ** 2 / expected, widths)}
+
+
+def _group_stats(blocks):
+    """Group sizes, and per feature the group means, sample variances and
+    grand mean, from one C-contiguous (features, group size) block per group,
+    each overwritten. Row sums are NumPy's sums of each row alone, so these
+    equal per-feature `mean`, `var(ddof=1)` and group sums added in order."""
+    stats = []
+    for block in blocks:
+        n = block.shape[1]
+        total = block.sum(axis=1)
+        mean = total / n
+        block -= mean[:, None]
+        block *= block
+        stats.append((n, total, mean,
+                      block.sum(axis=1) / (n - 1) if n > 1 else np.zeros(len(block))))
+    sizes, sums, means, variances = zip(*stats)
+    grand = _ordered_sums(np.column_stack(sums)) / sum(sizes)
+    return sizes, np.column_stack(means), np.column_stack(variances), grand
+
+
+def _anova(sizes, means, variances, grand) -> np.ndarray:
+    """One-way F ratio per feature from (features, groups) statistics.
+
+    SSB squares with libm pow (`np.float_power`), as Python's float ** 2
+    does; it differs from x * x in the last bit of about 0.1 % of values.
+    """
+    k, n = len(sizes), sum(sizes)
+    sizes = np.asarray(sizes)
+    ssw = _ordered_sums((sizes - 1) * variances)
+    ssb = _ordered_sums(sizes * np.float_power(means - grand[:, None], 2.0))
+    f = np.divide(ssb / (k - 1), ssw / (n - k), out=np.full_like(ssb, np.inf),
+                  where=ssw != 0)
+    f[ssb == 0] = 0.0
+    return f
+
+
 class ContingencyTable:
-    """Joint counts of feature bins (rows) against classes (columns)."""
+    """Joint counts of feature bins (rows) against classes (columns): the
+    one-feature case of the (features, bins, classes) count tensor."""
 
     def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.int64)
@@ -54,13 +153,16 @@ class ContingencyTable:
         if bins.shape != labels.shape:
             raise ScoringError("bin and label vectors differ in length")
         classes, class_idx = np.unique(labels, return_inverse=True)
-        n_bins = int(bins.max()) + 1 if bins.size else 0
-        counts = np.zeros((n_bins, len(classes)), dtype=np.int64)
-        np.add.at(counts, (bins, class_idx), 1)
-        return cls(counts)
+        return cls(_count_tensor(bins[:, None], class_idx, len(classes))[0])
 
     def transposed(self) -> "ContingencyTable":
         return ContingencyTable(self.counts.T)
+
+
+def _scores(ct: ContingencyTable) -> dict[str, float]:
+    if ct.total == 0:
+        raise ScoringError("empty contingency table")
+    return {k: float(v[0]) for k, v in _count_scores(ct.counts[None]).items()}
 
 
 def entropy(counts) -> float:
@@ -68,50 +170,37 @@ def entropy(counts) -> float:
     c = np.asarray(counts, dtype=np.float64).ravel()
     if (c < 0).any():
         raise ScoringError("counts must be non-negative")
-    total = c.sum()
-    if total <= 0:
+    if c.sum() <= 0:
         raise ScoringError("entropy of an all-zero count vector is undefined")
-    p = c[c > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    return float(_entropy_rows(c[None])[0])
 
 
 def conditional_entropy(ct: ContingencyTable) -> float:
     """Class entropy remaining after observing the bin: sum_i (R_i/N) * H(row i)."""
-    if ct.total == 0:
-        raise ScoringError("empty contingency table")
-    out = 0.0
-    for row, r_total in zip(ct.counts, ct.row_totals):
-        if r_total > 0:
-            out += (r_total / ct.total) * entropy(row)
-    return out
+    return _scores(ct)["conditional_entropy"]
 
 
 def information_gain(ct: ContingencyTable) -> float:
     """H(class) - H(class | bin); symmetric in the two variables."""
-    return entropy(ct.col_totals) - conditional_entropy(ct)
+    return _scores(ct)["ig"]
 
 
 def split_info(ct: ContingencyTable) -> float:
     """Entropy of the bin-occupancy distribution."""
-    return entropy(ct.row_totals)
+    return _scores(ct)["split_info"]
 
 
 def gain_ratio(ct: ContingencyTable) -> float:
     """Information gain divided by split info; defined as 0 for a single-valued feature."""
-    si = split_info(ct)
-    if si == 0.0:
+    scores = _scores(ct)
+    if scores["split_info"] == 0.0:
         warnings.warn("gain ratio of a single-valued feature defined as 0", stacklevel=2)
-        return 0.0
-    return information_gain(ct) / si
+    return scores["gain_ratio"]
 
 
 def symmetric_uncertainty(ct: ContingencyTable) -> float:
     """2*IG / (H(bin) + H(class)), in [0, 1]; 0 when both entropies vanish."""
-    hx = entropy(ct.row_totals)
-    hy = entropy(ct.col_totals)
-    if hx + hy == 0.0:
-        return 0.0
-    return 2.0 * information_gain(ct) / (hx + hy)
+    return _scores(ct)["su"]
 
 
 def chi_squared(ct: ContingencyTable) -> float:
@@ -120,16 +209,7 @@ def chi_squared(ct: ContingencyTable) -> float:
     Empty rows and columns are pruned before the sum, so every expected
     count is positive.
     """
-    keep_rows = ct.row_totals > 0
-    keep_cols = ct.col_totals > 0
-    counts = ct.counts[np.ix_(keep_rows, keep_cols)]
-    if counts.size == 0:
-        raise ScoringError("contingency table is empty after pruning zero marginals")
-    r = counts.sum(axis=1, dtype=np.float64)
-    b = counts.sum(axis=0, dtype=np.float64)
-    n = counts.sum(dtype=np.float64)
-    expected = np.outer(r, b) / n
-    return float(((counts - expected) ** 2 / expected).sum())
+    return _scores(ct)["chi2"]
 
 
 @dataclass(frozen=True)
@@ -151,17 +231,12 @@ class GroupStats:
 
     @classmethod
     def from_groups(cls, groups) -> "GroupStats":
-        sizes, means, variances, total_sum = [], [], [], 0.0
-        for g in groups:
-            g = np.asarray(g, dtype=np.float64)
-            if g.size == 0:
-                raise ScoringError("empty group")
-            sizes.append(int(g.size))
-            means.append(float(g.mean()))
-            variances.append(float(g.var(ddof=1)) if g.size > 1 else 0.0)
-            total_sum += float(g.sum())
-        grand = total_sum / sum(sizes)
-        return cls(tuple(sizes), tuple(means), tuple(variances), grand)
+        blocks = [np.array(g, dtype=np.float64, ndmin=2) for g in groups]
+        if any(b.size == 0 for b in blocks):
+            raise ScoringError("empty group")
+        sizes, means, variances, grand = _group_stats(blocks)
+        return cls(tuple(sizes), tuple(means[0].tolist()), tuple(variances[0].tolist()),
+                   float(grand[0]))
 
     @classmethod
     def from_labeled(cls, values, labels) -> "GroupStats":
@@ -184,34 +259,12 @@ def anova_f(gs: GroupStats) -> float:
         raise ScoringError(f"need at least 2 groups, got {k}")
     if n <= k:
         raise ScoringError(f"need more observations ({n}) than groups ({k})")
-    ssw = sum((ni - 1) * vi for ni, vi in zip(gs.sizes, gs.variances))
-    ssb = sum(ni * (mi - gs.grand_mean) ** 2 for ni, mi in zip(gs.sizes, gs.means))
-    if ssb == 0.0:
-        return 0.0
-    if ssw == 0.0:
-        return float("inf")
-    return (ssb / (k - 1)) / (ssw / (n - k))
-
-
-def _bin_matrix(t: Table, bins: dict[str, BinEdges]) -> np.ndarray:
-    """Per-feature bin indices; features without edges (constant) map to bin 0."""
-    li = t.label_index
-    cols = []
-    for i, name in enumerate(t.column_names):
-        if i == li:
-            continue
-        edges = bins.get(name)
-        if edges is None:
-            cols.append(np.zeros(t.row_count, dtype=np.int64))
-        else:
-            cols.append(apply_bins(t.columns[i], edges))
-    if not cols:
-        return np.empty((t.row_count, 0), dtype=np.int64)
-    return np.column_stack(cols)
+    return float(_anova(gs.sizes, np.array([gs.means]), np.array([gs.variances]),
+                        np.array([gs.grand_mean]))[0])
 
 
 def relief_weights(t: Table, m: int, seed: int,
-                   bins: dict[str, BinEdges] | None = None,
+                   bins: dict[str, BinEdges] | np.ndarray | None = None,
                    bin_count: int = 10) -> np.ndarray:
     """Relief feature weights from m seeded samples drawn without replacement.
 
@@ -219,7 +272,9 @@ def relief_weights(t: Table, m: int, seed: int,
     miss are found by Manhattan distance over all (normalized) features, ties
     resolved to the lowest row index, the row itself excluded. The 0/1
     difference indicator for the weight update compares binned feature values,
-    since exact equality of raw continuous values is vacuous. Weights stay in
+    since exact equality of raw continuous values is vacuous: `bins` is the
+    table's bin matrix (`discretize.bin_matrix`) or the edges to build it
+    from, by default bin_count equal-width bins per feature. Weights stay in
     [-1, 1] because each of the m updates moves a weight by at most 1/m.
 
     The search handles RELIEF_BATCH sampled rows per pass over the data,
@@ -243,13 +298,8 @@ def relief_weights(t: Table, m: int, seed: int,
         raise ScoringError(f"sample size m={m} must lie in [1, {n}]")
 
     if bins is None:
-        bins = {}
-        for name in t.feature_names:
-            try:
-                bins[name] = equal_width_bins(t.column(name), bin_count, feature=name)
-            except ConstantColumnError:
-                pass
-    binned = _bin_matrix(t, bins)
+        bins = table_bin_edges(t, bin_count)
+    binned = bins if isinstance(bins, np.ndarray) else bin_matrix(t, bins)
 
     rng = np.random.default_rng(seed)
     sample = rng.choice(n, size=m, replace=False)
@@ -310,13 +360,18 @@ def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
     binarized table.
 
     Relief samples min(rows, relief_m) rows, relief_m defaulting to 5000;
-    a relief_m above the row count is capped with a warning.
+    a relief_m above the row count is capped with a warning. The table is
+    binned once: relief and a (features, bins, classes) count tensor share
+    the bin matrix, and the tensor gives IG, gain ratio, SU and chi-squared
+    of every feature at once. ANOVA F comes from per-class column statistics.
+    Each score equals the scalar scorer's on that feature alone, bit for bit.
     """
     names = t.feature_names
     if not names:
         raise ScoringError("table has no feature columns")
     y = t.labels()
-    if len(np.unique(y)) < 2:
+    classes, class_idx = np.unique(y, return_inverse=True)
+    if len(classes) < 2:
         raise ScoringError("labels are single-valued; nothing to score against")
     n = t.row_count
     if relief_m is not None and relief_m > n:
@@ -324,20 +379,20 @@ def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
                       f"relief samples all {n} rows", stacklevel=2)
     m = min(n, 5000 if relief_m is None else relief_m)
 
-    raw = np.zeros((len(names), len(METHODS)))
-    relief = relief_weights(t, m, seed, bins=bins)
-    for j, name in enumerate(names):
-        col = t.column(name)
-        edges = bins.get(name)
-        binned = apply_bins(col, edges) if edges is not None else np.zeros(n, dtype=np.int64)
-        ct = ContingencyTable.from_vectors(binned, y)
-        raw[j, METHODS.index("ig")] = information_gain(ct)
-        raw[j, METHODS.index("gain_ratio")] = gain_ratio(ct)
-        raw[j, METHODS.index("su")] = symmetric_uncertainty(ct)
-        raw[j, METHODS.index("chi2")] = chi_squared(ct)
-        raw[j, METHODS.index("anova_f")] = anova_f(GroupStats.from_labeled(col, y))
-    raw[:, METHODS.index("relief")] = relief
-    return ScoreMatrix(names, raw)
+    binned = bin_matrix(t, bins)
+    relief = relief_weights(t, m, seed, bins=binned)
+    scores = _count_scores(_count_tensor(binned, class_idx, len(classes)))
+    del binned
+    for j in np.flatnonzero(scores["split_info"] == 0.0):
+        warnings.warn(f"gain ratio of single-valued feature {names[j]!r} defined as 0",
+                      stacklevel=2)
+    # ANOVA reads (features, class rows) copies of a C-ordered (features, rows)
+    # matrix, one class at a time; compress on a transposed view would copy it whole
+    by_feature = np.stack([t.column(name) for name in names])
+    scores["anova_f"] = _anova(*_group_stats(
+        by_feature.compress(class_idx == c, axis=1) for c in range(len(classes))))
+    scores["relief"] = relief
+    return ScoreMatrix(names, np.column_stack([scores[k] for k in METHODS]))
 
 
 def normalize_scores(sm: ScoreMatrix) -> ScoreMatrix:

@@ -66,9 +66,9 @@ class RunContext:
         return d
 
 
-def _collect_warnings(ctx: RunContext, caught) -> None:
+def _collect_warnings(ctx: RunContext, caught, prefix: str = "") -> None:
     for w in caught:
-        ctx.warn(str(w.message))
+        ctx.warn(f"{prefix}{w.message}")
 
 
 def new_run_dir(cfg: PipelineConfig) -> Path:
@@ -182,24 +182,25 @@ def stage_select(ctx: RunContext, tables: dict[str, Table]) -> SelectOutput:
     """Score every feature with the six methods and select per threshold."""
     cfg = ctx.cfg
     out: SelectOutput = {}
-    with _Timer(ctx, "select"), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _Timer(ctx, "select"):
         for attack in cfg.attacks:
             t = tables[attack]
             adir = ctx.attack_dir(attack)
-            bins = table_bin_edges(t, cfg.bin_count)
-            sm = score_all(t, bins, relief_m=cfg.relief_m, seed=cfg.seed)
-            sm = aggregate_mean(normalize_scores(sm))
-            _write_json(_fresh(adir / "bins.json"),
-                        {name: e.to_json() for name, e in bins.items()})
-            write_scores_csv(sm, _fresh(adir / "feature_scores.csv"))
-            selections = {}
-            for tau in cfg.thresholds:
-                sel = select_by_threshold(sm, tau)
-                _write_json(_fresh(adir / f"selection-{_tau_tag(tau)}.json"), sel.to_json())
-                selections[tau] = sel
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                bins = table_bin_edges(t, cfg.bin_count)
+                sm = score_all(t, bins, relief_m=cfg.relief_m, seed=cfg.seed)
+                sm = aggregate_mean(normalize_scores(sm))
+                _write_json(_fresh(adir / "bins.json"),
+                            {name: e.to_json() for name, e in bins.items()})
+                write_scores_csv(sm, _fresh(adir / "feature_scores.csv"))
+                selections = {}
+                for tau in cfg.thresholds:
+                    sel = select_by_threshold(sm, tau)
+                    _write_json(_fresh(adir / f"selection-{_tau_tag(tau)}.json"), sel.to_json())
+                    selections[tau] = sel
+            _collect_warnings(ctx, caught, f"{attack}: ")
             out[attack] = (sm, selections)
-        _collect_warnings(ctx, caught)
     ctx.stages_completed.append("select")
     return out
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from flowsieve.discretize import apply_bins, equal_width_bins, table_bin_edges
-from flowsieve.feature_selection import (RELIEF_BATCH, RELIEF_TILE,
+from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          ContingencyTable, GroupStats,
                                          ScoringError, ThresholdSelection,
                                          aggregate_mean, anova_f, chi_squared,
@@ -345,6 +346,123 @@ def test_score_all_feature_count_excludes_label():
     t = random_table(rng, 50, 7)
     sm = score_all(t, table_bin_edges(t, 5), relief_m=20, seed=0)
     assert len(sm.feature_names) == 7
+
+
+def scalar_scores(t, bins, name):
+    """The five non-relief scores of one feature through the scalar API."""
+    col, y = t.column(name), t.labels()
+    binned = apply_bins(col, bins[name]) if name in bins else np.zeros(t.row_count, dtype=int)
+    c = ContingencyTable.from_vectors(binned, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gain ratio of a single-valued feature
+        gr = gain_ratio(c)
+    return {"ig": information_gain(c), "gain_ratio": gr, "su": symmetric_uncertainty(c),
+            "chi2": chi_squared(c), "anova_f": anova_f(GroupStats.from_labeled(col, y))}
+
+
+def f_ratio(gs, square=lambda d: d ** 2):
+    """One-way F of GroupStats in Python floats, SSB squared by `square`."""
+    ssw = sum((ni - 1) * vi for ni, vi in zip(gs.sizes, gs.variances))
+    ssb = sum(ni * square(mi - gs.grand_mean) for ni, mi in zip(gs.sizes, gs.means))
+    if ssb == 0.0:
+        return 0.0
+    if ssw == 0.0:
+        return math.inf
+    return (ssb / (gs.group_count - 1)) / (ssw / (gs.total - gs.group_count))
+
+
+def loop_scores(t, bins, name):
+    """The five non-relief scores of one feature from 1-D NumPy sums and
+    Python floats, the way a per-feature loop adds them up: the reference
+    for the summation orders of the batched scores."""
+    col, y = t.column(name), t.labels()
+    binned = apply_bins(col, bins[name]) if name in bins else np.zeros(len(col), dtype=int)
+    classes = np.unique(y)
+    counts = np.array([[np.sum((binned == b) & (y == c)) for c in classes]
+                       for b in range(binned.max() + 1)])
+
+    def h(v):
+        v = np.asarray(v, dtype=float)
+        p = v[v > 0] / v.sum()
+        return float(-(p * np.log2(p)).sum())
+
+    rows, cols, total = counts.sum(axis=1), counts.sum(axis=0), counts.sum()
+    ce = 0.0
+    for row, r in zip(counts, rows):
+        if r > 0:
+            ce += (r / total) * h(row)
+    hx, hy = h(rows), h(cols)
+    ig = hy - ce
+    kept = counts[rows > 0]
+    expected = np.outer(kept.sum(axis=1, dtype=float), kept.sum(axis=0, dtype=float)) / total
+    groups = [col[y == c] for c in classes]
+    gs = GroupStats(tuple(g.size for g in groups), tuple(float(g.mean()) for g in groups),
+                    tuple(float(g.var(ddof=1)) if g.size > 1 else 0.0 for g in groups),
+                    sum((float(g.sum()) for g in groups), 0.0) / len(col))
+    return {"ig": ig, "gain_ratio": ig / hx if hx else 0.0,
+            "su": 2.0 * ig / (hx + hy) if hx + hy else 0.0,
+            "chi2": float(((kept - expected) ** 2 / expected).sum()), "anova_f": f_ratio(gs)}
+
+
+def assert_score_all_matches_scalar_api(t, bin_count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant columns stay unbinned
+        bins = table_bin_edges(t, bin_count)
+        sm = score_all(t, bins, relief_m=min(t.row_count, 20), seed=0)
+    for j, name in enumerate(t.feature_names):
+        scalar, loop = scalar_scores(t, bins, name), loop_scores(t, bins, name)
+        for method in scalar:
+            got = sm.raw[j, METHODS.index(method)]
+            # bit for bit: equal values and equal signs of zero
+            for want in (scalar[method], loop[method]):
+                assert got == want and math.copysign(1, got) == math.copysign(1, want), \
+                    (name, method, got, scalar[method], loop[method])
+
+
+POW_LABELS = np.tile([1.0, 0.0, 0.0, 0.0], 10)
+POW_COLUMN = np.random.default_rng(1107).random(40)  # x ** 2 != x * x changes its F
+
+
+def test_anova_squares_with_libm_pow():
+    gs = GroupStats.from_labeled(POW_COLUMN, POW_LABELS)
+    assert f_ratio(gs, lambda d: d * d) != f_ratio(gs)
+    assert anova_f(gs) == f_ratio(gs)
+
+
+def test_score_all_equals_scalar_api_bit_for_bit():
+    grid = np.linspace(0.0, 1.0, 40)
+    nine = np.where((grid >= 0.5) & (grid < 0.6), 0.0, grid)  # bin 5 of 10 left empty
+    t = make_table({"const": np.full(40, 0.25),
+                    "ends": np.tile([0.0, 1.0], 20),  # bins 1-8 of 10 empty
+                    "ten_bins": grid, "nine_bins": nine, "pow": POW_COLUMN,
+                    "noise": np.random.default_rng(3).random(40)}, POW_LABELS)
+    assert len(np.unique(apply_bins(nine, equal_width_bins(nine, 10)))) == 9
+    assert_score_all_matches_scalar_api(t, 10)
+
+
+def test_score_all_gain_ratio_warning_names_the_feature():
+    t = planted_table()
+    t = make_table({"informative": t.column("informative"),
+                    "const": np.full(t.row_count, 0.5)}, t.labels())
+    with pytest.warns(UserWarning, match="gain ratio of single-valued feature 'const'"):
+        score_all(t, table_bin_edges(t, 10), relief_m=20, seed=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_score_all_equals_scalar_api_property(data):
+    n = data.draw(st.integers(4, 300), label="n")
+    d = data.draw(st.integers(1, 6), label="d")
+    k = data.draw(st.integers(2, 12), label="bin_count")
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+    assume(2 <= sum(labels) <= n - 2)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    # coarse grids leave empty and constant bins, fine ones fill all k
+    levels = rng.integers(1, 3 * k, size=d)
+    X = rng.integers(0, levels, size=(n, d)) / levels + rng.random((n, d)) * (levels > k)
+    t = make_table({f"f{j}": X[:, j] for j in range(d)}, labels)
+    assert_score_all_matches_scalar_api(t, k)
 
 
 def test_normalize_scores_minmax():

@@ -267,13 +267,37 @@ def test_relief_m_above_row_count_is_capped_with_warning(tmp_path):
     manifest = json.loads((capped.run_dir / "run_manifest.json").read_text())
     assert manifest["error"] is None
     assert manifest["stages_completed"] == ["preprocess", "select", "train_eval"]
-    relief = [w for w in manifest["warnings"] if w.startswith("relief_m=1000000 exceeds")]
-    assert len(relief) == 2  # one per attack table
+    relief = [w.split(": ", 1) for w in manifest["warnings"] if "relief_m=1000000 exceeds" in w]
+    # one per attack table, each naming its attack
+    assert sorted(attack for attack, _ in relief) == ["AttackA", "AttackB"]
+    assert all(message.startswith("relief_m=1000000 exceeds") for _, message in relief)
     # capped at the row count, which the default (min(rows, 5000)) also uses here
     default = cmd_run(synth_config(tmp_path, relief_m=None))
     for attack in ("attacka", "attackb"):
         rel = f"{attack}/feature_scores.csv"
         assert (capped.run_dir / rel).read_bytes() == (default.run_dir / rel).read_bytes()
+
+
+def test_run_and_staged_commands_write_identical_files(cfg):
+    run = cmd_run(cfg)
+    staged = cmd_preprocess(cfg)  # newer than the run: the staged commands resume it
+    cmd_select(cfg)
+    cmd_train_eval(cfg)
+    assert staged.run_dir != run.run_dir
+
+    def files(run_dir):
+        return {str(p.relative_to(run_dir)): p.read_bytes() for p in run_dir.rglob("*")
+                if p.is_file() and p.name != "run_manifest.json"}
+
+    want, got = files(run.run_dir), files(staged.run_dir)
+    assert sorted(got) == sorted(want)
+    for name in ("dataset.csv", "bins.json", "feature_scores.csv", "selection-0.35.json",
+                 "split/train.csv", "split/test.csv", "split/manifest.json"):
+        assert f"attacka/{name}" in want and f"attackb/{name}" in want
+    assert "metrics.csv" in want and "metrics.json" in want
+    assert any(rel.startswith("attacka/models/") for rel in want)
+    for rel in want:
+        assert got[rel] == want[rel], rel
 
 
 def test_attack_slug():
