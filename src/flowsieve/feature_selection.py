@@ -330,8 +330,9 @@ def relief_weights(t: Table, m: int, seed: int,
             block.sum(axis=-1, out=dist[:k, start:stop])
         dk = dist[:k]
         dk[np.arange(k), position[rows]] = np.inf
-        nearest0 = order[dk[:, :n0].argmin(axis=1)]
-        nearest1 = order[n0 + dk[:, n0:].argmin(axis=1)]
+        # row by row: an argmin over a column slice of dk copies the slice
+        nearest0 = order[[r[:n0].argmin() for r in dk]]
+        nearest1 = order[[n0 + r[n0:].argmin() for r in dk]]
         in0 = y[rows] == classes[0]
         hit = np.where(in0, nearest0, nearest1)
         miss = np.where(in0, nearest1, nearest0)

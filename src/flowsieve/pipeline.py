@@ -29,10 +29,10 @@ from .feature_selection import (ScoreMatrix, ThresholdSelection, aggregate_mean,
                                 normalize_scores, score_all, select_by_threshold,
                                 write_scores_csv)
 from .sampling import SplitSpec, split_manifest, split_table
-from .tabular import (ConstantColumnError, Table, drop_columns_by_name,
-                      drop_invalid_rows, drop_single_valued_columns, load_csv,
-                      load_csv_merged, minmax_normalize, split_by_attack,
-                      write_csv)
+from .tabular import (CategoryMapping, ConstantColumnError, Table,
+                      drop_columns_by_name, drop_invalid_rows,
+                      drop_single_valued_columns, load_csv, load_csv_merged,
+                      minmax_normalize, split_by_attack, write_csv)
 
 
 class PipelineError(RuntimeError):
@@ -92,7 +92,9 @@ def find_run_dir(cfg: PipelineConfig) -> Path:
     candidates = sorted(p for p in base.glob(f"run-*-{suffix}*") if p.is_dir())
     if not candidates:
         raise PipelineError(
-            f"no run directory for this config under {base}; run `preprocess` first")
+            f"no run directory for config hash {suffix} under {base}; run `preprocess` "
+            "first, with the same --seed, --attacks and --thresholds overrides, "
+            "since they change the hash")
     return candidates[-1]
 
 
@@ -124,7 +126,8 @@ class _Timer:
 
 
 def stage_preprocess(ctx: RunContext) -> dict[str, Table]:
-    """Merge inputs, clean, encode, normalize, and split one table per attack."""
+    """Merge inputs, clean, encode, normalize, write the cleaned table once,
+    and split one table per attack from it."""
     cfg = ctx.cfg
     with _Timer(ctx, "preprocess"), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -157,22 +160,25 @@ def stage_preprocess(ctx: RunContext) -> dict[str, Table]:
             "per_attack_rows": {a: t.row_count for a, t in per_attack.items()},
         }
         _write_json(_fresh(ctx.run_dir / "preprocess.json"), prep)
-        for attack, t in per_attack.items():
-            write_csv(t, _fresh(ctx.attack_dir(attack) / "dataset.csv"))
+        write_csv(table, _fresh(ctx.run_dir / "cleaned.csv"))
         _collect_warnings(ctx, caught)
     ctx.stages_completed.append("preprocess")
     return per_attack
 
 
 def load_preprocessed(ctx: RunContext) -> dict[str, Table]:
-    out = {}
-    for attack in ctx.cfg.attacks:
-        path = ctx.run_dir / attack_slug(attack) / "dataset.csv"
-        if not path.exists():
-            raise PipelineError(f"{path} missing; run `preprocess` first")
-        table, _, _ = load_csv(path, ctx.cfg.label_column)
-        out[attack] = table
-    return out
+    """The per-attack tables of `stage_preprocess`, split again from the
+    run's cleaned table with the category codes it recorded."""
+    path = ctx.run_dir / "cleaned.csv"
+    if not path.exists():
+        raise PipelineError(f"{path} missing; run `preprocess` first")
+    table, _, _ = load_csv(path, ctx.cfg.label_column)
+    with open(ctx.run_dir / "preprocess.json", encoding="utf-8") as fh:
+        categories = json.load(fh)["category_mapping"]
+    mapping = CategoryMapping({name: tuple(cats) for name, cats in categories.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # `preprocess` recorded them already
+        return split_by_attack(table, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
 
 
 SelectOutput = dict[str, tuple[ScoreMatrix, dict[float, ThresholdSelection]]]
@@ -259,8 +265,6 @@ def stage_train_eval(ctx: RunContext, tables: dict[str, Table],
             result = split_table(t, spec)
             split_dir = adir / "split"
             split_dir.mkdir(exist_ok=True)
-            write_csv(result.train, _fresh(split_dir / "train.csv"))
-            write_csv(result.test, _fresh(split_dir / "test.csv"))
             _write_json(_fresh(split_dir / "manifest.json"), split_manifest(spec, result))
 
             # group thresholds whose selections coincide: one model per subset

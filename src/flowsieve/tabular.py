@@ -254,26 +254,19 @@ def _assemble(header, rows, label_column, path):
 
 
 def load_csv(path, label_column: str) -> tuple[Table, CategoryMapping, CleaningReport]:
-    """Load one CSV file.
-
-    Columns whose cells all parse as numbers become NUMERIC; the rest are
-    CATEGORICAL and get integer-coded in lexicographic category order.
-    `label_column` becomes the LABEL column (coded the same way when textual).
-    Data lines that repeat the header verbatim are dropped and counted;
-    completely blank lines are skipped.
-    """
-    header, rows, repeated = _read_raw(path)
-    table, mapping = _assemble(header, rows, label_column, path)
-    report = CleaningReport()
-    report.count_rows(REASON_REPEATED_HEADER, repeated)
-    return table, mapping, report
+    """Load one CSV file: `load_csv_merged` of a single path."""
+    return load_csv_merged([path], label_column)
 
 
 def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, CleaningReport]:
     """Load and concatenate several CSV files sharing one header.
 
-    Category codes are assigned over the merged data, so they are consistent
-    across source files.
+    Columns whose cells all parse as numbers become NUMERIC; the rest are
+    CATEGORICAL and get integer-coded in lexicographic category order, over
+    the merged data, so codes are consistent across source files.
+    `label_column` becomes the LABEL column (coded the same way when textual).
+    Data lines that repeat the header verbatim are dropped and counted;
+    completely blank lines are skipped.
     """
     if not paths:
         raise TableError("no input files given")

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from flowsieve.discretize import apply_bins, equal_width_bins, table_bin_edges
+from flowsieve.discretize import (apply_bins, bin_matrix, equal_width_bins,
+                                  table_bin_edges)
 from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          ContingencyTable, GroupStats,
                                          ScoringError, ThresholdSelection,
@@ -300,6 +302,23 @@ def test_relief_property_quantized_tables(data):
     got, want = relief_vs_oracle(quantized_table(cells, labels), m, seed)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     assert (np.abs(got) <= 1.0).all()
+
+
+def test_relief_peak_memory_is_one_distance_block():
+    # one feature and a 95 % majority class: a copy of the majority span of
+    # the batch's distance block would nearly double relief's peak
+    n = 40_000
+    rng = np.random.default_rng(5)
+    t = make_table({"f0": rng.random(n)}, (rng.random(n) < 0.05).astype(float))
+    binned = bin_matrix(t, table_bin_edges(t, 10))
+    tracemalloc.start()
+    try:
+        relief_weights(t, m=2 * RELIEF_BATCH, seed=0, bins=binned)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = RELIEF_BATCH * n * 8
+    assert peak < 1.75 * block, (peak, block)
 
 
 def test_relief_errors():

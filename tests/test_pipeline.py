@@ -1,16 +1,20 @@
+import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowsieve.config import parse_config
-from flowsieve.feature_selection import ThresholdSelection
+from flowsieve.config import apply_overrides, config_hash, parse_config
+from flowsieve.feature_selection import ScoringError, ThresholdSelection
 from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
                                 cmd_preprocess, cmd_run, cmd_select,
                                 cmd_train_eval, find_run_dir, new_run_dir,
-                                stage_train_eval, load_preprocessed)
-from flowsieve.tabular import TableError
+                                stage_preprocess, stage_train_eval,
+                                load_preprocessed)
+from flowsieve.sampling import SplitSpec, split_manifest, split_table
+from flowsieve.tabular import ColumnKind, TableError
 
 
 def synth_files(tmp_path, seed=0, n_benign=240, n_attack=60):
@@ -84,12 +88,14 @@ def test_preprocess_outputs(cfg):
     assert dropped == {"Timestamp": "excluded-by-name", "const": "single-valued"}
     assert report["dropped_row_counts"] == {"repeated-header": 1, "non-finite": 1,
                                             "negative": 1}
-    for attack in ("AttackA", "AttackB"):
-        data = ctx.run_dir / attack_slug(attack) / "dataset.csv"
-        assert data.exists()
-        header = data.read_text().splitlines()[0]
-        assert header == "proto,sig,anti,noise,Label"
+    # one cleaned table for all attacks, with the original label codes
+    lines = (ctx.run_dir / "cleaned.csv").read_text().splitlines()
+    assert lines[0] == "proto,sig,anti,noise,Label"
+    assert len(lines) == 1 + 480 + 60 + 60
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"0.0", "1.0", "2.0"}
+    assert not any(p.is_dir() for p in ctx.run_dir.iterdir())
     prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
+    assert prep["category_mapping"]["Label"] == ["AttackA", "AttackB", "Benign"]
     assert prep["per_attack_rows"]["AttackA"] == 240 + 60 + 240  # benign from all files
     manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
     assert manifest["stages_completed"] == ["preprocess"]
@@ -136,6 +142,19 @@ def test_staged_commands_resume_by_config_hash(cfg):
     assert manifest["stages_completed"] == ["preprocess", "select", "train_eval"]
     assert set(manifest["stage_seconds"]) == {"preprocess", "select", "train_eval"}
     assert manifest["error"] is None
+
+
+def test_select_with_attacks_override_names_the_hash(cfg):
+    cmd_preprocess(cfg)
+    narrowed = apply_overrides(cfg, attacks=["AttackA"])
+    with pytest.raises(PipelineError) as err:
+        cmd_select(narrowed)
+    message = str(err.value)
+    assert f"config hash {config_hash(narrowed)[:8]}" in message
+    assert config_hash(cfg)[:8] not in message
+    for flag in ("--seed", "--attacks", "--thresholds"):
+        assert flag in message
+    assert "run `preprocess` first" in message
 
 
 def test_select_requires_preprocess(cfg):
@@ -213,6 +232,14 @@ def test_run_split_manifests(cfg):
     assert b["scheme"] == "minority_protect"
     assert b["train_class_counts"]["1"] == int(0.7 * 60)
     assert b["test_class_counts"]["1"] == 60 - int(0.7 * 60)
+    # the cleaned table and the manifest give the split again
+    tables = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    for attack, doc in (("AttackA", a), ("AttackB", b)):
+        fractions = doc["fractions"]
+        spec = SplitSpec(scheme=doc["scheme"], train_fraction=fractions["train"],
+                         test_fraction=fractions["test"],
+                         attack_train_fraction=fractions["attack_train"], seed=doc["seed"])
+        assert split_manifest(spec, split_table(tables[attack], spec)) == doc
 
 
 def test_empty_selection_skipped_with_warning(cfg):
@@ -222,7 +249,6 @@ def test_empty_selection_skipped_with_warning(cfg):
     full = ThresholdSelection(0.35, ((0, "sig", 0.9), (1, "anti", 0.8)))
     empty = ThresholdSelection(0.55, ())
     selections = {a: {0.35: full, 0.55: empty} for a in cfg.attacks}
-    import dataclasses
     ctx = dataclasses.replace(ctx, cfg=dataclasses.replace(cfg, thresholds=(0.35, 0.55)))
     reports = stage_train_eval(ctx, tables, selections)
     assert {r.threshold for r in reports} == {0.35}
@@ -238,7 +264,7 @@ def test_rerun_is_byte_identical(tmp_path):
     ctx2 = cmd_run(cfg)
     assert ctx1.run_dir != ctx2.run_dir
     for rel in ["metrics.csv", "attacka/feature_scores.csv", "attackb/feature_scores.csv",
-                "attacka/dataset.csv", "attacka/split/train.csv"]:
+                "cleaned.csv", "attacka/split/manifest.json"]:
         b1 = (ctx1.run_dir / rel).read_bytes()
         b2 = (ctx2.run_dir / rel).read_bytes()
         assert b1 == b2, rel
@@ -291,13 +317,64 @@ def test_run_and_staged_commands_write_identical_files(cfg):
 
     want, got = files(run.run_dir), files(staged.run_dir)
     assert sorted(got) == sorted(want)
-    for name in ("dataset.csv", "bins.json", "feature_scores.csv", "selection-0.35.json",
-                 "split/train.csv", "split/test.csv", "split/manifest.json"):
+    for name in ("bins.json", "feature_scores.csv", "selection-0.35.json",
+                 "split/manifest.json"):
         assert f"attacka/{name}" in want and f"attackb/{name}" in want
-    assert "metrics.csv" in want and "metrics.json" in want
+    assert "cleaned.csv" in want and "metrics.csv" in want and "metrics.json" in want
     assert any(rel.startswith("attacka/models/") for rel in want)
     for rel in want:
         assert got[rel] == want[rel], rel
+
+
+def test_run_directory_holds_one_data_table(cfg):
+    run = cmd_run(cfg)
+    staged = cmd_preprocess(cfg)
+    cmd_select(cfg)
+    cmd_train_eval(cfg)
+    for run_dir in (run.run_dir, staged.run_dir):
+        csvs = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*.csv"))
+        # the rest are result tables: per-attack scores and the metrics grid
+        assert csvs == ["attacka/feature_scores.csv", "attackb/feature_scores.csv",
+                        "cleaned.csv", "metrics.csv"]
+        assert not list(run_dir.glob("*/dataset.csv"))
+        assert not list(run_dir.glob("*/split/*.csv"))
+
+
+def test_load_preprocessed_equals_in_memory_split(cfg):
+    ctx = RunContext(cfg, new_run_dir(cfg))
+    in_memory = stage_preprocess(ctx)  # split_by_attack of the in-memory cleaned table
+    reloaded = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    assert list(reloaded) == list(in_memory) == ["AttackA", "AttackB"]
+    for attack, want in in_memory.items():
+        got = reloaded[attack]
+        assert got.column_names == want.column_names
+        # text categories come back as their float codes
+        assert got.column_kinds == tuple(
+            ColumnKind.NUMERIC if k is ColumnKind.CATEGORICAL else k
+            for k in want.column_kinds)
+        for name, a, b in zip(want.column_names, got.columns, want.columns):
+            assert a.tobytes() == b.tobytes(), (attack, name)
+
+
+def test_resume_does_not_repeat_preprocess_warnings(tmp_path):
+    (tmp_path / "data").mkdir()
+    cfg = synth_config(tmp_path, benign_label="Ghost")
+    # "Ghost" is a category of the merged input, but its only row is invalid
+    ghost = tmp_path / "data" / "ghost.csv"
+    ghost.write_text("Timestamp,proto,sig,anti,noise,const,Label\n"
+                     "x,tcp,inf,0.5,0.5,0,Ghost\n")
+    cfg = dataclasses.replace(cfg, inputs=(*cfg.inputs, str(ghost)))
+    pre = cmd_preprocess(cfg)
+    want = ["no rows carry the benign label 'Ghost'"]
+    assert pre.warnings == want
+    # resuming splits the cleaned table again, silently: a warning would
+    # surface here as an error instead of the scorer's own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScoringError, match="single-valued"):
+            cmd_select(cfg)
+    manifest = json.loads((pre.run_dir / "run_manifest.json").read_text())
+    assert manifest["warnings"] == want
 
 
 def test_attack_slug():
