@@ -85,11 +85,7 @@ class ForestParams:
         _require(self.tree_count >= 1, "tree_count must be at least 1")
         _require(self.features_per_split is None or self.features_per_split >= 1,
                  "features_per_split must be at least 1")
-        _require(self.criterion in ("gini", "information_gain"),
-                 f"unknown criterion {self.criterion!r}")
-        _require(self.max_depth is None or self.max_depth >= 0,
-                 "max_depth must be non-negative")
-        _require(self.min_samples_leaf >= 1, "min_samples_leaf must be at least 1")
+        self.tree_params()  # checks the settings each tree takes
 
     def tree_params(self) -> TreeParams:
         return TreeParams(criterion=self.criterion, max_depth=self.max_depth,

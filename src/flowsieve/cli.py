@@ -58,11 +58,11 @@ def _parse_thresholds(text: str) -> list[float]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, seed=args.seed)
         out = args.out or os.environ.get(OUTPUT_DIR_ENV)
         thresholds = _parse_thresholds(args.thresholds) if args.thresholds else None
-        cfg = apply_overrides(cfg, seed=args.seed, output_dir=out,
-                              attacks=args.attacks, thresholds=thresholds)
+        cfg = apply_overrides(cfg, output_dir=out, attacks=args.attacks,
+                              thresholds=thresholds)
     except ConfigError as exc:
         print(f"flowsieve: config error: {exc}", file=sys.stderr)
         return 1

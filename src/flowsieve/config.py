@@ -1,21 +1,22 @@
 """Run configuration: JSON schema, validation, and deterministic hashing.
 
-Parsing is fail-closed: an unknown key anywhere in the document is an error,
-so a typo in a long sweep config cannot silently fall back to a default.
+The dataclasses below are the schema: parsing, defaults and the JSON form
+are derived from their fields. Parsing is fail-closed: an unknown key
+anywhere in the document, or a value of the wrong JSON type, is an error, so
+a typo in a long sweep config cannot silently fall back to a default.
 """
 
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify.params import (ForestParams, LogisticParams, NaiveBayesParams,
                               ParamError, SvmParams, TreeParams)
-from .sampling import FRACTION_STRATIFIED, MINORITY_PROTECT, SCHEMES
-
-DEFAULT_THRESHOLDS = (0.35, 0.40, 0.45, 0.50, 0.55)
-DEFAULT_EXCLUDED_COLUMNS = ("Timestamp",)
+from .sampling import FRACTION_STRATIFIED, MINORITY_PROTECT, SamplingError, SplitSpec
 
 # The conventional scheme assignment for the five studied attack labels:
 # brute-force datasets are fraction-sampled per class, the scarce web-attack
@@ -29,29 +30,15 @@ DEFAULT_SCHEMES = {
     "SQL Injection": MINORITY_PROTECT,
 }
 
-CLASSIFIER_ORDER = ("logistic_regression", "naive_bayes", "svm",
-                    "decision_tree", "random_forest")
+# Each classifier's tag (model file names, metric rows) and its key under
+# "classifiers" in the config, in training order.
+CLASSIFIER_KEYS = {"logistic_regression": "logistic", "naive_bayes": "naive_bayes",
+                   "svm": "svm", "decision_tree": "tree", "random_forest": "forest"}
+CLASSIFIER_ORDER = tuple(CLASSIFIER_KEYS)
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
-                          f"allowed: {sorted(allowed)}")
-
-
-def _params_from(cls, obj: dict, default_seed: int, where: str):
-    _check_keys(obj, [f.name for f in dataclasses.fields(cls)], where)
-    kwargs = dict(obj)
-    kwargs.setdefault("seed", default_seed)
-    try:
-        return cls(**kwargs)
-    except (ParamError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -69,21 +56,23 @@ class SamplingConfig:
         raise ConfigError(f"no sampling scheme declared for attack {attack!r}; "
                           f"add it to sampling.schemes")
 
+    def spec(self, attack: str, seed: int) -> SplitSpec:
+        """How the table of `attack` is split into train and test rows."""
+        return SplitSpec(self.scheme_for(attack), self.train_fraction,
+                         self.test_fraction, self.attack_train_fraction, seed)
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    logistic: LogisticParams
-    naive_bayes: NaiveBayesParams
-    svm: SvmParams
-    tree: TreeParams
-    forest: ForestParams
+    logistic: LogisticParams = LogisticParams()
+    naive_bayes: NaiveBayesParams = NaiveBayesParams()
+    svm: SvmParams = SvmParams()
+    tree: TreeParams = TreeParams()
+    forest: ForestParams = ForestParams()
 
-    def by_tag(self) -> dict:
-        return {"logistic_regression": self.logistic,
-                "naive_bayes": self.naive_bayes,
-                "svm": self.svm,
-                "decision_tree": self.tree,
-                "random_forest": self.forest}
+    def params(self, tag: str):
+        """The hyperparameters of the classifier named `tag`."""
+        return getattr(self, CLASSIFIER_KEYS[tag])
 
 
 @dataclass(frozen=True)
@@ -93,13 +82,14 @@ class PipelineConfig:
     benign_label: str
     attacks: tuple[str, ...]
     output_dir: str
-    excluded_columns: tuple[str, ...] = DEFAULT_EXCLUDED_COLUMNS
+    excluded_columns: tuple[str, ...] = ("Timestamp",)
     bin_count: int = 10
     relief_m: int | None = None
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = (0.35, 0.40, 0.45, 0.50, 0.55)
     seed: int = 0
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    classifiers: ClassifierConfig = None
+    # `parse_config` seeds every classifier from `seed` unless the document sets it
+    classifiers: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self):
         if not self.inputs:
@@ -123,113 +113,84 @@ class PipelineConfig:
             if rp == out or out in rp.parents:
                 raise ConfigError(f"input path {p!r} collides with the output directory")
         for attack in self.attacks:
-            scheme = self.sampling.scheme_for(attack)
-            if scheme not in SCHEMES:
-                raise ConfigError(f"attack {attack!r}: unknown scheme {scheme!r}")
-        if self.classifiers is None:
-            object.__setattr__(self, "classifiers", _default_classifiers(self.seed))
+            try:
+                self.sampling.spec(attack, self.seed)
+            except SamplingError as exc:
+                raise ConfigError(f"sampling for attack {attack!r}: {exc}") from exc
 
     def to_json(self) -> dict:
-        return {
-            "inputs": list(self.inputs),
-            "label_column": self.label_column,
-            "benign_label": self.benign_label,
-            "attacks": list(self.attacks),
-            "output_dir": self.output_dir,
-            "excluded_columns": list(self.excluded_columns),
-            "bin_count": self.bin_count,
-            "relief_m": self.relief_m,
-            "thresholds": list(self.thresholds),
-            "seed": self.seed,
-            "sampling": {
-                "schemes": {a: self.sampling.scheme_for(a) for a in self.attacks},
-                "train_fraction": self.sampling.train_fraction,
-                "test_fraction": self.sampling.test_fraction,
-                "attack_train_fraction": self.sampling.attack_train_fraction,
-            },
-            "classifiers": {
-                "logistic": dataclasses.asdict(self.classifiers.logistic),
-                "naive_bayes": dataclasses.asdict(self.classifiers.naive_bayes),
-                "svm": dataclasses.asdict(self.classifiers.svm),
-                "tree": dataclasses.asdict(self.classifiers.tree),
-                "forest": dataclasses.asdict(self.classifiers.forest),
-            },
-        }
+        """The config as a JSON document, with every attack's scheme resolved."""
+        doc = json.loads(json.dumps(dataclasses.asdict(self)))
+        doc["sampling"]["schemes"] = {a: self.sampling.scheme_for(a) for a in self.attacks}
+        return doc
 
 
-def _default_classifiers(seed: int) -> ClassifierConfig:
-    return ClassifierConfig(LogisticParams(seed=seed), NaiveBayesParams(seed=seed),
-                            SvmParams(seed=seed), TreeParams(seed=seed),
-                            ForestParams(seed=seed))
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-_TOP_KEYS = ("inputs", "label_column", "benign_label", "attacks", "output_dir",
-             "excluded_columns", "bin_count", "relief_m", "thresholds", "seed",
-             "sampling", "classifiers")
-_SAMPLING_KEYS = ("schemes", "train_fraction", "test_fraction", "attack_train_fraction")
-_CLASSIFIER_KEYS = ("logistic", "naive_bayes", "svm", "tree", "forest")
+def _convert(value, tp, path: str):
+    """`value` of a JSON document as a value of the field type `tp`."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a JSON list, got {value!r}")
+        return tuple(_convert(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+        return {k: _convert(v, args[1], f"{path}.{k}") for k, v in value.items()}
+    if origin is types.UnionType:  # `T | None`
+        return None if value is None else _convert(value, args[0], path)
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path} must be {_JSON_TYPES[tp]}, got {value!r}")
+    return value
+
+
+def _build(cls, doc, where: str, **defaults):
+    """An instance of the config dataclass `cls` from the JSON object `doc`.
+
+    Keys are checked against the fields of `cls` and values against their
+    types. A field that `doc` leaves out takes its value from `defaults`,
+    else its own default; a field with neither is required. Nested records
+    are built from their own objects (`{}` if absent) with the same
+    `defaults`. `where` is the key path of `doc`, "" at the root.
+    """
+    label = where or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {doc!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {label}; allowed: {sorted(fields)}")
+    kwargs = {}
+    for name, f in fields.items():
+        path = f"{where}.{name}" if where else name
+        if dataclasses.is_dataclass(f.type):
+            kwargs[name] = _build(f.type, doc.get(name, {}), path, **defaults)
+        elif name in doc:
+            kwargs[name] = _convert(doc[name], f.type, path)
+        elif name in defaults:
+            kwargs[name] = defaults[name]
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{label} is missing required key {name!r}")
+    try:
+        return cls(**kwargs)
+    except ParamError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> PipelineConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "config")
-    for required in ("inputs", "label_column", "benign_label", "attacks", "output_dir"):
-        if required not in doc:
-            raise ConfigError(f"config is missing required key {required!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-
-    sampling_doc = doc.get("sampling", {})
-    if not isinstance(sampling_doc, dict):
-        raise ConfigError("sampling must be a JSON object")
-    _check_keys(sampling_doc, _SAMPLING_KEYS, "sampling")
-    schemes = sampling_doc.get("schemes", {})
-    if not isinstance(schemes, dict):
-        raise ConfigError("sampling.schemes must map attack labels to scheme names")
-    sampling = SamplingConfig(
-        schemes=dict(schemes),
-        train_fraction=sampling_doc.get("train_fraction", 0.20),
-        test_fraction=sampling_doc.get("test_fraction", 0.10),
-        attack_train_fraction=sampling_doc.get("attack_train_fraction", 0.70),
-    )
-
-    clf_doc = doc.get("classifiers", {})
-    if not isinstance(clf_doc, dict):
-        raise ConfigError("classifiers must be a JSON object")
-    _check_keys(clf_doc, _CLASSIFIER_KEYS, "classifiers")
-    classifiers = ClassifierConfig(
-        logistic=_params_from(LogisticParams, clf_doc.get("logistic", {}), seed,
-                              "classifiers.logistic"),
-        naive_bayes=_params_from(NaiveBayesParams, clf_doc.get("naive_bayes", {}), seed,
-                                 "classifiers.naive_bayes"),
-        svm=_params_from(SvmParams, clf_doc.get("svm", {}), seed, "classifiers.svm"),
-        tree=_params_from(TreeParams, clf_doc.get("tree", {}), seed, "classifiers.tree"),
-        forest=_params_from(ForestParams, clf_doc.get("forest", {}), seed,
-                            "classifiers.forest"),
-    )
-
-    try:
-        return PipelineConfig(
-            inputs=tuple(doc["inputs"]),
-            label_column=doc["label_column"],
-            benign_label=doc["benign_label"],
-            attacks=tuple(doc["attacks"]),
-            output_dir=doc["output_dir"],
-            excluded_columns=tuple(doc.get("excluded_columns", DEFAULT_EXCLUDED_COLUMNS)),
-            bin_count=doc.get("bin_count", 10),
-            relief_m=doc.get("relief_m"),
-            thresholds=tuple(doc.get("thresholds", DEFAULT_THRESHOLDS)),
-            seed=seed,
-            sampling=sampling,
-            classifiers=classifiers,
-        )
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The run config of a JSON document. A classifier seed the document
+    does not set is the global seed."""
+    seed = doc.get("seed", PipelineConfig.seed) if isinstance(doc, dict) else None
+    return _build(PipelineConfig, doc, "", seed=seed)
 
 
-def load_config(path) -> PipelineConfig:
+def load_config(path, seed: int | None = None) -> PipelineConfig:
+    """The run config in the JSON file `path`. A `seed` replaces the file's
+    global seed before parsing, so it also moves every classifier seed the
+    file does not set."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -237,17 +198,15 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
     return parse_config(doc)
 
 
-def apply_overrides(cfg: PipelineConfig, *, seed: int | None = None,
-                    output_dir: str | None = None,
+def apply_overrides(cfg: PipelineConfig, *, output_dir: str | None = None,
                     attacks=None, thresholds=None) -> PipelineConfig:
     """Command-line overrides produce a new, revalidated config."""
     changes = {}
-    if seed is not None:
-        changes["seed"] = seed
-        changes["classifiers"] = _reseed(cfg.classifiers, cfg.seed, seed)
     if output_dir is not None:
         changes["output_dir"] = output_dir
     if attacks is not None:
@@ -258,16 +217,6 @@ def apply_overrides(cfg: PipelineConfig, *, seed: int | None = None,
     if thresholds is not None:
         changes["thresholds"] = tuple(thresholds)
     return dataclasses.replace(cfg, **changes) if changes else cfg
-
-
-def _reseed(clf: ClassifierConfig, old_seed: int, new_seed: int) -> ClassifierConfig:
-    """Move classifier seeds that tracked the global seed; keep explicit ones."""
-    def bump(params):
-        if params.seed == old_seed:
-            return dataclasses.replace(params, seed=new_seed)
-        return params
-    return ClassifierConfig(bump(clf.logistic), bump(clf.naive_bayes), bump(clf.svm),
-                            bump(clf.tree), bump(clf.forest))
 
 
 def config_hash(cfg: PipelineConfig) -> str:

@@ -28,7 +28,7 @@ from .evaluation import evaluate, write_metrics_csv, write_metrics_json
 from .feature_selection import (ScoreMatrix, ThresholdSelection, aggregate_mean,
                                 normalize_scores, score_all, select_by_threshold,
                                 write_scores_csv)
-from .sampling import SplitSpec, split_manifest, split_table
+from .sampling import split_manifest, split_table
 from .tabular import (CategoryMapping, ConstantColumnError, Table,
                       drop_columns_by_name, drop_invalid_rows,
                       drop_single_valued_columns, load_csv, load_csv_merged,
@@ -238,10 +238,6 @@ _TRAINERS = {
 }
 
 
-def _params_for(cfg: PipelineConfig, tag: str):
-    return cfg.classifiers.by_tag()[tag]
-
-
 def stage_train_eval(ctx: RunContext, tables: dict[str, Table],
                      selections: dict[str, dict[float, ThresholdSelection]]):
     """Sample each attack table once, then train and evaluate the five
@@ -257,11 +253,7 @@ def stage_train_eval(ctx: RunContext, tables: dict[str, Table],
         for attack in cfg.attacks:
             t = tables[attack]
             adir = ctx.attack_dir(attack)
-            spec = SplitSpec(scheme=cfg.sampling.scheme_for(attack),
-                             train_fraction=cfg.sampling.train_fraction,
-                             test_fraction=cfg.sampling.test_fraction,
-                             attack_train_fraction=cfg.sampling.attack_train_fraction,
-                             seed=cfg.seed)
+            spec = cfg.sampling.spec(attack, cfg.seed)
             result = split_table(t, spec)
             split_dir = adir / "split"
             split_dir.mkdir(exist_ok=True)
@@ -288,7 +280,7 @@ def stage_train_eval(ctx: RunContext, tables: dict[str, Table],
                 test_t = result.test.select_features(names)
                 tag0 = _tau_tag(taus[0])
                 for clf in CLASSIFIER_ORDER:
-                    params = _params_for(cfg, clf)
+                    params = cfg.classifiers.params(clf)
                     model = _TRAINERS[clf](train_t, params)
                     save_model(model, params,
                                _fresh(models_dir / f"tau-{tag0}-{clf}.json"))

@@ -42,11 +42,6 @@ class SplitSpec:
         if self.scheme == FRACTION_STRATIFIED and self.train_fraction + self.test_fraction > 1:
             raise SamplingError("train_fraction + test_fraction must not exceed 1")
 
-    def to_json(self) -> dict:
-        return {"scheme": self.scheme, "train_fraction": self.train_fraction,
-                "test_fraction": self.test_fraction,
-                "attack_train_fraction": self.attack_train_fraction, "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class SplitResult:

@@ -73,7 +73,9 @@ def test_runtime_failure_exit_2(tmp_path, capsys):
 
 
 def test_flag_overrides(tmp_path):
-    cfg_path = write_config(tmp_path)
+    cfg_path = write_config(tmp_path, classifiers={
+        "logistic": {"epochs": 40}, "svm": {"epochs": 3, "seed": 0},
+        "forest": {"tree_count": 3, "max_depth": 5}, "tree": {"max_depth": 5}})
     alt_out = tmp_path / "elsewhere"
     code = main(["run", "--config", str(cfg_path), "--out", str(alt_out),
                  "--attacks", "AttackA", "--thresholds", "0.35,0.5",
@@ -82,6 +84,9 @@ def test_flag_overrides(tmp_path):
     run_dir = latest_run(alt_out)
     manifest = json.loads((run_dir / "run_manifest.json").read_text())
     assert manifest["config"]["seed"] == 123
+    # --seed moves the classifier seeds the file leaves unset, and only those
+    assert manifest["config"]["classifiers"]["logistic"]["seed"] == 123
+    assert manifest["config"]["classifiers"]["svm"]["seed"] == 0
     assert manifest["config"]["attacks"] == ["AttackA"]
     assert manifest["config"]["thresholds"] == [0.35, 0.5]
     assert not (run_dir / "attackb").exists()
