@@ -9,6 +9,7 @@ a typo in a long sweep config cannot silently fall back to a default.
 import dataclasses
 import hashlib
 import json
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -39,6 +40,11 @@ CLASSIFIER_ORDER = tuple(CLASSIFIER_KEYS)
 
 class ConfigError(ValueError):
     pass
+
+
+def attack_slug(attack: str) -> str:
+    slug = re.sub(r"[^A-Za-z0-9]+", "-", attack).strip("-").lower()
+    return slug or "attack"
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,16 @@ class PipelineConfig:
             rp = Path(p).resolve()
             if rp == out or out in rp.parents:
                 raise ConfigError(f"input path {p!r} collides with the output directory")
-        for attack in self.attacks:
+        slugs: dict[str, int] = {}
+        for i, attack in enumerate(self.attacks):
+            if attack == self.benign_label:
+                raise ConfigError(f"attacks[{i}] {attack!r} is the benign_label; "
+                                  "an attack's table needs benign rows besides its own")
+            j = slugs.setdefault(attack_slug(attack), i)
+            if j != i:
+                clash = "repeats" if attack == self.attacks[j] else "has the directory name of"
+                raise ConfigError(f"attacks[{i}] {attack!r} {clash} attacks[{j}] "
+                                  f"{self.attacks[j]!r}")
             try:
                 self.sampling.spec(attack, self.seed)
             except SamplingError as exc:

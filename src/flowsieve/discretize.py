@@ -81,12 +81,9 @@ def bin_matrix(t: Table, bins: dict[str, BinEdges]) -> np.ndarray:
 def table_bin_edges(t: Table, k: int) -> dict[str, BinEdges]:
     """Equal-width edges for every non-label column; constant columns are skipped."""
     out = {}
-    li = t.label_index
-    for i, name in enumerate(t.column_names):
-        if i == li:
-            continue
+    for name, column in zip(t.feature_names, t.feature_matrix().T):
         try:
-            out[name] = equal_width_bins(t.columns[i], k, feature=name)
+            out[name] = equal_width_bins(column, k, feature=name)
         except ConstantColumnError:
             warnings.warn(f"column {name!r} is constant, left unbinned", stacklevel=2)
     return out

@@ -389,7 +389,7 @@ def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
                       stacklevel=2)
     # ANOVA reads (features, class rows) copies of a C-ordered (features, rows)
     # matrix, one class at a time; compress on a transposed view would copy it whole
-    by_feature = np.stack([t.column(name) for name in names])
+    by_feature = np.ascontiguousarray(t.feature_matrix().T)
     scores["anova_f"] = _anova(*_group_stats(
         by_feature.compress(class_idx == c, axis=1) for c in range(len(classes))))
     scores["relief"] = relief

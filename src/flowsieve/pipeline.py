@@ -11,7 +11,6 @@ error when a stage fails.
 
 import dataclasses
 import json
-import re
 import time
 import warnings
 from contextlib import contextmanager
@@ -22,26 +21,26 @@ from pathlib import Path
 from . import __version__
 from .classify import (save_model, train_forest, train_logistic,
                        train_naive_bayes, train_svm, train_tree)
-from .config import CLASSIFIER_ORDER, PipelineConfig, config_hash
+from .config import CLASSIFIER_ORDER, PipelineConfig, attack_slug, config_hash
 from .discretize import table_bin_edges
 from .evaluation import evaluate, write_metrics_csv, write_metrics_json
-from .feature_selection import (ScoreMatrix, ThresholdSelection, aggregate_mean,
-                                normalize_scores, score_all, select_by_threshold,
-                                write_scores_csv)
+from .feature_selection import (ThresholdSelection, aggregate_mean, normalize_scores,
+                                score_all, select_by_threshold, write_scores_csv)
 from .sampling import split_manifest, split_table
-from .tabular import (CategoryMapping, ConstantColumnError, Table,
+from .tabular import (CategoryMapping, ColumnKind, ConstantColumnError, Table,
                       drop_columns_by_name, drop_invalid_rows,
                       drop_single_valued_columns, load_csv, load_csv_merged,
-                      minmax_normalize, split_by_attack, write_csv)
+                      minmax_normalize, split_by_attack, subtable, write_csv)
 
 
 class PipelineError(RuntimeError):
     pass
 
 
-def attack_slug(attack: str) -> str:
-    slug = re.sub(r"[^A-Za-z0-9]+", "-", attack).strip("-").lower()
-    return slug or "attack"
+# The cleaned table (original label codes) and each attack's rows and 0/1
+# labels (`split_by_attack`): the stages build one attack's tables at a time.
+Cleaned = tuple[Table, dict[str, tuple]]
+Selections = dict[str, dict[float, ThresholdSelection]]
 
 
 def _tau_tag(tau: float) -> str:
@@ -125,9 +124,9 @@ class _Timer:
         return False
 
 
-def stage_preprocess(ctx: RunContext) -> dict[str, Table]:
+def stage_preprocess(ctx: RunContext) -> Cleaned:
     """Merge inputs, clean, encode, normalize, write the cleaned table once,
-    and split one table per attack from it."""
+    and find each attack's rows in it."""
     cfg = ctx.cfg
     with _Timer(ctx, "preprocess"), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -157,18 +156,18 @@ def stage_preprocess(ctx: RunContext) -> dict[str, Table]:
             "category_mapping": mapping.to_json(),
             "label_coding": {"benign": {cfg.benign_label: 0},
                              "attack": {a: 1 for a in cfg.attacks}},
-            "per_attack_rows": {a: t.row_count for a, t in per_attack.items()},
+            "per_attack_rows": {a: len(rows) for a, (rows, _) in per_attack.items()},
         }
         _write_json(_fresh(ctx.run_dir / "preprocess.json"), prep)
         write_csv(table, _fresh(ctx.run_dir / "cleaned.csv"))
         _collect_warnings(ctx, caught)
     ctx.stages_completed.append("preprocess")
-    return per_attack
+    return table, per_attack
 
 
-def load_preprocessed(ctx: RunContext) -> dict[str, Table]:
-    """The per-attack tables of `stage_preprocess`, split again from the
-    run's cleaned table with the category codes it recorded."""
+def load_preprocessed(ctx: RunContext) -> Cleaned:
+    """What `stage_preprocess` returned, from the run's cleaned table and the
+    categories it recorded; a column with categories is CATEGORICAL again."""
     path = ctx.run_dir / "cleaned.csv"
     if not path.exists():
         raise PipelineError(f"{path} missing; run `preprocess` first")
@@ -176,42 +175,43 @@ def load_preprocessed(ctx: RunContext) -> dict[str, Table]:
     with open(ctx.run_dir / "preprocess.json", encoding="utf-8") as fh:
         categories = json.load(fh)["category_mapping"]
     mapping = CategoryMapping({name: tuple(cats) for name, cats in categories.items()})
+    table = dataclasses.replace(table, column_kinds=tuple(
+        ColumnKind.CATEGORICAL if kind is ColumnKind.NUMERIC and name in categories else kind
+        for name, kind in zip(table.column_names, table.column_kinds)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # `preprocess` recorded them already
-        return split_by_attack(table, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
+        return table, split_by_attack(table, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
 
 
-SelectOutput = dict[str, tuple[ScoreMatrix, dict[float, ThresholdSelection]]]
-
-
-def stage_select(ctx: RunContext, tables: dict[str, Table]) -> SelectOutput:
+def stage_select(ctx: RunContext, cleaned: Cleaned) -> Selections:
     """Score every feature with the six methods and select per threshold."""
     cfg = ctx.cfg
-    out: SelectOutput = {}
+    table, per_attack = cleaned
+    out: Selections = {}
     with _Timer(ctx, "select"):
         for attack in cfg.attacks:
-            t = tables[attack]
+            t = subtable(table, *per_attack[attack], table.feature_names)
             adir = ctx.attack_dir(attack)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 bins = table_bin_edges(t, cfg.bin_count)
                 sm = score_all(t, bins, relief_m=cfg.relief_m, seed=cfg.seed)
+                del t  # before the next attack's table is built
                 sm = aggregate_mean(normalize_scores(sm))
                 _write_json(_fresh(adir / "bins.json"),
                             {name: e.to_json() for name, e in bins.items()})
                 write_scores_csv(sm, _fresh(adir / "feature_scores.csv"))
-                selections = {}
+                out[attack] = {}
                 for tau in cfg.thresholds:
                     sel = select_by_threshold(sm, tau)
                     _write_json(_fresh(adir / f"selection-{_tau_tag(tau)}.json"), sel.to_json())
-                    selections[tau] = sel
+                    out[attack][tau] = sel
             _collect_warnings(ctx, caught, f"{attack}: ")
-            out[attack] = (sm, selections)
     ctx.stages_completed.append("select")
     return out
 
 
-def load_selections(ctx: RunContext) -> dict[str, dict[float, ThresholdSelection]]:
+def load_selections(ctx: RunContext) -> Selections:
     out = {}
     for attack in ctx.cfg.attacks:
         adir = ctx.run_dir / attack_slug(attack)
@@ -238,70 +238,66 @@ _TRAINERS = {
 }
 
 
-def stage_train_eval(ctx: RunContext, tables: dict[str, Table],
-                     selections: dict[str, dict[float, ThresholdSelection]]):
-    """Sample each attack table once, then train and evaluate the five
+def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
+    """Sample each attack's dataset once, then train and evaluate the five
     classifiers per distinct selected feature subset.
 
-    Thresholds that select identical subsets share one trained model; metric
-    rows are still emitted per threshold.
+    Thresholds that select identical subsets share one pair of train and test
+    tables and one trained model; metric rows are still emitted per threshold.
     """
-    cfg = ctx.cfg
+    table, per_attack = cleaned
     reports = []
     with _Timer(ctx, "train_eval"), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for attack in cfg.attacks:
-            t = tables[attack]
-            adir = ctx.attack_dir(attack)
-            spec = cfg.sampling.spec(attack, cfg.seed)
-            result = split_table(t, spec)
-            split_dir = adir / "split"
-            split_dir.mkdir(exist_ok=True)
-            _write_json(_fresh(split_dir / "manifest.json"), split_manifest(spec, result))
-
-            # group thresholds whose selections coincide: one model per subset
-            groups: dict[tuple[str, ...], list[float]] = {}
-            for tau in cfg.thresholds:
-                sel = selections[attack][tau]
-                if not sel.features:
-                    ctx.skipped.append({"attack": attack, "threshold": tau,
-                                        "reason": "empty selection"})
-                    ctx.warn(f"{attack}: threshold {_tau_tag(tau)} selects no features; skipped")
-                    continue
-                names = tuple(n for _, n, _ in
-                              sorted(sel.features, key=lambda f: f[0]))
-                groups.setdefault(names, []).append(tau)
-
-            models_dir = adir / "models"
-            models_dir.mkdir(exist_ok=True)
-            by_tau: dict[float, dict[str, tuple]] = {}
-            for names, taus in groups.items():
-                train_t = result.train.select_features(names)
-                test_t = result.test.select_features(names)
-                tag0 = _tau_tag(taus[0])
-                for clf in CLASSIFIER_ORDER:
-                    params = cfg.classifiers.params(clf)
-                    model = _TRAINERS[clf](train_t, params)
-                    save_model(model, params,
-                               _fresh(models_dir / f"tau-{tag0}-{clf}.json"))
-                    tr, ts = evaluate(model, train_t, test_t, attack=attack,
-                                      classifier=clf, threshold=taus[0],
-                                      n_features=len(names))
-                    for tau in taus:
-                        by_tau.setdefault(tau, {})[clf] = (
-                            dataclasses.replace(tr, threshold=tau),
-                            dataclasses.replace(ts, threshold=tau))
-
-            for tau in cfg.thresholds:
-                for clf in CLASSIFIER_ORDER:
-                    if tau in by_tau and clf in by_tau[tau]:
-                        tr, ts = by_tau[tau][clf]
-                        reports.extend([tr, ts])
+        for attack in ctx.cfg.attacks:
+            reports.extend(_train_eval_attack(ctx, attack, table, *per_attack[attack],
+                                              selections[attack]))
         write_metrics_csv(reports, _fresh(ctx.run_dir / "metrics.csv"))
         write_metrics_json(reports, _fresh(ctx.run_dir / "metrics.json"))
         _collect_warnings(ctx, caught)
     ctx.stages_completed.append("train_eval")
     return reports
+
+
+def _train_eval_attack(ctx: RunContext, attack: str, table: Table, rows, labels,
+                       selections: dict[float, ThresholdSelection]) -> list:
+    cfg = ctx.cfg
+    adir = ctx.attack_dir(attack)
+    spec = cfg.sampling.spec(attack, cfg.seed)
+    result = split_table(labels, spec)
+    split_dir = adir / "split"
+    split_dir.mkdir(exist_ok=True)
+    _write_json(_fresh(split_dir / "manifest.json"), split_manifest(spec, result))
+
+    # group thresholds whose selections coincide: one model per subset
+    groups: dict[tuple[str, ...], list[float]] = {}
+    for tau in cfg.thresholds:
+        sel = selections[tau]
+        if not sel.features:
+            ctx.skipped.append({"attack": attack, "threshold": tau,
+                                "reason": "empty selection"})
+            ctx.warn(f"{attack}: threshold {_tau_tag(tau)} selects no features; skipped")
+            continue
+        names = tuple(n for _, n, _ in sorted(sel.features, key=lambda f: f[0]))
+        groups.setdefault(names, []).append(tau)
+
+    models_dir = adir / "models"
+    models_dir.mkdir(exist_ok=True)
+    by_tau: dict[float, list] = {}  # train and test reports, in classifier order
+    for names, taus in groups.items():
+        train_t = subtable(table, rows[result.train_rows], labels[result.train_rows], names)
+        test_t = subtable(table, rows[result.test_rows], labels[result.test_rows], names)
+        tag0 = _tau_tag(taus[0])
+        for clf in CLASSIFIER_ORDER:
+            params = cfg.classifiers.params(clf)
+            model = _TRAINERS[clf](train_t, params)
+            save_model(model, params, _fresh(models_dir / f"tau-{tag0}-{clf}.json"))
+            pair = evaluate(model, train_t, test_t, attack=attack, classifier=clf,
+                            threshold=taus[0], n_features=len(names))
+            for tau in taus:
+                by_tau.setdefault(tau, []).extend(
+                    dataclasses.replace(r, threshold=tau) for r in pair)
+    return [r for tau in cfg.thresholds for r in by_tau.get(tau, [])]
 
 
 def write_manifest(ctx: RunContext, error: str | None = None) -> Path:
@@ -378,8 +374,6 @@ def cmd_run(cfg: PipelineConfig) -> RunContext:
     """All three stages into one fresh run directory."""
     ctx = RunContext(cfg, new_run_dir(cfg))
     with _manifest_on_exit(ctx):
-        tables = stage_preprocess(ctx)
-        select_out = stage_select(ctx, tables)
-        selections = {a: sels for a, (_, sels) in select_out.items()}
-        stage_train_eval(ctx, tables, selections)
+        cleaned = stage_preprocess(ctx)
+        stage_train_eval(ctx, cleaned, stage_select(ctx, cleaned))
     return ctx

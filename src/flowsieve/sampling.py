@@ -3,17 +3,16 @@
 Two schemes: a plain per-class fraction split, and a minority-protecting
 variant where the (scarce) attack class is divided 70/30 and only the benign
 class is fraction-sampled. Per-class draw sizes round down, so a draw never
-exceeds the class size. The PRNG is NumPy's default (PCG64) seeded from the
-spec: the same (table, spec) always reproduces the same split within this
-implementation.
+exceeds the class size. A split is drawn from a dataset's 0/1 label vector
+and gives sorted row indices. The PRNG is NumPy's default (PCG64) seeded from
+the spec: the same (labels, spec) always reproduces the same split within
+this implementation.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tabular import Table
 
 FRACTION_STRATIFIED = "fraction_stratified"
 MINORITY_PROTECT = "minority_protect"
@@ -26,11 +25,11 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    scheme: str = FRACTION_STRATIFIED
-    train_fraction: float = 0.20
-    test_fraction: float = 0.10
-    attack_train_fraction: float = 0.70
-    seed: int = 0
+    scheme: str
+    train_fraction: float
+    test_fraction: float
+    attack_train_fraction: float
+    seed: int
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -45,14 +44,16 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class SplitResult:
-    train: Table
-    test: Table
+    """Sorted, disjoint train and test row indices and their per-class counts."""
+
+    train_rows: np.ndarray
+    test_rows: np.ndarray
     train_class_counts: dict[int, int]
     test_class_counts: dict[int, int]
 
 
-def _class_indices(t: Table) -> dict[int, np.ndarray]:
-    y = t.labels()
+def _class_indices(labels) -> dict[int, np.ndarray]:
+    y = np.asarray(labels)
     values = np.unique(y)
     if not set(values.tolist()) <= {0.0, 1.0}:
         raise SamplingError(f"labels must be binarized to 0/1, found values {values.tolist()}")
@@ -67,82 +68,63 @@ def _checked_floor(fraction: float, n: int, what: str) -> int:
     return count
 
 
-def _build(t: Table, train_parts, test_parts) -> SplitResult:
-    train_idx = np.sort(np.concatenate(train_parts))
-    test_idx = np.sort(np.concatenate(test_parts))
-    train = t.take_rows(train_idx)
-    test = t.take_rows(test_idx)
+def _fraction_draw(rng, rows, spec: SplitSpec, what: str):
+    """The train and test draws of one class; see `fraction_stratified_split`."""
+    n = len(rows)
+    n_train = _checked_floor(spec.train_fraction, n, f"{what} train draw")
+    n_test = _checked_floor(spec.test_fraction, n, f"{what} test draw")
+    if n_train + n_test > n:
+        raise SamplingError(
+            f"{what}: train draw {n_train} leaves too few rows for test draw {n_test}")
+    perm = rng.permutation(rows)
+    return perm[:n_train], perm[n_train:n_train + n_test]
 
-    def counts(tab: Table) -> dict[int, int]:
-        y = tab.labels()
-        return {cls: int((y == cls).sum()) for cls in (0, 1)}
 
-    return SplitResult(train, test, counts(train), counts(test))
+def _build(draws: dict[int, tuple]) -> SplitResult:
+    """The split of each class's (train rows, test rows) draw."""
+    train, test = (np.sort(np.concatenate(parts)) for parts in zip(*draws.values()))
+    counts = ({cls: len(draws[cls][k]) if cls in draws else 0 for cls in (0, 1)} for k in (0, 1))
+    return SplitResult(train, test, *counts)
 
 
-def fraction_stratified_split(t: Table, spec: SplitSpec) -> SplitResult:
+def fraction_stratified_split(labels, spec: SplitSpec) -> SplitResult:
     """Per class: floor(train_fraction*n) rows to train, floor(test_fraction*n)
     of the remainder to test, sampled without replacement."""
     if spec.scheme != FRACTION_STRATIFIED:
         raise SamplingError(f"spec scheme is {spec.scheme!r}, not {FRACTION_STRATIFIED!r}")
-    by_class = _class_indices(t)
+    by_class = _class_indices(labels)
     for cls in (0, 1):
         if cls not in by_class:
             raise SamplingError(f"class {cls} has no rows")
     rng = np.random.default_rng(spec.seed)
-    train_parts, test_parts = [], []
-    for cls in (0, 1):
-        idx = by_class[cls]
-        n = len(idx)
-        n_train = _checked_floor(spec.train_fraction, n, f"class {cls} train draw")
-        n_test = _checked_floor(spec.test_fraction, n, f"class {cls} test draw")
-        if n_train + n_test > n:
-            raise SamplingError(
-                f"class {cls}: train draw {n_train} leaves too few rows for test draw {n_test}")
-        perm = rng.permutation(idx)
-        train_parts.append(perm[:n_train])
-        test_parts.append(perm[n_train:n_train + n_test])
-    return _build(t, train_parts, test_parts)
+    return _build({cls: _fraction_draw(rng, by_class[cls], spec, f"class {cls}")
+                   for cls in (0, 1)})
 
 
-def minority_protect_split(t: Table, spec: SplitSpec) -> SplitResult:
+def minority_protect_split(labels, spec: SplitSpec) -> SplitResult:
     """Attack rows split attack_train_fraction / remainder; benign rows contribute
     train_fraction to train and test_fraction to test, disjointly."""
     if spec.scheme != MINORITY_PROTECT:
         raise SamplingError(f"spec scheme is {spec.scheme!r}, not {MINORITY_PROTECT!r}")
-    by_class = _class_indices(t)
+    by_class = _class_indices(labels)
     if 1 not in by_class:
         raise SamplingError("no attack rows (class 1) to split")
     rng = np.random.default_rng(spec.seed)
-    train_parts, test_parts = [], []
-
-    if 0 in by_class:
-        benign = by_class[0]
-        n = len(benign)
-        n_train = _checked_floor(spec.train_fraction, n, "benign train draw")
-        n_test = _checked_floor(spec.test_fraction, n, "benign test draw")
-        if n_train + n_test > n:
-            raise SamplingError(
-                f"benign: train draw {n_train} leaves too few rows for test draw {n_test}")
-        perm = rng.permutation(benign)
-        train_parts.append(perm[:n_train])
-        test_parts.append(perm[n_train:n_train + n_test])
-
+    draws = {0: _fraction_draw(rng, by_class[0], spec, "benign")} if 0 in by_class else {}
     attack = by_class[1]
-    n_attack = len(attack)
-    n_train = _checked_floor(spec.attack_train_fraction, n_attack, "attack train draw")
-    if n_train >= n_attack:
+    n_train = _checked_floor(spec.attack_train_fraction, len(attack), "attack train draw")
+    if n_train >= len(attack):
         raise SamplingError("attack train draw leaves no rows for the test split")
     perm = rng.permutation(attack)
-    train_parts.append(perm[:n_train])
-    test_parts.append(perm[n_train:])
-    return _build(t, train_parts, test_parts)
+    draws[1] = (perm[:n_train], perm[n_train:])
+    return _build(draws)
 
 
-def split_table(t: Table, spec: SplitSpec) -> SplitResult:
+def split_table(labels, spec: SplitSpec) -> SplitResult:
+    """Train and test rows of a dataset with 0/1 `labels`, by the spec's scheme."""
     if spec.scheme == FRACTION_STRATIFIED:
-        return fraction_stratified_split(t, spec)
-    return minority_protect_split(t, spec)
+        return fraction_stratified_split(labels, spec)
+    return minority_protect_split(labels, spec)
 
 
 def split_manifest(spec: SplitSpec, result: SplitResult) -> dict:

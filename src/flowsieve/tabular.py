@@ -1,11 +1,13 @@
-"""Columnar table model, CSV ingestion, and the flow-table cleaning pipeline.
+"""Table model, CSV ingestion, and the flow-table cleaning pipeline.
 
-A Table is an immutable, column-major collection of float64 columns. Text
-columns are integer-coded at load time (codes are positions in a
-lexicographically sorted category list) so every cell is a float64; the
-code-to-text correspondence lives in a CategoryMapping. Cleaning operations
-never mutate: each returns a new Table plus a CleaningReport describing what
-was removed and why.
+A Table is one immutable, C-ordered float64 feature matrix (every column but
+the label, in header order) plus the label vector. Text columns are
+integer-coded at load time (codes are positions in a lexicographically sorted
+category list) so every cell is a float64; the code-to-text correspondence
+lives in a CategoryMapping. Cleaning operations never mutate: each returns a
+new Table plus a CleaningReport describing what was removed and why. A
+per-attack dataset is a list of row indices into the cleaned table plus 0/1
+labels (`split_by_attack`); `subtable` builds its table when it is needed.
 """
 
 import csv
@@ -38,33 +40,35 @@ class ColumnKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Table:
-    """Immutable columnar dataset; exactly one column has kind LABEL."""
+    """Immutable dataset; exactly one column has kind LABEL. `X` holds the
+    others in `column_names` order as one read-only, C-ordered (rows,
+    features) float64 matrix, `y` the label column."""
 
     column_names: tuple[str, ...]
     column_kinds: tuple[ColumnKind, ...]
-    columns: tuple[np.ndarray, ...]
+    X: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.column_names) == len(self.column_kinds) == len(self.columns)):
-            raise TableError("column names, kinds, and data are not the same length")
+        if len(self.column_names) != len(self.column_kinds):
+            raise TableError("column names and kinds are not the same length")
         if len(set(self.column_names)) != len(self.column_names):
             raise TableError("duplicate column names")
         n_label = sum(k is ColumnKind.LABEL for k in self.column_kinds)
         if n_label != 1:
             raise TableError(f"a table needs exactly one label column, found {n_label}")
-        lengths = {len(c) for c in self.columns}
-        if len(lengths) > 1:
-            raise TableError(f"ragged columns: lengths {sorted(lengths)}")
-        cols = []
-        for arr in self.columns:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        y = np.ascontiguousarray(self.y, dtype=np.float64)
+        if y.ndim != 1 or X.shape != (len(y), len(self.column_names) - 1):
+            raise TableError(f"ragged table: {len(self.column_names)} columns, feature "
+                             f"matrix of shape {X.shape}, labels of shape {y.shape}")
+        for name, arr in (("X", X), ("y", y)):
             arr.setflags(write=False)
-            cols.append(arr)
-        object.__setattr__(self, "columns", tuple(cols))
+            object.__setattr__(self, name, arr)
 
     @property
     def row_count(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return len(self.y)
 
     @property
     def column_count(self) -> int:
@@ -83,41 +87,50 @@ class Table:
         li = self.label_index
         return tuple(n for i, n in enumerate(self.column_names) if i != li)
 
+    @property
+    def feature_kinds(self) -> tuple[ColumnKind, ...]:
+        return tuple(k for k in self.column_kinds if k is not ColumnKind.LABEL)
+
     def column(self, name: str) -> np.ndarray:
+        """The label vector, or a feature column as a view of the matrix."""
+        if name == self.label_name:
+            return self.y
         try:
-            return self.columns[self.column_names.index(name)]
+            return self.X[:, self.feature_names.index(name)]
         except ValueError:
             raise TableError(f"no column named {name!r}") from None
 
     def labels(self) -> np.ndarray:
-        return self.columns[self.label_index]
+        return self.y
 
     def feature_matrix(self) -> np.ndarray:
-        """Non-label columns stacked into an (n_rows, n_features) array."""
-        li = self.label_index
-        cols = [c for i, c in enumerate(self.columns) if i != li]
-        if not cols:
-            return np.empty((self.row_count, 0))
-        return np.column_stack(cols)
+        """The (n_rows, n_features) matrix itself, not a copy."""
+        return self.X
 
     def take_rows(self, indices) -> "Table":
         indices = np.asarray(indices, dtype=np.intp)
-        return Table(self.column_names, self.column_kinds,
-                     tuple(c[indices] for c in self.columns))
+        return Table(self.column_names, self.column_kinds, self.X[indices], self.y[indices])
 
     def select_features(self, names) -> "Table":
-        """Project onto the given feature columns (label always kept)."""
-        keep = list(names)
-        for name in keep:
-            if name not in self.column_names:
-                raise TableError(f"no column named {name!r}")
-            if name == self.label_name:
-                raise TableError("label column cannot be selected as a feature")
-        keep.append(self.label_name)
-        idx = [self.column_names.index(n) for n in keep]
-        return Table(tuple(keep),
-                     tuple(self.column_kinds[i] for i in idx),
-                     tuple(self.columns[i] for i in idx))
+        """Project onto the given feature columns, in that order (label kept, last)."""
+        return subtable(self, np.arange(self.row_count), self.y, names)
+
+
+def subtable(t: Table, rows, labels, names) -> Table:
+    """The features `names` of the rows `rows` of `t`, in that order, and the
+    label column `labels`, last. One gather from `t`'s matrix: how a
+    per-attack table, or one of its train and test tables, is built from the
+    cleaned table when it is needed."""
+    names = list(names)
+    for name in names:
+        if name not in t.column_names:
+            raise TableError(f"no column named {name!r}")
+        if name == t.label_name:
+            raise TableError("label column cannot be selected as a feature")
+    kinds = [t.column_kinds[t.column_names.index(n)] for n in names]
+    idx = [t.feature_names.index(n) for n in names]
+    return Table((*names, t.label_name), (*kinds, ColumnKind.LABEL),
+                 t.X[np.ix_(np.asarray(rows, dtype=np.intp), idx)], labels)
 
 
 @dataclass(frozen=True)
@@ -213,20 +226,16 @@ def _read_raw(path) -> tuple[list[str], list[list[str]], int]:
     return header, rows, repeated
 
 
-def _parse_numeric(cells: tuple[str, ...]) -> np.ndarray | None:
-    values = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        try:
-            values[i] = float(cell)
-        except ValueError:
-            return None
-    return values
-
-
-def _encode_text(cells: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
-    cats = tuple(sorted(set(cells)))
-    code = {c: float(i) for i, c in enumerate(cats)}
-    return np.array([code[c] for c in cells]), cats
+def _parse_into(cells: tuple[str, ...], out: np.ndarray) -> tuple[str, ...] | None:
+    """Fill `out` with the cells as numbers or else category codes; return the categories."""
+    try:
+        out[:] = np.fromiter(map(float, cells), np.float64, len(cells))
+        return None
+    except ValueError:
+        cats = tuple(sorted(set(cells)))
+        code = {c: float(i) for i, c in enumerate(cats)}
+        out[:] = [code[c] for c in cells]
+        return cats
 
 
 def _assemble(header, rows, label_column, path):
@@ -234,22 +243,19 @@ def _assemble(header, rows, label_column, path):
         raise TableError(f"{path}: header has no column {label_column!r}")
     if len(set(header)) != len(header):
         raise TableError(f"{path}: duplicate column names in header")
-    n_cols = len(header)
-    col_cells = list(zip(*rows)) if rows else [()] * n_cols
-    kinds, arrays, categories = [], [], {}
+    X = np.empty((len(rows), len(header) - 1))
+    y = np.empty(len(rows))
+    feature_columns = iter(X.T)  # writable views, filled in place
+    col_cells = list(zip(*rows)) if rows else [()] * len(header)
+    kinds, categories = [], {}
     for name, cells in zip(header, col_cells):
-        values = _parse_numeric(cells)
-        if values is None:
-            values, cats = _encode_text(cells)
+        is_label = name == label_column
+        cats = _parse_into(cells, y if is_label else next(feature_columns))
+        if cats is not None:
             categories[name] = cats
-            kind = ColumnKind.CATEGORICAL
-        else:
-            kind = ColumnKind.NUMERIC
-        if name == label_column:
-            kind = ColumnKind.LABEL
-        kinds.append(kind)
-        arrays.append(values)
-    table = Table(tuple(header), tuple(kinds), tuple(arrays))
+        kinds.append(ColumnKind.LABEL if is_label else
+                     ColumnKind.NUMERIC if cats is None else ColumnKind.CATEGORICAL)
+    table = Table(tuple(header), tuple(kinds), X, y)
     return table, CategoryMapping(categories)
 
 
@@ -287,6 +293,17 @@ def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, C
     return table, mapping, report
 
 
+def _drop_features(t: Table, drop) -> Table:
+    """`t` without the feature columns named in `drop`; `t` itself if none is."""
+    if not drop:
+        return t
+    cols = [i for i, n in enumerate(t.column_names) if n not in drop]
+    keep = [j for j, n in enumerate(t.feature_names) if n not in drop]
+    return Table(tuple(t.column_names[i] for i in cols),
+                 tuple(t.column_kinds[i] for i in cols),
+                 np.take(t.X, keep, axis=1), t.y)
+
+
 def drop_columns_by_name(t: Table, names) -> tuple[Table, CleaningReport]:
     """Remove the named columns; absent names are reported, not errors."""
     report = CleaningReport()
@@ -299,25 +316,16 @@ def drop_columns_by_name(t: Table, names) -> tuple[Table, CleaningReport]:
             report.dropped_columns.append((name, REASON_EXCLUDED))
         else:
             report.absent_columns.append(name)
-    keep = [i for i, n in enumerate(t.column_names) if n not in to_drop]
-    out = Table(tuple(t.column_names[i] for i in keep),
-                tuple(t.column_kinds[i] for i in keep),
-                tuple(t.columns[i] for i in keep))
-    return out, report
+    return _drop_features(t, to_drop), report
 
 
 def drop_single_valued_columns(t: Table) -> tuple[Table, CleaningReport]:
     """Remove every non-label column with fewer than two distinct values."""
     report = CleaningReport()
-    keep = []
-    for i, (name, kind) in enumerate(zip(t.column_names, t.column_kinds)):
-        if kind is not ColumnKind.LABEL and len(np.unique(t.columns[i])) < 2:
+    for name, col in zip(t.feature_names, t.X.T):
+        if len(np.unique(col)) < 2:
             report.dropped_columns.append((name, REASON_SINGLE_VALUED))
-        else:
-            keep.append(i)
-    out = Table(tuple(t.column_names[i] for i in keep),
-                tuple(t.column_kinds[i] for i in keep),
-                tuple(t.columns[i] for i in keep))
+    out = _drop_features(t, {name for name, _ in report.dropped_columns})
     if out.column_count == 1:
         warnings.warn("table reduced to its label column only", stacklevel=2)
     return out, report
@@ -329,33 +337,35 @@ def drop_invalid_rows(t: Table) -> tuple[Table, CleaningReport]:
     A row failing both checks is counted once, under non-finite.
     """
     report = CleaningReport()
-    numeric = [c for c, k in zip(t.columns, t.column_kinds) if k is ColumnKind.NUMERIC]
-    if not numeric:
-        return t, report
-    mat = np.column_stack(numeric)
-    non_finite = ~np.isfinite(mat).all(axis=1)
-    negative = (mat < 0).any(axis=1) & ~non_finite
+    numeric = np.array([k is ColumnKind.NUMERIC for k in t.feature_kinds], dtype=bool)
+    non_finite = ~np.isfinite(t.X).all(axis=1, where=numeric)
+    negative = (t.X < 0).any(axis=1, where=numeric) & ~non_finite
     report.count_rows(REASON_NON_FINITE, int(non_finite.sum()))
     report.count_rows(REASON_NEGATIVE, int(negative.sum()))
-    survivors = np.flatnonzero(~(non_finite | negative))
-    return t.take_rows(survivors), report
+    return t.take_rows(np.flatnonzero(~(non_finite | negative))), report
 
 
 def minmax_normalize(t: Table) -> Table:
     """Rescale every numeric non-label column to [0, 1] by (x - min) / (max - min)."""
-    cols = []
-    for name, kind, col in zip(t.column_names, t.column_kinds, t.columns):
-        if kind is ColumnKind.NUMERIC and len(col):
-            lo = col.min()
-            hi = col.max()
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise TableError(f"column {name!r} has non-finite cells; clean rows first")
-            if hi == lo:
-                raise ConstantColumnError(
-                    f"column {name!r} is single-valued; apply drop_single_valued_columns first")
-            col = (col - lo) / (hi - lo)
-        cols.append(col)
-    return Table(t.column_names, t.column_kinds, tuple(cols))
+    numeric = np.array([k is ColumnKind.NUMERIC for k in t.feature_kinds], dtype=bool)
+    if not (t.row_count and numeric.any()):
+        return t
+    # other columns go through as (x - 0) / 1, which leaves every value as it is
+    lo = np.where(numeric, t.X.min(axis=0), 0.0)
+    hi = np.where(numeric, t.X.max(axis=0), 1.0)
+    # which signed zero a min returns depends on the order it visits the
+    # cells; take a zero minimum from the column alone, as a column pass does
+    for j in np.flatnonzero(numeric & (lo == 0.0)):
+        lo[j] = np.ascontiguousarray(t.X[:, j]).min()
+    for j in np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi != lo))):
+        name = t.feature_names[j]  # the first bad column raises
+        if not (np.isfinite(lo[j]) and np.isfinite(hi[j])):
+            raise TableError(f"column {name!r} has non-finite cells; clean rows first")
+        raise ConstantColumnError(
+            f"column {name!r} is single-valued; apply drop_single_valued_columns first")
+    out = np.subtract(t.X, lo)  # in place from here: one new matrix, no temporary
+    out /= hi - lo
+    return Table(t.column_names, t.column_kinds, out, t.y)
 
 
 def _resolve_label_code(t: Table, mapping: CategoryMapping, value) -> float:
@@ -365,8 +375,10 @@ def _resolve_label_code(t: Table, mapping: CategoryMapping, value) -> float:
 
 
 def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
-                    benign_label) -> dict:
-    """One table per attack: all benign rows plus that attack's rows, label coded 0/1.
+                    benign_label) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each attack's dataset as (rows, labels): the indices of all benign rows
+    plus that attack's rows, in table order, and their labels coded 0/1.
+    `subtable(t, rows, labels, t.feature_names)` builds the dataset's table.
 
     Labels may be given as category text (resolved through `mapping`) or as raw
     numeric label values. An attack with no rows is an error; a table with no
@@ -379,23 +391,21 @@ def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
         warnings.warn(f"no rows carry the benign label {benign_label!r}", stacklevel=2)
     out = {}
     for attack in attack_labels:
-        code = _resolve_label_code(t, mapping, attack)
-        attack_mask = y == code
+        attack_mask = y == _resolve_label_code(t, mapping, attack)
         if not attack_mask.any():
             raise TableError(f"attack label {attack!r} has no rows")
         rows = np.flatnonzero(benign_mask | attack_mask)
-        sub = t.take_rows(rows)
-        binary = np.where(sub.labels() == code, 1.0, 0.0)
-        cols = list(sub.columns)
-        cols[sub.label_index] = binary
-        out[str(attack)] = Table(sub.column_names, sub.column_kinds, tuple(cols))
+        out[str(attack)] = (rows, attack_mask[rows].astype(np.float64))
     return out
 
 
 def write_csv(t: Table, path) -> None:
     """Emit the table as CSV; floats use shortest round-trip decimal form."""
+    li = t.label_index
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(t.column_names)
-        for i in range(t.row_count):
-            writer.writerow([repr(float(c[i])) for c in t.columns])
+        for x, label in zip(t.X, t.y):
+            row = x.tolist()
+            row.insert(li, float(label))
+            writer.writerow(map(repr, row))

@@ -8,15 +8,12 @@ from flowsieve.tabular import ColumnKind, Table
 def make_table(features: dict, labels, kinds: dict | None = None) -> Table:
     """Table from {name: values} plus a label vector named 'Label'."""
     kinds = kinds or {}
-    names, ks, cols = [], [], []
-    for name, values in features.items():
-        names.append(name)
-        ks.append(kinds.get(name, ColumnKind.NUMERIC))
-        cols.append(np.asarray(values, dtype=np.float64))
-    names.append("Label")
-    ks.append(ColumnKind.LABEL)
-    cols.append(np.asarray(labels, dtype=np.float64))
-    return Table(tuple(names), tuple(ks), tuple(cols))
+    y = np.asarray(labels, dtype=np.float64)
+    cols = [np.asarray(values, dtype=np.float64) for values in features.values()]
+    X = np.column_stack(cols) if cols else np.empty((len(y), 0))
+    return Table((*features, "Label"),
+                 (*(kinds.get(name, ColumnKind.NUMERIC) for name in features), ColumnKind.LABEL),
+                 X, y)
 
 
 def blobs_2d(n_per_class: int, seed: int, spread: float = 0.08) -> Table:

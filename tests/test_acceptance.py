@@ -18,7 +18,7 @@ from flowsieve.classify import (ForestParams, LogisticParams, NaiveBayesParams,
                                 SvmParams, TreeParams, predict_arrays,
                                 train_forest, train_logistic,
                                 train_naive_bayes, train_svm, train_tree)
-from flowsieve.config import parse_config
+from flowsieve.config import SamplingConfig, parse_config
 from flowsieve.discretize import apply_bins, equal_width_bins, table_bin_edges
 from flowsieve.evaluation import ConfusionMatrix, evaluate, metrics
 from flowsieve.feature_selection import (ContingencyTable, GroupStats,
@@ -30,7 +30,8 @@ from flowsieve.feature_selection import (ContingencyTable, GroupStats,
 from flowsieve.pipeline import cmd_run
 from flowsieve.sampling import SplitSpec, split_table
 from flowsieve.tabular import (drop_invalid_rows, drop_single_valued_columns,
-                               load_csv, minmax_normalize, split_by_attack)
+                               load_csv, minmax_normalize, split_by_attack,
+                               subtable)
 
 from helpers import blobs_2d, make_table, random_table
 
@@ -308,24 +309,24 @@ def test_criterion_12_full_scale_reproduction():
     per_attack = split_by_attack(table, mapping,
                                  ["FTP-BruteForce", "SSH-Bruteforce"], "Benign")
     for attack, want in REFERENCE_DATASET_ROWS.items():
-        assert abs(per_attack[attack].row_count - want) <= 2, attack
+        assert abs(len(per_attack[attack][0]) - want) <= 2, attack
 
-    ftp = per_attack["FTP-BruteForce"]
-    spec = SplitSpec(scheme="fraction_stratified", train_fraction=0.2,
-                     test_fraction=0.1, seed=0)
-    for attack, t in per_attack.items():
-        r = split_table(t, spec)
-        assert abs(r.train.row_count - REFERENCE_TRAIN_ROWS[attack]) <= 2, attack
-        assert abs(r.test.row_count - REFERENCE_TEST_ROWS[attack]) <= 2, attack
+    ftp_rows, ftp_labels = per_attack["FTP-BruteForce"]
+    ftp = subtable(table, ftp_rows, ftp_labels, table.feature_names)
+    spec = SamplingConfig().spec("FTP-BruteForce", 0)  # fraction_stratified 0.2 / 0.1
+    for attack, (_, labels) in per_attack.items():
+        r = split_table(labels, spec)
+        assert abs(len(r.train_rows) - REFERENCE_TRAIN_ROWS[attack]) <= 2, attack
+        assert abs(len(r.test_rows) - REFERENCE_TEST_ROWS[attack]) <= 2, attack
 
     bins = table_bin_edges(ftp, 10)
     sm = aggregate_mean(normalize_scores(score_all(ftp, bins, relief_m=5000, seed=0)))
     sel = select_by_threshold(sm, 0.35)
     assert sel.features, "tau=0.35 selected nothing on FTP"
     names = tuple(n for _, n, _ in sorted(sel.features, key=lambda f: f[0]))
-    r = split_table(ftp, spec)
-    train_t = r.train.select_features(names)
-    test_t = r.test.select_features(names)
+    r = split_table(ftp_labels, spec)
+    train_t = subtable(ftp, r.train_rows, ftp_labels[r.train_rows], names)
+    test_t = subtable(ftp, r.test_rows, ftp_labels[r.test_rows], names)
     forest = train_forest(train_t, ForestParams(tree_count=10, seed=0))
     _, test_report = evaluate(forest, train_t, test_t, attack="FTP",
                               classifier="random_forest", threshold=0.35)
@@ -354,9 +355,10 @@ def test_criterion_12_full_scale_web_attacks():
     spec = SplitSpec(scheme="minority_protect", train_fraction=0.2,
                      test_fraction=0.1, attack_train_fraction=0.7, seed=0)
     for attack, want in WEB_REFERENCE_ROWS.items():
-        assert abs(per_attack[attack].row_count - want) <= 2, attack
-        r = split_table(per_attack[attack], spec)
-        assert abs(r.train.row_count - WEB_REFERENCE_TRAIN[attack]) <= 2, attack
-        assert abs(r.test.row_count - WEB_REFERENCE_TEST[attack]) <= 2, attack
+        rows, labels = per_attack[attack]
+        assert abs(len(rows) - want) <= 2, attack
+        r = split_table(labels, spec)
+        assert abs(len(r.train_rows) - WEB_REFERENCE_TRAIN[attack]) <= 2, attack
+        assert abs(len(r.test_rows) - WEB_REFERENCE_TEST[attack]) <= 2, attack
     _report(12, "web-attack datasets and their splits match the reference "
                 "counts within rounding")

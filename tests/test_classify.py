@@ -265,7 +265,7 @@ def test_tree_tie_goes_benign():
 
 def test_tree_empty_table_errors():
     t = Table(("x", "Label"), (ColumnKind.NUMERIC, ColumnKind.LABEL),
-              (np.array([]), np.array([])))
+              np.empty((0, 1)), np.array([]))
     with pytest.raises(ClassifyError, match="empty"):
         train_tree(t, TreeParams())
 
@@ -352,10 +352,10 @@ def test_predict_objects_match_arrays():
 def test_manifest_mismatch_rejected():
     t = blobs_2d(20, seed=63)
     model = train_logistic(t, LogisticParams(epochs=10))
-    renamed = Table(("a", "b", "Label"), t.column_kinds, t.columns)
+    renamed = Table(("a", "b", "Label"), t.column_kinds, t.X, t.y)
     with pytest.raises(ManifestMismatchError):
         predict_arrays(model, renamed)
-    reordered = Table(("f1", "f0", "Label"), t.column_kinds, t.columns)
+    reordered = Table(("f1", "f0", "Label"), t.column_kinds, t.X, t.y)
     with pytest.raises(ManifestMismatchError):
         predict_arrays(model, reordered)
 

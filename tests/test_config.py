@@ -158,6 +158,30 @@ def test_bad_configs_fail_at_load(tmp_path, key, value, message):
         parse_config(base_doc(tmp_path, **{key: value}))
 
 
+def test_repeated_attack_fails_at_load(tmp_path):
+    # would fail mid-run, after the first attack's relief: its bins.json exists
+    doc = base_doc(tmp_path, attacks=["FTP-BruteForce", "SSH-Bruteforce", "FTP-BruteForce"])
+    with pytest.raises(ConfigError, match=r"^attacks\[2\] 'FTP-BruteForce' repeats attacks\[0\] "):
+        parse_config(doc)
+    cfg = parse_config(base_doc(tmp_path, attacks=["FTP-BruteForce", "SSH-Bruteforce"]))
+    with pytest.raises(ConfigError, match=r"^attacks\[1\] 'SSH-Bruteforce' repeats"):
+        apply_overrides(cfg, attacks=["SSH-Bruteforce", "SSH-Bruteforce"])
+
+
+def test_benign_label_as_attack_fails_at_load(tmp_path):
+    # would fail after preprocess: its table's labels are single-valued
+    with pytest.raises(ConfigError, match=r"^attacks\[1\] 'Benign' is the benign_label"):
+        parse_config(base_doc(tmp_path, attacks=["FTP-BruteForce", "Benign"]))
+
+
+def test_attacks_sharing_a_directory_fail_at_load(tmp_path):
+    doc = base_doc(tmp_path, attacks=["SQL Injection", "SQL-Injection"],
+                   sampling={"schemes": {"SQL-Injection": "minority_protect"}})
+    with pytest.raises(ConfigError, match=r"^attacks\[1\] 'SQL-Injection' has the directory "
+                                          r"name of attacks\[0\] 'SQL Injection'"):
+        parse_config(doc)
+
+
 def test_fraction_sum_is_checked_only_for_fraction_stratified_attacks(tmp_path):
     sampling = {"train_fraction": 0.6, "test_fraction": 0.5}
     cfg = parse_config(base_doc(tmp_path, attacks=["SQL Injection"], sampling=sampling))

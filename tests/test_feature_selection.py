@@ -217,7 +217,8 @@ def test_relief_constant_feature():
     rng = np.random.default_rng(18)
     y = rng.integers(0, 2, 40).astype(float)
     t = make_table({"const": np.full(40, 0.5), "noise": rng.random(40)}, y)
-    w = relief_weights(t, m=40, seed=1)
+    with pytest.warns(UserWarning, match="column 'const' is constant, left unbinned"):
+        w = relief_weights(t, m=40, seed=1)
     assert w[0] == 0.0
 
 
@@ -463,8 +464,34 @@ def test_score_all_gain_ratio_warning_names_the_feature():
     t = planted_table()
     t = make_table({"informative": t.column("informative"),
                     "const": np.full(t.row_count, 0.5)}, t.labels())
+    with pytest.warns(UserWarning, match="column 'const' is constant, left unbinned"):
+        bins = table_bin_edges(t, 10)
     with pytest.warns(UserWarning, match="gain ratio of single-valued feature 'const'"):
-        score_all(t, table_bin_edges(t, 10), relief_m=20, seed=0)
+        score_all(t, bins, relief_m=20, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scores_are_row_order_invariant(data):
+    """Permuting a table's rows leaves the count scores bit-identical and
+    moves the F ratio by rounding only (its sums run in row order)."""
+    n = data.draw(st.integers(4, 150), label="n")
+    d = data.draw(st.integers(1, 5), label="d")
+    k = data.draw(st.integers(2, 12), label="bin_count")
+    n1 = data.draw(st.integers(2, n - 2), label="attack rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.integers(0, 9, size=(n, d)) / 8
+    y = rng.permutation(np.repeat([0.0, 1.0], [n - n1, n1]))
+    t = make_table({f"f{j}": X[:, j] for j in range(d)}, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant columns
+        raw = [score_all(u, table_bin_edges(u, k), relief_m=min(n, 8), seed=0).raw
+               for u in (t, t.take_rows(rng.permutation(n)))]
+    for method in ("ig", "gain_ratio", "su", "chi2"):
+        j = METHODS.index(method)
+        assert raw[0][:, j].tobytes() == raw[1][:, j].tobytes(), method
+    j = METHODS.index("anova_f")
+    np.testing.assert_allclose(raw[1][:, j], raw[0][:, j], rtol=1e-12, atol=0)
 
 
 @settings(max_examples=30, deadline=None)

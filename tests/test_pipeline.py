@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowsieve import pipeline
 from flowsieve.config import apply_overrides, config_hash, parse_config
 from flowsieve.feature_selection import ScoringError, ThresholdSelection
 from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
@@ -14,7 +17,7 @@ from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
                                 stage_preprocess, stage_train_eval,
                                 load_preprocessed)
 from flowsieve.sampling import SplitSpec, split_manifest, split_table
-from flowsieve.tabular import ColumnKind, TableError
+from flowsieve.tabular import ColumnKind, TableError, subtable
 
 
 def synth_files(tmp_path, seed=0, n_benign=240, n_attack=60):
@@ -103,8 +106,9 @@ def test_preprocess_outputs(cfg):
 
 def test_preprocess_tables_are_normalized_and_binary(cfg):
     ctx = cmd_preprocess(cfg)
-    tables = load_preprocessed(RunContext(cfg, ctx.run_dir))
-    for t in tables.values():
+    table, per_attack = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    for rows, labels in per_attack.values():
+        t = subtable(table, rows, labels, table.feature_names)
         assert set(np.unique(t.labels())) == {0.0, 1.0}
         for name in ("sig", "anti", "noise"):
             col = t.column(name)
@@ -233,24 +237,24 @@ def test_run_split_manifests(cfg):
     assert b["train_class_counts"]["1"] == int(0.7 * 60)
     assert b["test_class_counts"]["1"] == 60 - int(0.7 * 60)
     # the cleaned table and the manifest give the split again
-    tables = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    _, per_attack = load_preprocessed(RunContext(cfg, ctx.run_dir))
     for attack, doc in (("AttackA", a), ("AttackB", b)):
         fractions = doc["fractions"]
         spec = SplitSpec(scheme=doc["scheme"], train_fraction=fractions["train"],
                          test_fraction=fractions["test"],
                          attack_train_fraction=fractions["attack_train"], seed=doc["seed"])
-        assert split_manifest(spec, split_table(tables[attack], spec)) == doc
+        assert split_manifest(spec, split_table(per_attack[attack][1], spec)) == doc
 
 
 def test_empty_selection_skipped_with_warning(cfg):
     pre = cmd_preprocess(cfg)
     ctx = RunContext(cfg, pre.run_dir)
-    tables = load_preprocessed(ctx)
+    cleaned = load_preprocessed(ctx)
     full = ThresholdSelection(0.35, ((0, "sig", 0.9), (1, "anti", 0.8)))
     empty = ThresholdSelection(0.55, ())
     selections = {a: {0.35: full, 0.55: empty} for a in cfg.attacks}
     ctx = dataclasses.replace(ctx, cfg=dataclasses.replace(cfg, thresholds=(0.35, 0.55)))
-    reports = stage_train_eval(ctx, tables, selections)
+    reports = stage_train_eval(ctx, cleaned, selections)
     assert {r.threshold for r in reports} == {0.35}
     assert len(ctx.skipped) == 2
     assert all(s["reason"] == "empty selection" for s in ctx.skipped)
@@ -342,18 +346,58 @@ def test_run_directory_holds_one_data_table(cfg):
 
 def test_load_preprocessed_equals_in_memory_split(cfg):
     ctx = RunContext(cfg, new_run_dir(cfg))
-    in_memory = stage_preprocess(ctx)  # split_by_attack of the in-memory cleaned table
-    reloaded = load_preprocessed(RunContext(cfg, ctx.run_dir))
-    assert list(reloaded) == list(in_memory) == ["AttackA", "AttackB"]
-    for attack, want in in_memory.items():
-        got = reloaded[attack]
-        assert got.column_names == want.column_names
-        # text categories come back as their float codes
-        assert got.column_kinds == tuple(
-            ColumnKind.NUMERIC if k is ColumnKind.CATEGORICAL else k
-            for k in want.column_kinds)
-        for name, a, b in zip(want.column_names, got.columns, want.columns):
-            assert a.tobytes() == b.tobytes(), (attack, name)
+    table, per_attack = stage_preprocess(ctx)  # the in-memory cleaned table
+    got_table, got_per_attack = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    assert got_table.column_names == table.column_names
+    assert got_table.column_kinds == table.column_kinds
+    assert ColumnKind.CATEGORICAL in table.column_kinds  # `proto`
+    assert got_table.feature_matrix().tobytes() == table.feature_matrix().tobytes()
+    assert got_table.labels().tobytes() == table.labels().tobytes()
+    assert list(got_per_attack) == list(per_attack) == ["AttackA", "AttackB"]
+    for attack, (rows, labels) in per_attack.items():
+        got_rows, got_labels = got_per_attack[attack]
+        assert got_rows.tobytes() == rows.tobytes(), attack
+        assert got_labels.tobytes() == labels.tobytes(), attack
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
+    # three attacks share one large benign class; each attack's table must
+    # be dropped before the next one is built
+    rng = np.random.default_rng(8)
+    attacks = ["AttackA", "AttackB", "AttackC"]
+    labels = ["Benign"] * 600 + [a for a in attacks for _ in range(40)]
+    lines = ["sig,noise,Label"] + [
+        f"{(0.6 if label != 'Benign' else 0.0) + 0.4 * rng.random():.6f},"
+        f"{rng.random():.6f},{label}" for label in labels]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "flows.csv").write_text("\n".join(lines) + "\n")
+    cfg = synth_config(tmp_path, inputs=[str(tmp_path / "data" / "flows.csv")],
+                       attacks=attacks, thresholds=[0.35],
+                       sampling={"schemes": dict.fromkeys(attacks, "fraction_stratified")})
+    alive = {"score_all": [], "logistic_regression": []}
+
+    def spy(name, fn):
+        seen = []
+
+        def call(t, *args, **kwargs):
+            gc.collect()
+            alive[name].append(sum(ref() is not None for ref in seen))
+            seen.append(weakref.ref(t))
+            return fn(t, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(pipeline, "score_all", spy("score_all", pipeline.score_all))
+    monkeypatch.setitem(pipeline._TRAINERS, "logistic_regression",
+                        spy("logistic_regression", pipeline._TRAINERS["logistic_regression"]))
+    if staged:
+        cmd_preprocess(cfg)
+        cmd_select(cfg)
+        cmd_train_eval(cfg)
+    else:
+        cmd_run(cfg)
+    assert alive["score_all"] == [0, 0, 0]
+    assert alive["logistic_regression"] == [0, 0, 0]
 
 
 def test_resume_does_not_repeat_preprocess_warnings(tmp_path):

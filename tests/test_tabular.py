@@ -5,7 +5,7 @@ from flowsieve.tabular import (ColumnKind, ConstantColumnError, Table,
                                TableError, drop_columns_by_name,
                                drop_invalid_rows, drop_single_valued_columns,
                                load_csv, load_csv_merged, minmax_normalize,
-                               split_by_attack, write_csv)
+                               split_by_attack, subtable, write_csv)
 
 from helpers import make_table
 
@@ -150,6 +150,22 @@ def test_minmax_normalize_constant_column_errors():
         minmax_normalize(t)
 
 
+def test_minmax_equals_the_column_formula_with_signed_zeros():
+    # which zero a min returns depends on the order it visits the cells, and
+    # (-0.0 - lo) keeps the sign of a -0.0 cell only if lo is +0.0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 200)), int(rng.integers(1, 7))
+        X = rng.choice([0.0, -0.0, 0.5, 2.0], size=(n, d))
+        X[:2] = [[2.0], [0.5]]  # no column is constant
+        t = make_table({f"f{j}": X[:, j] for j in range(d)}, rng.integers(0, 2, n))
+        out = minmax_normalize(t)
+        for j in range(d):
+            col = X[:, j].copy()
+            want = (col - col.min()) / (col.max() - col.min())
+            assert out.column(f"f{j}").tobytes() == want.tobytes(), (seed, j)
+
+
 def test_minmax_leaves_categorical_codes_alone():
     t = make_table({"cat": [0.0, 3.0, 7.0], "num": [0.0, 1.0, 2.0]}, [0, 1, 0],
                    kinds={"cat": ColumnKind.CATEGORICAL})
@@ -203,11 +219,14 @@ def test_split_by_attack_binarizes():
     mapping = CategoryMapping({"Label": ("Benign", "FTP", "SSH")})
     out = split_by_attack(t, mapping, ["FTP", "SSH"], "Benign")
     assert set(out) == {"FTP", "SSH"}
-    ftp = out["FTP"]
-    assert ftp.row_count == 4  # 2 benign + 2 FTP
-    assert ftp.labels().tolist() == [0.0, 1.0, 0.0, 1.0]
-    ssh = out["SSH"]
-    assert ssh.row_count == 3
+    rows, labels = out["FTP"]
+    assert rows.tolist() == [0, 1, 3, 4]  # 2 benign + 2 FTP, in table order
+    assert labels.tolist() == [0.0, 1.0, 0.0, 1.0]
+    rows, labels = out["SSH"]
+    assert rows.tolist() == [0, 2, 3]
+    assert labels.tolist() == [0.0, 1.0, 0.0]
+    ssh = subtable(t, rows, labels, t.feature_names)
+    assert ssh.column("a").tolist() == [1.0, 3.0, 4.0]
     assert ssh.labels().tolist() == [0.0, 1.0, 0.0]
 
 
@@ -226,7 +245,7 @@ def test_split_by_attack_numeric_labels():
     t = make_table({"a": [1, 2, 3, 4]}, [0, 7, 0, 7])
     from flowsieve.tabular import CategoryMapping
     out = split_by_attack(t, CategoryMapping({}), [7.0], 0.0)
-    assert out["7.0"].labels().tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert out["7.0"][1].tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_split_by_attack_no_benign_warns():
@@ -235,7 +254,7 @@ def test_split_by_attack_no_benign_warns():
     mapping = CategoryMapping({"Label": ("Benign", "FTP")})
     with pytest.warns(UserWarning, match="benign"):
         out = split_by_attack(t, mapping, ["FTP"], "Benign")
-    assert out["FTP"].labels().tolist() == [1.0, 1.0]
+    assert out["FTP"][1].tolist() == [1.0, 1.0]
 
 
 def test_write_csv_round_trip(tmp_path):
@@ -251,10 +270,43 @@ def test_write_csv_round_trip(tmp_path):
 
 def test_table_invariants():
     with pytest.raises(TableError, match="label"):
-        Table(("a",), (ColumnKind.NUMERIC,), (np.array([1.0]),))
+        Table(("a",), (ColumnKind.NUMERIC,), np.zeros((1, 0)), np.array([1.0]))
     with pytest.raises(TableError, match="ragged"):
         Table(("a", "Label"), (ColumnKind.NUMERIC, ColumnKind.LABEL),
-              (np.array([1.0, 2.0]), np.array([0.0])))
+              np.array([[1.0], [2.0]]), np.array([0.0]))
+    with pytest.raises(TableError, match="ragged"):
+        Table(("a", "Label"), (ColumnKind.NUMERIC, ColumnKind.LABEL),
+              np.array([[1.0, 2.0]]), np.array([0.0]))
     t = make_table({"a": [1.0]}, [0.0])
     with pytest.raises(ValueError):
-        t.columns[0][0] = 5.0  # storage is read-only
+        t.feature_matrix()[0, 0] = 5.0  # storage is read-only
+    with pytest.raises(ValueError):
+        t.labels()[0] = 5.0
+
+
+def test_feature_matrix_is_the_table_storage():
+    t = make_table({"a": [1.0, 2.0], "b": [3.0, 4.0]}, [0.0, 1.0])
+    X = t.feature_matrix()
+    assert X is t.feature_matrix()
+    assert np.shares_memory(X, t.column("a")) and np.shares_memory(X, t.column("b"))
+    assert X.flags.c_contiguous and not X.flags.writeable
+
+
+def test_row_and_feature_subsets_stay_c_ordered():
+    rng = np.random.default_rng(4)
+    t = make_table({f"f{j}": rng.random(30) for j in range(5)}, rng.integers(0, 2, 30))
+    rows = rng.permutation(30)[:12]
+    names = ["f3", "f0", "f4"]  # out of header order
+    want = t.feature_matrix()[rows][:, [3, 0, 4]]
+    parts = {"take_rows": t.take_rows(rows),
+             "select_features": t.select_features(names),
+             "subtable": subtable(t, rows, t.labels()[rows], t.feature_names),
+             "subtable of names": subtable(t, rows, t.labels()[rows], names)}
+    for what, part in parts.items():
+        X = part.feature_matrix()
+        assert X.flags.c_contiguous and not X.flags.writeable, what
+        assert X is part.feature_matrix(), what
+    assert parts["select_features"].column_names == ("f3", "f0", "f4", "Label")
+    assert parts["subtable of names"].column_names == ("f3", "f0", "f4", "Label")
+    assert parts["subtable of names"].feature_matrix().tobytes() == want.tobytes()
+    assert np.array_equal(parts["take_rows"].labels(), t.labels()[rows])
