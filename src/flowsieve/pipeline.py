@@ -3,10 +3,14 @@
 Each run appends a fresh directory named by timestamp plus config hash under
 the configured output directory; nothing inside an existing run is
 overwritten. Staged subcommands locate the newest run directory with the same
-config hash and continue it. The run manifest (written last) inventories every
-file the run produced; every command rewrites it, carrying over the stage
-history of the commands before it, and records partial progress and the
-error when a stage fails.
+config hash and continue it. `preprocess` stores the cleaned table once, as
+its arrays (`cleaned.npz`: feature matrix `X`, label vector `y`) plus its
+columns and categories in `preprocess.json`; `select` and `train-eval`
+rebuild it from them without parsing text, and find each attack's rows in it
+again. The run manifest (written last) inventories every file the run
+produced; every command rewrites it, carrying over the stage history of the
+commands before it, and records partial progress and the error when a stage
+fails.
 """
 
 import dataclasses
@@ -17,6 +21,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .classify import (save_model, train_forest, train_logistic,
@@ -29,8 +35,8 @@ from .feature_selection import (ThresholdSelection, aggregate_mean, normalize_sc
 from .sampling import split_manifest, split_table
 from .tabular import (CategoryMapping, ColumnKind, ConstantColumnError, Table,
                       drop_columns_by_name, drop_invalid_rows,
-                      drop_single_valued_columns, load_csv, load_csv_merged,
-                      minmax_normalize, split_by_attack, subtable, write_csv)
+                      drop_single_valued_columns, load_csv_merged,
+                      minmax_normalize, split_by_attack, subtable)
 
 
 class PipelineError(RuntimeError):
@@ -125,8 +131,8 @@ class _Timer:
 
 
 def stage_preprocess(ctx: RunContext) -> Cleaned:
-    """Merge inputs, clean, encode, normalize, write the cleaned table once,
-    and find each attack's rows in it."""
+    """Merge inputs, clean, encode, normalize, write the cleaned table's
+    arrays once, and find each attack's rows in it."""
     cfg = ctx.cfg
     with _Timer(ctx, "preprocess"), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -153,31 +159,32 @@ def stage_preprocess(ctx: RunContext) -> Cleaned:
         prep = {
             "raw_rows": raw_shape[0], "raw_columns": raw_shape[1],
             "clean_rows": table.row_count, "clean_columns": table.column_count,
+            "columns": [[n, k.value] for n, k in zip(table.column_names, table.column_kinds)],
             "category_mapping": mapping.to_json(),
             "label_coding": {"benign": {cfg.benign_label: 0},
                              "attack": {a: 1 for a in cfg.attacks}},
             "per_attack_rows": {a: len(rows) for a, (rows, _) in per_attack.items()},
         }
         _write_json(_fresh(ctx.run_dir / "preprocess.json"), prep)
-        write_csv(table, _fresh(ctx.run_dir / "cleaned.csv"))
+        np.savez(_fresh(ctx.run_dir / "cleaned.npz"), X=table.X, y=table.y)
         _collect_warnings(ctx, caught)
     ctx.stages_completed.append("preprocess")
     return table, per_attack
 
 
 def load_preprocessed(ctx: RunContext) -> Cleaned:
-    """What `stage_preprocess` returned, from the run's cleaned table and the
-    categories it recorded; a column with categories is CATEGORICAL again."""
-    path = ctx.run_dir / "cleaned.csv"
+    """What `stage_preprocess` returned, from the run's cleaned arrays and the
+    columns and categories it recorded."""
+    path = ctx.run_dir / "cleaned.npz"
     if not path.exists():
         raise PipelineError(f"{path} missing; run `preprocess` first")
-    table, _, _ = load_csv(path, ctx.cfg.label_column)
     with open(ctx.run_dir / "preprocess.json", encoding="utf-8") as fh:
-        categories = json.load(fh)["category_mapping"]
-    mapping = CategoryMapping({name: tuple(cats) for name, cats in categories.items()})
-    table = dataclasses.replace(table, column_kinds=tuple(
-        ColumnKind.CATEGORICAL if kind is ColumnKind.NUMERIC and name in categories else kind
-        for name, kind in zip(table.column_names, table.column_kinds)))
+        prep = json.load(fh)
+    names, kinds = zip(*prep["columns"])
+    with np.load(path) as arrays:
+        table = Table(names, tuple(map(ColumnKind, kinds)), arrays["X"], arrays["y"])
+    mapping = CategoryMapping({name: tuple(cats)
+                               for name, cats in prep["category_mapping"].items()})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # `preprocess` recorded them already
         return table, split_by_attack(table, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)

@@ -1,7 +1,9 @@
 """Table model, CSV ingestion, and the flow-table cleaning pipeline.
 
 A Table is one immutable, C-ordered float64 feature matrix (every column but
-the label, in header order) plus the label vector. Text columns are
+the label, in header order) plus the label vector; with the column names and
+kinds, those two arrays are all of it, so a table is stored and rebuilt as
+them (`Table(names, kinds, X, y)`), never as text. Text columns are
 integer-coded at load time (codes are positions in a lexicographically sorted
 category list) so every cell is a float64; the code-to-text correspondence
 lives in a CategoryMapping. Cleaning operations never mutate: each returns a
@@ -38,11 +40,12 @@ class ColumnKind(enum.Enum):
     LABEL = "label"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
     """Immutable dataset; exactly one column has kind LABEL. `X` holds the
     others in `column_names` order as one read-only, C-ordered (rows,
-    features) float64 matrix, `y` the label column."""
+    features) float64 matrix, `y` the label column. Two tables are equal only
+    if they are the same object: compare their arrays to compare contents."""
 
     column_names: tuple[str, ...]
     column_kinds: tuple[ColumnKind, ...]
@@ -110,10 +113,6 @@ class Table:
     def take_rows(self, indices) -> "Table":
         indices = np.asarray(indices, dtype=np.intp)
         return Table(self.column_names, self.column_kinds, self.X[indices], self.y[indices])
-
-    def select_features(self, names) -> "Table":
-        """Project onto the given feature columns, in that order (label kept, last)."""
-        return subtable(self, np.arange(self.row_count), self.y, names)
 
 
 def subtable(t: Table, rows, labels, names) -> Table:
@@ -397,15 +396,3 @@ def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
         rows = np.flatnonzero(benign_mask | attack_mask)
         out[str(attack)] = (rows, attack_mask[rows].astype(np.float64))
     return out
-
-
-def write_csv(t: Table, path) -> None:
-    """Emit the table as CSV; floats use shortest round-trip decimal form."""
-    li = t.label_index
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(t.column_names)
-        for x, label in zip(t.X, t.y):
-            row = x.tolist()
-            row.insert(li, float(label))
-            writer.writerow(map(repr, row))

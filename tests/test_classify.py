@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsieve.classify import (ClassifyError, ForestParams, LogisticParams,
                                 ManifestMismatchError, NaiveBayesParams,
@@ -387,3 +391,46 @@ def test_model_json_round_trip(tmp_path):
     assert doc["algorithm"] == "logistic_regression"
     assert doc["hyperparams"]["epochs"] == 40
     assert doc["schema_fingerprint"]
+
+
+def _node_arrays(model):
+    trees = model.trees if model.kind == "random_forest" else (model,)
+    return [(t.feature_index, t.threshold, t.left, t.right, t.score) for t in trees]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 60),
+       n_features=st.integers(1, 4), levels=st.sampled_from([2, 5, None]),
+       forest=st.booleans(), criterion=st.sampled_from(["gini", "information_gain"]),
+       max_depth=st.sampled_from([None, 1, 3]), tree_count=st.integers(1, 3),
+       bootstrap=st.booleans())
+def test_tree_model_json_round_trip_property(seed, n_rows, n_features, levels, forest,
+                                             criterion, max_depth, tree_count, bootstrap):
+    rng = np.random.default_rng(seed)
+    X = rng.random((n_rows, n_features))
+    if levels is not None:  # few distinct values: tied thresholds and pure plateaus
+        X = np.floor(X * levels) / levels
+    y = (rng.random(n_rows) < 0.4).astype(float)
+    t = make_table({f"f{j}": X[:, j] for j in range(n_features)}, y)
+    if forest:
+        params = ForestParams(tree_count=tree_count, bootstrap=bootstrap,
+                              criterion=criterion, max_depth=max_depth, seed=seed % 1000)
+        model = train_forest(t, params)
+    else:
+        params = TreeParams(criterion=criterion, max_depth=max_depth)
+        model = train_tree(t, params)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, params, path)
+        back = load_model(path)
+    assert back.kind == model.kind and back.feature_names == model.feature_names
+    for want, got in zip(_node_arrays(model), _node_arrays(back), strict=True):
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+    probe = make_table({f"f{j}": rng.random(20) for j in range(n_features)}, np.zeros(20))
+    for rows in (t, probe):
+        labels, scores = predict_arrays(model, rows)
+        got_labels, got_scores = predict_arrays(back, rows)
+        assert labels.tobytes() == got_labels.tobytes()
+        assert scores.tobytes() == got_scores.tobytes()

@@ -21,7 +21,7 @@ from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          score_all, select_by_threshold,
                                          split_info, symmetric_uncertainty,
                                          write_scores_csv)
-from flowsieve.tabular import ConstantColumnError
+from flowsieve.tabular import ConstantColumnError, subtable
 
 from helpers import make_table, random_table
 
@@ -356,7 +356,7 @@ def test_score_all_orders_informative_above_noise():
 
 def test_score_all_single_feature():
     t = planted_table()
-    t = t.select_features(["informative"])
+    t = subtable(t, np.arange(t.row_count), t.labels(), ["informative"])
     sm = score_all(t, table_bin_edges(t, 10), relief_m=50, seed=0)
     assert sm.raw.shape == (1, 6)
 

@@ -92,12 +92,15 @@ def test_preprocess_outputs(cfg):
     assert report["dropped_row_counts"] == {"repeated-header": 1, "non-finite": 1,
                                             "negative": 1}
     # one cleaned table for all attacks, with the original label codes
-    lines = (ctx.run_dir / "cleaned.csv").read_text().splitlines()
-    assert lines[0] == "proto,sig,anti,noise,Label"
-    assert len(lines) == 1 + 480 + 60 + 60
-    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"0.0", "1.0", "2.0"}
-    assert not any(p.is_dir() for p in ctx.run_dir.iterdir())
     prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
+    assert prep["columns"] == [["proto", "categorical"], ["sig", "numeric"],
+                               ["anti", "numeric"], ["noise", "numeric"], ["Label", "label"]]
+    with np.load(ctx.run_dir / "cleaned.npz") as arrays:
+        assert sorted(arrays.files) == ["X", "y"]
+        X, y = arrays["X"], arrays["y"]
+    assert X.shape == (480 + 60 + 60, 4) and X.dtype == np.float64 and X.flags.c_contiguous
+    assert set(np.unique(y).tolist()) == {0.0, 1.0, 2.0}
+    assert not any(p.is_dir() for p in ctx.run_dir.iterdir())
     assert prep["category_mapping"]["Label"] == ["AttackA", "AttackB", "Benign"]
     assert prep["per_attack_rows"]["AttackA"] == 240 + 60 + 240  # benign from all files
     manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
@@ -268,7 +271,7 @@ def test_rerun_is_byte_identical(tmp_path):
     ctx2 = cmd_run(cfg)
     assert ctx1.run_dir != ctx2.run_dir
     for rel in ["metrics.csv", "attacka/feature_scores.csv", "attackb/feature_scores.csv",
-                "cleaned.csv", "attacka/split/manifest.json"]:
+                "cleaned.npz", "attacka/split/manifest.json"]:
         b1 = (ctx1.run_dir / rel).read_bytes()
         b2 = (ctx2.run_dir / rel).read_bytes()
         assert b1 == b2, rel
@@ -324,7 +327,7 @@ def test_run_and_staged_commands_write_identical_files(cfg):
     for name in ("bins.json", "feature_scores.csv", "selection-0.35.json",
                  "split/manifest.json"):
         assert f"attacka/{name}" in want and f"attackb/{name}" in want
-    assert "cleaned.csv" in want and "metrics.csv" in want and "metrics.json" in want
+    assert "cleaned.npz" in want and "metrics.csv" in want and "metrics.json" in want
     assert any(rel.startswith("attacka/models/") for rel in want)
     for rel in want:
         assert got[rel] == want[rel], rel
@@ -339,7 +342,8 @@ def test_run_directory_holds_one_data_table(cfg):
         csvs = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*.csv"))
         # the rest are result tables: per-attack scores and the metrics grid
         assert csvs == ["attacka/feature_scores.csv", "attackb/feature_scores.csv",
-                        "cleaned.csv", "metrics.csv"]
+                        "metrics.csv"]
+        assert [p.name for p in run_dir.rglob("*.npz")] == ["cleaned.npz"]
         assert not list(run_dir.glob("*/dataset.csv"))
         assert not list(run_dir.glob("*/split/*.csv"))
 
@@ -358,6 +362,39 @@ def test_load_preprocessed_equals_in_memory_split(cfg):
         got_rows, got_labels = got_per_attack[attack]
         assert got_rows.tobytes() == rows.tobytes(), attack
         assert got_labels.tobytes() == labels.tobytes(), attack
+
+
+def test_loaded_tables_compare_by_identity(cfg):
+    ctx = cmd_preprocess(cfg)
+    first, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    again, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    assert first == first
+    assert first != again  # no element-wise array comparison, which would raise
+    assert first.feature_matrix().tobytes() == again.feature_matrix().tobytes()
+
+
+def test_select_without_cleaned_arrays_fails_closed(cfg):
+    ctx = cmd_preprocess(cfg)
+    (ctx.run_dir / "cleaned.npz").unlink()
+    with pytest.raises(PipelineError, match="cleaned.npz missing; run `preprocess` first"):
+        cmd_select(cfg)
+    manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
+    assert "run `preprocess` first" in manifest["error"]
+    assert manifest["stages_completed"] == ["preprocess"]
+
+
+def test_cleaned_arrays_disagreeing_with_columns_fail_closed(cfg):
+    ctx = cmd_preprocess(cfg)
+    path = ctx.run_dir / "cleaned.npz"
+    with np.load(path) as arrays:
+        X, y = arrays["X"], arrays["y"]
+    np.savez(path, X=X[:, 1:], y=y)  # one feature column fewer than `columns` lists
+    with pytest.raises(TableError, match="ragged"):
+        cmd_select(cfg)
+    manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
+    assert manifest["error"].startswith("TableError: ragged table")
+    assert manifest["stages_completed"] == ["preprocess"]
+    assert not (ctx.run_dir / "attacka").exists()
 
 
 @pytest.mark.parametrize("staged", [False, True])

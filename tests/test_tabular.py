@@ -5,7 +5,7 @@ from flowsieve.tabular import (ColumnKind, ConstantColumnError, Table,
                                TableError, drop_columns_by_name,
                                drop_invalid_rows, drop_single_valued_columns,
                                load_csv, load_csv_merged, minmax_normalize,
-                               split_by_attack, subtable, write_csv)
+                               split_by_attack, subtable)
 
 from helpers import make_table
 
@@ -257,17 +257,6 @@ def test_split_by_attack_no_benign_warns():
     assert out["FTP"][1].tolist() == [1.0, 1.0]
 
 
-def test_write_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    t = make_table({"a": rng.random(20), "b": rng.random(20) * 1e6}, rng.integers(0, 2, 20))
-    path = tmp_path / "out.csv"
-    write_csv(t, path)
-    back, _, _ = load_csv(path, "Label")
-    assert back.column_names == t.column_names
-    for name in ("a", "b"):
-        assert np.array_equal(back.column(name), t.column(name))
-
-
 def test_table_invariants():
     with pytest.raises(TableError, match="label"):
         Table(("a",), (ColumnKind.NUMERIC,), np.zeros((1, 0)), np.array([1.0]))
@@ -299,14 +288,14 @@ def test_row_and_feature_subsets_stay_c_ordered():
     names = ["f3", "f0", "f4"]  # out of header order
     want = t.feature_matrix()[rows][:, [3, 0, 4]]
     parts = {"take_rows": t.take_rows(rows),
-             "select_features": t.select_features(names),
+             "subtable of all rows": subtable(t, np.arange(30), t.labels(), names),
              "subtable": subtable(t, rows, t.labels()[rows], t.feature_names),
              "subtable of names": subtable(t, rows, t.labels()[rows], names)}
     for what, part in parts.items():
         X = part.feature_matrix()
         assert X.flags.c_contiguous and not X.flags.writeable, what
         assert X is part.feature_matrix(), what
-    assert parts["select_features"].column_names == ("f3", "f0", "f4", "Label")
+    assert parts["subtable of all rows"].column_names == ("f3", "f0", "f4", "Label")
     assert parts["subtable of names"].column_names == ("f3", "f0", "f4", "Label")
     assert parts["subtable of names"].feature_matrix().tobytes() == want.tobytes()
     assert np.array_equal(parts["take_rows"].labels(), t.labels()[rows])
