@@ -113,6 +113,11 @@ class PipelineConfig:
             raise ConfigError(f"bin_count must be at least 2, got {self.bin_count}")
         if self.relief_m is not None and self.relief_m < 1:
             raise ConfigError("relief_m must be at least 1 (or omitted)")
+        for i, name in enumerate(self.excluded_columns):
+            j = self.excluded_columns.index(name)
+            if name == self.label_column or j != i:
+                clash = "is the label_column" if j == i else f"repeats excluded_columns[{j}]"
+                raise ConfigError(f"excluded_columns[{i}] {name!r} {clash}")
         out = Path(self.output_dir).resolve()
         for p in self.inputs:
             rp = Path(p).resolve()

@@ -3,14 +3,14 @@
 Each run appends a fresh directory named by timestamp plus config hash under
 the configured output directory; nothing inside an existing run is
 overwritten. Staged subcommands locate the newest run directory with the same
-config hash and continue it. `preprocess` stores the cleaned table once, as
-its arrays (`cleaned.npz`: feature matrix `X`, label vector `y`) plus its
-columns and categories in `preprocess.json`; `select` and `train-eval`
-rebuild it from them without parsing text, and find each attack's rows in it
-again. The run manifest (written last) inventories every file the run
-produced; every command rewrites it, carrying over the stage history of the
-commands before it, and records partial progress and the error when a stage
-fails.
+config hash and continue it. `preprocess` cleans the merged inputs with
+`tabular.clean_table` and stores the cleaned table once, as its arrays
+(`cleaned.npz`: feature matrix `X`, label vector `y`) plus its columns and
+categories in `preprocess.json`; `select` and `train-eval` rebuild it from
+them without parsing text, and find each attack's rows in it again. The run
+manifest (written last) inventories every file the run produced; every
+command rewrites it, carrying over the stage history of the commands before
+it, and records partial progress and the error when a stage fails.
 """
 
 import dataclasses
@@ -33,10 +33,8 @@ from .evaluation import evaluate, write_metrics_csv, write_metrics_json
 from .feature_selection import (ThresholdSelection, aggregate_mean, normalize_scores,
                                 score_all, select_by_threshold, write_scores_csv)
 from .sampling import split_manifest, split_table
-from .tabular import (CategoryMapping, ColumnKind, ConstantColumnError, Table,
-                      drop_columns_by_name, drop_invalid_rows,
-                      drop_single_valued_columns, load_csv_merged,
-                      minmax_normalize, split_by_attack, subtable)
+from .tabular import (CategoryMapping, ColumnKind, Table, clean_table, load_csv_merged,
+                      split_by_attack, subtable)
 
 
 class PipelineError(RuntimeError):
@@ -131,28 +129,15 @@ class _Timer:
 
 
 def stage_preprocess(ctx: RunContext) -> Cleaned:
-    """Merge inputs, clean, encode, normalize, write the cleaned table's
-    arrays once, and find each attack's rows in it."""
+    """Load and merge the inputs, clean and normalize them, write the cleaned
+    table's arrays once, and find each attack's rows in it."""
     cfg = ctx.cfg
     with _Timer(ctx, "preprocess"), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column)
         raw_shape = (table.row_count, table.column_count)
-        table, rep = drop_columns_by_name(table, cfg.excluded_columns)
+        table, rep = clean_table(table, cfg.excluded_columns)
         report = report.merged(rep)
-        table, rep = drop_single_valued_columns(table)
-        report = report.merged(rep)
-        table, rep = drop_invalid_rows(table)
-        report = report.merged(rep)
-        try:
-            table = minmax_normalize(table)
-        except ConstantColumnError:
-            # row removal can strand a constant column; drop it and retry once
-            table, rep = drop_single_valued_columns(table)
-            report = report.merged(rep)
-            ctx.warn("columns became single-valued after row cleaning and were dropped: "
-                     + ", ".join(n for n, _ in rep.dropped_columns))
-            table = minmax_normalize(table)
         per_attack = split_by_attack(table, mapping, cfg.attacks, cfg.benign_label)
 
         _write_json(_fresh(ctx.run_dir / "cleaning_report.json"), report.to_json())
@@ -160,7 +145,8 @@ def stage_preprocess(ctx: RunContext) -> Cleaned:
             "raw_rows": raw_shape[0], "raw_columns": raw_shape[1],
             "clean_rows": table.row_count, "clean_columns": table.column_count,
             "columns": [[n, k.value] for n, k in zip(table.column_names, table.column_kinds)],
-            "category_mapping": mapping.to_json(),
+            "category_mapping": {name: cats for name, cats in mapping.to_json().items()
+                                 if name in table.column_names},
             "label_coding": {"benign": {cfg.benign_label: 0},
                              "attack": {a: 1 for a in cfg.attacks}},
             "per_attack_rows": {a: len(rows) for a, (rows, _) in per_attack.items()},

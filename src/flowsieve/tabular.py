@@ -6,10 +6,11 @@ kinds, those two arrays are all of it, so a table is stored and rebuilt as
 them (`Table(names, kinds, X, y)`), never as text. Text columns are
 integer-coded at load time (codes are positions in a lexicographically sorted
 category list) so every cell is a float64; the code-to-text correspondence
-lives in a CategoryMapping. Cleaning operations never mutate: each returns a
-new Table plus a CleaningReport describing what was removed and why. A
-per-attack dataset is a list of row indices into the cleaned table plus 0/1
-labels (`split_by_attack`); `subtable` builds its table when it is needed.
+lives in a CategoryMapping. Cleaning never mutates: `clean_table` gathers the
+rows and columns it keeps into a new, normalized Table and returns it with a
+CleaningReport describing what was removed and why. A per-attack dataset is
+a list of row indices into the cleaned table plus 0/1 labels
+(`split_by_attack`); `subtable` builds its table when it is needed.
 """
 
 import csv
@@ -292,42 +293,13 @@ def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, C
     return table, mapping, report
 
 
-def _drop_features(t: Table, drop) -> Table:
-    """`t` without the feature columns named in `drop`; `t` itself if none is."""
-    if not drop:
-        return t
-    cols = [i for i, n in enumerate(t.column_names) if n not in drop]
-    keep = [j for j, n in enumerate(t.feature_names) if n not in drop]
-    return Table(tuple(t.column_names[i] for i in cols),
-                 tuple(t.column_kinds[i] for i in cols),
-                 np.take(t.X, keep, axis=1), t.y)
-
-
-def drop_columns_by_name(t: Table, names) -> tuple[Table, CleaningReport]:
-    """Remove the named columns; absent names are reported, not errors."""
-    report = CleaningReport()
-    to_drop = set()
-    for name in names:
-        if name == t.label_name:
-            raise TableError("refusing to drop the label column")
-        if name in t.column_names:
-            to_drop.add(name)
-            report.dropped_columns.append((name, REASON_EXCLUDED))
-        else:
-            report.absent_columns.append(name)
-    return _drop_features(t, to_drop), report
-
-
-def drop_single_valued_columns(t: Table) -> tuple[Table, CleaningReport]:
-    """Remove every non-label column with fewer than two distinct values."""
-    report = CleaningReport()
-    for name, col in zip(t.feature_names, t.X.T):
-        if len(np.unique(col)) < 2:
-            report.dropped_columns.append((name, REASON_SINGLE_VALUED))
-    out = _drop_features(t, {name for name, _ in report.dropped_columns})
-    if out.column_count == 1:
-        warnings.warn("table reduced to its label column only", stacklevel=2)
-    return out, report
+def _valid_rows(X: np.ndarray, numeric: np.ndarray, report: CleaningReport) -> np.ndarray:
+    """Mask of the rows `drop_invalid_rows` keeps; `report` counts the others."""
+    non_finite = ~np.isfinite(X).all(axis=1, where=numeric)
+    negative = (X < 0).any(axis=1, where=numeric) & ~non_finite
+    report.count_rows(REASON_NON_FINITE, int(non_finite.sum()))
+    report.count_rows(REASON_NEGATIVE, int(negative.sum()))
+    return ~(non_finite | negative)
 
 
 def drop_invalid_rows(t: Table) -> tuple[Table, CleaningReport]:
@@ -337,34 +309,81 @@ def drop_invalid_rows(t: Table) -> tuple[Table, CleaningReport]:
     """
     report = CleaningReport()
     numeric = np.array([k is ColumnKind.NUMERIC for k in t.feature_kinds], dtype=bool)
-    non_finite = ~np.isfinite(t.X).all(axis=1, where=numeric)
-    negative = (t.X < 0).any(axis=1, where=numeric) & ~non_finite
-    report.count_rows(REASON_NON_FINITE, int(non_finite.sum()))
-    report.count_rows(REASON_NEGATIVE, int(negative.sum()))
-    return t.take_rows(np.flatnonzero(~(non_finite | negative))), report
+    return t.take_rows(np.flatnonzero(_valid_rows(t.X, numeric, report))), report
+
+
+def _normalize_in_place(X: np.ndarray, numeric: np.ndarray, names) -> None:
+    """Rescale the `numeric` columns of `X` to [0, 1]; `names` name the
+    columns in the error raised for a non-finite or single-valued one."""
+    if not (len(X) and numeric.any()):
+        return
+    # other columns go through as (x - 0) / 1, which leaves every value as it is
+    lo = np.where(numeric, X.min(axis=0), 0.0)
+    hi = np.where(numeric, X.max(axis=0), 1.0)
+    # which signed zero a min returns depends on the order it visits the
+    # cells; take a zero minimum from the column alone, as a column pass does
+    for j in np.flatnonzero(numeric & (lo == 0.0)):
+        lo[j] = np.ascontiguousarray(X[:, j]).min()
+    for j in np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi != lo))):
+        name = names[j]  # the first bad column raises
+        if not (np.isfinite(lo[j]) and np.isfinite(hi[j])):
+            raise TableError(f"column {name!r} has non-finite cells; clean rows first")
+        raise ConstantColumnError(f"column {name!r} is single-valued; drop it before normalizing")
+    X -= lo
+    X /= hi - lo
 
 
 def minmax_normalize(t: Table) -> Table:
     """Rescale every numeric non-label column to [0, 1] by (x - min) / (max - min)."""
+    X = t.X.copy()
+    _normalize_in_place(X, np.array([k is ColumnKind.NUMERIC for k in t.feature_kinds],
+                                    dtype=bool), t.feature_names)
+    return Table(t.column_names, t.column_kinds, X, t.y)
+
+
+def clean_table(t: Table, excluded) -> tuple[Table, CleaningReport]:
+    """`t` cleaned and min-max normalized, and what cleaning removed: the
+    `excluded` columns, the single-valued columns, the rows with a non-finite,
+    else a negative, numeric cell, and then the columns that row removal left
+    single-valued. Each is a mask on `t`'s matrix; the kept cells are gathered
+    once and normalized in place."""
+    report = CleaningReport()
+    for name in excluded:
+        if name == t.label_name:
+            raise TableError("refusing to drop the label column")
+        if name in t.column_names:
+            report.dropped_columns.append((name, REASON_EXCLUDED))
+        else:
+            report.absent_columns.append(name)
+    cols = np.array([n not in excluded for n in t.feature_names], dtype=bool)
+    # fewer than two distinct values, NaN counting as one: min == max (both
+    # NaN if any cell is), or every cell NaN (fmin passes over NaN)
+    single = cols & ((t.X.min(axis=0, initial=np.inf) == t.X.max(axis=0, initial=-np.inf))
+                     | np.isnan(np.fmin.reduce(t.X, axis=0, initial=np.nan)))
+    report.dropped_columns.extend((t.feature_names[j], REASON_SINGLE_VALUED)
+                                  for j in np.flatnonzero(single))
+    cols &= ~single
+
     numeric = np.array([k is ColumnKind.NUMERIC for k in t.feature_kinds], dtype=bool)
-    if not (t.row_count and numeric.any()):
-        return t
-    # other columns go through as (x - 0) / 1, which leaves every value as it is
-    lo = np.where(numeric, t.X.min(axis=0), 0.0)
-    hi = np.where(numeric, t.X.max(axis=0), 1.0)
-    # which signed zero a min returns depends on the order it visits the
-    # cells; take a zero minimum from the column alone, as a column pass does
-    for j in np.flatnonzero(numeric & (lo == 0.0)):
-        lo[j] = np.ascontiguousarray(t.X[:, j]).min()
-    for j in np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi != lo))):
-        name = t.feature_names[j]  # the first bad column raises
-        if not (np.isfinite(lo[j]) and np.isfinite(hi[j])):
-            raise TableError(f"column {name!r} has non-finite cells; clean rows first")
-        raise ConstantColumnError(
-            f"column {name!r} is single-valued; apply drop_single_valued_columns first")
-    out = np.subtract(t.X, lo)  # in place from here: one new matrix, no temporary
-    out /= hi - lo
-    return Table(t.column_names, t.column_kinds, out, t.y)
+    rows = _valid_rows(t.X, numeric & cols, report)
+    # over no rows lo > hi, so no column counts as single-valued
+    lo = t.X.min(axis=0, where=rows[:, None], initial=np.inf)
+    hi = t.X.max(axis=0, where=rows[:, None], initial=-np.inf)
+    late = [t.feature_names[j] for j in np.flatnonzero(cols & (lo == hi))]
+    if late:
+        cols &= lo != hi
+        report.dropped_columns.extend((name, REASON_SINGLE_VALUED) for name in late)
+        warnings.warn("columns became single-valued after row cleaning and were dropped: "
+                      + ", ".join(late), stacklevel=2)
+    if not cols.any():
+        warnings.warn("table reduced to its label column only", stacklevel=2)
+
+    keep = np.flatnonzero(cols)
+    X = t.X[np.ix_(np.flatnonzero(rows), keep)]
+    _normalize_in_place(X, numeric[keep], [t.feature_names[j] for j in keep])
+    out = [i for i, kept in enumerate(np.insert(cols, t.label_index, True)) if kept]
+    return Table(tuple(t.column_names[i] for i in out), tuple(t.column_kinds[i] for i in out),
+                 X, t.y[rows]), report
 
 
 def _resolve_label_code(t: Table, mapping: CategoryMapping, value) -> float:

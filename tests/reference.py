@@ -3,6 +3,8 @@ package: plain loops straight from the defining formulas, no shared code paths."
 
 import math
 
+import numpy as np
+
 
 def entropy_bits(counts):
     total = sum(counts)
@@ -114,6 +116,76 @@ def metrics_ref(tp, fp, fn, tn):
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return accuracy, precision, recall, f1
+
+
+def _distinct(values):
+    """How many distinct values: NaN is one value, and so are 0.0 and -0.0."""
+    return len({"nan" if v != v else v for v in values})
+
+
+def clean_ref(columns, rows, excluded):
+    """The flow-table cleaning rules applied one at a time with plain loops.
+
+    `columns` is the header as (name, kind) pairs, kind "numeric",
+    "categorical" or "label"; `rows` holds the cells as floats. Returns the
+    kept columns, the kept rows min-max normalized, the cleaning report as
+    JSON, and the warning texts. The minimum of a column is NumPy's over the
+    column alone: when a column's smallest cells are 0.0 and -0.0, which of
+    them is the minimum is NumPy's choice, and a -0.0 cell keeps its sign
+    only if the minimum is 0.0.
+    """
+    names = [name for name, _ in columns]
+    label = next(name for name, kind in columns if kind == "label")
+    report = {"dropped_columns": [], "dropped_row_counts": {}, "absent_columns": []}
+    warned = []
+    keep = [j for j, (_, kind) in enumerate(columns) if kind != "label"]
+    for name in excluded:
+        if name == label:
+            raise ValueError("refusing to drop the label column")
+        if name in names:
+            report["dropped_columns"].append({"name": name, "reason": "excluded-by-name"})
+            keep = [j for j in keep if names[j] != name]
+        else:
+            report["absent_columns"].append(name)
+    for j in list(keep):
+        if _distinct([row[j] for row in rows]) < 2:
+            report["dropped_columns"].append({"name": names[j], "reason": "single-valued"})
+            keep.remove(j)
+
+    numeric = [j for j in keep if columns[j][1] == "numeric"]
+    kept_rows = []
+    for row in rows:
+        if any(not math.isfinite(row[j]) for j in numeric):
+            reason = "non-finite"
+        elif any(row[j] < 0 for j in numeric):
+            reason = "negative"
+        else:
+            kept_rows.append(row)
+            continue
+        counts = report["dropped_row_counts"]
+        counts[reason] = counts.get(reason, 0) + 1
+    if kept_rows:
+        late = [j for j in keep if _distinct([row[j] for row in kept_rows]) < 2]
+        if late:
+            report["dropped_columns"].extend({"name": names[j], "reason": "single-valued"}
+                                             for j in late)
+            warned.append("columns became single-valued after row cleaning and were "
+                          "dropped: " + ", ".join(names[j] for j in late))
+            keep = [j for j in keep if j not in late]
+    if not keep:
+        warned.append("table reduced to its label column only")
+
+    out_rows = [list(row) for row in kept_rows]
+    for j in keep:
+        if columns[j][1] != "numeric" or not kept_rows:
+            continue
+        col = [row[j] for row in kept_rows]
+        lo, hi = float(np.array(col).min()), max(col)
+        for row in out_rows:
+            row[j] = (row[j] - lo) / (hi - lo)
+    kept = [j for j, (_, kind) in enumerate(columns) if j in keep or kind == "label"]
+    return ([columns[j] for j in kept], [[row[j] for j in kept] for row in out_rows],
+            report, warned)
 
 
 def random_contingency(rng, max_rows=5, max_cols=4, max_total=200):

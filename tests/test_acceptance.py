@@ -29,9 +29,8 @@ from flowsieve.feature_selection import (ContingencyTable, GroupStats,
                                          symmetric_uncertainty)
 from flowsieve.pipeline import cmd_run
 from flowsieve.sampling import SplitSpec, split_table
-from flowsieve.tabular import (drop_invalid_rows, drop_single_valued_columns,
-                               load_csv, minmax_normalize, split_by_attack,
-                               subtable)
+from flowsieve.tabular import (clean_table, load_csv, load_csv_merged,
+                               minmax_normalize, split_by_attack, subtable)
 
 from helpers import blobs_2d, make_table, random_table
 
@@ -286,13 +285,10 @@ def _find_real_file(data_dir: Path, stem: str = "Wednesday-14-02-2018") -> Path 
     return hits[0] if hits else None
 
 
-def _clean_real(table):
-    from flowsieve.tabular import drop_columns_by_name
-    table, _ = drop_columns_by_name(table, ["Timestamp"])
-    table, _ = drop_single_valued_columns(table)
+def _clean_real(table, extra_columns=()):
+    table, _ = clean_table(table, [*extra_columns, "Timestamp"])
     assert table.column_count == 69
-    table, _ = drop_invalid_rows(table)
-    return minmax_normalize(table)
+    return table
 
 
 @pytest.mark.skipif(IDS2018_ENV not in os.environ,
@@ -346,11 +342,9 @@ def test_criterion_12_full_scale_web_attacks():
     paths = [_find_real_file(data_dir, stem) for stem in WEB_FILES]
     if any(p is None for p in paths):
         pytest.skip(f"need both {WEB_FILES[0]}* and {WEB_FILES[1]}* under {data_dir}")
-    from flowsieve.tabular import drop_columns_by_name, load_csv_merged
     table, mapping, _ = load_csv_merged(paths, "Label")
-    table, _ = drop_columns_by_name(table, WEB_EXTRA_COLUMNS)
-    assert table.column_count == 80
-    table = _clean_real(table)
+    assert table.column_count == 80 + len(WEB_EXTRA_COLUMNS)
+    table = _clean_real(table, WEB_EXTRA_COLUMNS)
     per_attack = split_by_attack(table, mapping, list(WEB_REFERENCE_ROWS), "Benign")
     spec = SplitSpec(scheme="minority_protect", train_fraction=0.2,
                      test_fraction=0.1, attack_train_fraction=0.7, seed=0)

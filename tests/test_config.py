@@ -174,6 +174,17 @@ def test_benign_label_as_attack_fails_at_load(tmp_path):
         parse_config(base_doc(tmp_path, attacks=["FTP-BruteForce", "Benign"]))
 
 
+def test_bad_excluded_columns_fail_at_load(tmp_path):
+    # the label would fail only after the whole input is parsed, and a
+    # repeated name would be reported as dropped twice
+    with pytest.raises(ConfigError, match=r"^excluded_columns\[0\] 'Label' is the label_column"):
+        parse_config(base_doc(tmp_path, excluded_columns=["Label", "Timestamp"]))
+    with pytest.raises(ConfigError, match=r"^excluded_columns\[2\] 'Timestamp' repeats "
+                                          r"excluded_columns\[1\]"):
+        parse_config(base_doc(tmp_path, excluded_columns=["Flow ID", "Timestamp", "Timestamp"]))
+    assert parse_config(base_doc(tmp_path, excluded_columns=[])).excluded_columns == ()
+
+
 def test_attacks_sharing_a_directory_fail_at_load(tmp_path):
     doc = base_doc(tmp_path, attacks=["SQL Injection", "SQL-Injection"],
                    sampling={"schemes": {"SQL-Injection": "minority_protect"}})

@@ -101,10 +101,40 @@ def test_preprocess_outputs(cfg):
     assert X.shape == (480 + 60 + 60, 4) and X.dtype == np.float64 and X.flags.c_contiguous
     assert set(np.unique(y).tolist()) == {0.0, 1.0, 2.0}
     assert not any(p.is_dir() for p in ctx.run_dir.iterdir())
+    # categories only of the cleaned table's columns: not of the dropped Timestamp
+    assert set(prep["category_mapping"]) == {"proto", "Label"}
     assert prep["category_mapping"]["Label"] == ["AttackA", "AttackB", "Benign"]
     assert prep["per_attack_rows"]["AttackA"] == 240 + 60 + 240  # benign from all files
     manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
     assert manifest["stages_completed"] == ["preprocess"]
+
+
+@pytest.mark.parametrize("late", [["num_late", "cat_late"], ["cat_late"]])
+def test_columns_single_valued_after_row_cleaning_are_dropped(tmp_path, late):
+    # the one invalid row holds the only other value of each column in `late`
+    rng = np.random.default_rng(5)
+    lines = ["sig,num_late,cat_late,Label"]
+    for i in range(80):
+        label = "AttackA" if i % 4 == 0 else "Benign"
+        lines.append(f"{rng.random():.6f},{1.0 + (i % 2) * ('num_late' not in late)},"
+                     f"tcp,{label}")
+    lines.append(f"inf,2.0,{'udp' if 'cat_late' in late else 'tcp'},Benign")
+    (tmp_path / "data").mkdir()
+    path = tmp_path / "data" / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = synth_config(tmp_path, inputs=[str(path)], attacks=["AttackA"], excluded_columns=[],
+                       sampling={"schemes": {"AttackA": "fraction_stratified"}})
+    ctx = cmd_preprocess(cfg)
+    report = json.loads((ctx.run_dir / "cleaning_report.json").read_text())
+    assert report["dropped_columns"] == [{"name": n, "reason": "single-valued"} for n in late]
+    assert report["dropped_row_counts"] == {"non-finite": 1}
+    prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
+    kept = [n for n in ("sig", "num_late", "cat_late") if n not in late]
+    assert [n for n, _ in prep["columns"]] == [*kept, "Label"]
+    assert set(prep["category_mapping"]) == {"Label"}
+    manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
+    assert manifest["warnings"] == ["columns became single-valued after row cleaning and "
+                                    "were dropped: " + ", ".join(late)]
 
 
 def test_preprocess_tables_are_normalized_and_binary(cfg):

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference as ref
 from flowsieve.tabular import (ColumnKind, ConstantColumnError, Table,
-                               TableError, drop_columns_by_name,
-                               drop_invalid_rows, drop_single_valued_columns,
+                               TableError, clean_table, drop_invalid_rows,
                                load_csv, load_csv_merged, minmax_normalize,
                                split_by_attack, subtable)
 
@@ -66,34 +70,80 @@ def test_load_csv_merged_consistent_codes(tmp_path):
         load_csv_merged([p1, p3], "Label")
 
 
-def test_drop_columns_by_name():
+def test_clean_table_excluded_columns():
     t = make_table({"a": [1, 2], "b": [3, 4], "c": [5, 6]}, [0, 1])
-    out, report = drop_columns_by_name(t, ["b"])
+    out, report = clean_table(t, ["b"])
     assert out.column_names == ("a", "c", "Label")
     assert report.dropped_columns == [("b", "excluded-by-name")]
 
-    same, report = drop_columns_by_name(t, [])
+    same, report = clean_table(t, [])
     assert same.column_names == t.column_names
     assert report.dropped_columns == []
 
-    same, report = drop_columns_by_name(t, ["nope"])
+    same, report = clean_table(t, ["nope"])
     assert same.column_names == t.column_names
     assert report.absent_columns == ["nope"]
 
     with pytest.raises(TableError, match="label"):
-        drop_columns_by_name(t, ["Label"])
+        clean_table(t, ["Label"])
 
 
-def test_drop_single_valued_columns():
+def test_clean_table_single_valued_columns():
     t = make_table({"zero": [0, 0, 0], "keep": [0, 0, 1]}, [0, 1, 0])
-    out, report = drop_single_valued_columns(t)
+    out, report = clean_table(t, [])
     assert out.column_names == ("keep", "Label")
     assert report.dropped_columns == [("zero", "single-valued")]
     # a label-only survivor is legal but warned about
     t2 = make_table({"zero": [0, 0]}, [0, 1])
     with pytest.warns(UserWarning, match="label column only"):
-        out2, _ = drop_single_valued_columns(t2)
+        out2, _ = clean_table(t2, [])
     assert out2.column_names == ("Label",)
+
+
+CELLS = (np.nan, np.inf, -np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, 3.25)
+
+
+@st.composite
+def dirty_tables(draw):
+    """A small table of flow-like defects, as (names, kinds, rows) with the
+    label at a random position, and a list of names to exclude."""
+    d = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=d, max_size=d))
+    label_at = draw(st.integers(0, d))
+    kinds.insert(label_at, "label")
+    names = [f"f{j}" for j in range(d)]
+    names.insert(label_at, "Label")
+    # each column draws from a few values, so constant columns are common
+    pools = [draw(st.lists(st.sampled_from(CELLS) if kind == "numeric"
+                           else st.sampled_from((0.0, 1.0, 2.0)), min_size=1, max_size=3))
+             for kind in kinds]
+    n = draw(st.integers(0, 8))
+    rows = [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n)]
+    features = [name for name in names if name != "Label"]
+    excluded = draw(st.lists(st.sampled_from([*features, "absent", "Flow ID"]), max_size=3))
+    return names, kinds, rows, excluded
+
+
+@settings(max_examples=300, deadline=None)
+@given(dirty_tables())
+def test_clean_table_equals_the_step_by_step_rules(case):
+    names, kinds, rows, excluded = case
+    li = kinds.index("label")
+    cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    t = Table(tuple(names), tuple(map(ColumnKind, kinds)), np.delete(cells, li, axis=1),
+              cells[:, li])
+    want_columns, want_rows, want_report, want_warnings = ref.clean_ref(
+        list(zip(names, kinds)), rows, excluded)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out, report = clean_table(t, excluded)
+    assert [str(w.message) for w in caught] == want_warnings
+    assert report.to_json() == want_report
+    assert [(n, k.value) for n, k in zip(out.column_names, out.column_kinds)] == want_columns
+    want = np.array(want_rows, dtype=np.float64).reshape(len(want_rows), len(want_columns))
+    wl = [k for _, k in want_columns].index("label")
+    assert out.feature_matrix().tobytes() == np.delete(want, wl, axis=1).tobytes()
+    assert out.labels().tobytes() == want[:, wl].tobytes()
 
 
 def test_drop_invalid_rows_reasons():
@@ -146,7 +196,7 @@ def test_minmax_normalize_fixed_point_and_idempotence():
 
 def test_minmax_normalize_constant_column_errors():
     t = make_table({"a": [3.0, 3.0]}, [0, 1])
-    with pytest.raises(ConstantColumnError, match="drop_single_valued_columns"):
+    with pytest.raises(ConstantColumnError, match="'a' is single-valued; drop it before"):
         minmax_normalize(t)
 
 
@@ -160,10 +210,12 @@ def test_minmax_equals_the_column_formula_with_signed_zeros():
         X[:2] = [[2.0], [0.5]]  # no column is constant
         t = make_table({f"f{j}": X[:, j] for j in range(d)}, rng.integers(0, 2, n))
         out = minmax_normalize(t)
+        cleaned, _ = clean_table(t, [])
         for j in range(d):
             col = X[:, j].copy()
             want = (col - col.min()) / (col.max() - col.min())
             assert out.column(f"f{j}").tobytes() == want.tobytes(), (seed, j)
+            assert cleaned.column(f"f{j}").tobytes() == want.tobytes(), (seed, j)
 
 
 def test_minmax_leaves_categorical_codes_alone():
@@ -197,9 +249,11 @@ def test_idempotent_cleaning_ops():
     once, _ = drop_invalid_rows(t)
     twice, rep = drop_invalid_rows(once)
     assert twice.row_count == once.row_count and rep.dropped_row_counts == {}
-    once, _ = drop_single_valued_columns(t)
-    twice, rep = drop_single_valued_columns(once)
-    assert twice.column_names == once.column_names and rep.dropped_columns == []
+    once, _ = clean_table(t, [])
+    twice, rep = clean_table(once, [])
+    assert twice.column_names == once.column_names == ("a", "Label")
+    assert rep.dropped_columns == [] and rep.dropped_row_counts == {}
+    assert twice.feature_matrix().tobytes() == once.feature_matrix().tobytes()
 
 
 def test_category_round_trip(tmp_path):
