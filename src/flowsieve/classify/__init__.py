@@ -1,7 +1,7 @@
 """Five binary traffic classifiers behind one train/predict contract."""
 
-from .base import (ClassifyError, ManifestMismatchError, Prediction,
-                   predict, predict_arrays, schema_fingerprint)
+from .base import (ClassifyError, ManifestMismatchError, predict_arrays,
+                   schema_fingerprint)
 from .bayes import BayesModel, train_naive_bayes
 from .logistic import LogisticModel, train_logistic
 from .model_io import load_model, save_model
@@ -13,8 +13,8 @@ from .tree import ForestModel, TreeModel, train_forest, train_tree
 __all__ = [
     "BayesModel", "ClassifyError", "ForestModel", "ForestParams",
     "LogisticModel", "LogisticParams", "ManifestMismatchError",
-    "NaiveBayesParams", "Prediction", "SvmModel", "SvmParams", "TreeModel",
-    "TreeParams", "load_model", "predict", "predict_arrays", "save_model",
+    "NaiveBayesParams", "SvmModel", "SvmParams", "TreeModel", "TreeParams",
+    "load_model", "predict_arrays", "save_model",
     "schema_fingerprint", "train_forest", "train_logistic",
     "train_naive_bayes", "train_svm", "train_tree",
 ]

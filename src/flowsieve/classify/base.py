@@ -1,7 +1,6 @@
-"""Shared classifier plumbing: predictions, feature manifests, dispatch."""
+"""Shared classifier plumbing: training arrays, feature manifests, dispatch."""
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,19 +12,7 @@ class ClassifyError(ValueError):
 
 
 class ManifestMismatchError(ClassifyError):
-    """Prediction input does not match the model's feature manifest."""
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: int          # 0 benign, 1 attack
-    score: float        # attack-leaning score in [0, 1]
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ClassifyError(f"label must be 0 or 1, got {self.label}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ClassifyError(f"score must lie in [0, 1], got {self.score}")
+    """A table to classify does not match the model's feature manifest."""
 
 
 def schema_fingerprint(feature_names) -> str:
@@ -58,8 +45,3 @@ def predict_arrays(model, t: Table) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (labels, scores) for any trained model variant."""
     X = check_manifest(model, t)
     return model.decide(X)
-
-
-def predict(model, t: Table) -> list[Prediction]:
-    labels, scores = predict_arrays(model, t)
-    return [Prediction(int(l), float(s)) for l, s in zip(labels, scores)]

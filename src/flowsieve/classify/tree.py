@@ -11,6 +11,7 @@ draws are deterministic.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,7 +181,9 @@ class ForestModel:
 
 def train_forest(train: Table, params: ForestParams) -> ForestModel:
     """tree_count trees, each on its own bootstrap sample and per-node feature
-    draw, with per-tree RNG streams seeded at seed + tree index."""
+    draw, with per-tree RNG streams seeded at seed + tree index. A
+    features_per_split above the feature count is capped there with a
+    warning."""
     X, y = training_arrays(train)
     n, d = X.shape
     if n == 0:
@@ -189,7 +192,9 @@ def train_forest(train: Table, params: ForestParams) -> ForestModel:
     if fps is None:
         fps = math.ceil(math.sqrt(d))
     if fps > d:
-        raise ClassifyError(f"features_per_split={fps} exceeds feature count {d}")
+        warnings.warn(f"features_per_split={fps} exceeds feature count {d}; "
+                      f"capped at {d}", stacklevel=2)
+        fps = d
     tree_params = params.tree_params()
     trees = []
     for i in range(params.tree_count):

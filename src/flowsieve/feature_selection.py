@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import BinEdges, bin_matrix, table_bin_edges
+from .discretize import BinEdges, bin_matrix
 from .tabular import Table
 
 METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
@@ -66,7 +66,8 @@ def _count_tensor(binned, class_idx, n_classes: int) -> np.ndarray:
 
 def _entropy_rows(counts) -> np.ndarray:
     """Entropy in bits of each row of a (rows, values) count matrix, bit for
-    bit what `entropy` gives the row alone; a row of zeros gets -0.0."""
+    bit `-(p * np.log2(p)).sum()` over the row's nonzero shares p alone; a
+    row of zeros gets -0.0."""
     c = np.ascontiguousarray(counts, dtype=np.float64)
     nonzero = c > 0
     widths = np.count_nonzero(nonzero, axis=1)
@@ -131,151 +132,16 @@ def _anova(sizes, means, variances, grand) -> np.ndarray:
     return f
 
 
-class ContingencyTable:
-    """Joint counts of feature bins (rows) against classes (columns): the
-    one-feature case of the (features, bins, classes) count tensor."""
-
-    def __init__(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ScoringError("contingency counts must be a 2-D matrix")
-        if (counts < 0).any():
-            raise ScoringError("contingency counts must be non-negative")
-        self.counts = counts
-        self.row_totals = counts.sum(axis=1)
-        self.col_totals = counts.sum(axis=0)
-        self.total = int(counts.sum())
-
-    @classmethod
-    def from_vectors(cls, bins, labels) -> "ContingencyTable":
-        bins = np.asarray(bins, dtype=np.int64)
-        labels = np.asarray(labels)
-        if bins.shape != labels.shape:
-            raise ScoringError("bin and label vectors differ in length")
-        classes, class_idx = np.unique(labels, return_inverse=True)
-        return cls(_count_tensor(bins[:, None], class_idx, len(classes))[0])
-
-    def transposed(self) -> "ContingencyTable":
-        return ContingencyTable(self.counts.T)
-
-
-def _scores(ct: ContingencyTable) -> dict[str, float]:
-    if ct.total == 0:
-        raise ScoringError("empty contingency table")
-    return {k: float(v[0]) for k, v in _count_scores(ct.counts[None]).items()}
-
-
-def entropy(counts) -> float:
-    """Shannon entropy in bits of a count vector; 0*log(0) contributes 0."""
-    c = np.asarray(counts, dtype=np.float64).ravel()
-    if (c < 0).any():
-        raise ScoringError("counts must be non-negative")
-    if c.sum() <= 0:
-        raise ScoringError("entropy of an all-zero count vector is undefined")
-    return float(_entropy_rows(c[None])[0])
-
-
-def conditional_entropy(ct: ContingencyTable) -> float:
-    """Class entropy remaining after observing the bin: sum_i (R_i/N) * H(row i)."""
-    return _scores(ct)["conditional_entropy"]
-
-
-def information_gain(ct: ContingencyTable) -> float:
-    """H(class) - H(class | bin); symmetric in the two variables."""
-    return _scores(ct)["ig"]
-
-
-def split_info(ct: ContingencyTable) -> float:
-    """Entropy of the bin-occupancy distribution."""
-    return _scores(ct)["split_info"]
-
-
-def gain_ratio(ct: ContingencyTable) -> float:
-    """Information gain divided by split info; defined as 0 for a single-valued feature."""
-    scores = _scores(ct)
-    if scores["split_info"] == 0.0:
-        warnings.warn("gain ratio of a single-valued feature defined as 0", stacklevel=2)
-    return scores["gain_ratio"]
-
-
-def symmetric_uncertainty(ct: ContingencyTable) -> float:
-    """2*IG / (H(bin) + H(class)), in [0, 1]; 0 when both entropies vanish."""
-    return _scores(ct)["su"]
-
-
-def chi_squared(ct: ContingencyTable) -> float:
-    """Divergence of observed counts from the independence expectation.
-
-    Empty rows and columns are pruned before the sum, so every expected
-    count is positive.
-    """
-    return _scores(ct)["chi2"]
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    """Per-class summary of one feature: sizes, means, sample variances."""
-
-    sizes: tuple[int, ...]
-    means: tuple[float, ...]
-    variances: tuple[float, ...]
-    grand_mean: float
-
-    @property
-    def group_count(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
-    @classmethod
-    def from_groups(cls, groups) -> "GroupStats":
-        blocks = [np.array(g, dtype=np.float64, ndmin=2) for g in groups]
-        if any(b.size == 0 for b in blocks):
-            raise ScoringError("empty group")
-        sizes, means, variances, grand = _group_stats(blocks)
-        return cls(tuple(sizes), tuple(means[0].tolist()), tuple(variances[0].tolist()),
-                   float(grand[0]))
-
-    @classmethod
-    def from_labeled(cls, values, labels) -> "GroupStats":
-        values = np.asarray(values, dtype=np.float64)
-        labels = np.asarray(labels)
-        classes = np.unique(labels)
-        return cls.from_groups([values[labels == c] for c in classes])
-
-
-def anova_f(gs: GroupStats) -> float:
-    """One-way F ratio: (SSB/(K-1)) / (SSW/(N-K)).
-
-    SSW = sum (n_i - 1) * var_i, SSB = sum n_i * (mean_i - grand_mean)^2.
-    Returns 0 when the group means coincide, +inf when within-group
-    variation vanishes while between-group variation does not.
-    """
-    k = gs.group_count
-    n = gs.total
-    if k < 2:
-        raise ScoringError(f"need at least 2 groups, got {k}")
-    if n <= k:
-        raise ScoringError(f"need more observations ({n}) than groups ({k})")
-    return float(_anova(gs.sizes, np.array([gs.means]), np.array([gs.variances]),
-                        np.array([gs.grand_mean]))[0])
-
-
-def relief_weights(t: Table, m: int, seed: int,
-                   bins: dict[str, BinEdges] | np.ndarray | None = None,
-                   bin_count: int = 10) -> np.ndarray:
+def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarray:
     """Relief feature weights from m seeded samples drawn without replacement.
 
     For each sampled row the nearest same-class hit and nearest other-class
     miss are found by Manhattan distance over all (normalized) features, ties
     resolved to the lowest row index, the row itself excluded. The 0/1
     difference indicator for the weight update compares binned feature values,
-    since exact equality of raw continuous values is vacuous: `bins` is the
-    table's bin matrix (`discretize.bin_matrix`) or the edges to build it
-    from, by default bin_count equal-width bins per feature. Weights stay in
-    [-1, 1] because each of the m updates moves a weight by at most 1/m.
+    since exact equality of raw continuous values is vacuous: `binned` is the
+    table's (rows, features) bin matrix from `discretize.bin_matrix`. Weights
+    stay in [-1, 1] because each of the m updates moves a weight by at most 1/m.
 
     The search handles RELIEF_BATCH sampled rows per pass over the data,
     RELIEF_TILE data rows at a time, so that the batch-by-tile block of
@@ -296,10 +162,6 @@ def relief_weights(t: Table, m: int, seed: int,
             raise ScoringError(f"class {c:g} has fewer than 2 rows; no hit exists")
     if not 1 <= m <= n:
         raise ScoringError(f"sample size m={m} must lie in [1, {n}]")
-
-    if bins is None:
-        bins = table_bin_edges(t, bin_count)
-    binned = bins if isinstance(bins, np.ndarray) else bin_matrix(t, bins)
 
     rng = np.random.default_rng(seed)
     sample = rng.choice(n, size=m, replace=False)
@@ -365,7 +227,13 @@ def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
     binned once: relief and a (features, bins, classes) count tensor share
     the bin matrix, and the tensor gives IG, gain ratio, SU and chi-squared
     of every feature at once. ANOVA F comes from per-class column statistics.
-    Each score equals the scalar scorer's on that feature alone, bit for bit.
+    Each score equals, bit for bit, what a loop over the features computes
+    for that feature alone with one-dimensional NumPy sums.
+
+    Gain ratio is 0 for a single-valued feature, with a warning naming it;
+    SU is 0 when both entropies vanish; chi-squared skips empty bins; F is 0
+    when the class means coincide and +inf when only the within-class
+    variation vanishes.
     """
     names = t.feature_names
     if not names:
@@ -381,7 +249,7 @@ def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
     m = min(n, 5000 if relief_m is None else relief_m)
 
     binned = bin_matrix(t, bins)
-    relief = relief_weights(t, m, seed, bins=binned)
+    relief = relief_weights(t, m, seed, binned)
     scores = _count_scores(_count_tensor(binned, class_idx, len(classes)))
     del binned
     for j in np.flatnonzero(scores["split_info"] == 0.0):

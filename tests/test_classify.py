@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from flowsieve.classify import (ClassifyError, ForestParams, LogisticParams,
                                 ManifestMismatchError, NaiveBayesParams,
-                                Prediction, SvmParams, TreeParams, load_model,
-                                predict, predict_arrays, save_model,
+                                SvmParams, TreeParams, load_model,
+                                predict_arrays, save_model,
                                 train_forest, train_logistic,
                                 train_naive_bayes, train_svm, train_tree)
 from flowsieve.classify.logistic import LogisticModel
@@ -314,8 +314,13 @@ def test_forest_param_validation():
     with pytest.raises(ParamError, match="tree_count"):
         ForestParams(tree_count=0)
     t = blobs_2d(10, seed=3)
-    with pytest.raises(ClassifyError, match="exceeds"):
-        train_forest(t, ForestParams(features_per_split=5))
+    with pytest.warns(UserWarning, match="features_per_split=5 exceeds feature count 2; "
+                                         "capped at 2"):
+        capped = train_forest(t, ForestParams(features_per_split=5))
+    every = train_forest(t, ForestParams(features_per_split=2))
+    for a, b in zip(capped.trees, every.trees):
+        assert np.array_equal(a.feature_index, b.feature_index)
+        assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
 
 
 # ---------------------------------------------------------------- dispatch + io
@@ -336,21 +341,12 @@ def test_predict_empty_table_and_row_purity():
     rng = np.random.default_rng(0)
     perm = rng.permutation(t.row_count)
     for model in trained_zoo(t).values():
-        assert predict(model, empty) == []
+        el, es = predict_arrays(model, empty)
+        assert el.shape == es.shape == (0,)
         labels, scores = predict_arrays(model, t)
         pl, ps = predict_arrays(model, t.take_rows(perm))
         assert np.array_equal(labels[perm], pl)
         assert np.array_equal(scores[perm], ps)
-
-
-def test_predict_objects_match_arrays():
-    t = blobs_2d(15, seed=62)
-    model = train_tree(t, TreeParams())
-    preds = predict(model, t)
-    labels, scores = predict_arrays(model, t)
-    assert [p.label for p in preds] == labels.tolist()
-    assert [p.score for p in preds] == scores.tolist()
-    assert all(isinstance(p, Prediction) for p in preds)
 
 
 def test_manifest_mismatch_rejected():
@@ -365,10 +361,14 @@ def test_manifest_mismatch_rejected():
 
 
 def test_prediction_validation():
-    with pytest.raises(ClassifyError):
-        Prediction(2, 0.5)
-    with pytest.raises(ClassifyError):
-        Prediction(1, 1.5)
+    # every model kind labels rows 0 or 1 and scores them in [0, 1]
+    t = blobs_2d(20, seed=65)
+    probe = make_table({"f0": np.linspace(-0.5, 1.5, 41), "f1": np.linspace(1.5, -0.5, 41)},
+                       np.zeros(41))
+    for name, model in trained_zoo(t).items():
+        labels, scores = predict_arrays(model, probe)
+        assert set(labels.tolist()) <= {0, 1}, name
+        assert ((scores >= 0.0) & (scores <= 1.0)).all(), name
 
 
 def test_model_json_round_trip(tmp_path):

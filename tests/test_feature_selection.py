@@ -12,112 +12,116 @@ import reference as ref
 from flowsieve.discretize import (apply_bins, bin_matrix, equal_width_bins,
                                   table_bin_edges)
 from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
-                                         ContingencyTable, GroupStats,
                                          ScoringError, ThresholdSelection,
-                                         aggregate_mean, anova_f, chi_squared,
-                                         conditional_entropy, entropy,
-                                         gain_ratio, information_gain,
-                                         normalize_scores, relief_weights,
-                                         score_all, select_by_threshold,
-                                         split_info, symmetric_uncertainty,
-                                         write_scores_csv)
+                                         _anova, _count_scores, _count_tensor,
+                                         _entropy_rows, _group_stats,
+                                         aggregate_mean, normalize_scores,
+                                         relief_weights, score_all,
+                                         select_by_threshold, write_scores_csv)
 from flowsieve.tabular import ConstantColumnError, subtable
 
 from helpers import make_table, random_table
 
 
-def ct(counts):
-    return ContingencyTable(counts)
+def count_scores(counts):
+    """The contingency-table scores of one (bins, classes) count matrix."""
+    return {k: float(v[0]) for k, v in _count_scores(np.asarray(counts)[None]).items()}
+
+
+def row_entropy(counts):
+    return float(_entropy_rows(np.asarray(counts)[None])[0])
+
+
+def anova(*groups):
+    """One feature's F ratio from its values in each class."""
+    return float(_anova(*_group_stats(np.array(g, dtype=np.float64, ndmin=2)
+                                      for g in groups))[0])
+
+
+def bin_table(t, k=10):
+    return bin_matrix(t, table_bin_edges(t, k))
 
 
 # ---------------------------------------------------------------- entropy
 
 def test_entropy_basics():
-    assert entropy([1, 1]) == 1.0
-    assert entropy([4, 0]) == 0.0
-    assert entropy([3, 1]) == pytest.approx(0.8112781244591328, abs=1e-15)
-    with pytest.raises(ScoringError):
-        entropy([0, 0])
-    with pytest.raises(ScoringError):
-        entropy([-1, 2])
+    assert row_entropy([1, 1]) == 1.0
+    assert row_entropy([4, 0]) == 0.0
+    assert row_entropy([3, 1]) == pytest.approx(0.8112781244591328, abs=1e-15)
+    empty = row_entropy([0, 0])  # an empty bin
+    assert empty == 0.0 and math.copysign(1, empty) == -1
 
 
 def test_conditional_entropy():
-    assert conditional_entropy(ct([[3, 1]])) == entropy([3, 1])  # constant feature
-    assert conditional_entropy(ct([[5, 0], [0, 5]])) == 0.0
-    assert conditional_entropy(ct([[2, 0], [1, 1]])) == 0.5
+    # constant feature
+    assert count_scores([[3, 1]])["conditional_entropy"] == row_entropy([3, 1])
+    assert count_scores([[5, 0], [0, 5]])["conditional_entropy"] == 0.0
+    assert count_scores([[2, 0], [1, 1]])["conditional_entropy"] == 0.5
 
 
 def test_information_gain():
     outer = np.outer([2, 3], [4, 1])
-    assert information_gain(ct(outer)) == pytest.approx(0.0, abs=1e-12)
-    assert information_gain(ct([[5, 0], [0, 5]])) == pytest.approx(1.0, abs=1e-15)
+    assert count_scores(outer)["ig"] == pytest.approx(0.0, abs=1e-12)
+    assert count_scores([[5, 0], [0, 5]])["ig"] == pytest.approx(1.0, abs=1e-15)
     # frozen from the joint-count oracle: H({3,1}) - 0.5
-    assert information_gain(ct([[2, 0], [1, 1]])) == pytest.approx(
+    assert count_scores([[2, 0], [1, 1]])["ig"] == pytest.approx(
         0.3112781244591328, abs=1e-15)
 
 
 def test_split_info():
-    assert split_info(ct([[1, 1], [2, 0]])) == 1.0
-    assert split_info(ct([[3, 4]])) == 0.0
-    assert split_info(ct([[2, 1], [1, 0]])) == pytest.approx(0.8112781244591328, abs=1e-15)
+    assert count_scores([[1, 1], [2, 0]])["split_info"] == 1.0
+    assert count_scores([[3, 4]])["split_info"] == 0.0
+    assert count_scores([[2, 1], [1, 0]])["split_info"] == pytest.approx(
+        0.8112781244591328, abs=1e-15)
 
 
 def test_gain_ratio():
-    assert gain_ratio(ct([[5, 0], [0, 5]])) == pytest.approx(1.0, abs=1e-15)
-    assert gain_ratio(ct(np.outer([2, 3], [4, 1]))) == pytest.approx(0.0, abs=1e-12)
-    assert gain_ratio(ct([[2, 0], [1, 1]])) == pytest.approx(0.3112781244591328, abs=1e-15)
-    with pytest.warns(UserWarning, match="single-valued"):
-        assert gain_ratio(ct([[3, 1]])) == 0.0
+    assert count_scores([[5, 0], [0, 5]])["gain_ratio"] == pytest.approx(1.0, abs=1e-15)
+    assert count_scores(np.outer([2, 3], [4, 1]))["gain_ratio"] == pytest.approx(
+        0.0, abs=1e-12)
+    assert count_scores([[2, 0], [1, 1]])["gain_ratio"] == pytest.approx(
+        0.3112781244591328, abs=1e-15)
+    assert count_scores([[3, 1]])["gain_ratio"] == 0.0  # single-valued feature
 
 
 def test_symmetric_uncertainty():
-    assert symmetric_uncertainty(ct([[5, 0], [0, 5]])) == pytest.approx(1.0, abs=1e-15)
-    assert symmetric_uncertainty(ct(np.outer([2, 3], [4, 1]))) == pytest.approx(0.0, abs=1e-12)
+    assert count_scores([[5, 0], [0, 5]])["su"] == pytest.approx(1.0, abs=1e-15)
+    assert count_scores(np.outer([2, 3], [4, 1]))["su"] == pytest.approx(0.0, abs=1e-12)
     # frozen from the oracle: 2*IG / (1 + H({3,1}))
-    assert symmetric_uncertainty(ct([[2, 0], [1, 1]])) == pytest.approx(
+    assert count_scores([[2, 0], [1, 1]])["su"] == pytest.approx(
         0.34371101848545077, abs=1e-15)
-    assert symmetric_uncertainty(ct([[7]])) == 0.0  # both entropies vanish
+    assert count_scores([[7]])["su"] == 0.0  # both entropies vanish
 
 
 def test_chi_squared():
     outer = np.outer([3, 7], [5, 5])
-    assert chi_squared(ct(outer)) == pytest.approx(0.0, abs=1e-10)
-    assert chi_squared(ct([[10, 0], [0, 10]])) == 20.0
+    assert count_scores(outer)["chi2"] == pytest.approx(0.0, abs=1e-10)
+    assert count_scores([[10, 0], [0, 10]])["chi2"] == 20.0
     # zero rows/columns are pruned, not fatal
-    assert chi_squared(ct([[10, 0, 0], [0, 10, 0], [0, 0, 0]])) == 20.0
-    with pytest.raises(ScoringError, match="empty"):
-        chi_squared(ct([[0, 0]]))
+    assert count_scores([[10, 0, 0], [0, 10, 0], [0, 0, 0]])["chi2"] == 20.0
 
 
 def test_contingency_from_vectors():
-    t = ct([[2, 0], [1, 1]])
-    built = ContingencyTable.from_vectors([0, 0, 1, 1], [0, 0, 0, 1])
-    assert np.array_equal(built.counts, t.counts)
-    assert built.total == 4
-    assert built.row_totals.tolist() == [2, 2]
-    assert built.col_totals.tolist() == [3, 1]
+    # two features' bins against classes [0, 0, 0, 1]; the bin axis runs to
+    # the largest bin of any feature
+    binned = np.array([[0, 2], [0, 1], [1, 0], [1, 0]])
+    counts = _count_tensor(binned, np.array([0, 0, 0, 1]), 2)
+    assert counts.tolist() == [[[2, 0], [1, 1], [0, 0]],
+                               [[1, 1], [1, 0], [1, 0]]]
 
 
 def test_scorers_match_bruteforce_on_random_tables():
     rng = np.random.default_rng(202)
     for _ in range(60):
         table = ref.random_contingency(rng)
-        c = ct(table)
-        assert information_gain(c) == pytest.approx(
-            ref.joint_mutual_information(table), abs=1e-9)
-        assert split_info(c) == pytest.approx(ref.split_info_ref(table), abs=1e-9)
-        if ref.split_info_ref(table) == 0.0:
-            with pytest.warns(UserWarning):
-                got_gr = gain_ratio(c)
-        else:
-            got_gr = gain_ratio(c)
-        assert got_gr == pytest.approx(ref.gain_ratio_ref(table), abs=1e-9)
-        assert symmetric_uncertainty(c) == pytest.approx(
-            ref.symmetric_uncertainty_ref(table), abs=1e-9)
-        assert chi_squared(c) == pytest.approx(ref.chi_squared_ref(table), abs=1e-9)
-        assert 0.0 <= symmetric_uncertainty(c) <= 1.0
-        assert chi_squared(c) >= 0.0
+        got = count_scores(table)
+        assert got["ig"] == pytest.approx(ref.joint_mutual_information(table), abs=1e-9)
+        assert got["split_info"] == pytest.approx(ref.split_info_ref(table), abs=1e-9)
+        assert got["gain_ratio"] == pytest.approx(ref.gain_ratio_ref(table), abs=1e-9)
+        assert got["su"] == pytest.approx(ref.symmetric_uncertainty_ref(table), abs=1e-9)
+        assert got["chi2"] == pytest.approx(ref.chi_squared_ref(table), abs=1e-9)
+        assert 0.0 <= got["su"] <= 1.0
+        assert got["chi2"] >= 0.0
 
 
 def test_scorers_match_bruteforce_from_binned_data():
@@ -128,60 +132,51 @@ def test_scorers_match_bruteforce_from_binned_data():
         d = int(rng.integers(1, 6))
         k = int(rng.integers(2, 5))
         t = random_table(rng, n, d)
-        y = t.labels().astype(int)
-        for name in t.feature_names:
-            e = equal_width_bins(t.column(name), k, feature=name)
-            binned = apply_bins(t.column(name), e)
-            c = ContingencyTable.from_vectors(binned, y)
-            joint = c.counts.tolist()
-            assert information_gain(c) == pytest.approx(
-                ref.joint_mutual_information(joint), abs=1e-9)
-            assert symmetric_uncertainty(c) == pytest.approx(
-                ref.symmetric_uncertainty_ref(joint), abs=1e-9)
-            assert chi_squared(c) == pytest.approx(ref.chi_squared_ref(joint), abs=1e-9)
-            assert gain_ratio(c) == pytest.approx(ref.gain_ratio_ref(joint), abs=1e-9)
+        for counts in _count_tensor(bin_table(t, k), t.labels().astype(int), 2):
+            got, joint = count_scores(counts), counts.tolist()
+            assert got["ig"] == pytest.approx(ref.joint_mutual_information(joint), abs=1e-9)
+            assert got["su"] == pytest.approx(ref.symmetric_uncertainty_ref(joint), abs=1e-9)
+            assert got["chi2"] == pytest.approx(ref.chi_squared_ref(joint), abs=1e-9)
+            assert got["gain_ratio"] == pytest.approx(ref.gain_ratio_ref(joint), abs=1e-9)
 
 
 def test_information_gain_symmetry():
     rng = np.random.default_rng(99)
     for _ in range(40):
-        c = ct(ref.random_contingency(rng))
-        assert abs(information_gain(c) - information_gain(c.transposed())) < 1e-12
+        table = np.array(ref.random_contingency(rng))
+        assert abs(count_scores(table)["ig"] - count_scores(table.T)["ig"]) < 1e-12
 
 
 def test_ig_bounded_by_marginal_entropies():
     rng = np.random.default_rng(4)
     for _ in range(30):
-        table = ref.random_contingency(rng)
-        c = ct(table)
-        bound = min(entropy(c.row_totals), entropy(c.col_totals))
-        assert -1e-12 <= information_gain(c) <= bound + 1e-12
+        table = np.array(ref.random_contingency(rng))
+        bound = min(row_entropy(table.sum(axis=1)), row_entropy(table.sum(axis=0)))
+        assert -1e-12 <= count_scores(table)["ig"] <= bound + 1e-12
 
 
 # ---------------------------------------------------------------- ANOVA
 
 def test_anova_hand_case():
-    gs = GroupStats.from_groups([[0.0, 2.0], [1.0, 3.0]])
-    assert anova_f(gs) == 0.5
+    assert anova([0.0, 2.0], [1.0, 3.0]) == 0.5
 
 
 def test_anova_equal_means_zero():
-    gs = GroupStats.from_groups([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-    assert anova_f(gs) == 0.0
+    assert anova([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == 0.0
 
 
 def test_anova_zero_within_variance_sentinel():
-    gs = GroupStats.from_groups([[0.0, 0.0], [1.0, 1.0]])
-    assert anova_f(gs) == math.inf
+    assert anova([0.0, 0.0], [1.0, 1.0]) == math.inf
 
 
 def test_anova_errors():
-    with pytest.raises(ScoringError, match="2 groups"):
-        anova_f(GroupStats.from_groups([[1.0, 2.0]]))
-    with pytest.raises(ScoringError, match="more observations"):
-        anova_f(GroupStats.from_groups([[1.0], [2.0]]))
-    with pytest.raises(ScoringError, match="empty group"):
-        GroupStats.from_groups([[1.0], []])
+    # F needs two classes and more rows than classes; score_all refuses both
+    one_class = make_table({"f": [1.0, 2.0]}, [0, 0])
+    with pytest.raises(ScoringError, match="single-valued"):
+        score_all(one_class, table_bin_edges(one_class, 2))
+    one_row_each = make_table({"f": [1.0, 2.0]}, [0, 1])
+    with pytest.raises(ScoringError, match="fewer than 2 rows"):
+        score_all(one_row_each, table_bin_edges(one_row_each, 2))
 
 
 def test_anova_sum_of_squares_identity():
@@ -191,16 +186,16 @@ def test_anova_sum_of_squares_identity():
         g2 = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 3), size=rng.integers(2, 200))
         ssw, ssb, sst, f_ref = ref.anova_ref([g1.tolist(), g2.tolist()])
         assert ssw + ssb == pytest.approx(sst, rel=1e-9)
-        gs = GroupStats.from_labeled(np.concatenate([g1, g2]),
-                                     np.array([0] * len(g1) + [1] * len(g2)))
-        assert anova_f(gs) == pytest.approx(f_ref, rel=1e-9)
+        assert anova(g1, g2) == pytest.approx(f_ref, rel=1e-9)
 
 
 def test_group_stats_from_labeled():
-    gs = GroupStats.from_labeled([1.0, 5.0, 2.0, 6.0], [0, 1, 0, 1])
-    assert gs.sizes == (2, 2)
-    assert gs.means == (1.5, 5.5)
-    assert gs.total == 4 and gs.group_count == 2
+    values, labels = np.array([1.0, 5.0, 2.0, 6.0]), np.array([0, 1, 0, 1])
+    sizes, means, variances, grand = _group_stats(values[labels == c][None] for c in (0, 1))
+    assert sizes == (2, 2)
+    assert means.tolist() == [[1.5, 5.5]]
+    assert variances.tolist() == [[0.5, 0.5]]
+    assert grand.tolist() == [3.5]
 
 
 # ---------------------------------------------------------------- relief
@@ -209,7 +204,7 @@ def test_relief_label_identical_feature():
     rng = np.random.default_rng(17)
     y = rng.integers(0, 2, 60).astype(float)
     t = make_table({"same": y.copy(), "noise": rng.random(60)}, y)
-    w = relief_weights(t, m=60, seed=0)
+    w = relief_weights(t, m=60, seed=0, binned=bin_table(t))
     assert w[0] == 1.0
 
 
@@ -218,7 +213,7 @@ def test_relief_constant_feature():
     y = rng.integers(0, 2, 40).astype(float)
     t = make_table({"const": np.full(40, 0.5), "noise": rng.random(40)}, y)
     with pytest.warns(UserWarning, match="column 'const' is constant, left unbinned"):
-        w = relief_weights(t, m=40, seed=1)
+        w = relief_weights(t, m=40, seed=1, binned=bin_table(t))
     assert w[0] == 0.0
 
 
@@ -226,7 +221,7 @@ def test_relief_anticorrelated_feature():
     rng = np.random.default_rng(19)
     y = rng.integers(0, 2, 50).astype(float)
     t = make_table({"anti": 1.0 - y, "noise": rng.random(50)}, y)
-    w = relief_weights(t, m=50, seed=2)
+    w = relief_weights(t, m=50, seed=2, binned=bin_table(t))
     assert w[0] == 1.0
 
 
@@ -235,10 +230,9 @@ def test_relief_matches_exhaustive_reference():
     t = random_table(rng, 80, 4)
     X = t.feature_matrix()
     y = t.labels()
-    bins = {name: equal_width_bins(t.column(name), 10, feature=name)
-            for name in t.feature_names}
-    got = relief_weights(t, m=80, seed=3, bins=bins)
-    binned = np.column_stack([apply_bins(t.column(n), bins[n]) for n in t.feature_names])
+    binned = np.column_stack([apply_bins(t.column(n), equal_width_bins(t.column(n), 10))
+                              for n in t.feature_names])
+    got = relief_weights(t, m=80, seed=3, binned=binned)
     want = ref.relief_ref(X.tolist(), y.tolist(), binned.tolist(), range(80), 80)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -246,11 +240,12 @@ def test_relief_matches_exhaustive_reference():
 def test_relief_determinism_and_range():
     rng = np.random.default_rng(29)
     t = random_table(rng, 120, 5)
-    w1 = relief_weights(t, m=40, seed=11)
-    w2 = relief_weights(t, m=40, seed=11)
+    binned = bin_table(t)
+    w1 = relief_weights(t, m=40, seed=11, binned=binned)
+    w2 = relief_weights(t, m=40, seed=11, binned=binned)
     assert np.array_equal(w1, w2)
     assert (np.abs(w1) <= 1.0).all()
-    w3 = relief_weights(t, m=40, seed=12)
+    w3 = relief_weights(t, m=40, seed=12, binned=binned)
     assert not np.array_equal(w1, w3)
 
 
@@ -275,7 +270,7 @@ def relief_vs_oracle(t, m, seed):
     sample = np.random.default_rng(seed).choice(t.row_count, size=m, replace=False)
     want = ref.relief_ref(t.feature_matrix().tolist(), t.labels().tolist(),
                           binned.tolist(), sample.tolist(), m)
-    return relief_weights(t, m=m, seed=seed, bins=bins), np.array(want)
+    return relief_weights(t, m=m, seed=seed, binned=binned), np.array(want)
 
 
 @pytest.mark.parametrize("d", [5, 12])  # below and above NumPy's 8-way pairwise sum
@@ -311,10 +306,10 @@ def test_relief_peak_memory_is_one_distance_block():
     n = 40_000
     rng = np.random.default_rng(5)
     t = make_table({"f0": rng.random(n)}, (rng.random(n) < 0.05).astype(float))
-    binned = bin_matrix(t, table_bin_edges(t, 10))
+    binned = bin_table(t)
     tracemalloc.start()
     try:
-        relief_weights(t, m=2 * RELIEF_BATCH, seed=0, bins=binned)
+        relief_weights(t, m=2 * RELIEF_BATCH, seed=0, binned=binned)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,13 +320,13 @@ def test_relief_peak_memory_is_one_distance_block():
 def test_relief_errors():
     t = make_table({"f": [0.1, 0.2, 0.3]}, [0, 0, 1])
     with pytest.raises(ScoringError, match="fewer than 2"):
-        relief_weights(t, m=3, seed=0)
+        relief_weights(t, m=3, seed=0, binned=bin_table(t))
     t2 = make_table({"f": [0.1, 0.2, 0.3, 0.4]}, [0, 0, 1, 1])
     with pytest.raises(ScoringError, match="m="):
-        relief_weights(t2, m=5, seed=0)
+        relief_weights(t2, m=5, seed=0, binned=bin_table(t2))
     t3 = make_table({"f": [0.1, 0.2]}, [0, 0])
     with pytest.raises(ScoringError, match="binary"):
-        relief_weights(t3, m=2, seed=0)
+        relief_weights(t3, m=2, seed=0, binned=bin_table(t3))
 
 
 # ---------------------------------------------------------------- matrix ops
@@ -368,27 +363,17 @@ def test_score_all_feature_count_excludes_label():
     assert len(sm.feature_names) == 7
 
 
-def scalar_scores(t, bins, name):
-    """The five non-relief scores of one feature through the scalar API."""
-    col, y = t.column(name), t.labels()
-    binned = apply_bins(col, bins[name]) if name in bins else np.zeros(t.row_count, dtype=int)
-    c = ContingencyTable.from_vectors(binned, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # gain ratio of a single-valued feature
-        gr = gain_ratio(c)
-    return {"ig": information_gain(c), "gain_ratio": gr, "su": symmetric_uncertainty(c),
-            "chi2": chi_squared(c), "anova_f": anova_f(GroupStats.from_labeled(col, y))}
-
-
-def f_ratio(gs, square=lambda d: d ** 2):
-    """One-way F of GroupStats in Python floats, SSB squared by `square`."""
-    ssw = sum((ni - 1) * vi for ni, vi in zip(gs.sizes, gs.variances))
-    ssb = sum(ni * square(mi - gs.grand_mean) for ni, mi in zip(gs.sizes, gs.means))
+def f_ratio(sizes, means, variances, grand, square=lambda d: d ** 2):
+    """One-way F from per-class sizes, means and sample variances and the
+    grand mean, in Python floats, SSB squared by `square`."""
+    k, n = len(sizes), sum(sizes)
+    ssw = sum((ni - 1) * vi for ni, vi in zip(sizes, variances))
+    ssb = sum(ni * square(mi - grand) for ni, mi in zip(sizes, means))
     if ssb == 0.0:
         return 0.0
     if ssw == 0.0:
         return math.inf
-    return (ssb / (gs.group_count - 1)) / (ssw / (gs.total - gs.group_count))
+    return (ssb / (k - 1)) / (ssw / (n - k))
 
 
 def loop_scores(t, bins, name):
@@ -416,27 +401,25 @@ def loop_scores(t, bins, name):
     kept = counts[rows > 0]
     expected = np.outer(kept.sum(axis=1, dtype=float), kept.sum(axis=0, dtype=float)) / total
     groups = [col[y == c] for c in classes]
-    gs = GroupStats(tuple(g.size for g in groups), tuple(float(g.mean()) for g in groups),
-                    tuple(float(g.var(ddof=1)) if g.size > 1 else 0.0 for g in groups),
-                    sum((float(g.sum()) for g in groups), 0.0) / len(col))
+    anova_f = f_ratio([g.size for g in groups], [float(g.mean()) for g in groups],
+                      [float(g.var(ddof=1)) if g.size > 1 else 0.0 for g in groups],
+                      sum((float(g.sum()) for g in groups), 0.0) / len(col))
     return {"ig": ig, "gain_ratio": ig / hx if hx else 0.0,
             "su": 2.0 * ig / (hx + hy) if hx + hy else 0.0,
-            "chi2": float(((kept - expected) ** 2 / expected).sum()), "anova_f": f_ratio(gs)}
+            "chi2": float(((kept - expected) ** 2 / expected).sum()), "anova_f": anova_f}
 
 
-def assert_score_all_matches_scalar_api(t, bin_count):
+def assert_score_all_matches_loop_scores(t, bin_count):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # constant columns stay unbinned
         bins = table_bin_edges(t, bin_count)
         sm = score_all(t, bins, relief_m=min(t.row_count, 20), seed=0)
     for j, name in enumerate(t.feature_names):
-        scalar, loop = scalar_scores(t, bins, name), loop_scores(t, bins, name)
-        for method in scalar:
+        for method, want in loop_scores(t, bins, name).items():
             got = sm.raw[j, METHODS.index(method)]
             # bit for bit: equal values and equal signs of zero
-            for want in (scalar[method], loop[method]):
-                assert got == want and math.copysign(1, got) == math.copysign(1, want), \
-                    (name, method, got, scalar[method], loop[method])
+            assert got == want and math.copysign(1, got) == math.copysign(1, want), \
+                (name, method, got, want)
 
 
 POW_LABELS = np.tile([1.0, 0.0, 0.0, 0.0], 10)
@@ -444,12 +427,14 @@ POW_COLUMN = np.random.default_rng(1107).random(40)  # x ** 2 != x * x changes i
 
 
 def test_anova_squares_with_libm_pow():
-    gs = GroupStats.from_labeled(POW_COLUMN, POW_LABELS)
-    assert f_ratio(gs, lambda d: d * d) != f_ratio(gs)
-    assert anova_f(gs) == f_ratio(gs)
+    stats = _group_stats(POW_COLUMN[POW_LABELS == c][None] for c in (0.0, 1.0))
+    sizes, means, variances, grand = stats
+    floats = (sizes, means[0].tolist(), variances[0].tolist(), float(grand[0]))
+    assert f_ratio(*floats, square=lambda d: d * d) != f_ratio(*floats)
+    assert _anova(*stats)[0] == f_ratio(*floats)
 
 
-def test_score_all_equals_scalar_api_bit_for_bit():
+def test_score_all_equals_loop_scores_bit_for_bit():
     grid = np.linspace(0.0, 1.0, 40)
     nine = np.where((grid >= 0.5) & (grid < 0.6), 0.0, grid)  # bin 5 of 10 left empty
     t = make_table({"const": np.full(40, 0.25),
@@ -457,7 +442,7 @@ def test_score_all_equals_scalar_api_bit_for_bit():
                     "ten_bins": grid, "nine_bins": nine, "pow": POW_COLUMN,
                     "noise": np.random.default_rng(3).random(40)}, POW_LABELS)
     assert len(np.unique(apply_bins(nine, equal_width_bins(nine, 10)))) == 9
-    assert_score_all_matches_scalar_api(t, 10)
+    assert_score_all_matches_loop_scores(t, 10)
 
 
 def test_score_all_gain_ratio_warning_names_the_feature():
@@ -496,7 +481,7 @@ def test_scores_are_row_order_invariant(data):
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_score_all_equals_scalar_api_property(data):
+def test_score_all_equals_loop_scores_property(data):
     n = data.draw(st.integers(4, 300), label="n")
     d = data.draw(st.integers(1, 6), label="d")
     k = data.draw(st.integers(2, 12), label="bin_count")
@@ -508,7 +493,44 @@ def test_score_all_equals_scalar_api_property(data):
     levels = rng.integers(1, 3 * k, size=d)
     X = rng.integers(0, levels, size=(n, d)) / levels + rng.random((n, d)) * (levels > k)
     t = make_table({f"f{j}": X[:, j] for j in range(d)}, labels)
-    assert_score_all_matches_scalar_api(t, k)
+    assert_score_all_matches_loop_scores(t, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_score_all_matches_oracles_property(data):
+    """Every non-relief score of every feature against the brute-force
+    oracles. Features lie on dyadic grids of 1 to 256 steps: coarse grids
+    leave empty bins and a 1-step grid is a constant column, and all class
+    sums are exact, so an F ratio is 0 or inf in score_all and the oracle
+    alike."""
+    n = data.draw(st.integers(4, 200), label="n")
+    d = data.draw(st.integers(1, 6), label="d")
+    k = data.draw(st.integers(2, 12), label="bin_count")
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+    assume(2 <= sum(labels) <= n - 2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    steps = 2 ** rng.integers(0, 9, size=d)
+    X = rng.integers(0, steps, size=(n, d)) / steps
+    t = make_table({f"f{j}": X[:, j] for j in range(d)}, labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant columns
+        bins = table_bin_edges(t, k)
+        raw = score_all(t, bins, relief_m=min(n, 8), seed=0).raw
+    binned = bin_matrix(t, bins)
+    y = np.array(labels)
+    for j in range(d):
+        joint = [[0, 0] for _ in range(binned[:, j].max() + 1)]
+        for b, c in zip(binned[:, j].tolist(), labels):
+            joint[b][c] += 1
+        got = dict(zip(METHODS, raw[j].tolist()))
+        for method, oracle in (("ig", ref.joint_mutual_information),
+                               ("gain_ratio", ref.gain_ratio_ref),
+                               ("su", ref.symmetric_uncertainty_ref),
+                               ("chi2", ref.chi_squared_ref)):
+            assert abs(got[method] - oracle(joint)) <= 1e-9, (j, method, joint)
+        f = ref.anova_ref([X[y == c, j].tolist() for c in (0, 1)])[3]
+        assert math.isclose(got["anova_f"], f, rel_tol=1e-9), (j, got["anova_f"], f)
 
 
 def test_normalize_scores_minmax():
@@ -607,12 +629,3 @@ def test_write_requires_normalized_scores(tmp_path):
     with pytest.raises(ScoringError, match="aggregate"):
         select_by_threshold(normalize_scores(
             ScoreMatrix(("a", "b"), np.arange(12).reshape(2, 6).astype(float))), 0.5)
-
-
-def test_contingency_validation():
-    with pytest.raises(ScoringError, match="length"):
-        ContingencyTable.from_vectors([0, 1], [0])
-    with pytest.raises(ScoringError, match="non-negative"):
-        ContingencyTable([[1, -1]])
-    with pytest.raises(ScoringError, match="2-D"):
-        ContingencyTable([1, 2, 3])

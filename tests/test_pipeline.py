@@ -341,6 +341,24 @@ def test_relief_m_above_row_count_is_capped_with_warning(tmp_path):
         assert (capped.run_dir / rel).read_bytes() == (default.run_dir / rel).read_bytes()
 
 
+def test_forest_features_per_split_above_a_subset_is_capped(tmp_path):
+    (tmp_path / "data").mkdir()
+    cfg = synth_config(tmp_path, classifiers={
+        "logistic": {"epochs": 60}, "svm": {"epochs": 5}, "tree": {"max_depth": 6},
+        "forest": {"tree_count": 5, "max_depth": 6, "features_per_split": 3}})
+    ctx = cmd_run(cfg)
+    manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
+    assert manifest["error"] is None
+    assert manifest["stages_completed"] == ["preprocess", "select", "train_eval"]
+    rows = (ctx.run_dir / "metrics.csv").read_text().splitlines()[1:]
+    small = [r for r in rows if r.split(",")[2] in ("1", "2")
+             and r.split(",")[3] == "random_forest"]
+    assert small  # some subsets have fewer features than features_per_split
+    capped = {w for w in manifest["warnings"] if "features_per_split=3 exceeds" in w}
+    assert capped == {f"features_per_split=3 exceeds feature count {n}; capped at {n}"
+                      for n in {int(r.split(",")[2]) for r in small}}
+
+
 def test_run_and_staged_commands_write_identical_files(cfg):
     run = cmd_run(cfg)
     staged = cmd_preprocess(cfg)  # newer than the run: the staged commands resume it
