@@ -47,6 +47,11 @@ def attack_slug(attack: str) -> str:
     return slug or "attack"
 
 
+def tau_tag(tau: float) -> str:
+    """A threshold's tag in the names of its selection and model files."""
+    return f"{tau:g}"
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     schemes: dict[str, str] = field(default_factory=dict)
@@ -109,6 +114,12 @@ class PipelineConfig:
                 raise ConfigError(f"threshold {t} must lie in (0, 1)")
         if any(a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ConfigError("thresholds must be strictly increasing")
+        tags: dict[str, int] = {}
+        for i, t in enumerate(self.thresholds):
+            j = tags.setdefault(tau_tag(t), i)
+            if j != i:
+                raise ConfigError(f"thresholds[{i}] {t!r} has the file tag "
+                                  f"{tau_tag(t)!r} of thresholds[{j}] {self.thresholds[j]!r}")
         if self.bin_count < 2:
             raise ConfigError(f"bin_count must be at least 2, got {self.bin_count}")
         if self.relief_m is not None and self.relief_m < 1:

@@ -1,89 +1,64 @@
-"""Equal-width binning of continuous columns for the contingency-table scorers."""
+"""Equal-width binning of every feature of a table, for the contingency-table
+scorers and relief's difference indicator.
+
+A table's bins are one (features, k-1) float64 edge matrix: row j holds the
+k-1 strictly increasing interior cut points min + i*(max-min)/k, i in 1..k-1,
+of feature j. A constant feature is left unbinned: its row is all NaN, and
+all its values fall in bin 0. A value below the first edge is in bin 0, one
+at or above the last edge in bin k-1, and one equal to an interior edge goes
+to the higher bin.
+"""
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import ConstantColumnError, Table
+from .tabular import Table
 
 
 class DiscretizeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BinEdges:
-    """k equal-width bins over a column: k-1 strictly increasing interior cut points.
-
-    The bin index function is total: values below the first edge land in bin 0,
-    values at or above the last edge in bin k-1, and a value equal to an
-    interior edge goes to the higher bin.
-    """
-
-    feature: str
-    bin_count: int
-    edges: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.bin_count < 2:
-            raise DiscretizeError(f"bin count must be >= 2, got {self.bin_count}")
-        if len(self.edges) != self.bin_count - 1:
-            raise DiscretizeError(
-                f"{self.bin_count} bins need {self.bin_count - 1} edges, got {len(self.edges)}")
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
-            raise DiscretizeError("edges must be strictly increasing")
-
-    def to_json(self) -> dict:
-        return {"feature": self.feature, "bin_count": self.bin_count,
-                "edges": list(self.edges)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BinEdges":
-        return cls(obj["feature"], int(obj["bin_count"]), tuple(obj["edges"]))
-
-
-def equal_width_bins(column, k: int, feature: str = "") -> BinEdges:
-    """Interior edges at min + i*(max-min)/k for i in 1..k-1."""
+def table_bin_edges(t: Table, k: int) -> np.ndarray:
+    """The (features, k-1) edge matrix of k equal-width bins per feature,
+    with a warning per constant feature."""
     if k < 2:
         raise DiscretizeError(f"bin count must be >= 2, got {k}")
-    col = np.asarray(column, dtype=np.float64)
-    if col.size == 0:
-        raise DiscretizeError("cannot bin an empty column")
-    lo = float(col.min())
-    hi = float(col.max())
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise DiscretizeError("column has non-finite values; clean rows first")
-    if hi == lo:
-        raise ConstantColumnError(
-            f"column {feature or '<anonymous>'!r} is single-valued; cannot bin")
-    edges = lo + (np.arange(1, k) * (hi - lo)) / k
-    return BinEdges(feature, k, tuple(float(e) for e in edges))
+    X = t.feature_matrix()
+    if t.row_count == 0:
+        raise DiscretizeError("cannot bin an empty table")
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise DiscretizeError("table has non-finite values; clean rows first")
+    edges = lo[:, None] + (np.arange(1, k) * (hi - lo)[:, None]) / k
+    constant = hi == lo
+    edges[constant] = np.nan
+    for j in np.flatnonzero(constant):
+        warnings.warn(f"column {t.feature_names[j]!r} is constant, left unbinned",
+                      stacklevel=2)
+    # a span of a few ulps rounds neighbouring edges together
+    tied = np.flatnonzero((np.diff(edges, axis=1) <= 0).any(axis=1))
+    if tied.size:
+        raise DiscretizeError(
+            f"edges of column {t.feature_names[tied[0]]!r} must be strictly increasing")
+    return edges
 
 
-def apply_bins(column, e: BinEdges) -> np.ndarray:
-    """Map values to bin indices; a value equal to an edge goes to the higher bin."""
-    col = np.asarray(column, dtype=np.float64)
-    return np.searchsorted(np.asarray(e.edges), col, side="right")
-
-
-def bin_matrix(t: Table, bins: dict[str, BinEdges]) -> np.ndarray:
-    """(rows, features) bin indices of every non-label column, in feature
-    order; a feature without edges (constant) is all bin 0."""
-    names = t.feature_names
-    out = np.zeros((t.row_count, len(names)), dtype=np.intp)
-    for j, name in enumerate(names):
-        if name in bins:
-            out[:, j] = apply_bins(t.column(name), bins[name])
+def bin_matrix(t: Table, edges: np.ndarray) -> np.ndarray:
+    """(rows, features) bin indices of every feature, in the smallest
+    unsigned type that holds k-1 (uint8 up to 256 bins)."""
+    X = t.feature_matrix()
+    out = np.zeros(X.shape, dtype=np.min_scalar_type(edges.shape[1]))
+    for j, row in enumerate(edges):
+        # NaN sorts above every number, so a constant feature's row bins to 0
+        out[:, j] = np.searchsorted(row, X[:, j], side="right")
     return out
 
 
-def table_bin_edges(t: Table, k: int) -> dict[str, BinEdges]:
-    """Equal-width edges for every non-label column; constant columns are skipped."""
-    out = {}
-    for name, column in zip(t.feature_names, t.feature_matrix().T):
-        try:
-            out[name] = equal_width_bins(column, k, feature=name)
-        except ConstantColumnError:
-            warnings.warn(f"column {name!r} is constant, left unbinned", stacklevel=2)
-    return out
+def bins_document(feature_names, edges: np.ndarray) -> dict:
+    """The edges as a JSON document keyed by feature name; constant features
+    are left out."""
+    k = edges.shape[1] + 1
+    return {name: {"feature": name, "bin_count": k, "edges": row.tolist()}
+            for name, row in zip(feature_names, edges) if not np.isnan(row[0])}

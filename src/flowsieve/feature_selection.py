@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import BinEdges, bin_matrix
+from .discretize import bin_matrix
 from .tabular import Table
 
 METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
@@ -57,6 +57,7 @@ def _count_tensor(binned, class_idx, n_classes: int) -> np.ndarray:
     runs to the largest index present; empty bins change no score."""
     features = binned.shape[1]
     bins = int(binned.max()) + 1 if binned.size else 0
+    # the intp arange widens the narrow bin type: the key cannot wrap
     key = binned + np.arange(features) * bins
     key *= n_classes
     key += class_idx[:, None]
@@ -217,16 +218,17 @@ class ScoreMatrix:
             raise ScoringError(f"raw score matrix must be (n_features, {len(METHODS)})")
 
 
-def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
+def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
               seed: int = 0) -> ScoreMatrix:
     """Raw scores for every non-label feature of a cleaned, normalized,
     binarized table.
 
     Relief samples min(rows, relief_m) rows, relief_m defaulting to 5000;
     a relief_m above the row count is capped with a warning. The table is
-    binned once: relief and a (features, bins, classes) count tensor share
-    the bin matrix, and the tensor gives IG, gain ratio, SU and chi-squared
-    of every feature at once. ANOVA F comes from per-class column statistics.
+    binned once, by the edge matrix of `discretize.table_bin_edges`: relief
+    and a (features, bins, classes) count tensor share the bin matrix, and
+    the tensor gives IG, gain ratio, SU and chi-squared of every feature at
+    once. ANOVA F comes from per-class column statistics.
     Each score equals, bit for bit, what a loop over the features computes
     for that feature alone with one-dimensional NumPy sums.
 
@@ -248,7 +250,7 @@ def score_all(t: Table, bins: dict[str, BinEdges], relief_m: int | None = None,
                       f"relief samples all {n} rows", stacklevel=2)
     m = min(n, 5000 if relief_m is None else relief_m)
 
-    binned = bin_matrix(t, bins)
+    binned = bin_matrix(t, edges)
     relief = relief_weights(t, m, seed, binned)
     scores = _count_scores(_count_tensor(binned, class_idx, len(classes)))
     del binned

@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .classify import (save_model, train_forest, train_logistic,
                        train_naive_bayes, train_svm, train_tree)
-from .config import CLASSIFIER_ORDER, PipelineConfig, attack_slug, config_hash
-from .discretize import table_bin_edges
+from .config import CLASSIFIER_ORDER, PipelineConfig, attack_slug, config_hash, tau_tag
+from .discretize import bins_document, table_bin_edges
 from .evaluation import evaluate, write_metrics_csv, write_metrics_json
 from .feature_selection import (ThresholdSelection, aggregate_mean, normalize_scores,
                                 score_all, select_by_threshold, write_scores_csv)
@@ -45,10 +45,6 @@ class PipelineError(RuntimeError):
 # labels (`split_by_attack`): the stages build one attack's tables at a time.
 Cleaned = tuple[Table, dict[str, tuple]]
 Selections = dict[str, dict[float, ThresholdSelection]]
-
-
-def _tau_tag(tau: float) -> str:
-    return f"{tau:g}"
 
 
 @dataclass
@@ -187,17 +183,16 @@ def stage_select(ctx: RunContext, cleaned: Cleaned) -> Selections:
             adir = ctx.attack_dir(attack)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                bins = table_bin_edges(t, cfg.bin_count)
-                sm = score_all(t, bins, relief_m=cfg.relief_m, seed=cfg.seed)
+                edges = table_bin_edges(t, cfg.bin_count)
+                sm = score_all(t, edges, relief_m=cfg.relief_m, seed=cfg.seed)
                 del t  # before the next attack's table is built
                 sm = aggregate_mean(normalize_scores(sm))
-                _write_json(_fresh(adir / "bins.json"),
-                            {name: e.to_json() for name, e in bins.items()})
+                _write_json(_fresh(adir / "bins.json"), bins_document(sm.feature_names, edges))
                 write_scores_csv(sm, _fresh(adir / "feature_scores.csv"))
                 out[attack] = {}
                 for tau in cfg.thresholds:
                     sel = select_by_threshold(sm, tau)
-                    _write_json(_fresh(adir / f"selection-{_tau_tag(tau)}.json"), sel.to_json())
+                    _write_json(_fresh(adir / f"selection-{tau_tag(tau)}.json"), sel.to_json())
                     out[attack][tau] = sel
             _collect_warnings(ctx, caught, f"{attack}: ")
     ctx.stages_completed.append("select")
@@ -210,7 +205,7 @@ def load_selections(ctx: RunContext) -> Selections:
         adir = ctx.run_dir / attack_slug(attack)
         selections = {}
         for tau in ctx.cfg.thresholds:
-            path = adir / f"selection-{_tau_tag(tau)}.json"
+            path = adir / f"selection-{tau_tag(tau)}.json"
             if not path.exists():
                 raise PipelineError(f"{path} missing; run `select` first")
             with open(path, encoding="utf-8") as fh:
@@ -240,14 +235,15 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
     """
     table, per_attack = cleaned
     reports = []
-    with _Timer(ctx, "train_eval"), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _Timer(ctx, "train_eval"):
         for attack in ctx.cfg.attacks:
-            reports.extend(_train_eval_attack(ctx, attack, table, *per_attack[attack],
-                                              selections[attack]))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reports.extend(_train_eval_attack(ctx, attack, table, *per_attack[attack],
+                                                  selections[attack]))
+            _collect_warnings(ctx, caught, f"{attack}: ")
         write_metrics_csv(reports, _fresh(ctx.run_dir / "metrics.csv"))
         write_metrics_json(reports, _fresh(ctx.run_dir / "metrics.json"))
-        _collect_warnings(ctx, caught)
     ctx.stages_completed.append("train_eval")
     return reports
 
@@ -269,7 +265,7 @@ def _train_eval_attack(ctx: RunContext, attack: str, table: Table, rows, labels,
         if not sel.features:
             ctx.skipped.append({"attack": attack, "threshold": tau,
                                 "reason": "empty selection"})
-            ctx.warn(f"{attack}: threshold {_tau_tag(tau)} selects no features; skipped")
+            ctx.warn(f"{attack}: threshold {tau_tag(tau)} selects no features; skipped")
             continue
         names = tuple(n for _, n, _ in sorted(sel.features, key=lambda f: f[0]))
         groups.setdefault(names, []).append(tau)
@@ -280,7 +276,7 @@ def _train_eval_attack(ctx: RunContext, attack: str, table: Table, rows, labels,
     for names, taus in groups.items():
         train_t = subtable(table, rows[result.train_rows], labels[result.train_rows], names)
         test_t = subtable(table, rows[result.test_rows], labels[result.test_rows], names)
-        tag0 = _tau_tag(taus[0])
+        tag0 = tau_tag(taus[0])
         for clf in CLASSIFIER_ORDER:
             params = cfg.classifiers.params(clf)
             model = _TRAINERS[clf](train_t, params)

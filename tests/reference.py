@@ -83,6 +83,18 @@ def anova_ref(groups):
     return ssw, ssb, sst, f
 
 
+def bins_ref(column, k):
+    """Equal-width bins of one column in Python floats: the k-1 interior
+    edges lo + i*(hi-lo)/k, and for each value the count of edges <= it.
+    A constant column has no edges and every value in bin 0."""
+    values = [float(v) for v in column]
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return [], [0] * len(values)
+    edges = [lo + (i * (hi - lo)) / k for i in range(1, k)]
+    return edges, [sum(1 for e in edges if e <= v) for v in values]
+
+
 def relief_ref(X, y, binned, sample, m):
     """Literal relief updates: exhaustive neighbor scan, one +-D/m step at a time."""
     n = len(X)

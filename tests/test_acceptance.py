@@ -18,7 +18,7 @@ from flowsieve.classify import (ForestParams, LogisticParams, NaiveBayesParams,
                                 train_forest, train_logistic,
                                 train_naive_bayes, train_svm, train_tree)
 from flowsieve.config import SamplingConfig, parse_config
-from flowsieve.discretize import apply_bins, equal_width_bins, table_bin_edges
+from flowsieve.discretize import bin_matrix, table_bin_edges
 from flowsieve.evaluation import ConfusionMatrix, evaluate, metrics
 from flowsieve.feature_selection import (_anova, _count_scores, _group_stats,
                                          aggregate_mean, normalize_scores,
@@ -101,9 +101,8 @@ def test_criterion_05_relief_oracle():
     X = rng.random((200, 3))
     t = make_table({"ident": y.copy(), "const": np.full(200, 0.25),
                     "r0": X[:, 0], "r1": X[:, 1], "r2": X[:, 2]}, y)
-    binned = np.column_stack(
-        [apply_bins(t.column(n), equal_width_bins(t.column(n), 10)) if n != "const"
-         else np.zeros(200, dtype=int) for n in t.feature_names])
+    with pytest.warns(UserWarning, match="'const' is constant, left unbinned"):
+        binned = bin_matrix(t, table_bin_edges(t, 10))
     got = relief_weights(t, m=200, seed=5, binned=binned)
     want = ref.relief_ref(t.feature_matrix().tolist(), y.tolist(),
                           binned.tolist(), range(200), 200)
@@ -304,8 +303,8 @@ def test_criterion_12_full_scale_reproduction():
         assert abs(len(r.train_rows) - REFERENCE_TRAIN_ROWS[attack]) <= 2, attack
         assert abs(len(r.test_rows) - REFERENCE_TEST_ROWS[attack]) <= 2, attack
 
-    bins = table_bin_edges(ftp, 10)
-    sm = aggregate_mean(normalize_scores(score_all(ftp, bins, relief_m=5000, seed=0)))
+    edges = table_bin_edges(ftp, 10)
+    sm = aggregate_mean(normalize_scores(score_all(ftp, edges, relief_m=5000, seed=0)))
     sel = select_by_threshold(sm, 0.35)
     assert sel.features, "tau=0.35 selected nothing on FTP"
     names = tuple(n for _, n, _ in sorted(sel.features, key=lambda f: f[0]))

@@ -50,6 +50,15 @@ def test_threshold_validation(tmp_path):
         parse_config(base_doc(tmp_path, thresholds=[0.0, 0.5]))
 
 
+def test_thresholds_with_one_file_tag_fail_at_load(tmp_path):
+    # both name their selection file selection-0.4.json: the second would
+    # fail mid-run, after the first attack's relief
+    doc = base_doc(tmp_path, thresholds=[0.3, 0.4000001, 0.4000002])
+    with pytest.raises(ConfigError, match=r"^thresholds\[2\] 0\.4000002 has the file tag "
+                                          r"'0\.4' of thresholds\[1\] 0\.4000001$"):
+        parse_config(doc)
+
+
 def test_required_keys_and_paths(tmp_path):
     doc = base_doc(tmp_path)
     del doc["benign_label"]

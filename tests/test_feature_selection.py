@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from flowsieve.discretize import (apply_bins, bin_matrix, equal_width_bins,
-                                  table_bin_edges)
+from flowsieve.discretize import bin_matrix, table_bin_edges
 from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          ScoringError, ThresholdSelection,
                                          _anova, _count_scores, _count_tensor,
@@ -18,7 +17,7 @@ from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          aggregate_mean, normalize_scores,
                                          relief_weights, score_all,
                                          select_by_threshold, write_scores_csv)
-from flowsieve.tabular import ConstantColumnError, subtable
+from flowsieve.tabular import subtable
 
 from helpers import make_table, random_table
 
@@ -230,8 +229,7 @@ def test_relief_matches_exhaustive_reference():
     t = random_table(rng, 80, 4)
     X = t.feature_matrix()
     y = t.labels()
-    binned = np.column_stack([apply_bins(t.column(n), equal_width_bins(t.column(n), 10))
-                              for n in t.feature_names])
+    binned = bin_table(t)
     got = relief_weights(t, m=80, seed=3, binned=binned)
     want = ref.relief_ref(X.tolist(), y.tolist(), binned.tolist(), range(80), 80)
     assert np.allclose(got, want, atol=1e-12)
@@ -258,15 +256,9 @@ def quantized_table(grid_cells, labels):
 
 def relief_vs_oracle(t, m, seed):
     """relief_weights and the exhaustive reference on the same seeded draw."""
-    bins = {}
-    for name in t.feature_names:
-        try:
-            bins[name] = equal_width_bins(t.column(name), 10, feature=name)
-        except ConstantColumnError:
-            pass
-    binned = np.column_stack(
-        [apply_bins(t.column(n), bins[n]) if n in bins else np.zeros(t.row_count, dtype=int)
-         for n in t.feature_names])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant columns stay unbinned
+        binned = bin_table(t)
     sample = np.random.default_rng(seed).choice(t.row_count, size=m, replace=False)
     want = ref.relief_ref(t.feature_matrix().tolist(), t.labels().tolist(),
                           binned.tolist(), sample.tolist(), m)
@@ -341,8 +333,8 @@ def planted_table(seed=0, n=200):
 
 def test_score_all_orders_informative_above_noise():
     t = planted_table()
-    bins = table_bin_edges(t, 10)
-    sm = score_all(t, bins, relief_m=t.row_count, seed=0)
+    edges = table_bin_edges(t, 10)
+    sm = score_all(t, edges, relief_m=t.row_count, seed=0)
     names = list(sm.feature_names)
     inf_i, noise_i = names.index("informative"), names.index("noise")
     for k in range(sm.raw.shape[1]):
@@ -376,15 +368,13 @@ def f_ratio(sizes, means, variances, grand, square=lambda d: d ** 2):
     return (ssb / (k - 1)) / (ssw / (n - k))
 
 
-def loop_scores(t, bins, name):
-    """The five non-relief scores of one feature from 1-D NumPy sums and
-    Python floats, the way a per-feature loop adds them up: the reference
-    for the summation orders of the batched scores."""
-    col, y = t.column(name), t.labels()
-    binned = apply_bins(col, bins[name]) if name in bins else np.zeros(len(col), dtype=int)
+def loop_scores(col, binned, y):
+    """The five non-relief scores of one feature, from its values and bins,
+    by 1-D NumPy sums and Python floats, the way a per-feature loop adds
+    them up: the reference for the summation orders of the batched scores."""
     classes = np.unique(y)
     counts = np.array([[np.sum((binned == b) & (y == c)) for c in classes]
-                       for b in range(binned.max() + 1)])
+                       for b in range(int(binned.max()) + 1)])
 
     def h(v):
         v = np.asarray(v, dtype=float)
@@ -412,10 +402,11 @@ def loop_scores(t, bins, name):
 def assert_score_all_matches_loop_scores(t, bin_count):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # constant columns stay unbinned
-        bins = table_bin_edges(t, bin_count)
-        sm = score_all(t, bins, relief_m=min(t.row_count, 20), seed=0)
+        edges = table_bin_edges(t, bin_count)
+        sm = score_all(t, edges, relief_m=min(t.row_count, 20), seed=0)
+    binned = bin_matrix(t, edges)
     for j, name in enumerate(t.feature_names):
-        for method, want in loop_scores(t, bins, name).items():
+        for method, want in loop_scores(t.column(name), binned[:, j], t.labels()).items():
             got = sm.raw[j, METHODS.index(method)]
             # bit for bit: equal values and equal signs of zero
             assert got == want and math.copysign(1, got) == math.copysign(1, want), \
@@ -434,15 +425,17 @@ def test_anova_squares_with_libm_pow():
     assert _anova(*stats)[0] == f_ratio(*floats)
 
 
-def test_score_all_equals_loop_scores_bit_for_bit():
+# 256 bins reach 255, the top uint8 bin; 257 need uint16
+@pytest.mark.parametrize("bin_count", [10, 256, 257])
+def test_score_all_equals_loop_scores_bit_for_bit(bin_count):
     grid = np.linspace(0.0, 1.0, 40)
     nine = np.where((grid >= 0.5) & (grid < 0.6), 0.0, grid)  # bin 5 of 10 left empty
     t = make_table({"const": np.full(40, 0.25),
                     "ends": np.tile([0.0, 1.0], 20),  # bins 1-8 of 10 empty
                     "ten_bins": grid, "nine_bins": nine, "pow": POW_COLUMN,
                     "noise": np.random.default_rng(3).random(40)}, POW_LABELS)
-    assert len(np.unique(apply_bins(nine, equal_width_bins(nine, 10)))) == 9
-    assert_score_all_matches_loop_scores(t, 10)
+    assert len(np.unique(bin_table(make_table({"nine": nine}, POW_LABELS)))) == 9
+    assert_score_all_matches_loop_scores(t, bin_count)
 
 
 def test_score_all_gain_ratio_warning_names_the_feature():
@@ -450,9 +443,9 @@ def test_score_all_gain_ratio_warning_names_the_feature():
     t = make_table({"informative": t.column("informative"),
                     "const": np.full(t.row_count, 0.5)}, t.labels())
     with pytest.warns(UserWarning, match="column 'const' is constant, left unbinned"):
-        bins = table_bin_edges(t, 10)
+        edges = table_bin_edges(t, 10)
     with pytest.warns(UserWarning, match="gain ratio of single-valued feature 'const'"):
-        score_all(t, bins, relief_m=20, seed=0)
+        score_all(t, edges, relief_m=20, seed=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -515,12 +508,12 @@ def test_score_all_matches_oracles_property(data):
     t = make_table({f"f{j}": X[:, j] for j in range(d)}, labels)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # constant columns
-        bins = table_bin_edges(t, k)
-        raw = score_all(t, bins, relief_m=min(n, 8), seed=0).raw
-    binned = bin_matrix(t, bins)
+        edges = table_bin_edges(t, k)
+        raw = score_all(t, edges, relief_m=min(n, 8), seed=0).raw
+    binned = bin_matrix(t, edges)
     y = np.array(labels)
     for j in range(d):
-        joint = [[0, 0] for _ in range(binned[:, j].max() + 1)]
+        joint = [[0, 0] for _ in range(int(binned[:, j].max()) + 1)]
         for b, c in zip(binned[:, j].tolist(), labels):
             joint[b][c] += 1
         got = dict(zip(METHODS, raw[j].tolist()))

@@ -350,13 +350,14 @@ def test_forest_features_per_split_above_a_subset_is_capped(tmp_path):
     manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
     assert manifest["error"] is None
     assert manifest["stages_completed"] == ["preprocess", "select", "train_eval"]
-    rows = (ctx.run_dir / "metrics.csv").read_text().splitlines()[1:]
-    small = [r for r in rows if r.split(",")[2] in ("1", "2")
-             and r.split(",")[3] == "random_forest"]
-    assert small  # some subsets have fewer features than features_per_split
+    rows = [r.split(",") for r in (ctx.run_dir / "metrics.csv").read_text().splitlines()[1:]]
+    # (attack, feature count) of the forests on fewer features than features_per_split
+    small = {(r[0], int(r[2])) for r in rows if r[2] in ("1", "2") and r[3] == "random_forest"}
+    assert {attack for attack, _ in small} == {"AttackA", "AttackB"}
     capped = {w for w in manifest["warnings"] if "features_per_split=3 exceeds" in w}
-    assert capped == {f"features_per_split=3 exceeds feature count {n}; capped at {n}"
-                      for n in {int(r.split(",")[2]) for r in small}}
+    # each attack's warnings name it
+    assert capped == {f"{attack}: features_per_split=3 exceeds feature count {n}; capped at {n}"
+                      for attack, n in small}
 
 
 def test_run_and_staged_commands_write_identical_files(cfg):
