@@ -1,5 +1,9 @@
-"""Six filter scorers, per-method score normalization, mean aggregation, and
-threshold selection.
+"""Six filter scorers, per-method score normalization, and threshold
+selection.
+
+Scores are plain arrays: `score_all` gives a (features, methods) raw matrix,
+`normalize_scores` the normalized one, and a feature's mean score is its row
+mean; a selection is the JSON document `select_by_threshold` returns.
 
 Contingency-table scorers (information gain, gain ratio, symmetric
 uncertainty, chi-squared) work on binned feature values versus the class; the
@@ -10,7 +14,6 @@ nearest-neighbor search. Entropies are in bits.
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,6 +115,7 @@ def _group_stats(blocks):
         block *= block
         stats.append((n, total, mean,
                       block.sum(axis=1) / (n - 1) if n > 1 else np.zeros(len(block))))
+        del block  # before the next group's block is copied
     sizes, sums, means, variances = zip(*stats)
     grand = _ordered_sums(np.column_stack(sums)) / sum(sizes)
     return sizes, np.column_stack(means), np.column_stack(variances), grand
@@ -204,24 +208,10 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     return delta / m
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Per-feature scores for the six methods, raw and (later) normalized."""
-
-    feature_names: tuple[str, ...]
-    raw: np.ndarray
-    normalized: np.ndarray | None = None
-    mean_score: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.raw.shape != (len(self.feature_names), len(METHODS)):
-            raise ScoringError(f"raw score matrix must be (n_features, {len(METHODS)})")
-
-
 def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
-              seed: int = 0) -> ScoreMatrix:
-    """Raw scores for every non-label feature of a cleaned, normalized,
-    binarized table.
+              seed: int = 0) -> np.ndarray:
+    """Raw scores of every non-label feature of a cleaned, normalized,
+    binarized table: a (features, methods) matrix, methods in METHODS order.
 
     Relief samples min(rows, relief_m) rows, relief_m defaulting to 5000;
     a relief_m above the row count is capped with a warning. The table is
@@ -263,18 +253,19 @@ def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
     scores["anova_f"] = _anova(*_group_stats(
         by_feature.compress(class_idx == c, axis=1) for c in range(len(classes))))
     scores["relief"] = relief
-    return ScoreMatrix(names, np.column_stack([scores[k] for k in METHODS]))
+    return np.column_stack([scores[k] for k in METHODS])
 
 
-def normalize_scores(sm: ScoreMatrix) -> ScoreMatrix:
-    """Min-max rescale each method column to [0, 1] across features.
+def normalize_scores(raw: np.ndarray) -> np.ndarray:
+    """Each method column of a (features, methods) raw score matrix min-max
+    rescaled to [0, 1] across features.
 
     +inf sentinels count as the column maximum; a constant column maps to
     all zeros (the method expresses no preference).
     """
-    norm = np.empty_like(sm.raw)
+    norm = np.empty_like(raw)
     for k, method in enumerate(METHODS):
-        col = sm.raw[:, k].copy()
+        col = raw[:, k].copy()
         infinite = np.isinf(col)
         if infinite.any():
             finite = col[~infinite]
@@ -287,57 +278,29 @@ def normalize_scores(sm: ScoreMatrix) -> ScoreMatrix:
             norm[:, k] = 0.0
         else:
             norm[:, k] = (col - lo) / (hi - lo)
-    return replace(sm, normalized=norm, mean_score=None)
+    return norm
 
 
-def aggregate_mean(sm: ScoreMatrix) -> ScoreMatrix:
-    """Arithmetic mean of the six normalized method scores per feature."""
-    if sm.normalized is None:
-        raise ScoringError("normalize_scores must run before aggregation")
-    return replace(sm, mean_score=sm.normalized.mean(axis=1))
-
-
-@dataclass(frozen=True)
-class ThresholdSelection:
-    """Features whose mean score reaches the threshold, best first."""
-
-    threshold: float
-    features: tuple[tuple[int, str, float], ...]
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _, _ in self.features)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for _, n, _ in self.features)
-
-    def to_json(self) -> dict:
-        return {"threshold": self.threshold,
-                "features": [{"index": i, "name": n, "mean_score": s}
-                             for i, n, s in self.features]}
-
-
-def select_by_threshold(sm: ScoreMatrix, threshold: float) -> ThresholdSelection:
-    """Features with mean_score >= threshold, sorted by score descending,
-    ties by ascending feature index."""
-    if sm.mean_score is None:
-        raise ScoringError("aggregate_mean must run before selection")
-    picked = [(i, sm.feature_names[i], float(sm.mean_score[i]))
-              for i in range(len(sm.feature_names)) if sm.mean_score[i] >= threshold]
-    picked.sort(key=lambda item: (-item[2], item[0]))
-    if not picked:
+def select_by_threshold(names, mean: np.ndarray, threshold: float) -> dict:
+    """The selection document of the features whose mean normalized score
+    reaches the threshold, sorted by score descending, ties by ascending
+    feature index."""
+    picked = np.flatnonzero(mean >= threshold)
+    picked = picked[np.argsort(-mean[picked], kind="stable")]
+    if not picked.size:
         warnings.warn(f"no feature reaches threshold {threshold:g}", stacklevel=2)
-    return ThresholdSelection(threshold, tuple(picked))
+    return {"threshold": threshold,
+            "features": [{"index": int(i), "name": names[i], "mean_score": float(mean[i])}
+                         for i in picked]}
 
 
-def write_scores_csv(sm: ScoreMatrix, path) -> None:
+def write_scores_csv(names, normalized: np.ndarray, mean: np.ndarray, path) -> None:
     """Normalized scores plus the mean, 6 decimal places, feature-index order."""
-    if sm.normalized is None or sm.mean_score is None:
-        raise ScoringError("scores must be normalized and aggregated before writing")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_CSV_HEADER)
-        for i, name in enumerate(sm.feature_names):
+        for i, name in enumerate(names):
             row = [str(i), name]
-            row += [f"{sm.normalized[i, k]:.6f}" for k in range(len(METHODS))]
-            row.append(f"{sm.mean_score[i]:.6f}")
+            row += [f"{normalized[i, k]:.6f}" for k in range(len(METHODS))]
+            row.append(f"{mean[i]:.6f}")
             writer.writerow(row)

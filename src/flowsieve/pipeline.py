@@ -7,10 +7,14 @@ config hash and continue it. `preprocess` cleans the merged inputs with
 `tabular.clean_table` and stores the cleaned table once, as its arrays
 (`cleaned.npz`: feature matrix `X`, label vector `y`) plus its columns and
 categories in `preprocess.json`; `select` and `train-eval` rebuild it from
-them without parsing text, and find each attack's rows in it again. The run
-manifest (written last) inventories every file the run produced; every
-command rewrites it, carrying over the stage history of the commands before
-it, and records partial progress and the error when a stage fails.
+them without parsing text, and find each attack's rows in it again. `select`
+writes each attack's scores and one `selection-*.json` per threshold, which
+`train-eval` reads back. The stages hand off through these files alone: `run`
+runs the three stages in one process, each reading what the one before
+wrote, as the staged commands do. The run manifest (written last)
+inventories every file the run produced; every command rewrites it, carrying
+over the stage history of the commands before it, and records partial
+progress and the error when a stage fails.
 """
 
 import dataclasses
@@ -30,9 +34,9 @@ from .classify import (save_model, train_forest, train_logistic,
 from .config import CLASSIFIER_ORDER, PipelineConfig, attack_slug, config_hash, tau_tag
 from .discretize import bins_document, table_bin_edges
 from .evaluation import evaluate, write_metrics_csv, write_metrics_json
-from .feature_selection import (ThresholdSelection, aggregate_mean, normalize_scores,
-                                score_all, select_by_threshold, write_scores_csv)
-from .sampling import split_manifest, split_table
+from .feature_selection import (normalize_scores, score_all, select_by_threshold,
+                                write_scores_csv)
+from .sampling import SamplingError, split_manifest, split_table
 from .tabular import (CategoryMapping, ColumnKind, Table, clean_table, load_csv_merged,
                       split_by_attack, subtable)
 
@@ -44,7 +48,8 @@ class PipelineError(RuntimeError):
 # The cleaned table (original label codes) and each attack's rows and 0/1
 # labels (`split_by_attack`): the stages build one attack's tables at a time.
 Cleaned = tuple[Table, dict[str, tuple]]
-Selections = dict[str, dict[float, ThresholdSelection]]
+# Each attack's selected feature names per threshold, in feature-index order.
+Selections = dict[str, dict[float, tuple[str, ...]]]
 
 
 @dataclass
@@ -65,7 +70,13 @@ class RunContext:
         return d
 
 
-def _collect_warnings(ctx: RunContext, caught, prefix: str = "") -> None:
+@contextmanager
+def _recording(ctx: RunContext, prefix: str):
+    """Record the warnings raised in the block, in order, as run warnings
+    led by `prefix`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
     for w in caught:
         ctx.warn(f"{prefix}{w.message}")
 
@@ -124,17 +135,24 @@ class _Timer:
         return False
 
 
-def stage_preprocess(ctx: RunContext) -> Cleaned:
-    """Load and merge the inputs, clean and normalize them, write the cleaned
-    table's arrays once, and find each attack's rows in it."""
+def stage_preprocess(ctx: RunContext) -> None:
+    """Load and merge the inputs, clean and normalize them, check that each
+    attack's rows can be split for training, and write the cleaned table's
+    arrays once."""
     cfg = ctx.cfg
-    with _Timer(ctx, "preprocess"), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _Timer(ctx, "preprocess"), _recording(ctx, ""):
         table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column)
         raw_shape = (table.row_count, table.column_count)
         table, rep = clean_table(table, cfg.excluded_columns)
         report = report.merged(rep)
         per_attack = split_by_attack(table, mapping, cfg.attacks, cfg.benign_label)
+        # train-eval draws the same split again; drawing it here fails a
+        # dataset too small to train on before scoring starts, naming it
+        for attack, (_, labels) in per_attack.items():
+            try:
+                split_table(labels, cfg.sampling.spec(attack, cfg.seed))
+            except SamplingError as exc:
+                raise SamplingError(f"{attack}: {exc}") from None
 
         _write_json(_fresh(ctx.run_dir / "cleaning_report.json"), report.to_json())
         prep = {
@@ -149,14 +167,12 @@ def stage_preprocess(ctx: RunContext) -> Cleaned:
         }
         _write_json(_fresh(ctx.run_dir / "preprocess.json"), prep)
         np.savez(_fresh(ctx.run_dir / "cleaned.npz"), X=table.X, y=table.y)
-        _collect_warnings(ctx, caught)
     ctx.stages_completed.append("preprocess")
-    return table, per_attack
 
 
 def load_preprocessed(ctx: RunContext) -> Cleaned:
-    """What `stage_preprocess` returned, from the run's cleaned arrays and the
-    columns and categories it recorded."""
+    """The cleaned table and each attack's rows and 0/1 labels in it, rebuilt
+    from the arrays, columns and categories `stage_preprocess` wrote."""
     path = ctx.run_dir / "cleaned.npz"
     if not path.exists():
         raise PipelineError(f"{path} missing; run `preprocess` first")
@@ -172,48 +188,43 @@ def load_preprocessed(ctx: RunContext) -> Cleaned:
         return table, split_by_attack(table, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
 
 
-def stage_select(ctx: RunContext, cleaned: Cleaned) -> Selections:
-    """Score every feature with the six methods and select per threshold."""
+def stage_select(ctx: RunContext, cleaned: Cleaned) -> None:
+    """Score every feature with the six methods, rank the features by their
+    mean normalized score, and write one selection per threshold."""
     cfg = ctx.cfg
     table, per_attack = cleaned
-    out: Selections = {}
+    names = table.feature_names
     with _Timer(ctx, "select"):
         for attack in cfg.attacks:
-            t = subtable(table, *per_attack[attack], table.feature_names)
+            t = subtable(table, *per_attack[attack], names)
             adir = ctx.attack_dir(attack)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with _recording(ctx, f"{attack}: "):
                 edges = table_bin_edges(t, cfg.bin_count)
-                sm = score_all(t, edges, relief_m=cfg.relief_m, seed=cfg.seed)
+                raw = score_all(t, edges, relief_m=cfg.relief_m, seed=cfg.seed)
                 del t  # before the next attack's table is built
-                sm = aggregate_mean(normalize_scores(sm))
-                _write_json(_fresh(adir / "bins.json"), bins_document(sm.feature_names, edges))
-                write_scores_csv(sm, _fresh(adir / "feature_scores.csv"))
-                out[attack] = {}
+                normalized = normalize_scores(raw)
+                mean = normalized.mean(axis=1)
+                _write_json(_fresh(adir / "bins.json"), bins_document(names, edges))
+                write_scores_csv(names, normalized, mean, _fresh(adir / "feature_scores.csv"))
                 for tau in cfg.thresholds:
-                    sel = select_by_threshold(sm, tau)
-                    _write_json(_fresh(adir / f"selection-{tau_tag(tau)}.json"), sel.to_json())
-                    out[attack][tau] = sel
-            _collect_warnings(ctx, caught, f"{attack}: ")
+                    _write_json(_fresh(adir / f"selection-{tau_tag(tau)}.json"),
+                                select_by_threshold(names, mean, tau))
     ctx.stages_completed.append("select")
-    return out
 
 
 def load_selections(ctx: RunContext) -> Selections:
+    """The selections of the run's `selection-*.json` files."""
     out = {}
     for attack in ctx.cfg.attacks:
         adir = ctx.run_dir / attack_slug(attack)
-        selections = {}
+        out[attack] = {}
         for tau in ctx.cfg.thresholds:
             path = adir / f"selection-{tau_tag(tau)}.json"
             if not path.exists():
                 raise PipelineError(f"{path} missing; run `select` first")
             with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            selections[tau] = ThresholdSelection(
-                doc["threshold"],
-                tuple((f["index"], f["name"], f["mean_score"]) for f in doc["features"]))
-        out[attack] = selections
+                features = sorted(json.load(fh)["features"], key=lambda f: f["index"])
+            out[attack][tau] = tuple(f["name"] for f in features)
     return out
 
 
@@ -237,11 +248,9 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
     reports = []
     with _Timer(ctx, "train_eval"):
         for attack in ctx.cfg.attacks:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with _recording(ctx, f"{attack}: "):
                 reports.extend(_train_eval_attack(ctx, attack, table, *per_attack[attack],
                                                   selections[attack]))
-            _collect_warnings(ctx, caught, f"{attack}: ")
         write_metrics_csv(reports, _fresh(ctx.run_dir / "metrics.csv"))
         write_metrics_json(reports, _fresh(ctx.run_dir / "metrics.json"))
     ctx.stages_completed.append("train_eval")
@@ -249,7 +258,7 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
 
 
 def _train_eval_attack(ctx: RunContext, attack: str, table: Table, rows, labels,
-                       selections: dict[float, ThresholdSelection]) -> list:
+                       selections: dict[float, tuple[str, ...]]) -> list:
     cfg = ctx.cfg
     adir = ctx.attack_dir(attack)
     spec = cfg.sampling.spec(attack, cfg.seed)
@@ -261,14 +270,12 @@ def _train_eval_attack(ctx: RunContext, attack: str, table: Table, rows, labels,
     # group thresholds whose selections coincide: one model per subset
     groups: dict[tuple[str, ...], list[float]] = {}
     for tau in cfg.thresholds:
-        sel = selections[tau]
-        if not sel.features:
+        if not selections[tau]:
             ctx.skipped.append({"attack": attack, "threshold": tau,
                                 "reason": "empty selection"})
             ctx.warn(f"{attack}: threshold {tau_tag(tau)} selects no features; skipped")
             continue
-        names = tuple(n for _, n, _ in sorted(sel.features, key=lambda f: f[0]))
-        groups.setdefault(names, []).append(tau)
+        groups.setdefault(selections[tau], []).append(tau)
 
     models_dir = adir / "models"
     models_dir.mkdir(exist_ok=True)
@@ -360,9 +367,12 @@ def cmd_train_eval(cfg: PipelineConfig) -> RunContext:
 
 
 def cmd_run(cfg: PipelineConfig) -> RunContext:
-    """All three stages into one fresh run directory."""
+    """The three stages one after another into one fresh run directory, each
+    reading what the one before wrote, as the staged commands do."""
     ctx = RunContext(cfg, new_run_dir(cfg))
     with _manifest_on_exit(ctx):
-        cleaned = stage_preprocess(ctx)
-        stage_train_eval(ctx, cleaned, stage_select(ctx, cleaned))
+        stage_preprocess(ctx)
+        cleaned = load_preprocessed(ctx)
+        stage_select(ctx, cleaned)
+        stage_train_eval(ctx, cleaned, load_selections(ctx))
     return ctx

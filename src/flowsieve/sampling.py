@@ -3,10 +3,11 @@
 Two schemes: a plain per-class fraction split, and a minority-protecting
 variant where the (scarce) attack class is divided 70/30 and only the benign
 class is fraction-sampled. Per-class draw sizes round down, so a draw never
-exceeds the class size. A split is drawn from a dataset's 0/1 label vector
-and gives sorted row indices. The PRNG is NumPy's default (PCG64) seeded from
-the spec: the same (labels, spec) always reproduces the same split within
-this implementation.
+exceeds the class size; a class's train draw must hold at least 2 rows, or
+some classifier cannot train on it. A split is drawn from a dataset's 0/1
+label vector and gives sorted row indices. The PRNG is NumPy's default
+(PCG64) seeded from the spec: the same (labels, spec) always reproduces the
+same split within this implementation.
 """
 
 import math
@@ -81,7 +82,13 @@ def _fraction_draw(rng, rows, spec: SplitSpec, what: str):
 
 
 def _build(draws: dict[int, tuple]) -> SplitResult:
-    """The split of each class's (train rows, test rows) draw."""
+    """The split of each class's (train rows, test rows) draw. A train draw
+    of fewer than 2 rows is refused: a classifier such as naive Bayes needs
+    2 rows of a class to estimate its variance."""
+    for cls, (train, _) in draws.items():
+        if len(train) < 2:
+            raise SamplingError(f"class {cls} train draw has {len(train)} row; "
+                                "training needs at least 2 rows of each class")
     train, test = (np.sort(np.concatenate(parts)) for parts in zip(*draws.values()))
     counts = ({cls: len(draws[cls][k]) if cls in draws else 0 for cls in (0, 1)} for k in (0, 1))
     return SplitResult(train, test, *counts)

@@ -31,10 +31,6 @@ class TableError(ValueError):
     """Malformed input data or an illegal table operation."""
 
 
-class ConstantColumnError(TableError):
-    """Operation cannot proceed on a single-valued column."""
-
-
 class ColumnKind(enum.Enum):
     NUMERIC = "numeric"
     CATEGORICAL = "categorical"
@@ -149,18 +145,6 @@ class CategoryMapping:
             raise TableError(f"value {value!r} not a known category of column {column!r}") from None
         except KeyError:
             raise TableError(f"column {column!r} has no category mapping") from None
-
-    def decode(self, column: str, code: float) -> str:
-        cats = self.categories.get(column)
-        if cats is None:
-            raise TableError(f"column {column!r} has no category mapping")
-        i = int(code)
-        if i != code or not 0 <= i < len(cats):
-            raise TableError(f"code {code!r} out of range for column {column!r}")
-        return cats[i]
-
-    def decode_column(self, column: str, codes) -> list[str]:
-        return [self.decode(column, c) for c in np.asarray(codes)]
 
     def to_json(self) -> dict:
         return {name: list(cats) for name, cats in self.categories.items()}
@@ -312,9 +296,9 @@ def drop_invalid_rows(t: Table) -> tuple[Table, CleaningReport]:
     return t.take_rows(np.flatnonzero(_valid_rows(t.X, numeric, report))), report
 
 
-def _normalize_in_place(X: np.ndarray, numeric: np.ndarray, names) -> None:
-    """Rescale the `numeric` columns of `X` to [0, 1]; `names` name the
-    columns in the error raised for a non-finite or single-valued one."""
+def _normalize_in_place(X: np.ndarray, numeric: np.ndarray) -> None:
+    """Rescale the `numeric` columns of `X`, each finite and not
+    single-valued, to [0, 1] by (x - min) / (max - min)."""
     if not (len(X) and numeric.any()):
         return
     # other columns go through as (x - 0) / 1, which leaves every value as it is
@@ -324,21 +308,8 @@ def _normalize_in_place(X: np.ndarray, numeric: np.ndarray, names) -> None:
     # cells; take a zero minimum from the column alone, as a column pass does
     for j in np.flatnonzero(numeric & (lo == 0.0)):
         lo[j] = np.ascontiguousarray(X[:, j]).min()
-    for j in np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi != lo))):
-        name = names[j]  # the first bad column raises
-        if not (np.isfinite(lo[j]) and np.isfinite(hi[j])):
-            raise TableError(f"column {name!r} has non-finite cells; clean rows first")
-        raise ConstantColumnError(f"column {name!r} is single-valued; drop it before normalizing")
     X -= lo
     X /= hi - lo
-
-
-def minmax_normalize(t: Table) -> Table:
-    """Rescale every numeric non-label column to [0, 1] by (x - min) / (max - min)."""
-    X = t.X.copy()
-    _normalize_in_place(X, np.array([k is ColumnKind.NUMERIC for k in t.feature_kinds],
-                                    dtype=bool), t.feature_names)
-    return Table(t.column_names, t.column_kinds, X, t.y)
 
 
 def clean_table(t: Table, excluded) -> tuple[Table, CleaningReport]:
@@ -380,7 +351,7 @@ def clean_table(t: Table, excluded) -> tuple[Table, CleaningReport]:
 
     keep = np.flatnonzero(cols)
     X = t.X[np.ix_(np.flatnonzero(rows), keep)]
-    _normalize_in_place(X, numeric[keep], [t.feature_names[j] for j in keep])
+    _normalize_in_place(X, numeric[keep])
     out = [i for i, kept in enumerate(np.insert(cols, t.label_index, True)) if kept]
     return Table(tuple(t.column_names[i] for i in out), tuple(t.column_kinds[i] for i in out),
                  X, t.y[rows]), report

@@ -21,13 +21,12 @@ from flowsieve.config import SamplingConfig, parse_config
 from flowsieve.discretize import bin_matrix, table_bin_edges
 from flowsieve.evaluation import ConfusionMatrix, evaluate, metrics
 from flowsieve.feature_selection import (_anova, _count_scores, _group_stats,
-                                         aggregate_mean, normalize_scores,
-                                         relief_weights, score_all,
-                                         select_by_threshold)
+                                         normalize_scores, relief_weights,
+                                         score_all, select_by_threshold)
 from flowsieve.pipeline import cmd_run
 from flowsieve.sampling import SplitSpec, split_table
 from flowsieve.tabular import (clean_table, load_csv, load_csv_merged,
-                               minmax_normalize, split_by_attack, subtable)
+                               split_by_attack, subtable)
 
 from helpers import blobs_2d, make_table, random_table
 
@@ -117,13 +116,13 @@ def test_criterion_06_minmax_normalization():
     rng = np.random.default_rng(66)
     for _ in range(20):
         n = int(rng.integers(3, 300))
-        t = make_table({"a": rng.normal(size=n) * rng.uniform(0.1, 100),
+        t = make_table({"a": rng.random(n) * rng.uniform(0.1, 100),
                         "b": rng.random(n) + 5}, (rng.random(n) < 0.5).astype(float))
-        once = minmax_normalize(t)
+        once, _ = clean_table(t, [])
         for name in ("a", "b"):
             col = once.column(name)
             assert col.min() == 0.0 and col.max() == 1.0
-        twice = minmax_normalize(once)
+        twice, _ = clean_table(once, [])
         for name in ("a", "b"):
             assert np.array_equal(once.column(name), twice.column(name))
     _report(6, "normalized columns attain exactly 0 and 1; second application "
@@ -304,10 +303,10 @@ def test_criterion_12_full_scale_reproduction():
         assert abs(len(r.test_rows) - REFERENCE_TEST_ROWS[attack]) <= 2, attack
 
     edges = table_bin_edges(ftp, 10)
-    sm = aggregate_mean(normalize_scores(score_all(ftp, edges, relief_m=5000, seed=0)))
-    sel = select_by_threshold(sm, 0.35)
-    assert sel.features, "tau=0.35 selected nothing on FTP"
-    names = tuple(n for _, n, _ in sorted(sel.features, key=lambda f: f[0]))
+    mean = normalize_scores(score_all(ftp, edges, relief_m=5000, seed=0)).mean(axis=1)
+    sel = select_by_threshold(ftp.feature_names, mean, 0.35)
+    assert sel["features"], "tau=0.35 selected nothing on FTP"
+    names = tuple(f["name"] for f in sorted(sel["features"], key=lambda f: f["index"]))
     r = split_table(ftp_labels, spec)
     train_t = subtable(ftp, r.train_rows, ftp_labels[r.train_rows], names)
     test_t = subtable(ftp, r.test_rows, ftp_labels[r.test_rows], names)

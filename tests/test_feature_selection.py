@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 import reference as ref
 from flowsieve.discretize import bin_matrix, table_bin_edges
 from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
-                                         ScoringError, ThresholdSelection,
-                                         _anova, _count_scores, _count_tensor,
-                                         _entropy_rows, _group_stats,
-                                         aggregate_mean, normalize_scores,
+                                         ScoringError, _anova, _count_scores,
+                                         _count_tensor, _entropy_rows,
+                                         _group_stats, normalize_scores,
                                          relief_weights, score_all,
                                          select_by_threshold, write_scores_csv)
 from flowsieve.tabular import subtable
@@ -334,25 +333,25 @@ def planted_table(seed=0, n=200):
 def test_score_all_orders_informative_above_noise():
     t = planted_table()
     edges = table_bin_edges(t, 10)
-    sm = score_all(t, edges, relief_m=t.row_count, seed=0)
-    names = list(sm.feature_names)
+    raw = score_all(t, edges, relief_m=t.row_count, seed=0)
+    names = list(t.feature_names)
     inf_i, noise_i = names.index("informative"), names.index("noise")
-    for k in range(sm.raw.shape[1]):
-        assert sm.raw[inf_i, k] > sm.raw[noise_i, k]
+    for k in range(raw.shape[1]):
+        assert raw[inf_i, k] > raw[noise_i, k]
 
 
 def test_score_all_single_feature():
     t = planted_table()
     t = subtable(t, np.arange(t.row_count), t.labels(), ["informative"])
-    sm = score_all(t, table_bin_edges(t, 10), relief_m=50, seed=0)
-    assert sm.raw.shape == (1, 6)
+    raw = score_all(t, table_bin_edges(t, 10), relief_m=50, seed=0)
+    assert raw.shape == (1, 6)
 
 
 def test_score_all_feature_count_excludes_label():
     rng = np.random.default_rng(8)
     t = random_table(rng, 50, 7)
-    sm = score_all(t, table_bin_edges(t, 5), relief_m=20, seed=0)
-    assert len(sm.feature_names) == 7
+    raw = score_all(t, table_bin_edges(t, 5), relief_m=20, seed=0)
+    assert raw.shape == (7, len(METHODS))
 
 
 def f_ratio(sizes, means, variances, grand, square=lambda d: d ** 2):
@@ -403,11 +402,11 @@ def assert_score_all_matches_loop_scores(t, bin_count):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # constant columns stay unbinned
         edges = table_bin_edges(t, bin_count)
-        sm = score_all(t, edges, relief_m=min(t.row_count, 20), seed=0)
+        raw = score_all(t, edges, relief_m=min(t.row_count, 20), seed=0)
     binned = bin_matrix(t, edges)
     for j, name in enumerate(t.feature_names):
         for method, want in loop_scores(t.column(name), binned[:, j], t.labels()).items():
-            got = sm.raw[j, METHODS.index(method)]
+            got = raw[j, METHODS.index(method)]
             # bit for bit: equal values and equal signs of zero
             assert got == want and math.copysign(1, got) == math.copysign(1, want), \
                 (name, method, got, want)
@@ -463,7 +462,7 @@ def test_scores_are_row_order_invariant(data):
     t = make_table({f"f{j}": X[:, j] for j in range(d)}, y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # constant columns
-        raw = [score_all(u, table_bin_edges(u, k), relief_m=min(n, 8), seed=0).raw
+        raw = [score_all(u, table_bin_edges(u, k), relief_m=min(n, 8), seed=0)
                for u in (t, t.take_rows(rng.permutation(n)))]
     for method in ("ig", "gain_ratio", "su", "chi2"):
         j = METHODS.index(method)
@@ -509,7 +508,7 @@ def test_score_all_matches_oracles_property(data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # constant columns
         edges = table_bin_edges(t, k)
-        raw = score_all(t, edges, relief_m=min(n, 8), seed=0).raw
+        raw = score_all(t, edges, relief_m=min(n, 8), seed=0)
     binned = bin_matrix(t, edges)
     y = np.array(labels)
     for j in range(d):
@@ -527,76 +526,82 @@ def test_score_all_matches_oracles_property(data):
 
 
 def test_normalize_scores_minmax():
-    from flowsieve.feature_selection import ScoreMatrix
-    sm = ScoreMatrix(("a", "b", "c"), np.column_stack([[2.0, 4.0, 8.0]] * 6))
-    out = normalize_scores(sm)
-    assert np.allclose(out.normalized[:, 0], [0.0, 1.0 / 3.0, 1.0])
+    raw = np.column_stack([[2.0, 4.0, 8.0]] * 6)
+    out = normalize_scores(raw)
+    assert out.shape == raw.shape
+    assert np.allclose(out[:, 0], [0.0, 1.0 / 3.0, 1.0])
 
 
 def test_normalize_scores_inf_sentinel_and_constant():
-    from flowsieve.feature_selection import ScoreMatrix
     col = np.array([1.0, np.inf, 2.0])
-    sm = ScoreMatrix(("a", "b", "c"), np.column_stack([col] * 6))
-    out = normalize_scores(sm)
-    assert out.normalized[1, 0] == 1.0
-    assert out.normalized[0, 0] == 0.0
-    single = ScoreMatrix(("a",), np.ones((1, 6)))
+    out = normalize_scores(np.column_stack([col] * 6))
+    assert out[1, 0] == 1.0
+    assert out[0, 0] == 0.0
     with pytest.warns(UserWarning, match="equally"):
-        out = normalize_scores(single)
-    assert (out.normalized == 0.0).all()
+        out = normalize_scores(np.ones((1, 6)))
+    assert (out == 0.0).all()
+    # one constant method column among varying ones: only it is zeroed
+    raw = np.column_stack([col, np.full(3, 0.5), *[col] * 4])
+    with pytest.warns(UserWarning, match="method 'gain_ratio' scored all features equally"):
+        out = normalize_scores(raw)
+    assert (out[:, 1] == 0.0).all() and out[1, 0] == 1.0
 
 
-def test_aggregate_mean():
-    from flowsieve.feature_selection import ScoreMatrix
-    sm = ScoreMatrix(("a", "b"), np.zeros((2, 6)),
-                     normalized=np.array([[1.0] * 6, [1.0, 0, 0, 0, 0, 0]]))
-    out = aggregate_mean(sm)
-    assert out.mean_score[0] == 1.0
-    assert out.mean_score[1] == pytest.approx(1.0 / 6.0, abs=1e-15)
+def test_aggregate_mean(tmp_path):
+    # a feature's mean score is the row mean of the normalized matrix; it is
+    # what the scores file records and what the selection ranks by
+    normalized = np.array([[1.0] * 6, [1.0, 0, 0, 0, 0, 0]])
+    mean = normalized.mean(axis=1)
+    assert mean[0] == 1.0
+    assert mean[1] == pytest.approx(1.0 / 6.0, abs=1e-15)
     rng = np.random.default_rng(44)
     norm = rng.random((9, 6))
-    sm = ScoreMatrix(tuple(f"f{i}" for i in range(9)), np.zeros((9, 6)), normalized=norm)
-    out = aggregate_mean(sm)
+    mean = norm.mean(axis=1)
     for i in range(9):
-        assert out.mean_score[i] == pytest.approx(sum(norm[i]) / 6.0, abs=1e-12)
-    with pytest.raises(ScoringError, match="normalize"):
-        aggregate_mean(ScoreMatrix(("a",), np.zeros((1, 6))))
+        assert mean[i] == pytest.approx(sum(norm[i]) / 6.0, abs=1e-12)
+    names = tuple(f"f{i}" for i in range(9))
+    write_scores_csv(names, norm, mean, tmp_path / "scores.csv")
+    with open(tmp_path / "scores.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["mean_score"] for r in rows] == [f"{m:.6f}" for m in mean]
+    doc = select_by_threshold(names, mean, 0.0)
+    assert [f["mean_score"] for f in doc["features"]] == sorted(mean.tolist(), reverse=True)
 
 
-def scored_matrix(mean_scores):
-    from flowsieve.feature_selection import ScoreMatrix
-    n = len(mean_scores)
-    return ScoreMatrix(tuple(f"f{i}" for i in range(n)), np.zeros((n, 6)),
-                       normalized=np.zeros((n, 6)),
-                       mean_score=np.asarray(mean_scores, dtype=float))
+def select(mean_scores, threshold):
+    mean = np.asarray(mean_scores, dtype=float)
+    return select_by_threshold(tuple(f"f{i}" for i in range(len(mean))), mean, threshold)
+
+
+def indices(doc):
+    return [f["index"] for f in doc["features"]]
 
 
 def test_select_by_threshold_sorting_and_ties():
-    sm = scored_matrix([0.2, 0.9, 0.5, 0.9, 0.4])
-    sel = select_by_threshold(sm, 0.4)
-    assert sel.indices() == (1, 3, 2, 4)  # ties 1 and 3 by ascending index
-    assert all(s >= 0.4 for _, _, s in sel.features)
-    everything = select_by_threshold(sm, 0.05)
-    assert len(everything.features) == 5
+    sel = select([0.2, 0.9, 0.5, 0.9, 0.4], 0.4)
+    assert indices(sel) == [1, 3, 2, 4]  # ties 1 and 3 by ascending index
+    assert all(f["mean_score"] >= 0.4 for f in sel["features"])
+    assert [f["name"] for f in sel["features"]] == ["f1", "f3", "f2", "f4"]
+    everything = select([0.2, 0.9, 0.5, 0.9, 0.4], 0.05)
+    assert len(everything["features"]) == 5
 
 
 def test_select_by_threshold_monotone_and_empty():
-    sm = scored_matrix([0.31, 0.62, 0.11, 0.47])
+    mean = [0.31, 0.62, 0.11, 0.47]
     grid = [0.1, 0.3, 0.5, 0.7]
-    selections = [select_by_threshold(sm, tau) for tau in grid[:-1]]
-    with pytest.warns(UserWarning, match="no feature"):
-        selections.append(select_by_threshold(sm, grid[-1]))
+    selections = [select(mean, tau) for tau in grid[:-1]]
+    with pytest.warns(UserWarning, match="no feature reaches threshold 0.7"):
+        selections.append(select(mean, grid[-1]))
     for lo, hi in zip(selections, selections[1:]):
-        assert set(hi.indices()) <= set(lo.indices())
-    assert selections[-1].features == ()
+        assert set(indices(hi)) <= set(indices(lo))
+    assert selections[-1] == {"threshold": 0.7, "features": []}
 
 
 def test_scores_csv_format(tmp_path):
     t = planted_table()
-    sm = aggregate_mean(normalize_scores(
-        score_all(t, table_bin_edges(t, 10), relief_m=100, seed=0)))
+    normalized = normalize_scores(score_all(t, table_bin_edges(t, 10), relief_m=100, seed=0))
     path = tmp_path / "feature_scores.csv"
-    write_scores_csv(sm, path)
+    write_scores_csv(t.feature_names, normalized, normalized.mean(axis=1), path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["feature_index", "feature_name", "ig", "gain_ratio",
@@ -608,17 +613,10 @@ def test_scores_csv_format(tmp_path):
 
 
 def test_selection_json_shape():
-    sel = ThresholdSelection(0.5, ((3, "x", 0.9), (0, "y", 0.6)))
-    doc = sel.to_json()
-    assert doc["threshold"] == 0.5
-    assert doc["features"][0] == {"index": 3, "name": "x", "mean_score": 0.9}
-
-
-def test_write_requires_normalized_scores(tmp_path):
-    from flowsieve.feature_selection import ScoreMatrix
-    raw_only = ScoreMatrix(("a",), np.zeros((1, 6)))
-    with pytest.raises(ScoringError, match="normalized"):
-        write_scores_csv(raw_only, tmp_path / "x.csv")
-    with pytest.raises(ScoringError, match="aggregate"):
-        select_by_threshold(normalize_scores(
-            ScoreMatrix(("a", "b"), np.arange(12).reshape(2, 6).astype(float))), 0.5)
+    doc = select_by_threshold(("y", "b", "c", "x"), np.array([0.6, 0.1, 0.2, 0.9]), 0.5)
+    assert doc == {"threshold": 0.5,
+                   "features": [{"index": 3, "name": "x", "mean_score": 0.9},
+                                {"index": 0, "name": "y", "mean_score": 0.6}]}
+    # plain Python numbers, so that the document is JSON as it stands
+    assert type(doc["features"][0]["index"]) is int
+    assert type(doc["features"][0]["mean_score"]) is float

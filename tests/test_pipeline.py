@@ -10,14 +10,14 @@ import pytest
 
 from flowsieve import pipeline
 from flowsieve.config import apply_overrides, config_hash, parse_config
-from flowsieve.feature_selection import ScoringError, ThresholdSelection
+from flowsieve.feature_selection import ScoringError
 from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
                                 cmd_preprocess, cmd_run, cmd_select,
-                                cmd_train_eval, find_run_dir, new_run_dir,
-                                stage_preprocess, stage_train_eval,
-                                load_preprocessed)
-from flowsieve.sampling import SplitSpec, split_manifest, split_table
-from flowsieve.tabular import ColumnKind, TableError, subtable
+                                cmd_train_eval, find_run_dir, load_preprocessed,
+                                new_run_dir, stage_train_eval)
+from flowsieve.sampling import SamplingError, SplitSpec, split_manifest, split_table
+from flowsieve.tabular import (ColumnKind, TableError, clean_table, load_csv_merged,
+                               split_by_attack, subtable)
 
 
 def synth_files(tmp_path, seed=0, n_benign=240, n_attack=60):
@@ -283,9 +283,7 @@ def test_empty_selection_skipped_with_warning(cfg):
     pre = cmd_preprocess(cfg)
     ctx = RunContext(cfg, pre.run_dir)
     cleaned = load_preprocessed(ctx)
-    full = ThresholdSelection(0.35, ((0, "sig", 0.9), (1, "anti", 0.8)))
-    empty = ThresholdSelection(0.55, ())
-    selections = {a: {0.35: full, 0.55: empty} for a in cfg.attacks}
+    selections = {a: {0.35: ("sig", "anti"), 0.55: ()} for a in cfg.attacks}
     ctx = dataclasses.replace(ctx, cfg=dataclasses.replace(cfg, thresholds=(0.35, 0.55)))
     reports = stage_train_eval(ctx, cleaned, selections)
     assert {r.threshold for r in reports} == {0.35}
@@ -398,8 +396,10 @@ def test_run_directory_holds_one_data_table(cfg):
 
 
 def test_load_preprocessed_equals_in_memory_split(cfg):
-    ctx = RunContext(cfg, new_run_dir(cfg))
-    table, per_attack = stage_preprocess(ctx)  # the in-memory cleaned table
+    ctx = cmd_preprocess(cfg)
+    table, mapping, _ = load_csv_merged(cfg.inputs, cfg.label_column)
+    table, _ = clean_table(table, cfg.excluded_columns)  # the cleaned table in memory
+    per_attack = split_by_attack(table, mapping, cfg.attacks, cfg.benign_label)
     got_table, got_per_attack = load_preprocessed(RunContext(cfg, ctx.run_dir))
     assert got_table.column_names == table.column_names
     assert got_table.column_kinds == table.column_kinds
@@ -488,7 +488,11 @@ def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
 
 def test_resume_does_not_repeat_preprocess_warnings(tmp_path):
     (tmp_path / "data").mkdir()
-    cfg = synth_config(tmp_path, benign_label="Ghost")
+    # minority_protect splits a dataset without benign rows; the fraction
+    # scheme would refuse it in preprocess
+    cfg = synth_config(tmp_path, benign_label="Ghost",
+                       sampling={"schemes": {"AttackA": "minority_protect",
+                                             "AttackB": "minority_protect"}})
     # "Ghost" is a category of the merged input, but its only row is invalid
     ghost = tmp_path / "data" / "ghost.csv"
     ghost.write_text("Timestamp,proto,sig,anti,noise,const,Label\n"
@@ -505,6 +509,29 @@ def test_resume_does_not_repeat_preprocess_warnings(tmp_path):
             cmd_select(cfg)
     manifest = json.loads((pre.run_dir / "run_manifest.json").read_text())
     assert manifest["warnings"] == want
+
+
+@pytest.mark.parametrize("command", ["run", "preprocess"])
+def test_split_too_small_to_train_fails_in_preprocess(tmp_path, command):
+    # 2 attack rows: minority_protect draws 1 of them to train on, too few
+    # for naive Bayes; the run must stop before any scoring, naming the attack
+    rng = np.random.default_rng(3)
+    labels = ["Benign"] * 100 + ["AttackA"] * 40 + ["Rare"] * 2
+    lines = ["sig,noise,Label"] + [f"{rng.random():.6f},{rng.random():.6f},{label}"
+                                   for label in labels]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "flows.csv").write_text("\n".join(lines) + "\n")
+    cfg = synth_config(tmp_path, inputs=[str(tmp_path / "data" / "flows.csv")],
+                       attacks=["AttackA", "Rare"], excluded_columns=[],
+                       sampling={"schemes": {"AttackA": "fraction_stratified",
+                                             "Rare": "minority_protect"}})
+    with pytest.raises(SamplingError, match="^Rare: class 1 train draw has 1 row"):
+        (cmd_run if command == "run" else cmd_preprocess)(cfg)
+    run_dir, = Path(cfg.output_dir).glob("run-*")
+    manifest = json.loads((run_dir / "run_manifest.json").read_text())
+    assert manifest["error"].startswith("SamplingError: Rare: class 1 train draw")
+    assert manifest["stages_completed"] == []
+    assert [p.name for p in run_dir.iterdir()] == ["run_manifest.json"]
 
 
 def test_attack_slug():

@@ -104,13 +104,32 @@ def test_minority_protect_single_attack_row_errors():
 
 
 def test_minority_protect_attack_remainder_boundaries():
-    # floor(0.7*n) train / remainder test over small attack counts
-    for n_attack in range(2, 11):
+    # floor(0.7*n) train / remainder test over small attack counts; at 2
+    # rows the train draw would hold 1
+    with pytest.raises(SamplingError, match="class 1 train draw has 1 row"):
+        minority_protect_split(two_class_labels(50, 2), spec(MINORITY_PROTECT, seed=2))
+    for n_attack in range(3, 11):
         r = minority_protect_split(two_class_labels(50, n_attack),
                                    spec(MINORITY_PROTECT, seed=2))
         want_train = int(np.floor(0.7 * n_attack))
         assert r.train_class_counts[1] == want_train
         assert r.test_class_counts[1] == n_attack - want_train
+
+
+def test_train_draw_of_one_row_is_refused():
+    # one row of a class leaves naive Bayes no variance to estimate
+    with pytest.raises(SamplingError, match="class 1 train draw has 1 row; training needs "
+                                            "at least 2 rows of each class"):
+        fraction_stratified_split(two_class_labels(100, 5),
+                                  spec(FRACTION_STRATIFIED, train_fraction=0.2,
+                                       test_fraction=0.2))
+    with pytest.raises(SamplingError, match="class 0 train draw has 1 row"):
+        minority_protect_split(two_class_labels(5, 20),
+                               spec(MINORITY_PROTECT, train_fraction=0.2, test_fraction=0.2))
+    r = fraction_stratified_split(two_class_labels(100, 10),
+                                  spec(FRACTION_STRATIFIED, train_fraction=0.2,
+                                       test_fraction=0.1))
+    assert r.train_class_counts == {0: 20, 1: 2}
 
 
 def test_minority_protect_no_attack_errors():
@@ -137,14 +156,14 @@ def expected_counts(y, s: SplitSpec):
         if s.scheme == MINORITY_PROTECT and cls == 1:
             n_train = math.floor(s.attack_train_fraction * n)
             n_test = n - n_train
-            if n_train == 0 or n_test == 0:
+            if n_train < 2 or n_test == 0:
                 return None
         elif s.scheme == MINORITY_PROTECT and n == 0:
             n_train = n_test = 0  # no benign rows is allowed
         else:
             n_train = math.floor(s.train_fraction * n)
             n_test = math.floor(s.test_fraction * n)
-            if n_train == 0 or n_test == 0 or n_train + n_test > n:
+            if n_train < 2 or n_test == 0 or n_train + n_test > n:
                 return None
         train[cls], test[cls] = n_train, n_test
     return train, test

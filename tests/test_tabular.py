@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from flowsieve.tabular import (ColumnKind, ConstantColumnError, Table,
-                               TableError, clean_table, drop_invalid_rows,
-                               load_csv, load_csv_merged, minmax_normalize,
+from flowsieve.tabular import (ColumnKind, Table, TableError, clean_table,
+                               drop_invalid_rows, load_csv, load_csv_merged,
                                split_by_attack, subtable)
 
 from helpers import make_table
@@ -176,7 +175,7 @@ def test_drop_invalid_rows_identity():
 
 def test_minmax_normalize_values():
     t = make_table({"a": [0.0, 5.0, 10.0], "b": [2.0, 4.0, 8.0]}, [0, 1, 0])
-    out = minmax_normalize(t)
+    out, _ = clean_table(t, [])
     assert out.column("a").tolist() == [0.0, 0.5, 1.0]
     assert out.column("b").tolist() == [0.0, (4.0 - 2.0) / 6.0, 1.0]
     assert out.labels().tolist() == [0.0, 1.0, 0.0]
@@ -184,20 +183,26 @@ def test_minmax_normalize_values():
 
 def test_minmax_normalize_fixed_point_and_idempotence():
     t = make_table({"a": [0.0, 1.0, 1.0, 0.0]}, [0, 1, 0, 1])
-    once = minmax_normalize(t)
+    once, _ = clean_table(t, [])
     assert once.column("a").tolist() == [0.0, 1.0, 1.0, 0.0]
     rng = np.random.default_rng(7)
     t2 = make_table({"x": rng.random(50) * 9 + 1}, rng.integers(0, 2, 50))
-    once = minmax_normalize(t2)
-    twice = minmax_normalize(once)
+    once, _ = clean_table(t2, [])
+    twice, _ = clean_table(once, [])
     assert np.array_equal(once.column("x"), twice.column("x"))
     assert once.column("x").min() == 0.0 and once.column("x").max() == 1.0
 
 
-def test_minmax_normalize_constant_column_errors():
-    t = make_table({"a": [3.0, 3.0]}, [0, 1])
-    with pytest.raises(ConstantColumnError, match="'a' is single-valued; drop it before"):
-        minmax_normalize(t)
+def test_minmax_never_divides_by_a_zero_span():
+    # a column single-valued on the kept rows is dropped, not normalized
+    # to 0 / 0, whether it was constant from the start or became so
+    t = make_table({"a": [3.0, 3.0, 3.0], "late": [1.0, 1.0, -1.0], "b": [0.0, 1.0, 2.0]},
+                   [0, 1, 0])
+    with pytest.warns(UserWarning, match="single-valued after row cleaning.*: late"):
+        out, report = clean_table(t, [])
+    assert out.column_names == ("b", "Label")
+    assert report.dropped_columns == [("a", "single-valued"), ("late", "single-valued")]
+    assert out.column("b").tolist() == [0.0, 1.0]
 
 
 def test_minmax_equals_the_column_formula_with_signed_zeros():
@@ -209,19 +214,17 @@ def test_minmax_equals_the_column_formula_with_signed_zeros():
         X = rng.choice([0.0, -0.0, 0.5, 2.0], size=(n, d))
         X[:2] = [[2.0], [0.5]]  # no column is constant
         t = make_table({f"f{j}": X[:, j] for j in range(d)}, rng.integers(0, 2, n))
-        out = minmax_normalize(t)
         cleaned, _ = clean_table(t, [])
         for j in range(d):
             col = X[:, j].copy()
             want = (col - col.min()) / (col.max() - col.min())
-            assert out.column(f"f{j}").tobytes() == want.tobytes(), (seed, j)
             assert cleaned.column(f"f{j}").tobytes() == want.tobytes(), (seed, j)
 
 
 def test_minmax_leaves_categorical_codes_alone():
     t = make_table({"cat": [0.0, 3.0, 7.0], "num": [0.0, 1.0, 2.0]}, [0, 1, 0],
                    kinds={"cat": ColumnKind.CATEGORICAL})
-    out = minmax_normalize(t)
+    out, _ = clean_table(t, [])
     assert out.column("cat").tolist() == [0.0, 3.0, 7.0]
     assert out.column("num").tolist() == [0.0, 0.5, 1.0]
 
@@ -261,10 +264,12 @@ def test_category_round_trip(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("\n".join(rows) + "\n")
     t, mapping, _ = load_csv(path, "Label")
-    decoded = mapping.decode_column("c", t.column("c"))
-    assert decoded == [f"cat{i % 5}" for i in range(30)]
-    decoded_labels = mapping.decode_column("Label", t.labels())
-    assert decoded_labels == [("Benign" if i % 3 else "Attack") for i in range(30)]
+    for name, want in (("c", [f"cat{i % 5}" for i in range(30)]),
+                       ("Label", [("Benign" if i % 3 else "Attack") for i in range(30)])):
+        codes = t.column(name)
+        assert np.array_equal(codes, codes.astype(int)), name
+        assert [mapping.categories[name][int(c)] for c in codes] == want, name
+        assert [mapping.encode(name, v) for v in want] == codes.tolist(), name
 
 
 def test_split_by_attack_binarizes():
