@@ -22,8 +22,8 @@ def schema_fingerprint(feature_names) -> str:
 
 def training_arrays(train: Table) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and 0/1 integer labels; rejects non-binarized labels."""
-    X = train.feature_matrix()
-    y = train.labels()
+    X = train.X
+    y = train.y
     values = set(np.unique(y).tolist())
     if not values <= {0.0, 1.0}:
         raise ClassifyError(f"labels must be binarized to 0/1, found {sorted(values)}")
@@ -38,7 +38,7 @@ def check_manifest(model, t: Table) -> np.ndarray:
         raise ManifestMismatchError(
             f"feature columns {list(t.feature_names)} do not match the model's "
             f"manifest {list(model.feature_names)}")
-    return t.feature_matrix()
+    return t.X
 
 
 def predict_arrays(model, t: Table) -> tuple[np.ndarray, np.ndarray]:

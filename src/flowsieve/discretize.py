@@ -25,7 +25,7 @@ def table_bin_edges(t: Table, k: int) -> np.ndarray:
     with a warning per constant feature."""
     if k < 2:
         raise DiscretizeError(f"bin count must be >= 2, got {k}")
-    X = t.feature_matrix()
+    X = t.X
     if t.row_count == 0:
         raise DiscretizeError("cannot bin an empty table")
     lo, hi = X.min(axis=0), X.max(axis=0)
@@ -48,7 +48,7 @@ def table_bin_edges(t: Table, k: int) -> np.ndarray:
 def bin_matrix(t: Table, edges: np.ndarray) -> np.ndarray:
     """(rows, features) bin indices of every feature, in the smallest
     unsigned type that holds k-1 (uint8 up to 256 bins)."""
-    X = t.feature_matrix()
+    X = t.X
     out = np.zeros(X.shape, dtype=np.min_scalar_type(edges.shape[1]))
     for j, row in enumerate(edges):
         # NaN sorts above every number, so a constant feature's row bins to 0

@@ -99,19 +99,16 @@ class MetricsReport:
         }
 
 
-def evaluate(model, train: Table, test: Table, *, attack: str = "",
-             classifier: str = "", threshold: float = 0.0,
-             n_features: int | None = None) -> tuple[MetricsReport, MetricsReport]:
-    """One report per split; n_features defaults to the model's manifest size."""
-    if n_features is None:
-        n_features = len(model.feature_names)
+def evaluate(model, train: Table, test: Table, *, attack: str, classifier: str,
+             threshold: float) -> tuple[MetricsReport, MetricsReport]:
+    """One report per split, counting the model's features."""
     out = []
     for split, table in (("train", train), ("test", test)):
         labels, _ = predict_arrays(model, table)
-        cm = confusion(labels, table.labels())
+        cm = confusion(labels, table.y)
         out.append(MetricsReport.build(cm, split=split, attack=attack,
                                        classifier=classifier, threshold=threshold,
-                                       n_features=n_features))
+                                       n_features=len(model.feature_names)))
     return out[0], out[1]
 
 

@@ -156,8 +156,8 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     and bin matrices, the search holds O(RELIEF_BATCH * (rows +
     RELIEF_TILE * features)) floats.
     """
-    X = t.feature_matrix()
-    y = t.labels()
+    X = t.X
+    y = t.y
     n, d = X.shape
     classes = np.unique(y)
     if len(classes) != 2:
@@ -230,7 +230,7 @@ def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
     names = t.feature_names
     if not names:
         raise ScoringError("table has no feature columns")
-    y = t.labels()
+    y = t.y
     classes, class_idx = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise ScoringError("labels are single-valued; nothing to score against")
@@ -249,7 +249,7 @@ def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
                       stacklevel=2)
     # ANOVA reads (features, class rows) copies of a C-ordered (features, rows)
     # matrix, one class at a time; compress on a transposed view would copy it whole
-    by_feature = np.ascontiguousarray(t.feature_matrix().T)
+    by_feature = np.ascontiguousarray(t.X.T)
     scores["anova_f"] = _anova(*_group_stats(
         by_feature.compress(class_idx == c, axis=1) for c in range(len(classes))))
     scores["relief"] = relief

@@ -37,8 +37,8 @@ from .evaluation import evaluate, write_metrics_csv, write_metrics_json
 from .feature_selection import (normalize_scores, score_all, select_by_threshold,
                                 write_scores_csv)
 from .sampling import SamplingError, split_manifest, split_table
-from .tabular import (CategoryMapping, ColumnKind, Table, clean_table, load_csv_merged,
-                      split_by_attack, subtable)
+from .tabular import (CategoryMapping, Table, clean_table, load_csv_merged, split_by_attack,
+                      subtable)
 
 
 class PipelineError(RuntimeError):
@@ -143,7 +143,7 @@ def stage_preprocess(ctx: RunContext) -> None:
     with _Timer(ctx, "preprocess"), _recording(ctx, ""):
         table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column)
         raw_shape = (table.row_count, table.column_count)
-        table, rep = clean_table(table, cfg.excluded_columns)
+        table, rep = clean_table(table, mapping, cfg.excluded_columns)
         report = report.merged(rep)
         per_attack = split_by_attack(table, mapping, cfg.attacks, cfg.benign_label)
         # train-eval draws the same split again; drawing it here fails a
@@ -158,9 +158,10 @@ def stage_preprocess(ctx: RunContext) -> None:
         prep = {
             "raw_rows": raw_shape[0], "raw_columns": raw_shape[1],
             "clean_rows": table.row_count, "clean_columns": table.column_count,
-            "columns": [[n, k.value] for n, k in zip(table.column_names, table.column_kinds)],
+            "columns": [[n, "categorical" if n in mapping.categories else "numeric"]
+                        for n in table.feature_names] + [[table.label_name, "label"]],
             "category_mapping": {name: cats for name, cats in mapping.to_json().items()
-                                 if name in table.column_names},
+                                 if name == table.label_name or name in table.feature_names},
             "label_coding": {"benign": {cfg.benign_label: 0},
                              "attack": {a: 1 for a in cfg.attacks}},
             "per_attack_rows": {a: len(rows) for a, (rows, _) in per_attack.items()},
@@ -178,14 +179,13 @@ def load_preprocessed(ctx: RunContext) -> Cleaned:
         raise PipelineError(f"{path} missing; run `preprocess` first")
     with open(ctx.run_dir / "preprocess.json", encoding="utf-8") as fh:
         prep = json.load(fh)
-    names, kinds = zip(*prep["columns"])
+    label = next(name for name, kind in prep["columns"] if kind == "label")
+    features = [name for name, kind in prep["columns"] if kind != "label"]
     with np.load(path) as arrays:
-        table = Table(names, tuple(map(ColumnKind, kinds)), arrays["X"], arrays["y"])
+        table = Table(features, label, arrays["X"], arrays["y"])
     mapping = CategoryMapping({name: tuple(cats)
                                for name, cats in prep["category_mapping"].items()})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # `preprocess` recorded them already
-        return table, split_by_attack(table, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
+    return table, split_by_attack(table, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
 
 
 def stage_select(ctx: RunContext, cleaned: Cleaned) -> None:
@@ -289,7 +289,7 @@ def _train_eval_attack(ctx: RunContext, attack: str, table: Table, rows, labels,
             model = _TRAINERS[clf](train_t, params)
             save_model(model, params, _fresh(models_dir / f"tau-{tag0}-{clf}.json"))
             pair = evaluate(model, train_t, test_t, attack=attack, classifier=clf,
-                            threshold=taus[0], n_features=len(names))
+                            threshold=taus[0])
             for tau in taus:
                 by_tau.setdefault(tau, []).extend(
                     dataclasses.replace(r, threshold=tau) for r in pair)

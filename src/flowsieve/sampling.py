@@ -54,11 +54,16 @@ class SplitResult:
 
 
 def _class_indices(labels) -> dict[int, np.ndarray]:
+    """The rows of class 0 and of class 1; each class must have some."""
     y = np.asarray(labels)
     values = np.unique(y)
     if not set(values.tolist()) <= {0.0, 1.0}:
         raise SamplingError(f"labels must be binarized to 0/1, found values {values.tolist()}")
-    return {int(v): np.flatnonzero(y == v) for v in values}
+    by_class = {cls: np.flatnonzero(y == cls) for cls in (0, 1)}
+    for cls, rows in by_class.items():
+        if not len(rows):
+            raise SamplingError(f"class {cls} has no rows")
+    return by_class
 
 
 def _checked_floor(fraction: float, n: int, what: str) -> int:
@@ -90,7 +95,7 @@ def _build(draws: dict[int, tuple]) -> SplitResult:
             raise SamplingError(f"class {cls} train draw has {len(train)} row; "
                                 "training needs at least 2 rows of each class")
     train, test = (np.sort(np.concatenate(parts)) for parts in zip(*draws.values()))
-    counts = ({cls: len(draws[cls][k]) if cls in draws else 0 for cls in (0, 1)} for k in (0, 1))
+    counts = ({cls: len(draw[k]) for cls, draw in draws.items()} for k in (0, 1))
     return SplitResult(train, test, *counts)
 
 
@@ -100,9 +105,6 @@ def fraction_stratified_split(labels, spec: SplitSpec) -> SplitResult:
     if spec.scheme != FRACTION_STRATIFIED:
         raise SamplingError(f"spec scheme is {spec.scheme!r}, not {FRACTION_STRATIFIED!r}")
     by_class = _class_indices(labels)
-    for cls in (0, 1):
-        if cls not in by_class:
-            raise SamplingError(f"class {cls} has no rows")
     rng = np.random.default_rng(spec.seed)
     return _build({cls: _fraction_draw(rng, by_class[cls], spec, f"class {cls}")
                    for cls in (0, 1)})
@@ -114,10 +116,8 @@ def minority_protect_split(labels, spec: SplitSpec) -> SplitResult:
     if spec.scheme != MINORITY_PROTECT:
         raise SamplingError(f"spec scheme is {spec.scheme!r}, not {MINORITY_PROTECT!r}")
     by_class = _class_indices(labels)
-    if 1 not in by_class:
-        raise SamplingError("no attack rows (class 1) to split")
     rng = np.random.default_rng(spec.seed)
-    draws = {0: _fraction_draw(rng, by_class[0], spec, "benign")} if 0 in by_class else {}
+    draws = {0: _fraction_draw(rng, by_class[0], spec, "benign")}
     attack = by_class[1]
     n_train = _checked_floor(spec.attack_train_fraction, len(attack), "attack train draw")
     if n_train >= len(attack):

@@ -1,20 +1,22 @@
 """Table model, CSV ingestion, and the flow-table cleaning pipeline.
 
-A Table is one immutable, C-ordered float64 feature matrix (every column but
-the label, in header order) plus the label vector; with the column names and
-kinds, those two arrays are all of it, so a table is stored and rebuilt as
-them (`Table(names, kinds, X, y)`), never as text. Text columns are
+A Table is its feature names, its label's name, one immutable, C-ordered
+float64 feature matrix (every column but the label, in header order) and the
+label vector, so a table is stored and rebuilt as them
+(`Table(feature_names, label_name, X, y)`), never as text. Text columns are
 integer-coded at load time (codes are positions in a lexicographically sorted
 category list) so every cell is a float64; the code-to-text correspondence
-lives in a CategoryMapping. Cleaning never mutates: `clean_table` gathers the
-rows and columns it keeps into a new, normalized Table and returns it with a
-CleaningReport describing what was removed and why. A per-attack dataset is
-a list of row indices into the cleaned table plus 0/1 labels
-(`split_by_attack`); `subtable` builds its table when it is needed.
+lives in a CategoryMapping, and a column is categorical exactly when it is
+one of the mapping's keys. Only cleaning reads that: `clean_table` exempts
+category codes from the row checks and from normalization. Cleaning never
+mutates: `clean_table` gathers the rows and columns it keeps into a new,
+normalized Table and returns it with a CleaningReport describing what was
+removed and why. A per-attack dataset is a list of row indices into the
+cleaned table plus 0/1 labels (`split_by_attack`); `subtable` builds its
+table when it is needed.
 """
 
 import csv
-import enum
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,37 +33,30 @@ class TableError(ValueError):
     """Malformed input data or an illegal table operation."""
 
 
-class ColumnKind(enum.Enum):
-    NUMERIC = "numeric"
-    CATEGORICAL = "categorical"
-    LABEL = "label"
-
-
 @dataclass(frozen=True, eq=False)
 class Table:
-    """Immutable dataset; exactly one column has kind LABEL. `X` holds the
-    others in `column_names` order as one read-only, C-ordered (rows,
-    features) float64 matrix, `y` the label column. Two tables are equal only
-    if they are the same object: compare their arrays to compare contents."""
+    """Immutable dataset: `X` holds the features `feature_names`, in that
+    order, as one read-only, C-ordered (rows, features) float64 matrix, `y`
+    the label column `label_name`. Two tables are equal only if they are the
+    same object: compare their arrays to compare contents."""
 
-    column_names: tuple[str, ...]
-    column_kinds: tuple[ColumnKind, ...]
+    feature_names: tuple[str, ...]
+    label_name: str
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        if len(self.column_names) != len(self.column_kinds):
-            raise TableError("column names and kinds are not the same length")
-        if len(set(self.column_names)) != len(self.column_names):
+        names = tuple(self.feature_names)
+        if self.label_name in names:
+            raise TableError(f"a feature has the label's name {self.label_name!r}")
+        if len(set(names)) != len(names):
             raise TableError("duplicate column names")
-        n_label = sum(k is ColumnKind.LABEL for k in self.column_kinds)
-        if n_label != 1:
-            raise TableError(f"a table needs exactly one label column, found {n_label}")
         X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.ascontiguousarray(self.y, dtype=np.float64)
-        if y.ndim != 1 or X.shape != (len(y), len(self.column_names) - 1):
-            raise TableError(f"ragged table: {len(self.column_names)} columns, feature "
+        if y.ndim != 1 or X.shape != (len(y), len(names)):
+            raise TableError(f"ragged table: {len(names)} features, feature "
                              f"matrix of shape {X.shape}, labels of shape {y.shape}")
+        object.__setattr__(self, "feature_names", names)
         for name, arr in (("X", X), ("y", y)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -72,24 +67,8 @@ class Table:
 
     @property
     def column_count(self) -> int:
-        return len(self.column_names)
-
-    @property
-    def label_index(self) -> int:
-        return self.column_kinds.index(ColumnKind.LABEL)
-
-    @property
-    def label_name(self) -> str:
-        return self.column_names[self.label_index]
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        li = self.label_index
-        return tuple(n for i, n in enumerate(self.column_names) if i != li)
-
-    @property
-    def feature_kinds(self) -> tuple[ColumnKind, ...]:
-        return tuple(k for k in self.column_kinds if k is not ColumnKind.LABEL)
+        """The features and the label."""
+        return len(self.feature_names) + 1
 
     def column(self, name: str) -> np.ndarray:
         """The label vector, or a feature column as a view of the matrix."""
@@ -100,32 +79,20 @@ class Table:
         except ValueError:
             raise TableError(f"no column named {name!r}") from None
 
-    def labels(self) -> np.ndarray:
-        return self.y
-
-    def feature_matrix(self) -> np.ndarray:
-        """The (n_rows, n_features) matrix itself, not a copy."""
-        return self.X
-
-    def take_rows(self, indices) -> "Table":
-        indices = np.asarray(indices, dtype=np.intp)
-        return Table(self.column_names, self.column_kinds, self.X[indices], self.y[indices])
-
 
 def subtable(t: Table, rows, labels, names) -> Table:
-    """The features `names` of the rows `rows` of `t`, in that order, and the
-    label column `labels`, last. One gather from `t`'s matrix: how a
+    """The features `names` of the rows `rows` of `t`, in that order, with
+    the label vector `labels`. One gather from `t`'s matrix: how a
     per-attack table, or one of its train and test tables, is built from the
     cleaned table when it is needed."""
-    names = list(names)
+    names = tuple(names)
     for name in names:
-        if name not in t.column_names:
-            raise TableError(f"no column named {name!r}")
         if name == t.label_name:
             raise TableError("label column cannot be selected as a feature")
-    kinds = [t.column_kinds[t.column_names.index(n)] for n in names]
+        if name not in t.feature_names:
+            raise TableError(f"no column named {name!r}")
     idx = [t.feature_names.index(n) for n in names]
-    return Table((*names, t.label_name), (*kinds, ColumnKind.LABEL),
+    return Table(names, t.label_name,
                  t.X[np.ix_(np.asarray(rows, dtype=np.intp), idx)], labels)
 
 
@@ -231,16 +198,13 @@ def _assemble(header, rows, label_column, path):
     y = np.empty(len(rows))
     feature_columns = iter(X.T)  # writable views, filled in place
     col_cells = list(zip(*rows)) if rows else [()] * len(header)
-    kinds, categories = [], {}
+    categories = {}
     for name, cells in zip(header, col_cells):
-        is_label = name == label_column
-        cats = _parse_into(cells, y if is_label else next(feature_columns))
+        cats = _parse_into(cells, y if name == label_column else next(feature_columns))
         if cats is not None:
             categories[name] = cats
-        kinds.append(ColumnKind.LABEL if is_label else
-                     ColumnKind.NUMERIC if cats is None else ColumnKind.CATEGORICAL)
-    table = Table(tuple(header), tuple(kinds), X, y)
-    return table, CategoryMapping(categories)
+    features = tuple(name for name in header if name != label_column)
+    return Table(features, label_column, X, y), CategoryMapping(categories)
 
 
 def load_csv(path, label_column: str) -> tuple[Table, CategoryMapping, CleaningReport]:
@@ -251,10 +215,11 @@ def load_csv(path, label_column: str) -> tuple[Table, CategoryMapping, CleaningR
 def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, CleaningReport]:
     """Load and concatenate several CSV files sharing one header.
 
-    Columns whose cells all parse as numbers become NUMERIC; the rest are
-    CATEGORICAL and get integer-coded in lexicographic category order, over
-    the merged data, so codes are consistent across source files.
-    `label_column` becomes the LABEL column (coded the same way when textual).
+    Columns whose cells all parse as numbers are numeric; the rest are
+    categorical: they get integer-coded in lexicographic category order, over
+    the merged data, so codes are consistent across source files, and become
+    keys of the returned mapping. `label_column` becomes the table's label
+    (coded the same way when textual).
     Data lines that repeat the header verbatim are dropped and counted;
     completely blank lines are skipped.
     """
@@ -277,23 +242,25 @@ def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, C
     return table, mapping, report
 
 
-def _valid_rows(X: np.ndarray, numeric: np.ndarray, report: CleaningReport) -> np.ndarray:
-    """Mask of the rows `drop_invalid_rows` keeps; `report` counts the others."""
-    non_finite = ~np.isfinite(X).all(axis=1, where=numeric)
-    negative = (X < 0).any(axis=1, where=numeric) & ~non_finite
+def _valid_rows(X: np.ndarray, checked, report: CleaningReport) -> np.ndarray:
+    """Mask of the rows whose `checked` cells are finite and not negative;
+    `report` counts the others."""
+    non_finite = ~np.isfinite(X).all(axis=1, where=checked)
+    negative = (X < 0).any(axis=1, where=checked) & ~non_finite
     report.count_rows(REASON_NON_FINITE, int(non_finite.sum()))
     report.count_rows(REASON_NEGATIVE, int(negative.sum()))
     return ~(non_finite | negative)
 
 
 def drop_invalid_rows(t: Table) -> tuple[Table, CleaningReport]:
-    """Drop rows with non-finite numeric cells, then rows with negative numeric cells.
+    """Drop rows with a non-finite feature cell, then rows with a negative one.
 
-    A row failing both checks is counted once, under non-finite.
+    A row failing both checks is counted once, under non-finite. Category
+    codes are finite and not negative, so they never fail a check.
     """
     report = CleaningReport()
-    numeric = np.array([k is ColumnKind.NUMERIC for k in t.feature_kinds], dtype=bool)
-    return t.take_rows(np.flatnonzero(_valid_rows(t.X, numeric, report))), report
+    rows = np.flatnonzero(_valid_rows(t.X, True, report))
+    return subtable(t, rows, t.y[rows], t.feature_names), report
 
 
 def _normalize_in_place(X: np.ndarray, numeric: np.ndarray) -> None:
@@ -312,17 +279,18 @@ def _normalize_in_place(X: np.ndarray, numeric: np.ndarray) -> None:
     X /= hi - lo
 
 
-def clean_table(t: Table, excluded) -> tuple[Table, CleaningReport]:
+def clean_table(t: Table, mapping: CategoryMapping, excluded) -> tuple[Table, CleaningReport]:
     """`t` cleaned and min-max normalized, and what cleaning removed: the
     `excluded` columns, the single-valued columns, the rows with a non-finite,
     else a negative, numeric cell, and then the columns that row removal left
     single-valued. Each is a mask on `t`'s matrix; the kept cells are gathered
-    once and normalized in place."""
+    once and normalized in place. A feature is numeric unless `mapping` holds
+    its categories."""
     report = CleaningReport()
     for name in excluded:
         if name == t.label_name:
             raise TableError("refusing to drop the label column")
-        if name in t.column_names:
+        if name in t.feature_names:
             report.dropped_columns.append((name, REASON_EXCLUDED))
         else:
             report.absent_columns.append(name)
@@ -335,7 +303,7 @@ def clean_table(t: Table, excluded) -> tuple[Table, CleaningReport]:
                                   for j in np.flatnonzero(single))
     cols &= ~single
 
-    numeric = np.array([k is ColumnKind.NUMERIC for k in t.feature_kinds], dtype=bool)
+    numeric = np.array([n not in mapping.categories for n in t.feature_names], dtype=bool)
     rows = _valid_rows(t.X, numeric & cols, report)
     # over no rows lo > hi, so no column counts as single-valued
     lo = t.X.min(axis=0, where=rows[:, None], initial=np.inf)
@@ -352,9 +320,7 @@ def clean_table(t: Table, excluded) -> tuple[Table, CleaningReport]:
     keep = np.flatnonzero(cols)
     X = t.X[np.ix_(np.flatnonzero(rows), keep)]
     _normalize_in_place(X, numeric[keep])
-    out = [i for i, kept in enumerate(np.insert(cols, t.label_index, True)) if kept]
-    return Table(tuple(t.column_names[i] for i in out), tuple(t.column_kinds[i] for i in out),
-                 X, t.y[rows]), report
+    return Table(tuple(t.feature_names[j] for j in keep), t.label_name, X, t.y[rows]), report
 
 
 def _resolve_label_code(t: Table, mapping: CategoryMapping, value) -> float:
@@ -370,14 +336,13 @@ def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
     `subtable(t, rows, labels, t.feature_names)` builds the dataset's table.
 
     Labels may be given as category text (resolved through `mapping`) or as raw
-    numeric label values. An attack with no rows is an error; a table with no
-    benign rows is permitted but warned about.
+    numeric label values. A table without benign rows, or an attack with no
+    rows, is an error.
     """
-    y = t.labels()
-    benign_code = _resolve_label_code(t, mapping, benign_label)
-    benign_mask = y == benign_code
+    y = t.y
+    benign_mask = y == _resolve_label_code(t, mapping, benign_label)
     if not benign_mask.any():
-        warnings.warn(f"no rows carry the benign label {benign_label!r}", stacklevel=2)
+        raise TableError(f"no rows carry the benign label {benign_label!r}")
     out = {}
     for attack in attack_labels:
         attack_mask = y == _resolve_label_code(t, mapping, attack)

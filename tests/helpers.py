@@ -2,18 +2,21 @@
 
 import numpy as np
 
-from flowsieve.tabular import ColumnKind, Table
+from flowsieve.tabular import Table, subtable
 
 
-def make_table(features: dict, labels, kinds: dict | None = None) -> Table:
+def make_table(features: dict, labels) -> Table:
     """Table from {name: values} plus a label vector named 'Label'."""
-    kinds = kinds or {}
     y = np.asarray(labels, dtype=np.float64)
     cols = [np.asarray(values, dtype=np.float64) for values in features.values()]
     X = np.column_stack(cols) if cols else np.empty((len(y), 0))
-    return Table((*features, "Label"),
-                 (*(kinds.get(name, ColumnKind.NUMERIC) for name in features), ColumnKind.LABEL),
-                 X, y)
+    return Table(tuple(features), "Label", X, y)
+
+
+def rows_of(t: Table, rows) -> Table:
+    """The rows `rows` of `t`, every feature, in that order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return subtable(t, rows, t.y[rows], t.feature_names)
 
 
 def blobs_2d(n_per_class: int, seed: int, spread: float = 0.08) -> Table:

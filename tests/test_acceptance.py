@@ -25,7 +25,7 @@ from flowsieve.feature_selection import (_anova, _count_scores, _group_stats,
                                          score_all, select_by_threshold)
 from flowsieve.pipeline import cmd_run
 from flowsieve.sampling import SplitSpec, split_table
-from flowsieve.tabular import (clean_table, load_csv, load_csv_merged,
+from flowsieve.tabular import (CategoryMapping, clean_table, load_csv, load_csv_merged,
                                split_by_attack, subtable)
 
 from helpers import blobs_2d, make_table, random_table
@@ -103,7 +103,7 @@ def test_criterion_05_relief_oracle():
     with pytest.warns(UserWarning, match="'const' is constant, left unbinned"):
         binned = bin_matrix(t, table_bin_edges(t, 10))
     got = relief_weights(t, m=200, seed=5, binned=binned)
-    want = ref.relief_ref(t.feature_matrix().tolist(), y.tolist(),
+    want = ref.relief_ref(t.X.tolist(), y.tolist(),
                           binned.tolist(), range(200), 200)
     assert np.allclose(got, want, atol=1e-12)
     assert got[0] == 1.0   # feature identical to the label
@@ -118,11 +118,11 @@ def test_criterion_06_minmax_normalization():
         n = int(rng.integers(3, 300))
         t = make_table({"a": rng.random(n) * rng.uniform(0.1, 100),
                         "b": rng.random(n) + 5}, (rng.random(n) < 0.5).astype(float))
-        once, _ = clean_table(t, [])
+        once, _ = clean_table(t, CategoryMapping({}), [])
         for name in ("a", "b"):
             col = once.column(name)
             assert col.min() == 0.0 and col.max() == 1.0
-        twice, _ = clean_table(once, [])
+        twice, _ = clean_table(once, CategoryMapping({}), [])
         for name in ("a", "b"):
             assert np.array_equal(once.column(name), twice.column(name))
     _report(6, "normalized columns attain exactly 0 and 1; second application "
@@ -134,7 +134,7 @@ def test_criterion_07_classifier_sanity():
     t = blobs_2d(100, seed=77)  # 200 rows
     def acc(model):
         labels, _ = predict_arrays(model, t)
-        return (labels == t.labels()).mean()
+        return (labels == t.y).mean()
     assert acc(train_logistic(t, LogisticParams(learning_rate=1.0, epochs=400))) >= 0.99
     assert acc(train_svm(t, SvmParams(c=10.0, epochs=20, seed=0))) >= 0.99
     assert acc(train_tree(t, TreeParams())) >= 0.99
@@ -272,8 +272,8 @@ def _find_real_file(data_dir: Path, stem: str = "Wednesday-14-02-2018") -> Path 
     return hits[0] if hits else None
 
 
-def _clean_real(table, extra_columns=()):
-    table, _ = clean_table(table, [*extra_columns, "Timestamp"])
+def _clean_real(table, mapping, extra_columns=()):
+    table, _ = clean_table(table, mapping, [*extra_columns, "Timestamp"])
     assert table.column_count == 69
     return table
 
@@ -288,7 +288,7 @@ def test_criterion_12_full_scale_reproduction():
         pytest.skip(f"no Wednesday-14-02-2018 CSV under {data_dir}")
     table, mapping, _ = load_csv(path, "Label")
     assert table.column_count == 80
-    table = _clean_real(table)
+    table = _clean_real(table, mapping)
     per_attack = split_by_attack(table, mapping,
                                  ["FTP-BruteForce", "SSH-Bruteforce"], "Benign")
     for attack, want in REFERENCE_DATASET_ROWS.items():
@@ -331,7 +331,7 @@ def test_criterion_12_full_scale_web_attacks():
         pytest.skip(f"need both {WEB_FILES[0]}* and {WEB_FILES[1]}* under {data_dir}")
     table, mapping, _ = load_csv_merged(paths, "Label")
     assert table.column_count == 80 + len(WEB_EXTRA_COLUMNS)
-    table = _clean_real(table, WEB_EXTRA_COLUMNS)
+    table = _clean_real(table, mapping, WEB_EXTRA_COLUMNS)
     per_attack = split_by_attack(table, mapping, list(WEB_REFERENCE_ROWS), "Benign")
     spec = SplitSpec(scheme="minority_protect", train_fraction=0.2,
                      test_fraction=0.1, attack_train_fraction=0.7, seed=0)

@@ -15,9 +15,9 @@ from flowsieve.classify import (ClassifyError, ForestParams, LogisticParams,
                                 train_naive_bayes, train_svm, train_tree)
 from flowsieve.classify.logistic import LogisticModel
 from flowsieve.classify.params import ParamError
-from flowsieve.tabular import ColumnKind, Table
+from flowsieve.tabular import Table
 
-from helpers import blobs_2d, make_table, random_table
+from helpers import blobs_2d, make_table, random_table, rows_of
 
 
 def xor_table():
@@ -27,7 +27,7 @@ def xor_table():
 
 def accuracy(model, t):
     labels, _ = predict_arrays(model, t)
-    return (labels == t.labels()).mean()
+    return (labels == t.y).mean()
 
 
 # ---------------------------------------------------------------- logistic
@@ -52,7 +52,7 @@ def test_logistic_row_order_free():
     t = blobs_2d(40, seed=5)
     perm = rng.permutation(t.row_count)
     m1 = train_logistic(t, LogisticParams(epochs=50))
-    m2 = train_logistic(t.take_rows(perm), LogisticParams(epochs=50))
+    m2 = train_logistic(rows_of(t, perm), LogisticParams(epochs=50))
     # order-free up to float summation order
     assert np.allclose(m1.coefficients, m2.coefficients, rtol=0, atol=1e-12)
     m3 = train_logistic(t, LogisticParams(epochs=50))
@@ -147,7 +147,7 @@ def test_nb_log_domain_matches_direct_product():
     rng = np.random.default_rng(9)
     t = random_table(rng, 60, 8)
     m = train_naive_bayes(t, NaiveBayesParams())
-    X = t.feature_matrix()[:5]
+    X = t.X[:5]
     lp = m.log_posteriors(X)
     for i in range(5):
         for c in (0, 1):
@@ -232,7 +232,7 @@ def test_tree_min_samples_leaf_and_depth():
     m = train_tree(t, TreeParams(min_samples_leaf=20))
     # route the training rows and count arrivals: no leaf below the floor
     cur = np.zeros(t.row_count, dtype=int)
-    X = t.feature_matrix()
+    X = t.X
     while (m.feature_index[cur] >= 0).any():
         active = np.flatnonzero(m.feature_index[cur] >= 0)
         at = cur[active]
@@ -268,8 +268,7 @@ def test_tree_tie_goes_benign():
 
 
 def test_tree_empty_table_errors():
-    t = Table(("x", "Label"), (ColumnKind.NUMERIC, ColumnKind.LABEL),
-              np.empty((0, 1)), np.array([]))
+    t = Table(("x",), "Label", np.empty((0, 1)), np.array([]))
     with pytest.raises(ClassifyError, match="empty"):
         train_tree(t, TreeParams())
 
@@ -337,14 +336,14 @@ def trained_zoo(t):
 
 def test_predict_empty_table_and_row_purity():
     t = blobs_2d(30, seed=61)
-    empty = t.take_rows(np.array([], dtype=int))
+    empty = rows_of(t, np.array([], dtype=int))
     rng = np.random.default_rng(0)
     perm = rng.permutation(t.row_count)
     for model in trained_zoo(t).values():
         el, es = predict_arrays(model, empty)
         assert el.shape == es.shape == (0,)
         labels, scores = predict_arrays(model, t)
-        pl, ps = predict_arrays(model, t.take_rows(perm))
+        pl, ps = predict_arrays(model, rows_of(t, perm))
         assert np.array_equal(labels[perm], pl)
         assert np.array_equal(scores[perm], ps)
 
@@ -352,10 +351,10 @@ def test_predict_empty_table_and_row_purity():
 def test_manifest_mismatch_rejected():
     t = blobs_2d(20, seed=63)
     model = train_logistic(t, LogisticParams(epochs=10))
-    renamed = Table(("a", "b", "Label"), t.column_kinds, t.X, t.y)
+    renamed = Table(("a", "b"), "Label", t.X, t.y)
     with pytest.raises(ManifestMismatchError):
         predict_arrays(model, renamed)
-    reordered = Table(("f1", "f0", "Label"), t.column_kinds, t.X, t.y)
+    reordered = Table(("f1", "f0"), "Label", t.X, t.y)
     with pytest.raises(ManifestMismatchError):
         predict_arrays(model, reordered)
 

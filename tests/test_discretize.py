@@ -135,7 +135,7 @@ def test_bin_matrix_matches_reference(case):
     binned = bin_matrix(t, e)
     assert e.shape == (len(t.feature_names), k - 1)
     assert binned.dtype == (np.uint8 if k <= 256 else np.uint16)
-    for j, column in enumerate(t.feature_matrix().T):
+    for j, column in enumerate(t.X.T):
         want_edges, want_bins = ref.bins_ref(column.tolist(), k)
         if want_edges:
             assert e[j].tolist() == want_edges

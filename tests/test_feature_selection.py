@@ -18,7 +18,7 @@ from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          select_by_threshold, write_scores_csv)
 from flowsieve.tabular import subtable
 
-from helpers import make_table, random_table
+from helpers import make_table, random_table, rows_of
 
 
 def count_scores(counts):
@@ -130,7 +130,7 @@ def test_scorers_match_bruteforce_from_binned_data():
         d = int(rng.integers(1, 6))
         k = int(rng.integers(2, 5))
         t = random_table(rng, n, d)
-        for counts in _count_tensor(bin_table(t, k), t.labels().astype(int), 2):
+        for counts in _count_tensor(bin_table(t, k), t.y.astype(int), 2):
             got, joint = count_scores(counts), counts.tolist()
             assert got["ig"] == pytest.approx(ref.joint_mutual_information(joint), abs=1e-9)
             assert got["su"] == pytest.approx(ref.symmetric_uncertainty_ref(joint), abs=1e-9)
@@ -226,8 +226,8 @@ def test_relief_anticorrelated_feature():
 def test_relief_matches_exhaustive_reference():
     rng = np.random.default_rng(23)
     t = random_table(rng, 80, 4)
-    X = t.feature_matrix()
-    y = t.labels()
+    X = t.X
+    y = t.y
     binned = bin_table(t)
     got = relief_weights(t, m=80, seed=3, binned=binned)
     want = ref.relief_ref(X.tolist(), y.tolist(), binned.tolist(), range(80), 80)
@@ -259,7 +259,7 @@ def relief_vs_oracle(t, m, seed):
         warnings.simplefilter("ignore")  # constant columns stay unbinned
         binned = bin_table(t)
     sample = np.random.default_rng(seed).choice(t.row_count, size=m, replace=False)
-    want = ref.relief_ref(t.feature_matrix().tolist(), t.labels().tolist(),
+    want = ref.relief_ref(t.X.tolist(), t.y.tolist(),
                           binned.tolist(), sample.tolist(), m)
     return relief_weights(t, m=m, seed=seed, binned=binned), np.array(want)
 
@@ -342,7 +342,7 @@ def test_score_all_orders_informative_above_noise():
 
 def test_score_all_single_feature():
     t = planted_table()
-    t = subtable(t, np.arange(t.row_count), t.labels(), ["informative"])
+    t = subtable(t, np.arange(t.row_count), t.y, ["informative"])
     raw = score_all(t, table_bin_edges(t, 10), relief_m=50, seed=0)
     assert raw.shape == (1, 6)
 
@@ -405,7 +405,7 @@ def assert_score_all_matches_loop_scores(t, bin_count):
         raw = score_all(t, edges, relief_m=min(t.row_count, 20), seed=0)
     binned = bin_matrix(t, edges)
     for j, name in enumerate(t.feature_names):
-        for method, want in loop_scores(t.column(name), binned[:, j], t.labels()).items():
+        for method, want in loop_scores(t.column(name), binned[:, j], t.y).items():
             got = raw[j, METHODS.index(method)]
             # bit for bit: equal values and equal signs of zero
             assert got == want and math.copysign(1, got) == math.copysign(1, want), \
@@ -440,7 +440,7 @@ def test_score_all_equals_loop_scores_bit_for_bit(bin_count):
 def test_score_all_gain_ratio_warning_names_the_feature():
     t = planted_table()
     t = make_table({"informative": t.column("informative"),
-                    "const": np.full(t.row_count, 0.5)}, t.labels())
+                    "const": np.full(t.row_count, 0.5)}, t.y)
     with pytest.warns(UserWarning, match="column 'const' is constant, left unbinned"):
         edges = table_bin_edges(t, 10)
     with pytest.warns(UserWarning, match="gain ratio of single-valued feature 'const'"):
@@ -463,7 +463,7 @@ def test_scores_are_row_order_invariant(data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # constant columns
         raw = [score_all(u, table_bin_edges(u, k), relief_m=min(n, 8), seed=0)
-               for u in (t, t.take_rows(rng.permutation(n)))]
+               for u in (t, rows_of(t, rng.permutation(n)))]
     for method in ("ig", "gain_ratio", "su", "chi2"):
         j = METHODS.index(method)
         assert raw[0][:, j].tobytes() == raw[1][:, j].tobytes(), method

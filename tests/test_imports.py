@@ -1,7 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and reads each
+private name it defines.
 
-No linter runs on this code, so this test does the one check a deletion most
-often leaves undone: an import that nothing reads any more.
+No linter runs on this code, so these tests do the two checks a deletion most
+often leaves undone: an import that nothing reads any more, and a private
+helper that nothing calls any more.
 """
 
 import ast
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flowsieve"
+each_module = pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                                      ids=lambda p: p.relative_to(PACKAGE).as_posix())
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +42,39 @@ def test_unused_imports_finds_what_nothing_reads():
     assert unused_imports(source) == ["a", "dump", "os", "osp"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
-                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+@each_module
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The module-level private names (`_name`: a function, a class or an
+    assignment target) that the module's source never reads. Dunder names
+    such as `__all__` are not private."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.endswith("__"))
+
+
+def test_unread_private_names_finds_what_nothing_reads():
+    source = ("__all__ = ['f']\n_USED = 1\n_UNUSED, _ALSO = 2, 3\n_typed: int = 4\n"
+              "def _helper():\n    return _USED\n"
+              "def _dead():\n    _local = 5\n    return _local\n"
+              "class _Gone:\n    pass\n"
+              "def f():\n    return _helper()\n")
+    assert unread_private_names(source) == ["_ALSO", "_Gone", "_UNUSED", "_dead", "_typed"]
+
+
+@each_module
+def test_module_reads_every_private_name_it_defines(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

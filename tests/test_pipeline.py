@@ -10,14 +10,13 @@ import pytest
 
 from flowsieve import pipeline
 from flowsieve.config import apply_overrides, config_hash, parse_config
-from flowsieve.feature_selection import ScoringError
 from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
                                 cmd_preprocess, cmd_run, cmd_select,
                                 cmd_train_eval, find_run_dir, load_preprocessed,
                                 new_run_dir, stage_train_eval)
 from flowsieve.sampling import SamplingError, SplitSpec, split_manifest, split_table
-from flowsieve.tabular import (ColumnKind, TableError, clean_table, load_csv_merged,
-                               split_by_attack, subtable)
+from flowsieve.tabular import (TableError, clean_table, load_csv_merged, split_by_attack,
+                               subtable)
 
 
 def synth_files(tmp_path, seed=0, n_benign=240, n_attack=60):
@@ -109,6 +108,31 @@ def test_preprocess_outputs(cfg):
     assert manifest["stages_completed"] == ["preprocess"]
 
 
+def test_preprocess_json_marks_the_mapping_features_and_lists_the_label_last(tmp_path):
+    # the label leads the header; two of the three features are text
+    rng = np.random.default_rng(8)
+    lines = ["Label,proto,sig,svc"]
+    for i in range(60):
+        label = "AttackA" if i % 3 == 0 else "Benign"
+        lines.append(f"{label},{('tcp', 'udp')[i % 2]},{rng.random():.6f},"
+                     f"{('dns', 'http', 'ssh')[i % 3]}")
+    (tmp_path / "data").mkdir()
+    path = tmp_path / "data" / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = synth_config(tmp_path, inputs=[str(path)], attacks=["AttackA"], excluded_columns=[],
+                       sampling={"schemes": {"AttackA": "fraction_stratified"}})
+    ctx = cmd_preprocess(cfg)
+    prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
+    _, mapping, _ = load_csv_merged(cfg.inputs, cfg.label_column)
+    assert set(mapping.categories) == {"Label", "proto", "svc"}
+    assert prep["columns"] == [["proto", "categorical"], ["sig", "numeric"],
+                               ["svc", "categorical"], ["Label", "label"]]
+    table, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    assert (table.feature_names, table.label_name) == (("proto", "sig", "svc"), "Label")
+    # category codes are not normalized
+    assert sorted(set(table.column("svc").tolist())) == [0.0, 1.0, 2.0]
+
+
 @pytest.mark.parametrize("late", [["num_late", "cat_late"], ["cat_late"]])
 def test_columns_single_valued_after_row_cleaning_are_dropped(tmp_path, late):
     # the one invalid row holds the only other value of each column in `late`
@@ -142,7 +166,7 @@ def test_preprocess_tables_are_normalized_and_binary(cfg):
     table, per_attack = load_preprocessed(RunContext(cfg, ctx.run_dir))
     for rows, labels in per_attack.values():
         t = subtable(table, rows, labels, table.feature_names)
-        assert set(np.unique(t.labels())) == {0.0, 1.0}
+        assert set(np.unique(t.y)) == {0.0, 1.0}
         for name in ("sig", "anti", "noise"):
             col = t.column(name)
             assert col.min() >= 0.0 and col.max() <= 1.0
@@ -398,14 +422,15 @@ def test_run_directory_holds_one_data_table(cfg):
 def test_load_preprocessed_equals_in_memory_split(cfg):
     ctx = cmd_preprocess(cfg)
     table, mapping, _ = load_csv_merged(cfg.inputs, cfg.label_column)
-    table, _ = clean_table(table, cfg.excluded_columns)  # the cleaned table in memory
+    # the cleaned table in memory
+    table, _ = clean_table(table, mapping, cfg.excluded_columns)
     per_attack = split_by_attack(table, mapping, cfg.attacks, cfg.benign_label)
     got_table, got_per_attack = load_preprocessed(RunContext(cfg, ctx.run_dir))
-    assert got_table.column_names == table.column_names
-    assert got_table.column_kinds == table.column_kinds
-    assert ColumnKind.CATEGORICAL in table.column_kinds  # `proto`
-    assert got_table.feature_matrix().tobytes() == table.feature_matrix().tobytes()
-    assert got_table.labels().tobytes() == table.labels().tobytes()
+    assert got_table.feature_names == table.feature_names
+    assert got_table.label_name == table.label_name
+    assert "proto" in table.feature_names and "proto" in mapping.categories
+    assert got_table.X.tobytes() == table.X.tobytes()
+    assert got_table.y.tobytes() == table.y.tobytes()
     assert list(got_per_attack) == list(per_attack) == ["AttackA", "AttackB"]
     for attack, (rows, labels) in per_attack.items():
         got_rows, got_labels = got_per_attack[attack]
@@ -419,7 +444,7 @@ def test_loaded_tables_compare_by_identity(cfg):
     again, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
     assert first == first
     assert first != again  # no element-wise array comparison, which would raise
-    assert first.feature_matrix().tobytes() == again.feature_matrix().tobytes()
+    assert first.X.tobytes() == again.X.tobytes()
 
 
 def test_select_without_cleaned_arrays_fails_closed(cfg):
@@ -488,8 +513,31 @@ def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
 
 def test_resume_does_not_repeat_preprocess_warnings(tmp_path):
     (tmp_path / "data").mkdir()
-    # minority_protect splits a dataset without benign rows; the fraction
-    # scheme would refuse it in preprocess
+    cfg = synth_config(tmp_path)
+    # the invalid row holds the only other value of `const`, which cleaning
+    # therefore drops late, with a warning
+    late = tmp_path / "data" / "late.csv"
+    late.write_text("Timestamp,proto,sig,anti,noise,const,Label\n"
+                    "x,tcp,inf,0.5,0.5,1,Benign\n")
+    cfg = dataclasses.replace(cfg, inputs=(*cfg.inputs, str(late)))
+    pre = cmd_preprocess(cfg)
+    want = ["columns became single-valued after row cleaning and were dropped: const"]
+    assert pre.warnings == want
+    # resuming rebuilds the cleaned table and splits it again, silently: a
+    # warning would surface here as an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cmd_select(cfg)
+        cmd_train_eval(cfg)
+    manifest = json.loads((pre.run_dir / "run_manifest.json").read_text())
+    assert manifest["stages_completed"] == ["preprocess", "select", "train_eval"]
+    assert manifest["warnings"] == want
+
+
+def test_benign_label_without_valid_rows_fails_in_preprocess(tmp_path):
+    (tmp_path / "data").mkdir()
+    # minority_protect would split a dataset without benign rows, so only
+    # the table split can refuse it before scoring
     cfg = synth_config(tmp_path, benign_label="Ghost",
                        sampling={"schemes": {"AttackA": "minority_protect",
                                              "AttackB": "minority_protect"}})
@@ -498,17 +546,13 @@ def test_resume_does_not_repeat_preprocess_warnings(tmp_path):
     ghost.write_text("Timestamp,proto,sig,anti,noise,const,Label\n"
                      "x,tcp,inf,0.5,0.5,0,Ghost\n")
     cfg = dataclasses.replace(cfg, inputs=(*cfg.inputs, str(ghost)))
-    pre = cmd_preprocess(cfg)
-    want = ["no rows carry the benign label 'Ghost'"]
-    assert pre.warnings == want
-    # resuming splits the cleaned table again, silently: a warning would
-    # surface here as an error instead of the scorer's own
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ScoringError, match="single-valued"):
-            cmd_select(cfg)
-    manifest = json.loads((pre.run_dir / "run_manifest.json").read_text())
-    assert manifest["warnings"] == want
+    with pytest.raises(TableError, match="no rows carry the benign label 'Ghost'"):
+        cmd_preprocess(cfg)
+    run_dir, = Path(cfg.output_dir).glob("run-*")
+    manifest = json.loads((run_dir / "run_manifest.json").read_text())
+    assert manifest["error"] == "TableError: no rows carry the benign label 'Ghost'"
+    assert manifest["stages_completed"] == []
+    assert not (run_dir / "cleaned.npz").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "preprocess"])

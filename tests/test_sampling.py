@@ -133,8 +133,13 @@ def test_train_draw_of_one_row_is_refused():
 
 
 def test_minority_protect_no_attack_errors():
-    with pytest.raises(SamplingError, match="no attack rows"):
+    with pytest.raises(SamplingError, match="class 1 has no rows"):
         minority_protect_split(np.zeros(2), spec(MINORITY_PROTECT))
+
+
+def test_minority_protect_no_benign_errors():
+    with pytest.raises(SamplingError, match="class 0 has no rows"):
+        minority_protect_split(np.ones(20), spec(MINORITY_PROTECT))
 
 
 def test_split_table_dispatch_and_manifest():
@@ -158,8 +163,6 @@ def expected_counts(y, s: SplitSpec):
             n_test = n - n_train
             if n_train < 2 or n_test == 0:
                 return None
-        elif s.scheme == MINORITY_PROTECT and n == 0:
-            n_train = n_test = 0  # no benign rows is allowed
         else:
             n_train = math.floor(s.train_fraction * n)
             n_test = math.floor(s.test_fraction * n)

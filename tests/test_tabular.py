@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from flowsieve.tabular import (ColumnKind, Table, TableError, clean_table,
+from flowsieve.tabular import (CategoryMapping, Table, TableError, clean_table,
                                drop_invalid_rows, load_csv, load_csv_merged,
                                split_by_attack, subtable)
 
-from helpers import make_table
+from helpers import make_table, rows_of
 
 
 def write(tmp_path, name, text):
@@ -23,9 +23,9 @@ def test_load_csv_types_and_encodes(tmp_path):
     path = write(tmp_path, "t.csv", "a,b,Label\n1,x,Benign\n2,y,Attack\n")
     t, mapping, report = load_csv(path, "Label")
     assert t.row_count == 2 and t.column_count == 3
-    assert t.column_kinds == (ColumnKind.NUMERIC, ColumnKind.CATEGORICAL, ColumnKind.LABEL)
+    assert (t.feature_names, t.label_name) == (("a", "b"), "Label")
     assert t.column("b").tolist() == [0.0, 1.0]          # x -> 0, y -> 1
-    assert t.labels().tolist() == [1.0, 0.0]             # Attack -> 0, Benign -> 1
+    assert t.y.tolist() == [1.0, 0.0]                    # Attack -> 0, Benign -> 1
     assert mapping.to_json() == {"b": ["x", "y"], "Label": ["Attack", "Benign"]}
     assert report.dropped_row_counts == {}
 
@@ -69,34 +69,37 @@ def test_load_csv_merged_consistent_codes(tmp_path):
         load_csv_merged([p1, p3], "Label")
 
 
+NO_CATEGORIES = CategoryMapping({})
+
+
 def test_clean_table_excluded_columns():
     t = make_table({"a": [1, 2], "b": [3, 4], "c": [5, 6]}, [0, 1])
-    out, report = clean_table(t, ["b"])
-    assert out.column_names == ("a", "c", "Label")
+    out, report = clean_table(t, NO_CATEGORIES, ["b"])
+    assert out.feature_names == ("a", "c")
     assert report.dropped_columns == [("b", "excluded-by-name")]
 
-    same, report = clean_table(t, [])
-    assert same.column_names == t.column_names
+    same, report = clean_table(t, NO_CATEGORIES, [])
+    assert same.feature_names == t.feature_names
     assert report.dropped_columns == []
 
-    same, report = clean_table(t, ["nope"])
-    assert same.column_names == t.column_names
+    same, report = clean_table(t, NO_CATEGORIES, ["nope"])
+    assert same.feature_names == t.feature_names
     assert report.absent_columns == ["nope"]
 
     with pytest.raises(TableError, match="label"):
-        clean_table(t, ["Label"])
+        clean_table(t, NO_CATEGORIES, ["Label"])
 
 
 def test_clean_table_single_valued_columns():
     t = make_table({"zero": [0, 0, 0], "keep": [0, 0, 1]}, [0, 1, 0])
-    out, report = clean_table(t, [])
-    assert out.column_names == ("keep", "Label")
+    out, report = clean_table(t, NO_CATEGORIES, [])
+    assert out.feature_names == ("keep",)
     assert report.dropped_columns == [("zero", "single-valued")]
     # a label-only survivor is legal but warned about
     t2 = make_table({"zero": [0, 0]}, [0, 1])
     with pytest.warns(UserWarning, match="label column only"):
-        out2, _ = clean_table(t2, [])
-    assert out2.column_names == ("Label",)
+        out2, _ = clean_table(t2, NO_CATEGORIES, [])
+    assert (out2.feature_names, out2.label_name) == ((), "Label")
 
 
 CELLS = (np.nan, np.inf, -np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, 3.25)
@@ -129,20 +132,24 @@ def test_clean_table_equals_the_step_by_step_rules(case):
     names, kinds, rows, excluded = case
     li = kinds.index("label")
     cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    t = Table(tuple(names), tuple(map(ColumnKind, kinds)), np.delete(cells, li, axis=1),
+    t = Table(tuple(n for n in names if n != "Label"), "Label", np.delete(cells, li, axis=1),
               cells[:, li])
+    # the codes themselves do not matter to cleaning, only which columns have them
+    mapping = CategoryMapping({n: ("0", "1", "2") for n, k in zip(names, kinds)
+                               if k == "categorical"})
     want_columns, want_rows, want_report, want_warnings = ref.clean_ref(
         list(zip(names, kinds)), rows, excluded)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out, report = clean_table(t, excluded)
+        out, report = clean_table(t, mapping, excluded)
     assert [str(w.message) for w in caught] == want_warnings
     assert report.to_json() == want_report
-    assert [(n, k.value) for n, k in zip(out.column_names, out.column_kinds)] == want_columns
-    want = np.array(want_rows, dtype=np.float64).reshape(len(want_rows), len(want_columns))
     wl = [k for _, k in want_columns].index("label")
-    assert out.feature_matrix().tobytes() == np.delete(want, wl, axis=1).tobytes()
-    assert out.labels().tobytes() == want[:, wl].tobytes()
+    assert out.label_name == want_columns[wl][0]
+    assert list(out.feature_names) == [n for n, k in want_columns if k != "label"]
+    want = np.array(want_rows, dtype=np.float64).reshape(len(want_rows), len(want_columns))
+    assert out.X.tobytes() == np.delete(want, wl, axis=1).tobytes()
+    assert out.y.tobytes() == want[:, wl].tobytes()
 
 
 def test_drop_invalid_rows_reasons():
@@ -153,17 +160,21 @@ def test_drop_invalid_rows_reasons():
     assert report.dropped_row_counts == {"non-finite": 2, "negative": 1}
 
 
-def test_drop_invalid_rows_counts_once_and_skips_categoricals():
+def test_drop_invalid_rows_counts_once():
     # -inf and negative in the same row: counted once, under non-finite
     t = make_table({"a": [-np.inf, 1.0], "b": [-5.0, 2.0]}, [0, 1])
     _, report = drop_invalid_rows(t)
     assert report.dropped_row_counts == {"non-finite": 1}
+
+
+def test_clean_table_skips_categoricals_in_the_row_checks():
     # negative categorical codes never occur, but categorical cells are ignored
-    t2 = make_table({"cat": [-1.0, 0.0], "num": [1.0, 2.0]}, [0, 1],
-                    kinds={"cat": ColumnKind.CATEGORICAL})
-    out, report = drop_invalid_rows(t2)
+    t = make_table({"cat": [-1.0, 0.0], "num": [1.0, 2.0]}, [0, 1])
+    out, report = clean_table(t, CategoryMapping({"cat": ("x", "y")}), [])
     assert out.row_count == 2
     assert report.dropped_row_counts == {}
+    _, report = drop_invalid_rows(t)  # which checks every feature
+    assert report.dropped_row_counts == {"negative": 1}
 
 
 def test_drop_invalid_rows_identity():
@@ -175,20 +186,20 @@ def test_drop_invalid_rows_identity():
 
 def test_minmax_normalize_values():
     t = make_table({"a": [0.0, 5.0, 10.0], "b": [2.0, 4.0, 8.0]}, [0, 1, 0])
-    out, _ = clean_table(t, [])
+    out, _ = clean_table(t, NO_CATEGORIES, [])
     assert out.column("a").tolist() == [0.0, 0.5, 1.0]
     assert out.column("b").tolist() == [0.0, (4.0 - 2.0) / 6.0, 1.0]
-    assert out.labels().tolist() == [0.0, 1.0, 0.0]
+    assert out.y.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_minmax_normalize_fixed_point_and_idempotence():
     t = make_table({"a": [0.0, 1.0, 1.0, 0.0]}, [0, 1, 0, 1])
-    once, _ = clean_table(t, [])
+    once, _ = clean_table(t, NO_CATEGORIES, [])
     assert once.column("a").tolist() == [0.0, 1.0, 1.0, 0.0]
     rng = np.random.default_rng(7)
     t2 = make_table({"x": rng.random(50) * 9 + 1}, rng.integers(0, 2, 50))
-    once, _ = clean_table(t2, [])
-    twice, _ = clean_table(once, [])
+    once, _ = clean_table(t2, NO_CATEGORIES, [])
+    twice, _ = clean_table(once, NO_CATEGORIES, [])
     assert np.array_equal(once.column("x"), twice.column("x"))
     assert once.column("x").min() == 0.0 and once.column("x").max() == 1.0
 
@@ -199,8 +210,8 @@ def test_minmax_never_divides_by_a_zero_span():
     t = make_table({"a": [3.0, 3.0, 3.0], "late": [1.0, 1.0, -1.0], "b": [0.0, 1.0, 2.0]},
                    [0, 1, 0])
     with pytest.warns(UserWarning, match="single-valued after row cleaning.*: late"):
-        out, report = clean_table(t, [])
-    assert out.column_names == ("b", "Label")
+        out, report = clean_table(t, NO_CATEGORIES, [])
+    assert out.feature_names == ("b",)
     assert report.dropped_columns == [("a", "single-valued"), ("late", "single-valued")]
     assert out.column("b").tolist() == [0.0, 1.0]
 
@@ -214,7 +225,7 @@ def test_minmax_equals_the_column_formula_with_signed_zeros():
         X = rng.choice([0.0, -0.0, 0.5, 2.0], size=(n, d))
         X[:2] = [[2.0], [0.5]]  # no column is constant
         t = make_table({f"f{j}": X[:, j] for j in range(d)}, rng.integers(0, 2, n))
-        cleaned, _ = clean_table(t, [])
+        cleaned, _ = clean_table(t, NO_CATEGORIES, [])
         for j in range(d):
             col = X[:, j].copy()
             want = (col - col.min()) / (col.max() - col.min())
@@ -222,9 +233,8 @@ def test_minmax_equals_the_column_formula_with_signed_zeros():
 
 
 def test_minmax_leaves_categorical_codes_alone():
-    t = make_table({"cat": [0.0, 3.0, 7.0], "num": [0.0, 1.0, 2.0]}, [0, 1, 0],
-                   kinds={"cat": ColumnKind.CATEGORICAL})
-    out, _ = clean_table(t, [])
+    t = make_table({"cat": [0.0, 3.0, 7.0], "num": [0.0, 1.0, 2.0]}, [0, 1, 0])
+    out, _ = clean_table(t, CategoryMapping({"cat": tuple("abcdefgh")}), [])
     assert out.column("cat").tolist() == [0.0, 3.0, 7.0]
     assert out.column("num").tolist() == [0.0, 0.5, 1.0]
 
@@ -237,12 +247,12 @@ def test_cleaning_is_row_order_insensitive():
     labels = rng.integers(0, 2, 60).astype(float)
     t = make_table({"a": values}, labels)
     perm = rng.permutation(60)
-    t_perm = t.take_rows(perm)
+    t_perm = rows_of(t, perm)
     out1, rep1 = drop_invalid_rows(t)
     out2, rep2 = drop_invalid_rows(t_perm)
     assert rep1.dropped_row_counts == rep2.dropped_row_counts
-    surv1 = sorted(zip(out1.column("a"), out1.labels()))
-    surv2 = sorted(zip(out2.column("a"), out2.labels()))
+    surv1 = sorted(zip(out1.column("a"), out1.y))
+    surv2 = sorted(zip(out2.column("a"), out2.y))
     assert surv1 == surv2
 
 
@@ -252,11 +262,11 @@ def test_idempotent_cleaning_ops():
     once, _ = drop_invalid_rows(t)
     twice, rep = drop_invalid_rows(once)
     assert twice.row_count == once.row_count and rep.dropped_row_counts == {}
-    once, _ = clean_table(t, [])
-    twice, rep = clean_table(once, [])
-    assert twice.column_names == once.column_names == ("a", "Label")
+    once, _ = clean_table(t, NO_CATEGORIES, [])
+    twice, rep = clean_table(once, NO_CATEGORIES, [])
+    assert twice.feature_names == once.feature_names == ("a",)
     assert rep.dropped_columns == [] and rep.dropped_row_counts == {}
-    assert twice.feature_matrix().tobytes() == once.feature_matrix().tobytes()
+    assert twice.X.tobytes() == once.X.tobytes()
 
 
 def test_category_round_trip(tmp_path):
@@ -274,7 +284,6 @@ def test_category_round_trip(tmp_path):
 
 def test_split_by_attack_binarizes():
     t = make_table({"a": [1, 2, 3, 4, 5]}, [0, 1, 2, 0, 1])
-    from flowsieve.tabular import CategoryMapping
     mapping = CategoryMapping({"Label": ("Benign", "FTP", "SSH")})
     out = split_by_attack(t, mapping, ["FTP", "SSH"], "Benign")
     assert set(out) == {"FTP", "SSH"}
@@ -286,12 +295,11 @@ def test_split_by_attack_binarizes():
     assert labels.tolist() == [0.0, 1.0, 0.0]
     ssh = subtable(t, rows, labels, t.feature_names)
     assert ssh.column("a").tolist() == [1.0, 3.0, 4.0]
-    assert ssh.labels().tolist() == [0.0, 1.0, 0.0]
+    assert ssh.y.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_split_by_attack_absent_label():
     t = make_table({"a": [1, 2]}, [0, 1])
-    from flowsieve.tabular import CategoryMapping
     mapping = CategoryMapping({"Label": ("Benign", "FTP", "Rare")})
     with pytest.raises(TableError, match="'Rare' has no rows"):
         split_by_attack(t, mapping, ["Rare"], "Benign")
@@ -302,40 +310,43 @@ def test_split_by_attack_absent_label():
 def test_split_by_attack_numeric_labels():
     # raw numeric label values work without any category mapping
     t = make_table({"a": [1, 2, 3, 4]}, [0, 7, 0, 7])
-    from flowsieve.tabular import CategoryMapping
     out = split_by_attack(t, CategoryMapping({}), [7.0], 0.0)
     assert out["7.0"][1].tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
-def test_split_by_attack_no_benign_warns():
+def test_split_by_attack_no_benign_rows_errors():
     t = make_table({"a": [1, 2]}, [1, 1])
-    from flowsieve.tabular import CategoryMapping
     mapping = CategoryMapping({"Label": ("Benign", "FTP")})
-    with pytest.warns(UserWarning, match="benign"):
-        out = split_by_attack(t, mapping, ["FTP"], "Benign")
-    assert out["FTP"][1].tolist() == [1.0, 1.0]
+    with pytest.raises(TableError, match="no rows carry the benign label 'Benign'"):
+        split_by_attack(t, mapping, ["FTP"], "Benign")
 
 
 def test_table_invariants():
-    with pytest.raises(TableError, match="label"):
-        Table(("a",), (ColumnKind.NUMERIC,), np.zeros((1, 0)), np.array([1.0]))
+    with pytest.raises(TableError, match="duplicate"):
+        Table(("a", "a"), "Label", np.zeros((1, 2)), np.array([1.0]))
     with pytest.raises(TableError, match="ragged"):
-        Table(("a", "Label"), (ColumnKind.NUMERIC, ColumnKind.LABEL),
-              np.array([[1.0], [2.0]]), np.array([0.0]))
+        Table(("a",), "Label", np.array([[1.0], [2.0]]), np.array([0.0]))
     with pytest.raises(TableError, match="ragged"):
-        Table(("a", "Label"), (ColumnKind.NUMERIC, ColumnKind.LABEL),
-              np.array([[1.0, 2.0]]), np.array([0.0]))
+        Table(("a",), "Label", np.array([[1.0, 2.0]]), np.array([0.0]))
     t = make_table({"a": [1.0]}, [0.0])
     with pytest.raises(ValueError):
-        t.feature_matrix()[0, 0] = 5.0  # storage is read-only
+        t.X[0, 0] = 5.0  # storage is read-only
     with pytest.raises(ValueError):
-        t.labels()[0] = 5.0
+        t.y[0] = 5.0
+
+
+def test_table_refuses_a_feature_named_like_the_label():
+    with pytest.raises(TableError, match="a feature has the label's name 'Label'"):
+        Table(("a", "Label"), "Label", np.zeros((1, 2)), np.array([1.0]))
+    t = make_table({"a": [1.0]}, [0.0])
+    with pytest.raises(TableError, match="label column cannot be selected"):
+        subtable(t, [0], t.y, ["Label"])
 
 
 def test_feature_matrix_is_the_table_storage():
     t = make_table({"a": [1.0, 2.0], "b": [3.0, 4.0]}, [0.0, 1.0])
-    X = t.feature_matrix()
-    assert X is t.feature_matrix()
+    X = t.X
+    assert t.column_count == 3
     assert np.shares_memory(X, t.column("a")) and np.shares_memory(X, t.column("b"))
     assert X.flags.c_contiguous and not X.flags.writeable
 
@@ -345,16 +356,14 @@ def test_row_and_feature_subsets_stay_c_ordered():
     t = make_table({f"f{j}": rng.random(30) for j in range(5)}, rng.integers(0, 2, 30))
     rows = rng.permutation(30)[:12]
     names = ["f3", "f0", "f4"]  # out of header order
-    want = t.feature_matrix()[rows][:, [3, 0, 4]]
-    parts = {"take_rows": t.take_rows(rows),
-             "subtable of all rows": subtable(t, np.arange(30), t.labels(), names),
-             "subtable": subtable(t, rows, t.labels()[rows], t.feature_names),
-             "subtable of names": subtable(t, rows, t.labels()[rows], names)}
+    want = t.X[rows][:, [3, 0, 4]]
+    parts = {"subtable of all rows": subtable(t, np.arange(30), t.y, names),
+             "subtable": subtable(t, rows, t.y[rows], t.feature_names),
+             "subtable of names": subtable(t, rows, t.y[rows], names)}
     for what, part in parts.items():
-        X = part.feature_matrix()
-        assert X.flags.c_contiguous and not X.flags.writeable, what
-        assert X is part.feature_matrix(), what
-    assert parts["subtable of all rows"].column_names == ("f3", "f0", "f4", "Label")
-    assert parts["subtable of names"].column_names == ("f3", "f0", "f4", "Label")
-    assert parts["subtable of names"].feature_matrix().tobytes() == want.tobytes()
-    assert np.array_equal(parts["take_rows"].labels(), t.labels()[rows])
+        assert part.X.flags.c_contiguous and not part.X.flags.writeable, what
+    assert parts["subtable of all rows"].feature_names == ("f3", "f0", "f4")
+    assert parts["subtable of names"].feature_names == ("f3", "f0", "f4")
+    assert parts["subtable of names"].X.tobytes() == want.tobytes()
+    assert parts["subtable"].X.tobytes() == t.X[rows].tobytes()
+    assert np.array_equal(parts["subtable"].y, t.y[rows])
