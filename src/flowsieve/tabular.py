@@ -14,9 +14,32 @@ normalized Table and returns it with a CleaningReport describing what was
 removed and why. A per-attack dataset is a list of row indices into the
 cleaned table plus 0/1 labels (`split_by_attack`); `subtable` builds its
 table when it is needed.
+
+CSV input (`load_csv_merged`): the files share one header row, which names
+the label column. Rows are split as Python's csv module splits them: cells
+are comma-separated, and a cell in `"` quotes may hold a comma, a doubled
+quote or a line end. A UTF-8 byte order mark is ignored. A column is numeric
+when Python's `float()` takes every one of its cells, so `Infinity`, `NaN`,
+`1e500` (inf), `-0`, ` 5 `, `1_0` and `١` are numbers and the empty cell is
+not; NumPy's C parser (np.loadtxt) is only a fast path for quote-free ASCII
+lines, and a chunk it rejects is parsed again cell by cell with `float()`.
+Every other column, a text label among them, is categorical. Blank lines are
+skipped; a line that repeats the header is dropped and counted. A load
+fails closed, with a TableError that names the file and, where there is
+one, the line: a file that cannot be opened or is empty, a row with more or
+fewer cells than the header, a line that is not UTF-8, a cell over the csv
+module's field limit, a header that differs from the first file's, lacks
+the label column or repeats a name.
+
+The files are read in chunks of lines into one preallocated float64 matrix,
+sized by a first pass that counts their line ends, so a load holds that
+matrix, one chunk and each text column's distinct cells. The rows of a
+column that turns out textual after earlier chunks parsed it as numbers
+are read again from the files.
 """
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -149,62 +172,289 @@ class CleaningReport:
         }
 
 
-def _read_raw(path) -> tuple[list[str], list[list[str]], int]:
-    """Header, data rows, and the count of repeated-header lines that were dropped."""
+_CHUNK_LINES = 1 << 13  # lines parsed at a time: bounds what a load holds besides its table
+_BLOCK_BYTES = 1 << 18  # bytes read from a file at a time
+
+
+def _open(path):
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        return open(path, "rb")
     except OSError as exc:
         raise TableError(f"{path}: cannot open file ({exc})") from exc
-    with fh:
-        reader = csv.reader(fh)
+
+
+def _line_ends(path) -> int:
+    """How many line ends (\\n, \\r or \\r\\n) the file has, or one more for a
+    \\r\\n split between two blocks: at least as many as its data rows. 0 if it
+    cannot be read; its parse reports that."""
+    count = 0
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(_BLOCK_BYTES):
+                count += block.count(b"\n")
+                if b"\r" in block:
+                    count += block.count(b"\r") - block.count(b"\r\n")
+    except OSError:
+        return 0
+    return count
+
+
+def _byte_lines(fh):
+    """The lines of the binary file `fh`, line ends kept, split where a text
+    file opened with newline="" splits them: at \\n, \\r and \\r\\n."""
+    rest = b""
+    while block := fh.read(_BLOCK_BYTES):
+        lines = (rest + block).splitlines(keepends=True)
+        rest = lines.pop()  # a line may go on, or a \r be followed by \n, in the next block
+        yield from lines
+    if rest:
+        yield rest
+
+
+def _text_lines(lines, path, number):
+    """The raw `lines` decoded as UTF-8; the first is line `number` of `path`."""
+    for number, line in enumerate(lines, number):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TableError(f"{path}: empty file") from None
-        rows = []
-        repeated = 0
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TableError(f"{path}: line {number} is not UTF-8 text: byte "
+                             f"{line[exc.start]:#04x} at column {exc.start + 1}") from None
+
+
+def _read_header(path, lines) -> tuple[list[str], int]:
+    """The header row at the start of the raw `lines` of `path` (after a UTF-8
+    byte order mark, if any) and how many lines it spans."""
+    first = next(lines, b"").removeprefix(b"\xef\xbb\xbf")
+    if not first:
+        raise TableError(f"{path}: empty file")
+    reader = csv.reader(_text_lines(itertools.chain([first], lines), path, 1))
+    try:
+        return next(reader), reader.line_num
+    except csv.Error as exc:
+        raise TableError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _csv_rows(path, header, lines, number: int, stop: int):
+    """Parse the raw `lines`, the first of which is line `number` of `path`,
+    as csv.reader does, up to the end of the row that reaches their `stop`-th
+    line. Returns the data rows, how many rows repeated `header`, and how many
+    lines were read. Blank lines are skipped; a row whose length differs from
+    the header's raises."""
+    reader = csv.reader(_text_lines(lines, path, number))
+    rows, repeated = [], 0
+    try:
         for row in reader:
             if not row:
-                continue
-            if row == header:
+                pass
+            elif row == header:
                 repeated += 1
-                continue
-            if len(row) != len(header):
-                raise TableError(
-                    f"{path}: row at line {reader.line_num} has {len(row)} cells, "
-                    f"header has {len(header)}")
-            rows.append(row)
-    return header, rows, repeated
+            elif len(row) != len(header):
+                raise TableError(f"{path}: row at line {number - 1 + reader.line_num} has "
+                                 f"{len(row)} cells, header has {len(header)}")
+            else:
+                rows.append(row)
+            if reader.line_num >= stop:
+                break
+    except csv.Error as exc:
+        raise TableError(f"{path}: line {number - 1 + reader.line_num}: {exc}") from None
+    return rows, repeated, reader.line_num
 
 
-def _parse_into(cells: tuple[str, ...], out: np.ndarray) -> tuple[str, ...] | None:
-    """Fill `out` with the cells as numbers or else category codes; return the categories."""
-    try:
-        out[:] = np.fromiter(map(float, cells), np.float64, len(cells))
+def _check_rows(path, header, lines, number: int) -> None:
+    """Read the rest of `path`, after line `number`, only for its errors."""
+    while read := _csv_rows(path, header, lines, number + 1, _CHUNK_LINES)[2]:
+        number += read
+
+
+def _plain_lines(chunk: list[bytes]) -> list[str] | None:
+    """The lines of the raw `chunk` without their line ends, if every one
+    splits at its commas exactly as csv.reader splits it: ASCII without a
+    quote or a NUL (which csv.reader rejects before Python 3.11), ended by
+    \\n or \\r\\n, and no longer than the csv field limit. Else None."""
+    text = b"".join(chunk)
+    if (not text.isascii() or b'"' in text or b"\0" in text
+            or max(map(len, chunk)) > csv.field_size_limit()):
         return None
+    text = text.decode("ascii")
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
     except ValueError:
-        cats = tuple(sorted(set(cells)))
-        code = {c: float(i) for i, c in enumerate(cats)}
-        out[:] = [code[c] for c in cells]
-        return cats
+        return False
 
 
-def _assemble(header, rows, label_column, path):
-    if label_column not in header:
-        raise TableError(f"{path}: header has no column {label_column!r}")
-    if len(set(header)) != len(header):
-        raise TableError(f"{path}: duplicate column names in header")
-    X = np.empty((len(rows), len(header) - 1))
-    y = np.empty(len(rows))
-    feature_columns = iter(X.T)  # writable views, filled in place
-    col_cells = list(zip(*rows)) if rows else [()] * len(header)
-    categories = {}
-    for name, cells in zip(header, col_cells):
-        cats = _parse_into(cells, y if name == label_column else next(feature_columns))
-        if cats is not None:
-            categories[name] = cats
-    features = tuple(name for name in header if name != label_column)
-    return Table(features, label_column, X, y), CategoryMapping(categories)
+class _Columns:
+    """A load in progress: the matrix and label rows filled so far, the
+    columns whose every cell so far is a number, and for each other column the
+    distinct cells seen, each with a number. The matrix holds a text cell's
+    number until `finish` turns the numbers into lexicographic category
+    codes."""
+
+    def __init__(self, header: list[str], label_column: str, capacity: int):
+        self.header = header
+        # the header as a line, to spot repeats of it among quote-free lines
+        self.header_line = None if any("," in name for name in header) else ",".join(header)
+        self.label = header.index(label_column)
+        self.X = np.empty((capacity, len(header) - 1))
+        self.y = np.empty(capacity)
+        self.rows = 0
+        self.repeated = 0
+        self.numeric = set(range(len(header)))
+        self.ids: dict[int, dict[str, int]] = {}
+        # text columns whose first rows were parsed as numbers: how many
+        self.reread: dict[int, int] = {}
+
+    def column(self, c: int) -> np.ndarray:
+        """Header column `c` as a writable view of the matrix or the labels."""
+        return self.y if c == self.label else self.X[:, c - (c > self.label)]
+
+    def to_text(self, c: int, parsed: int) -> None:
+        """Make column `c` textual, its first `parsed` rows parsed as numbers."""
+        self.numeric.remove(c)
+        self.ids[c] = {}
+        if parsed:
+            self.reread[c] = parsed
+
+    def number(self, c: int, cells, start: int) -> None:
+        """Write the ids of text column `c`'s `cells` from row `start` on."""
+        ids = self.ids[c]
+        for cell in set(cells).difference(ids):
+            ids[cell] = len(ids)
+        self.column(c)[start:start + len(cells)] = np.fromiter(map(ids.__getitem__, cells),
+                                                               np.float64, len(cells))
+
+    def reserve(self, path, count: int) -> int:
+        """The first of `count` new rows."""
+        start = self.rows
+        if start + count > len(self.y):
+            raise TableError(f"{path}: file grew while it was read")
+        self.rows += count
+        return start
+
+    def read(self, path, lines, number: int) -> None:
+        """Parse the rest of the raw `lines` of `path`, after line `number`, in
+        chunks: quote-free chunks with np.loadtxt, the others with csv.reader."""
+        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+            plain = _plain_lines(chunk)
+            if plain is not None and self.add_lines(path, plain):
+                read = len(chunk)
+            else:
+                rows, repeated, read = _csv_rows(path, self.header, itertools.chain(chunk, lines),
+                                                 number + 1, len(chunk))
+                self.repeated += repeated
+                self.add_rows(path, rows)
+            number += read
+
+    def runs(self) -> list[tuple[int, int, str]]:
+        """The header as runs of adjacent columns of one kind, each as (first
+        column, length, kind): "x" numeric features, "y" a numeric label, "t"
+        text columns."""
+        kinds = ["t" if c not in self.numeric else "y" if c == self.label else "x"
+                 for c in range(len(self.header))]
+        runs = []
+        for kind, run in itertools.groupby(range(len(kinds)), kinds.__getitem__):
+            run = list(run)
+            runs.append((run[0], len(run), kind))
+        return runs
+
+    def add_lines(self, path, lines: list[str]) -> bool:
+        """Add the quote-free `lines`, if np.loadtxt takes them. Blank lines
+        and repeated headers go; loadtxt parses the rest, with one field per
+        header column: the numeric columns as float64, the text columns as
+        their cells. False, with no row added, where it rejects a line: a row
+        of another length than the header, or a cell it does not take as a
+        number."""
+        data = [line for line in lines if line and line != self.header_line]
+        if not data:
+            self.repeated += lines.count(self.header_line)
+            return True
+        first = data[0].split(",")
+        if len(first) == len(self.header):
+            for c in [c for c in self.numeric if not _is_number(first[c])]:
+                self.to_text(c, self.rows)
+        runs = self.runs()
+        try:
+            block = np.loadtxt(data, dtype=[(f"c{c}", object if kind == "t" else np.float64, (k,))
+                                            for c, k, kind in runs],
+                               delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except ValueError:
+            return False
+        self.repeated += lines.count(self.header_line)
+        start = self.reserve(path, len(data))
+        for c, k, kind in runs:
+            cells = block[f"c{c}"]
+            if kind == "x":
+                j = c - (c > self.label)
+                self.X[start:start + len(data), j:j + k] = cells
+            elif kind == "y":
+                self.y[start:start + len(data)] = cells[:, 0]
+            else:
+                for i in range(k):
+                    self.number(c + i, cells[:, i].tolist(), start)
+        return True
+
+    def add_rows(self, path, rows: list[list[str]]) -> None:
+        """Add the data `rows`: a column's cells are numbers if float() takes
+        every one of them, else the column is textual from now on."""
+        if not rows:
+            return
+        start = self.reserve(path, len(rows))
+        for c in range(len(self.header)):
+            cells = [row[c] for row in rows]
+            if c in self.numeric:
+                try:
+                    self.column(c)[start:start + len(rows)] = np.fromiter(
+                        map(float, cells), np.float64, len(cells))
+                    continue
+                except ValueError:
+                    self.to_text(c, start)
+            self.number(c, cells, start)
+
+    def reread_text(self, paths) -> None:
+        """Number the cells of the rows that were parsed as numbers before
+        their column turned out textual, from a second read of the files."""
+        row = 0
+        for path in paths:
+            with _open(path) as fh:
+                lines = _byte_lines(fh)
+                _, number = _read_header(path, lines)
+                while row < max(self.reread.values()):
+                    rows, _, read = _csv_rows(path, self.header, lines, number + 1, _CHUNK_LINES)
+                    if not read:
+                        break
+                    number += read
+                    for c, stop in self.reread.items():
+                        self.number(c, [r[c] for r in rows[:max(stop - row, 0)]], row)
+                    row += len(rows)
+
+    def finish(self, paths) -> tuple[Table, CategoryMapping]:
+        """The table of the rows read, with each text column's cells coded by
+        their position in the sorted list of its distinct cells."""
+        if self.reread:
+            self.reread_text(paths)
+        categories = {}
+        for c in sorted(self.ids):
+            ids = self.ids[c]
+            cats = tuple(sorted(ids))
+            code = np.empty(len(cats))
+            code[[ids[s] for s in cats]] = np.arange(len(cats))
+            col = self.column(c)[:self.rows]
+            col[:] = code[col.astype(np.intp)]
+            categories[self.header[c]] = cats
+        features = tuple(name for c, name in enumerate(self.header) if c != self.label)
+        return (Table(features, self.header[self.label], self.X[:self.rows], self.y[:self.rows]),
+                CategoryMapping(categories))
 
 
 def load_csv(path, label_column: str) -> tuple[Table, CategoryMapping, CleaningReport]:
@@ -215,30 +465,43 @@ def load_csv(path, label_column: str) -> tuple[Table, CategoryMapping, CleaningR
 def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, CleaningReport]:
     """Load and concatenate several CSV files sharing one header.
 
-    Columns whose cells all parse as numbers are numeric; the rest are
-    categorical: they get integer-coded in lexicographic category order, over
-    the merged data, so codes are consistent across source files, and become
-    keys of the returned mapping. `label_column` becomes the table's label
-    (coded the same way when textual).
+    Columns whose cells all parse as numbers (Python `float()`) are numeric;
+    the rest are categorical: they get integer-coded in lexicographic
+    category order, over the merged data, so codes are consistent across
+    source files, and become keys of the returned mapping. `label_column`
+    becomes the table's label (coded the same way when textual).
     Data lines that repeat the header verbatim are dropped and counted;
-    completely blank lines are skipped.
+    completely blank lines are skipped. The module docstring says how the
+    files are read and when a load fails.
     """
     if not paths:
         raise TableError("no input files given")
-    header = None
-    all_rows: list[list[str]] = []
-    repeated = 0
+    capacity = sum(map(_line_ends, paths))
+    first = None  # the first file's header
+    columns = None
     for path in paths:
-        file_header, rows, file_repeated = _read_raw(path)
-        if header is None:
-            header = file_header
-        elif file_header != header:
-            raise TableError(f"{path}: header differs from {paths[0]}")
-        all_rows.extend(rows)
-        repeated += file_repeated
-    table, mapping = _assemble(header, all_rows, label_column, paths[0])
+        with _open(path) as fh:
+            lines = _byte_lines(fh)
+            header, number = _read_header(path, lines)
+            if first is None:
+                first = header
+                if label_column in header and len(set(header)) == len(header):
+                    columns = _Columns(header, label_column, capacity)
+            if columns is None or header != first:
+                # a file is read to its end before its header is judged, so
+                # that a ragged row in it is reported first
+                _check_rows(path, header, lines, number)
+                if header != first:
+                    raise TableError(f"{path}: header differs from {paths[0]}")
+            else:
+                columns.read(path, lines, number)
+    if label_column not in first:
+        raise TableError(f"{paths[0]}: header has no column {label_column!r}")
+    if columns is None:
+        raise TableError(f"{paths[0]}: duplicate column names in header")
+    table, mapping = columns.finish(paths)
     report = CleaningReport()
-    report.count_rows(REASON_REPEATED_HEADER, repeated)
+    report.count_rows(REASON_REPEATED_HEADER, columns.repeated)
     return table, mapping, report
 
 

@@ -1,9 +1,14 @@
 """Brute-force reference implementations, kept deliberately independent of the
-package: plain loops straight from the defining formulas, no shared code paths."""
+package: plain loops straight from the defining formulas, no shared code paths.
+The CSV loader oracle builds the package's result types, and nothing more."""
 
+import csv
 import math
 
 import numpy as np
+
+from flowsieve.tabular import (REASON_REPEATED_HEADER, CategoryMapping, CleaningReport, Table,
+                               TableError)
 
 
 def entropy_bits(counts):
@@ -198,6 +203,96 @@ def clean_ref(columns, rows, excluded):
     kept = [j for j, (_, kind) in enumerate(columns) if j in keep or kind == "label"]
     return ([columns[j] for j in kept], [[row[j] for j in kept] for row in out_rows],
             report, warned)
+
+
+def _read_raw(path) -> tuple[list[str], list[list[str]], int]:
+    """Header, data rows, and the count of repeated-header lines that were dropped."""
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise TableError(f"{path}: cannot open file ({exc})") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TableError(f"{path}: empty file") from None
+        rows = []
+        repeated = 0
+        for row in reader:
+            if not row:
+                continue
+            if row == header:
+                repeated += 1
+                continue
+            if len(row) != len(header):
+                raise TableError(
+                    f"{path}: row at line {reader.line_num} has {len(row)} cells, "
+                    f"header has {len(header)}")
+            rows.append(row)
+    return header, rows, repeated
+
+
+def _parse_into(cells: tuple[str, ...], out: np.ndarray) -> tuple[str, ...] | None:
+    """Fill `out` with the cells as numbers or else category codes; return the categories."""
+    try:
+        out[:] = np.fromiter(map(float, cells), np.float64, len(cells))
+        return None
+    except ValueError:
+        cats = tuple(sorted(set(cells)))
+        code = {c: float(i) for i, c in enumerate(cats)}
+        out[:] = [code[c] for c in cells]
+        return cats
+
+
+def _assemble(header, rows, label_column, path):
+    if label_column not in header:
+        raise TableError(f"{path}: header has no column {label_column!r}")
+    if len(set(header)) != len(header):
+        raise TableError(f"{path}: duplicate column names in header")
+    X = np.empty((len(rows), len(header) - 1))
+    y = np.empty(len(rows))
+    feature_columns = iter(X.T)  # writable views, filled in place
+    col_cells = list(zip(*rows)) if rows else [()] * len(header)
+    categories = {}
+    for name, cells in zip(header, col_cells):
+        cats = _parse_into(cells, y if name == label_column else next(feature_columns))
+        if cats is not None:
+            categories[name] = cats
+    features = tuple(name for name in header if name != label_column)
+    return Table(features, label_column, X, y), CategoryMapping(categories)
+
+
+def load_csv_merged_ref(paths, label_column: str) -> tuple[Table, CategoryMapping, CleaningReport]:
+    """The CSV loader as it was before it read in chunks: every cell kept as
+    text, then each column parsed with float() or coded. Load and concatenate
+    several CSV files sharing one header.
+
+    Columns whose cells all parse as numbers are numeric; the rest are
+    categorical: they get integer-coded in lexicographic category order, over
+    the merged data, so codes are consistent across source files, and become
+    keys of the returned mapping. `label_column` becomes the table's label
+    (coded the same way when textual).
+    Data lines that repeat the header verbatim are dropped and counted;
+    completely blank lines are skipped.
+    """
+    if not paths:
+        raise TableError("no input files given")
+    header = None
+    all_rows: list[list[str]] = []
+    repeated = 0
+    for path in paths:
+        file_header, rows, file_repeated = _read_raw(path)
+        if header is None:
+            header = file_header
+        elif file_header != header:
+            raise TableError(f"{path}: header differs from {paths[0]}")
+        all_rows.extend(rows)
+        repeated += file_repeated
+    table, mapping = _assemble(header, all_rows, label_column, paths[0])
+    report = CleaningReport()
+    report.count_rows(REASON_REPEATED_HEADER, repeated)
+    return table, mapping, report
 
 
 def random_contingency(rng, max_rows=5, max_cols=4, max_total=200):

@@ -1,3 +1,6 @@
+import pathlib
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from flowsieve import tabular
 from flowsieve.tabular import (CategoryMapping, Table, TableError, clean_table,
                                drop_invalid_rows, load_csv, load_csv_merged,
                                split_by_attack, subtable)
@@ -367,3 +371,146 @@ def test_row_and_feature_subsets_stay_c_ordered():
     assert parts["subtable of names"].X.tobytes() == want.tobytes()
     assert parts["subtable"].X.tobytes() == t.X[rows].tobytes()
     assert np.array_equal(parts["subtable"].y, t.y[rows])
+
+
+# ------------------------------------------------------------ chunked loading
+
+EDGE_CELLS = ("Infinity", "-Infinity", "NaN", "-nan", "-0", "1e500", "-1e-400", "4.9e-324",
+              " 5 ", "+5", ".5", "5.", "1_0", "١", "")
+NUMBER_CELLS = ("0", "1", "2.5", "-3", "7e2", '"1.5"', "\t5\x0c") + EDGE_CELLS[:-3]
+# raw cell text: quoted cells with an embedded comma, a doubled quote, line
+# ends; a stray quote; non-ASCII text
+TEXT_CELLS = ("x", "Benign", "b c", "é", '"a,b"', '"say ""hi"""', '"two\nlines"',
+              '"x\r\ny"', 'a"b', "Label")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def csv_files(draw):
+    """One to three CSV texts sharing a header, with blank lines, repeated
+    headers, mixed line ends, a column that may turn textual late, and now
+    and then a ragged row or a header that differs."""
+    d = draw(st.integers(0, 4))
+    header = [f"f{j}" for j in range(d)]
+    header.insert(draw(st.integers(0, d)), "Label")
+    width = len(header)
+    pools = [draw(st.sampled_from([NUMBER_CELLS, NUMBER_CELLS + EDGE_CELLS[-3:],
+                                   NUMBER_CELLS + TEXT_CELLS])) for _ in header]
+    late = draw(st.integers(0, width - 1))  # numeric until one of the last rows
+    pools[late] = NUMBER_CELLS
+    files = []
+    for f in range(draw(st.integers(1, 3))):
+        names = header
+        if f and draw(st.integers(0, 9)) == 0:
+            names = header[::-1] if width > 1 else ["other"]
+        lines = [",".join(names)]
+        for _ in range(draw(st.integers(0, 12))):
+            kind = draw(st.sampled_from(["row"] * 9 + ["blank", "header", "ragged"]))
+            if kind == "blank":
+                lines.append("")
+            elif kind == "header":
+                lines.append(",".join(names))
+            else:
+                n = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+                lines.append(",".join(draw(st.sampled_from(pools[j % width])) for j in range(n)))
+        if draw(st.booleans()):
+            cells = [draw(st.sampled_from(NUMBER_CELLS)) for _ in range(width)]
+            cells[late] = draw(st.sampled_from(("x", "1_0", "")))
+            lines.append(",".join(cells))
+        ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+        if draw(st.booleans()):
+            ends[-1] = ""  # no line end after the last line
+        bom = "\ufeff" if draw(st.integers(0, 4)) == 0 else ""
+        files.append(bom + "".join(line + end for line, end in zip(lines, ends)))
+    return files
+
+
+def load_outcome(load, paths):
+    """What a load gives: the table, mapping and report, or the error text."""
+    try:
+        t, mapping, report = load(paths, "Label")
+    except TableError as exc:
+        return str(exc)
+    return (t.feature_names, t.label_name, list(mapping.categories.items()), report.to_json(),
+            t.X.tobytes(), t.y.tobytes())
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files(), st.integers(1, 7), st.integers(1, 64))
+def test_chunked_load_equals_the_whole_file_parse(texts, chunk_lines, block_bytes):
+    saved = tabular._CHUNK_LINES, tabular._BLOCK_BYTES
+    tabular._CHUNK_LINES, tabular._BLOCK_BYTES = chunk_lines, block_bytes
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, text in enumerate(texts):
+                paths.append(pathlib.Path(tmp) / f"{i}.csv")
+                paths[-1].write_bytes(text.encode("utf-8"))
+            assert load_outcome(load_csv_merged, paths) == load_outcome(ref.load_csv_merged_ref,
+                                                                         paths)
+    finally:
+        tabular._CHUNK_LINES, tabular._BLOCK_BYTES = saved
+
+
+def test_a_column_textual_only_in_a_late_chunk_is_coded_over_all_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(tabular, "_CHUNK_LINES", 2)
+    p1 = write(tmp_path, "1.csv", "a,Label\n3,B\n1,A\n2,A\n")
+    p2 = write(tmp_path, "2.csv", "a,Label\n1.0,B\nx,A\n")
+    t, mapping, _ = load_csv_merged([p1, p2], "Label")
+    assert mapping.categories["a"] == ("1", "1.0", "2", "3", "x")
+    assert t.column("a").tolist() == [3.0, 0.0, 2.0, 1.0, 4.0]
+    assert t.y.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
+
+
+def test_ragged_rows_fail_with_their_line_number(tmp_path):
+    for name, text, line, cells in (
+            ("long.csv", "a,b,Label\n1,2,B\n1,2,3,B\n", 3, 4),
+            ("short.csv", "a,b,Label\n1,2,B\n\n1,B\n4,5,B\n", 4, 2),
+            ("quoted.csv", 'a,b,Label\n1,2,B\n"x\ny",2\n', 4, 2)):
+        path = write(tmp_path, name, text)
+        with pytest.raises(TableError) as caught:
+            load_csv(path, "Label")
+        assert str(caught.value) == f"{path}: row at line {line} has {cells} cells, header has 3"
+
+
+def test_a_file_that_grows_while_it_is_read_fails(tmp_path, monkeypatch):
+    # the matrix is sized by a first pass over the files
+    path = write(tmp_path, "t.csv", "a,Label\n1,B\n2,B\n3,B\n")
+    monkeypatch.setattr(tabular, "_line_ends", lambda path: 2)
+    with pytest.raises(TableError, match="t.csv: file grew while it was read"):
+        load_csv(path, "Label")
+
+
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,Label\n1,Benign\n2,Caf\xe9\n")
+    with pytest.raises(TableError) as caught:
+        load_csv(path, "Label")
+    assert str(caught.value) == (f"{path}: line 3 is not UTF-8 text: "
+                                 "byte 0xe9 at column 6")
+
+
+def test_a_cell_over_the_csv_field_limit_names_its_file_and_line(tmp_path):
+    path = write(tmp_path, "wide.csv", "a,Label\n1,Benign\n" + "2," + "x" * 200_000 + "\n")
+    with pytest.raises(TableError) as caught:
+        load_csv(path, "Label")
+    assert str(caught.value) == f"{path}: line 3: field larger than field limit (131072)"
+
+
+def test_load_peak_memory_is_within_twice_the_matrix(tmp_path, monkeypatch):
+    monkeypatch.setattr(tabular, "_CHUNK_LINES", 512)
+    rng = np.random.default_rng(3)
+    values = np.round(rng.random((20_000, 79)) * 1000, 3)
+    labels = np.where(rng.random(20_000) < 0.2, "Attack", "Benign")
+    header = ",".join([f"f{j}" for j in range(79)] + ["Label"])
+    lines = [",".join(map(str, row)) + "," + label for row, label in zip(values.tolist(), labels)]
+    path = write(tmp_path, "wide.csv", header + "\n" + "\n".join(lines) + "\n")
+    del values, labels, lines
+    tracemalloc.start()
+    try:
+        t, _, _ = load_csv(path, "Label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.X.shape == (20_000, 79)
+    assert peak <= 2 * t.X.nbytes, (peak, t.X.nbytes)
