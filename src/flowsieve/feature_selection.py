@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 
 from .discretize import bin_matrix
+from .parallel import fan_out, worker_count
 from .tabular import Table
 
 METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
@@ -152,9 +153,12 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     RELIEF_TILE data rows at a time, so that the batch-by-tile block of
     feature differences stays in cache and lives in preallocated buffers.
     Each distance is still one sum over the contiguous feature axis of a
-    row, so it equals the per-row distance bit for bit. Besides the feature
-    and bin matrices, the search holds O(RELIEF_BATCH * (rows +
-    RELIEF_TILE * features)) floats.
+    row, so it equals the per-row distance bit for bit. The batches are split
+    into contiguous ranges, one per worker of `parallel.fan_out`; each range
+    gives an integer tally, and the tallies are added before the one
+    division, so the weights are the same for any number of workers. Besides
+    the feature and bin matrices, which forked workers share, each worker
+    holds O(RELIEF_BATCH * (rows + RELIEF_TILE * features)) floats.
     """
     X = t.X
     y = t.y
@@ -176,35 +180,43 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     order = np.argsort(y, kind="stable")
     position = np.argsort(order)
     n0 = int(np.count_nonzero(y == classes[0]))
-    batch_rows = np.empty((RELIEF_BATCH, RELIEF_TILE, d))  # each sampled row, tile-high
-    diff = np.empty((RELIEF_BATCH, RELIEF_TILE, d))
-    dist = np.empty((RELIEF_BATCH, n))
-    # integer tallies, one division at the end: exact 1.0 / 0.0 in the
+
+    def tally(starts) -> np.ndarray:
+        """The integer tally of the batches of sampled rows from `starts`."""
+        batch_rows = np.empty((RELIEF_BATCH, RELIEF_TILE, d))  # each sampled row, tile-high
+        diff = np.empty((RELIEF_BATCH, RELIEF_TILE, d))
+        dist = np.empty((RELIEF_BATCH, n))
+        delta = np.zeros(d, dtype=np.int64)
+        for b in starts:
+            rows = sample[b:b + RELIEF_BATCH]
+            k = len(rows)
+            batch_rows[:k] = X[rows][:, None, :]
+            for start in range(0, n, RELIEF_TILE):
+                stop = min(start + RELIEF_TILE, n)
+                block = diff[:k, :stop - start]
+                # copying first lets the subtraction run in place over whole
+                # tiles, 2-3x faster than broadcasting each sampled row
+                np.copyto(block, batch_rows[:k, :stop - start])
+                np.subtract(X[order[start:stop]], block, out=block)
+                np.abs(block, out=block)
+                block.sum(axis=-1, out=dist[:k, start:stop])
+            dk = dist[:k]
+            dk[np.arange(k), position[rows]] = np.inf
+            # row by row: an argmin over a column slice of dk copies the slice
+            nearest0 = order[[r[:n0].argmin() for r in dk]]
+            nearest1 = order[[n0 + r[n0:].argmin() for r in dk]]
+            in0 = y[rows] == classes[0]
+            hit = np.where(in0, nearest0, nearest1)
+            miss = np.where(in0, nearest1, nearest0)
+            delta -= (binned[rows] != binned[hit]).sum(axis=0)
+            delta += (binned[rows] != binned[miss]).sum(axis=0)
+        return delta
+
+    # integer tallies, summed over contiguous ranges of batches and divided
+    # once: the same weights for any split, and exact 1.0 / 0.0 in the
     # label-identical and constant-feature cases
-    delta = np.zeros(d, dtype=np.int64)
-    for b in range(0, m, RELIEF_BATCH):
-        rows = sample[b:b + RELIEF_BATCH]
-        k = len(rows)
-        batch_rows[:k] = X[rows][:, None, :]
-        for start in range(0, n, RELIEF_TILE):
-            stop = min(start + RELIEF_TILE, n)
-            block = diff[:k, :stop - start]
-            # copying first lets the subtraction run in place over whole
-            # tiles, 2-3x faster than broadcasting each sampled row
-            np.copyto(block, batch_rows[:k, :stop - start])
-            np.subtract(X[order[start:stop]], block, out=block)
-            np.abs(block, out=block)
-            block.sum(axis=-1, out=dist[:k, start:stop])
-        dk = dist[:k]
-        dk[np.arange(k), position[rows]] = np.inf
-        # row by row: an argmin over a column slice of dk copies the slice
-        nearest0 = order[[r[:n0].argmin() for r in dk]]
-        nearest1 = order[[n0 + r[n0:].argmin() for r in dk]]
-        in0 = y[rows] == classes[0]
-        hit = np.where(in0, nearest0, nearest1)
-        miss = np.where(in0, nearest1, nearest0)
-        delta -= (binned[rows] != binned[hit]).sum(axis=0)
-        delta += (binned[rows] != binned[miss]).sum(axis=0)
+    starts = np.arange(0, m, RELIEF_BATCH)
+    delta = sum(fan_out(tally, np.array_split(starts, worker_count(len(starts)))))
     return delta / m
 
 

@@ -11,7 +11,10 @@ them without parsing text, and find each attack's rows in it again. `select`
 writes each attack's scores and one `selection-*.json` per threshold, which
 `train-eval` reads back. The stages hand off through these files alone: `run`
 runs the three stages in one process, each reading what the one before
-wrote, as the staged commands do. The run manifest (written last)
+wrote, as the staged commands do. `select`'s relief passes and
+`train-eval`'s grid of (attack, feature subset, classifier) cells run in
+forked workers (`parallel.fan_out`), with the same outputs for any number of
+workers. The run manifest (written last)
 inventories every file the run produced; every command rewrites it, carrying
 over the stage history of the commands before it, and records partial
 progress and the error when a stage fails.
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .classify import (save_model, train_forest, train_logistic,
                        train_naive_bayes, train_svm, train_tree)
 from .config import CLASSIFIER_ORDER, PipelineConfig, attack_slug, config_hash, tau_tag
@@ -36,6 +39,7 @@ from .discretize import bins_document, table_bin_edges
 from .evaluation import evaluate, write_metrics_csv, write_metrics_json
 from .feature_selection import (normalize_scores, score_all, select_by_threshold,
                                 write_scores_csv)
+from .parallel import fan_out
 from .sampling import SamplingError, split_manifest, split_table
 from .tabular import (CategoryMapping, Table, clean_table, load_csv_merged, split_by_attack,
                       subtable)
@@ -58,11 +62,13 @@ class RunContext:
     run_dir: Path
     warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+    # per stage: the most workers a fan-out in it used, this process counting
+    # as one, and the peak RSS in MB of this process ("main") and of the
+    # workers it forked ("workers", None if it forked none)
+    workers: dict[str, int] = field(default_factory=dict)
+    peak_rss_mb: dict[str, dict] = field(default_factory=dict)
     stages_completed: list[str] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
-
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
 
     def attack_dir(self, attack: str) -> Path:
         d = self.run_dir / attack_slug(attack)
@@ -71,14 +77,33 @@ class RunContext:
 
 
 @contextmanager
+def _caught():
+    """Yield a list that holds, once the block ends, the messages of the
+    warnings raised in it, in order."""
+    messages = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield messages
+    messages.extend(str(w.message) for w in caught)
+
+
+@contextmanager
 def _recording(ctx: RunContext, prefix: str):
     """Record the warnings raised in the block, in order, as run warnings
     led by `prefix`."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _caught() as messages:
         yield
-    for w in caught:
-        ctx.warn(f"{prefix}{w.message}")
+    ctx.warnings.extend(prefix + message for message in messages)
+
+
+def _named(exc: Exception, where: str) -> Exception:
+    """`exc` as an exception of its type whose message is led by `where`,
+    with its traceback; `exc` itself if its type takes no message alone."""
+    try:
+        named = type(exc)(f"{where}: {exc}")
+    except Exception:
+        return exc
+    return named.with_traceback(exc.__traceback__)
 
 
 def new_run_dir(cfg: PipelineConfig) -> Path:
@@ -121,18 +146,24 @@ def _fresh(path: Path) -> Path:
     return path
 
 
-class _Timer:
-    def __init__(self, ctx: RunContext, stage: str):
-        self.ctx = ctx
-        self.stage = stage
+def _mb(size: int | None) -> float | None:
+    return None if size is None else round(size / 1e6, 1)
 
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
 
-    def __exit__(self, *exc):
-        self.ctx.timings[self.stage] = round(time.perf_counter() - self.t0, 6)
-        return False
+@contextmanager
+def _stage(ctx: RunContext, stage: str):
+    """Record the block's wall time as `stage`'s, the most workers a fan-out
+    in it used, and the peak memory of this process and of the workers it
+    forked."""
+    t0 = time.perf_counter()
+    try:
+        with parallel.usage() as used:
+            yield
+    finally:
+        ctx.timings[stage] = round(time.perf_counter() - t0, 6)
+        ctx.workers[stage] = used["workers"]
+        ctx.peak_rss_mb[stage] = {"main": _mb(parallel.peak_rss_bytes()),
+                                  "workers": _mb(used["worker_peak_rss"])}
 
 
 def stage_preprocess(ctx: RunContext) -> None:
@@ -140,8 +171,9 @@ def stage_preprocess(ctx: RunContext) -> None:
     attack's rows can be split for training, and write the cleaned table's
     arrays once."""
     cfg = ctx.cfg
-    with _Timer(ctx, "preprocess"), _recording(ctx, ""):
-        table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column)
+    with _stage(ctx, "preprocess"), _recording(ctx, ""):
+        table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column,
+                                                 cfg.excluded_columns)
         raw_shape = (table.row_count, table.column_count)
         table, rep = clean_table(table, mapping, cfg.excluded_columns)
         report = report.merged(rep)
@@ -152,7 +184,7 @@ def stage_preprocess(ctx: RunContext) -> None:
             try:
                 split_table(labels, cfg.sampling.spec(attack, cfg.seed))
             except SamplingError as exc:
-                raise SamplingError(f"{attack}: {exc}") from None
+                raise _named(exc, attack) from None
 
         _write_json(_fresh(ctx.run_dir / "cleaning_report.json"), report.to_json())
         prep = {
@@ -190,17 +222,21 @@ def load_preprocessed(ctx: RunContext) -> Cleaned:
 
 def stage_select(ctx: RunContext, cleaned: Cleaned) -> None:
     """Score every feature with the six methods, rank the features by their
-    mean normalized score, and write one selection per threshold."""
+    mean normalized score, and write one selection per threshold. A scoring
+    error is raised again led by its attack."""
     cfg = ctx.cfg
     table, per_attack = cleaned
     names = table.feature_names
-    with _Timer(ctx, "select"):
+    with _stage(ctx, "select"):
         for attack in cfg.attacks:
             t = subtable(table, *per_attack[attack], names)
             adir = ctx.attack_dir(attack)
             with _recording(ctx, f"{attack}: "):
-                edges = table_bin_edges(t, cfg.bin_count)
-                raw = score_all(t, edges, relief_m=cfg.relief_m, seed=cfg.seed)
+                try:
+                    edges = table_bin_edges(t, cfg.bin_count)
+                    raw = score_all(t, edges, relief_m=cfg.relief_m, seed=cfg.seed)
+                except Exception as exc:
+                    raise _named(exc, attack) from None
                 del t  # before the next attack's table is built
                 normalized = normalize_scores(raw)
                 mean = normalized.mean(axis=1)
@@ -241,24 +277,45 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
     """Sample each attack's dataset once, then train and evaluate the five
     classifiers per distinct selected feature subset.
 
-    Thresholds that select identical subsets share one pair of train and test
-    tables and one trained model; metric rows are still emitted per threshold.
+    Thresholds that select identical subsets share one trained model; metric
+    rows are still emitted per threshold. The (attack, subset, classifier)
+    cells run in one `fan_out`, each in a worker that shares the cleaned
+    table copy-on-write; the metrics and the warnings come in the order a
+    loop over the cells gives them.
     """
+    cfg = ctx.cfg
     table, per_attack = cleaned
-    reports = []
-    with _Timer(ctx, "train_eval"):
-        for attack in ctx.cfg.attacks:
-            with _recording(ctx, f"{attack}: "):
-                reports.extend(_train_eval_attack(ctx, attack, table, *per_attack[attack],
-                                                  selections[attack]))
+    cells, notes = [], {}
+    with _stage(ctx, "train_eval"):
+        for attack in cfg.attacks:
+            attack_cells, notes[attack] = _attack_cells(ctx, attack, *per_attack[attack],
+                                                        selections[attack])
+            cells += attack_cells
+        tables = {}  # in each process, the train and test tables of its latest subset
+        outcomes = fan_out(lambda cell: _train_eval_cell(ctx, table, tables, cell), cells)
+        by_tau = {attack: {} for attack in cfg.attacks}  # reports, in classifier order
+        for (attack, _, taus, *_), (pair, caught) in zip(cells, outcomes):
+            notes[attack] += caught
+            for tau in taus:
+                by_tau[attack].setdefault(tau, []).extend(
+                    dataclasses.replace(r, threshold=tau) for r in pair)
+        for attack in cfg.attacks:
+            ctx.warnings.extend(f"{attack}: {message}" for message in notes[attack])
+        reports = [r for attack in cfg.attacks for tau in cfg.thresholds
+                   for r in by_tau[attack].get(tau, [])]
         write_metrics_csv(reports, _fresh(ctx.run_dir / "metrics.csv"))
         write_metrics_json(reports, _fresh(ctx.run_dir / "metrics.json"))
     ctx.stages_completed.append("train_eval")
     return reports
 
 
-def _train_eval_attack(ctx: RunContext, attack: str, table: Table, rows, labels,
-                       selections: dict[float, tuple[str, ...]]) -> list:
+def _attack_cells(ctx: RunContext, attack: str, rows, labels,
+                  selections: dict[float, tuple[str, ...]]) -> tuple[list, list[str]]:
+    """Draw the attack's train/test split and write its manifest. Returns the
+    attack's cells, one per distinct selected subset and classifier, each as
+    (attack, feature names, thresholds selecting them, classifier, train rows
+    and labels, test rows and labels), and the warnings of the thresholds
+    that select nothing, which are skipped."""
     cfg = ctx.cfg
     adir = ctx.attack_dir(attack)
     spec = cfg.sampling.spec(attack, cfg.seed)
@@ -269,31 +326,47 @@ def _train_eval_attack(ctx: RunContext, attack: str, table: Table, rows, labels,
 
     # group thresholds whose selections coincide: one model per subset
     groups: dict[tuple[str, ...], list[float]] = {}
+    skips = []
     for tau in cfg.thresholds:
         if not selections[tau]:
             ctx.skipped.append({"attack": attack, "threshold": tau,
                                 "reason": "empty selection"})
-            ctx.warn(f"{attack}: threshold {tau_tag(tau)} selects no features; skipped")
+            skips.append(f"threshold {tau_tag(tau)} selects no features; skipped")
             continue
         groups.setdefault(selections[tau], []).append(tau)
+    (adir / "models").mkdir(exist_ok=True)
+    train = rows[result.train_rows], labels[result.train_rows]
+    test = rows[result.test_rows], labels[result.test_rows]
+    return [(attack, names, taus, clf, train, test)
+            for names, taus in groups.items() for clf in CLASSIFIER_ORDER], skips
 
-    models_dir = adir / "models"
-    models_dir.mkdir(exist_ok=True)
-    by_tau: dict[float, list] = {}  # train and test reports, in classifier order
-    for names, taus in groups.items():
-        train_t = subtable(table, rows[result.train_rows], labels[result.train_rows], names)
-        test_t = subtable(table, rows[result.test_rows], labels[result.test_rows], names)
-        tag0 = tau_tag(taus[0])
-        for clf in CLASSIFIER_ORDER:
-            params = cfg.classifiers.params(clf)
+
+def _train_eval_cell(ctx: RunContext, table: Table, tables: dict,
+                     cell) -> tuple[list, list[str]]:
+    """Train the cell's classifier on its train table, write the model, and
+    evaluate it: the train and test reports, and the warnings raised. The
+    train and test tables are gathered from the cleaned `table` unless
+    `tables` holds them from the cell before, which it then does for the
+    next one. An error is raised again led by "<attack>: threshold <tag>
+    <classifier>"."""
+    attack, names, taus, clf, train, test = cell
+    tag = tau_tag(taus[0])
+    with _caught() as caught:
+        try:
+            if (attack, names) not in tables:
+                tables.clear()  # before the next subset's tables are gathered
+                tables[attack, names] = (subtable(table, *train, names),
+                                         subtable(table, *test, names))
+            train_t, test_t = tables[attack, names]
+            params = ctx.cfg.classifiers.params(clf)
             model = _TRAINERS[clf](train_t, params)
-            save_model(model, params, _fresh(models_dir / f"tau-{tag0}-{clf}.json"))
+            save_model(model, params, _fresh(ctx.run_dir / attack_slug(attack) / "models"
+                                             / f"tau-{tag}-{clf}.json"))
             pair = evaluate(model, train_t, test_t, attack=attack, classifier=clf,
                             threshold=taus[0])
-            for tau in taus:
-                by_tau.setdefault(tau, []).extend(
-                    dataclasses.replace(r, threshold=tau) for r in pair)
-    return [r for tau in cfg.thresholds for r in by_tau.get(tau, [])]
+        except Exception as exc:
+            raise _named(exc, f"{attack}: threshold {tag} {clf}") from None
+    return pair, caught
 
 
 def write_manifest(ctx: RunContext, error: str | None = None) -> Path:
@@ -309,6 +382,8 @@ def write_manifest(ctx: RunContext, error: str | None = None) -> Path:
         "config_hash": config_hash(ctx.cfg),
         "stages_completed": list(ctx.stages_completed),
         "stage_seconds": dict(ctx.timings),
+        "workers": dict(ctx.workers),
+        "peak_rss_mb": dict(ctx.peak_rss_mb),
         "outputs": files,
         "warnings": list(ctx.warnings),
         "skipped": list(ctx.skipped),
@@ -321,7 +396,8 @@ def write_manifest(ctx: RunContext, error: str | None = None) -> Path:
 
 def _resume_context(cfg: PipelineConfig) -> RunContext:
     """Context for a staged command: the newest run with this config, with
-    the stage history, timings, warnings and skips of its manifest."""
+    the stage history, timings, workers, memory, warnings and skips of its
+    manifest."""
     ctx = RunContext(cfg, find_run_dir(cfg))
     path = ctx.run_dir / "run_manifest.json"
     if path.exists():
@@ -329,6 +405,9 @@ def _resume_context(cfg: PipelineConfig) -> RunContext:
             prior = json.load(fh)
         ctx.stages_completed = list(prior["stages_completed"])
         ctx.timings = dict(prior["stage_seconds"])
+        # absent from the manifests of runs written before workers were recorded
+        ctx.workers = dict(prior.get("workers", {}))
+        ctx.peak_rss_mb = dict(prior.get("peak_rss_mb", {}))
         ctx.warnings = list(prior["warnings"])
         ctx.skipped = list(prior["skipped"])
     return ctx

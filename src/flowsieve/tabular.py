@@ -33,9 +33,10 @@ the label column or repeats a name.
 
 The files are read in chunks of lines into one preallocated float64 matrix,
 sized by a first pass that counts their line ends, so a load holds that
-matrix, one chunk and each text column's distinct cells. The rows of a
-column that turns out textual after earlier chunks parsed it as numbers
-are read again from the files.
+matrix, one chunk and each text column's distinct cells; the cells of the
+columns the caller excludes are not kept at all. The rows of a column that
+turns out textual after earlier chunks parsed it as numbers are read again
+from the files.
 """
 
 import csv
@@ -296,12 +297,12 @@ def _is_number(cell: str) -> bool:
 
 class _Columns:
     """A load in progress: the matrix and label rows filled so far, the
-    columns whose every cell so far is a number, and for each other column the
-    distinct cells seen, each with a number. The matrix holds a text cell's
-    number until `finish` turns the numbers into lexicographic category
-    codes."""
+    excluded columns, which are not parsed, the columns whose every cell so
+    far is a number, and for each other column the distinct cells seen, each
+    with a number. The matrix holds a text cell's number until `finish` turns
+    the numbers into lexicographic category codes."""
 
-    def __init__(self, header: list[str], label_column: str, capacity: int):
+    def __init__(self, header: list[str], label_column: str, capacity: int, excluded):
         self.header = header
         # the header as a line, to spot repeats of it among quote-free lines
         self.header_line = None if any("," in name for name in header) else ",".join(header)
@@ -310,7 +311,10 @@ class _Columns:
         self.y = np.empty(capacity)
         self.rows = 0
         self.repeated = 0
-        self.numeric = set(range(len(header)))
+        self.skipped = {c for c, name in enumerate(header) if name in excluded and c != self.label}
+        for c in self.skipped:
+            self.column(c)[:] = np.nan
+        self.numeric = set(range(len(header))) - self.skipped
         self.ids: dict[int, dict[str, int]] = {}
         # text columns whose first rows were parsed as numbers: how many
         self.reread: dict[int, int] = {}
@@ -359,9 +363,9 @@ class _Columns:
     def runs(self) -> list[tuple[int, int, str]]:
         """The header as runs of adjacent columns of one kind, each as (first
         column, length, kind): "x" numeric features, "y" a numeric label, "t"
-        text columns."""
-        kinds = ["t" if c not in self.numeric else "y" if c == self.label else "x"
-                 for c in range(len(self.header))]
+        text columns, "s" excluded columns."""
+        kinds = ["s" if c in self.skipped else "t" if c not in self.numeric
+                 else "y" if c == self.label else "x" for c in range(len(self.header))]
         runs = []
         for kind, run in itertools.groupby(range(len(kinds)), kinds.__getitem__):
             run = list(run)
@@ -371,10 +375,10 @@ class _Columns:
     def add_lines(self, path, lines: list[str]) -> bool:
         """Add the quote-free `lines`, if np.loadtxt takes them. Blank lines
         and repeated headers go; loadtxt parses the rest, with one field per
-        header column: the numeric columns as float64, the text columns as
-        their cells. False, with no row added, where it rejects a line: a row
-        of another length than the header, or a cell it does not take as a
-        number."""
+        header column: the numeric columns as float64, the text and excluded
+        columns as their cells, of which only the text columns' are kept.
+        False, with no row added, where it rejects a line: a row of another
+        length than the header, or a cell it does not take as a number."""
         data = [line for line in lines if line and line != self.header_line]
         if not data:
             self.repeated += lines.count(self.header_line)
@@ -385,7 +389,7 @@ class _Columns:
                 self.to_text(c, self.rows)
         runs = self.runs()
         try:
-            block = np.loadtxt(data, dtype=[(f"c{c}", object if kind == "t" else np.float64, (k,))
+            block = np.loadtxt(data, dtype=[(f"c{c}", object if kind in "st" else np.float64, (k,))
                                             for c, k, kind in runs],
                                delimiter=",", quotechar='"', comments=None, ndmin=1)
         except ValueError:
@@ -399,7 +403,7 @@ class _Columns:
                 self.X[start:start + len(data), j:j + k] = cells
             elif kind == "y":
                 self.y[start:start + len(data)] = cells[:, 0]
-            else:
+            elif kind == "t":
                 for i in range(k):
                     self.number(c + i, cells[:, i].tolist(), start)
         return True
@@ -410,7 +414,7 @@ class _Columns:
         if not rows:
             return
         start = self.reserve(path, len(rows))
-        for c in range(len(self.header)):
+        for c in sorted(self.numeric.union(self.ids)):  # all but the excluded
             cells = [row[c] for row in rows]
             if c in self.numeric:
                 try:
@@ -462,7 +466,8 @@ def load_csv(path, label_column: str) -> tuple[Table, CategoryMapping, CleaningR
     return load_csv_merged([path], label_column)
 
 
-def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, CleaningReport]:
+def load_csv_merged(paths, label_column: str,
+                    excluded=()) -> tuple[Table, CategoryMapping, CleaningReport]:
     """Load and concatenate several CSV files sharing one header.
 
     Columns whose cells all parse as numbers (Python `float()`) are numeric;
@@ -471,8 +476,10 @@ def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, C
     source files, and become keys of the returned mapping. `label_column`
     becomes the table's label (coded the same way when textual).
     Data lines that repeat the header verbatim are dropped and counted;
-    completely blank lines are skipped. The module docstring says how the
-    files are read and when a load fails.
+    completely blank lines are skipped. The cells of the `excluded`
+    columns other than the label are not parsed: each such column is all NaN
+    and gets no categories, so that `clean_table` can drop it by name. The
+    module docstring says how the files are read and when a load fails.
     """
     if not paths:
         raise TableError("no input files given")
@@ -486,7 +493,7 @@ def load_csv_merged(paths, label_column: str) -> tuple[Table, CategoryMapping, C
             if first is None:
                 first = header
                 if label_column in header and len(set(header)) == len(header):
-                    columns = _Columns(header, label_column, capacity)
+                    columns = _Columns(header, label_column, capacity, excluded)
             if columns is None or header != first:
                 # a file is read to its end before its header is judged, so
                 # that a ragged row in it is reported first

@@ -1,4 +1,6 @@
-"""Shared table builders for the test suite."""
+"""Shared table builders and process helpers for the test suite."""
+
+import os
 
 import numpy as np
 
@@ -37,3 +39,33 @@ def random_table(rng, n_rows: int, n_features: int) -> Table:
         if 0 < y.sum() < n_rows:
             break
     return make_table({f"f{j}": X[:, j] for j in range(n_features)}, y)
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make the fan-outs see `n` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """The list that the pids of the processes forked from now on are added to."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_all_reaped(pids) -> None:
+    """Each of the child processes `pids` has ended and been waited for."""
+    for pid in pids:
+        try:
+            os.kill(pid, 0)  # finds a child not waited for, even if it has ended
+        except ProcessLookupError:
+            continue
+        raise AssertionError(f"child process {pid} is still there")

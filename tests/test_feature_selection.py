@@ -18,7 +18,7 @@ from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          select_by_threshold, write_scores_csv)
 from flowsieve.tabular import subtable
 
-from helpers import make_table, random_table, rows_of
+from helpers import make_table, random_table, rows_of, use_cpus
 
 
 def count_scores(counts):
@@ -291,9 +291,23 @@ def test_relief_property_quantized_tables(data):
     assert (np.abs(got) <= 1.0).all()
 
 
-def test_relief_peak_memory_is_one_distance_block():
+@pytest.mark.parametrize("m", [1, RELIEF_BATCH, RELIEF_BATCH + 1, 2 * RELIEF_BATCH, 100])
+def test_relief_weights_do_not_depend_on_the_worker_count(monkeypatch, m):
+    # m up to 2 batches: more workers than batches; 100: 7 batches in 3 ranges
+    t = random_table(np.random.default_rng(4), 150, 9)
+    binned = bin_table(t)
+    weights = {}
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        weights[cpus] = relief_weights(t, m=m, seed=3, binned=binned).tobytes()
+    assert weights[2] == weights[1] and weights[3] == weights[1]
+
+
+def test_relief_peak_memory_is_one_distance_block(monkeypatch):
     # one feature and a 95 % majority class: a copy of the majority span of
-    # the batch's distance block would nearly double relief's peak
+    # the batch's distance block would nearly double relief's peak. In this
+    # process: tracemalloc does not see a forked worker's memory
+    use_cpus(monkeypatch, 1)
     n = 40_000
     rng = np.random.default_rng(5)
     t = make_table({"f0": rng.random(n)}, (rng.random(n) < 0.05).astype(float))

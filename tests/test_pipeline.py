@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import threading
 import warnings
 import weakref
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from flowsieve import pipeline
 from flowsieve.config import apply_overrides, config_hash, parse_config
+from flowsieve.feature_selection import ScoringError
 from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
                                 cmd_preprocess, cmd_run, cmd_select,
                                 cmd_train_eval, find_run_dir, load_preprocessed,
@@ -17,6 +19,7 @@ from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
 from flowsieve.sampling import SamplingError, SplitSpec, split_manifest, split_table
 from flowsieve.tabular import (TableError, clean_table, load_csv_merged, split_by_attack,
                                subtable)
+from helpers import assert_all_reaped, record_forks, use_cpus
 
 
 def synth_files(tmp_path, seed=0, n_benign=240, n_attack=60):
@@ -81,6 +84,21 @@ def synth_config(tmp_path, seed=0, **extra):
 def cfg(tmp_path):
     (tmp_path / "data").mkdir()
     return synth_config(tmp_path)
+
+
+def run_commands(cfg, staged: bool):
+    """`run`, or the three staged commands; the context of the last."""
+    if not staged:
+        return cmd_run(cfg)
+    cmd_preprocess(cfg)
+    cmd_select(cfg)
+    return cmd_train_eval(cfg)
+
+
+def run_files(run_dir) -> dict[str, bytes]:
+    """Every file of a run directory but its manifest, by relative path."""
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in run_dir.rglob("*")
+            if p.is_file() and p.name != "run_manifest.json"}
 
 
 def test_preprocess_outputs(cfg):
@@ -388,12 +406,7 @@ def test_run_and_staged_commands_write_identical_files(cfg):
     cmd_select(cfg)
     cmd_train_eval(cfg)
     assert staged.run_dir != run.run_dir
-
-    def files(run_dir):
-        return {str(p.relative_to(run_dir)): p.read_bytes() for p in run_dir.rglob("*")
-                if p.is_file() and p.name != "run_manifest.json"}
-
-    want, got = files(run.run_dir), files(staged.run_dir)
+    want, got = run_files(run.run_dir), run_files(staged.run_dir)
     assert sorted(got) == sorted(want)
     for name in ("bins.json", "feature_scores.csv", "selection-0.35.json",
                  "split/manifest.json"):
@@ -474,7 +487,9 @@ def test_cleaned_arrays_disagreeing_with_columns_fail_closed(cfg):
 @pytest.mark.parametrize("staged", [False, True])
 def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
     # three attacks share one large benign class; each attack's table must
-    # be dropped before the next one is built
+    # be dropped before the next one is built, and each feature subset's
+    # train and test tables before the next subset's are gathered, in this
+    # process or in a forked worker
     rng = np.random.default_rng(8)
     attacks = ["AttackA", "AttackB", "AttackC"]
     labels = ["Benign"] * 600 + [a for a in attacks for _ in range(40)]
@@ -486,14 +501,15 @@ def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
     cfg = synth_config(tmp_path, inputs=[str(tmp_path / "data" / "flows.csv")],
                        attacks=attacks, thresholds=[0.35],
                        sampling={"schemes": dict.fromkeys(attacks, "fraction_stratified")})
-    alive = {"score_all": [], "logistic_regression": []}
+    log = tmp_path / "alive.txt"  # a file, which forked workers append to as well
 
     def spy(name, fn):
         seen = []
 
         def call(t, *args, **kwargs):
             gc.collect()
-            alive[name].append(sum(ref() is not None for ref in seen))
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{name} {sum(ref() is not None for ref in seen)}\n")
             seen.append(weakref.ref(t))
             return fn(t, *args, **kwargs)
         return call
@@ -501,14 +517,16 @@ def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
     monkeypatch.setattr(pipeline, "score_all", spy("score_all", pipeline.score_all))
     monkeypatch.setitem(pipeline._TRAINERS, "logistic_regression",
                         spy("logistic_regression", pipeline._TRAINERS["logistic_regression"]))
-    if staged:
-        cmd_preprocess(cfg)
-        cmd_select(cfg)
-        cmd_train_eval(cfg)
-    else:
-        cmd_run(cfg)
-    assert alive["score_all"] == [0, 0, 0]
-    assert alive["logistic_regression"] == [0, 0, 0]
+    for workers in (1, 3):
+        use_cpus(monkeypatch, workers)
+        log.write_text("")
+        run_commands(cfg, staged)
+        alive = {"score_all": [], "logistic_regression": []}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            name, count = line.split()
+            alive[name].append(int(count))
+        assert alive["score_all"] == [0, 0, 0], workers
+        assert alive["logistic_regression"] == [0, 0, 0], workers
 
 
 def test_resume_does_not_repeat_preprocess_warnings(tmp_path):
@@ -589,3 +607,124 @@ def test_new_run_dirs_never_collide(cfg):
     d2 = new_run_dir(cfg)
     assert d1 != d2
     assert find_run_dir(cfg) == max(d1, d2)
+
+
+def warning_config(tmp_path):
+    """A config whose select and train-eval stages both warn: relief_m above
+    the rows, and a forest features_per_split above the smaller subsets."""
+    return synth_config(tmp_path, relief_m=10**6, classifiers={
+        "logistic": {"epochs": 60}, "svm": {"epochs": 5}, "tree": {"max_depth": 6},
+        "forest": {"tree_count": 5, "max_depth": 6, "features_per_split": 3}})
+
+
+# what the manifest says of time, workers and memory, the only parts that
+# may differ between runs with different worker counts
+RESOURCE_KEYS = ("stage_seconds", "workers", "peak_rss_mb")
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_run_directory_is_the_same_for_any_worker_count(tmp_path, monkeypatch, staged):
+    (tmp_path / "data").mkdir()
+    cfg = warning_config(tmp_path)
+    manifests, files = {}, {}
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        run_dir = run_commands(cfg, staged).run_dir
+        manifests[cpus] = json.loads((run_dir / "run_manifest.json").read_text())
+        files[cpus] = run_files(run_dir)
+    assert sorted(files[3]) == sorted(files[1])
+    for rel, data in files[1].items():
+        assert files[3][rel] == data, rel
+    one, three = manifests[1], manifests[3]
+    assert one["workers"] == {"preprocess": 1, "select": 1, "train_eval": 1}
+    assert three["workers"] == {"preprocess": 1, "select": 3, "train_eval": 3}
+    for stage in ("preprocess", "select", "train_eval"):
+        assert one["peak_rss_mb"][stage]["main"] > 0
+        assert one["peak_rss_mb"][stage]["workers"] is None
+        assert three["peak_rss_mb"][stage]["main"] > 0
+        assert (three["peak_rss_mb"][stage]["workers"] is None) == (stage == "preprocess")
+    assert three["peak_rss_mb"]["select"]["workers"] > 0
+    assert three["peak_rss_mb"]["train_eval"]["workers"] > 0
+    # select's and train-eval's warnings both, in the same order
+    assert any("relief_m=1000000 exceeds" in w for w in one["warnings"])
+    assert any("features_per_split=3 exceeds" in w for w in one["warnings"])
+    for key in RESOURCE_KEYS:
+        del one[key], three[key]
+    assert three == one
+
+
+def test_one_worker_forks_nothing(cfg, monkeypatch):
+    use_cpus(monkeypatch, 1)
+
+    def no_fork():
+        raise AssertionError("forked with one worker")
+
+    monkeypatch.setattr(pipeline.parallel.os, "fork", no_fork)
+    ctx = cmd_run(cfg)
+    assert ctx.workers == {"preprocess": 1, "select": 1, "train_eval": 1}
+
+
+def test_forking_beside_a_live_thread_records_no_warning(tmp_path, monkeypatch):
+    # Python 3.12+ warns when a process with several threads forks; the
+    # fan-outs must not let that warning into the manifest or fail on it
+    (tmp_path / "data").mkdir()
+    cfg = warning_config(tmp_path)
+    use_cpus(monkeypatch, 1)
+    alone = cmd_run(cfg)
+    use_cpus(monkeypatch, 3)
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait)
+    helper.start()
+    try:
+        forked = cmd_run(cfg)
+    finally:
+        stop.set()
+        helper.join()
+    assert forked.workers["train_eval"] == 3
+    assert forked.warnings == alone.warnings
+    manifest = json.loads((forked.run_dir / "run_manifest.json").read_text())
+    assert manifest["warnings"] == alone.warnings
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("staged", [False, True])
+def test_a_failing_cell_is_named_and_leaves_no_child(cfg, monkeypatch, staged, cpus):
+    use_cpus(monkeypatch, cpus)
+    forks = record_forks(monkeypatch)
+
+    def broken_svm(t, params):
+        raise FloatingPointError("overflow in the margin")
+
+    monkeypatch.setitem(pipeline._TRAINERS, "svm", broken_svm)
+    # the first cell in order: AttackA, its first distinct subset, first
+    # selected at the lowest threshold
+    with pytest.raises(FloatingPointError,
+                       match=r"^AttackA: threshold 0\.35 svm: overflow in the margin$"):
+        run_commands(cfg, staged)
+    run_dir = find_run_dir(cfg)
+    manifest = json.loads((run_dir / "run_manifest.json").read_text())
+    assert manifest["error"] == ("FloatingPointError: AttackA: threshold 0.35 svm: "
+                                 "overflow in the margin")
+    assert manifest["stages_completed"] == ["preprocess", "select"]
+    assert not (run_dir / "metrics.csv").exists()
+    assert (len(forks) > 0) == (cpus > 1)
+    assert_all_reaped(forks)
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_a_scoring_error_names_its_attack(cfg, monkeypatch, staged):
+    scored = []
+    real_score_all = pipeline.score_all
+
+    def score_all(t, *args, **kwargs):
+        scored.append(t.row_count)
+        if len(scored) == 2:  # the second attack's
+            raise ScoringError("no feature to score")
+        return real_score_all(t, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "score_all", score_all)
+    with pytest.raises(ScoringError, match="^AttackB: no feature to score$"):
+        run_commands(cfg, staged)
+    manifest = json.loads((find_run_dir(cfg) / "run_manifest.json").read_text())
+    assert manifest["error"] == "ScoringError: AttackB: no feature to score"
+    assert manifest["stages_completed"] == ["preprocess"]

@@ -462,6 +462,49 @@ def test_a_column_textual_only_in_a_late_chunk_is_coded_over_all_rows(tmp_path, 
     assert t.y.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
 
 
+@pytest.mark.parametrize("chunk_lines", [2, 8192])
+def test_excluded_columns_are_not_parsed(tmp_path, monkeypatch, chunk_lines):
+    # chunks of 2 lines: quote-free chunks through loadtxt, the quoted one
+    # through csv.reader, and `late` turning textual in the last chunk
+    monkeypatch.setattr(tabular, "_CHUNK_LINES", chunk_lines)
+    path = write(tmp_path, "flows.csv",
+                 "Timestamp,proto,a,late,Label\n"
+                 "2018-02-14 08:00,tcp,1,3,Benign\n"
+                 "2018-02-14 08:01,udp,2,1,Attack\n"
+                 '"2018-02-14, 08:02",tcp,-1,2,Benign\n'
+                 "2018-02-14 08:03,udp,4,1,Attack\n"
+                 "2018-02-14 08:04,tcp,5,x,Benign\n")
+    coded = []
+    number = tabular._Columns.number
+    monkeypatch.setattr(tabular._Columns, "number",
+                        lambda self, c, cells, start: (coded.append(self.header[c]),
+                                                       number(self, c, cells, start)))
+    excluded = ["Timestamp", "late", "absent"]
+    full, full_mapping, full_report = load_csv_merged([path], "Label")
+    coded_full, coded[:] = set(coded), []
+    t, mapping, report = load_csv_merged([path], "Label", excluded)
+    assert coded_full == {"Timestamp", "proto", "late", "Label"}
+    assert set(coded) == {"proto", "Label"}  # no distinct cells kept for the others
+    assert t.feature_names == full.feature_names
+    assert np.isnan(t.column("Timestamp")).all() and np.isnan(t.column("late")).all()
+    assert mapping.categories == {k: v for k, v in full_mapping.categories.items()
+                                  if k not in excluded}
+    for name in ("proto", "a", "Label"):
+        assert t.column(name).tobytes() == full.column(name).tobytes(), name
+    assert report.to_json() == full_report.to_json()
+    # cleaning drops them by name, as it would have the parsed columns
+    got, got_report = clean_table(t, mapping, excluded)
+    want, want_report = clean_table(full, full_mapping, excluded)
+    assert got.feature_names == want.feature_names == ("proto", "a")
+    assert got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert got_report.to_json() == want_report.to_json()
+    # the label is parsed even if named: cleaning refuses to drop it, as before
+    t, mapping, _ = load_csv_merged([path], "Label", ["Label"])
+    assert t.y.tobytes() == full.y.tobytes()
+    with pytest.raises(TableError, match="refusing to drop the label column"):
+        clean_table(t, mapping, ["Label"])
+
+
 def test_ragged_rows_fail_with_their_line_number(tmp_path):
     for name, text, line, cells in (
             ("long.csv", "a,b,Label\n1,2,B\n1,2,3,B\n", 3, 4),
