@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .discretize import bin_matrix
-from .parallel import fan_out, worker_count
+from .parallel import fan_out
 from .tabular import Table
 
 METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
@@ -153,12 +153,13 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     RELIEF_TILE data rows at a time, so that the batch-by-tile block of
     feature differences stays in cache and lives in preallocated buffers.
     Each distance is still one sum over the contiguous feature axis of a
-    row, so it equals the per-row distance bit for bit. The batches are split
-    into contiguous ranges, one per worker of `parallel.fan_out`; each range
-    gives an integer tally, and the tallies are added before the one
-    division, so the weights are the same for any number of workers. Besides
-    the feature and bin matrices, which forked workers share, each worker
-    holds O(RELIEF_BATCH * (rows + RELIEF_TILE * features)) floats.
+    row, so it equals the per-row distance bit for bit. Each batch is one
+    task of `parallel.fan_out` and gives an integer tally; the tallies are
+    added before the one division, so the weights are the same for any
+    number of workers. The buffers are allocated once, before the fan-out:
+    besides the feature and bin matrices, which forked workers share, each
+    worker holds its own copy-on-write copy of them,
+    O(RELIEF_BATCH * (rows + RELIEF_TILE * features)) floats.
     """
     X = t.X
     y = t.y
@@ -181,42 +182,39 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     position = np.argsort(order)
     n0 = int(np.count_nonzero(y == classes[0]))
 
-    def tally(starts) -> np.ndarray:
-        """The integer tally of the batches of sampled rows from `starts`."""
-        batch_rows = np.empty((RELIEF_BATCH, RELIEF_TILE, d))  # each sampled row, tile-high
-        diff = np.empty((RELIEF_BATCH, RELIEF_TILE, d))
-        dist = np.empty((RELIEF_BATCH, n))
-        delta = np.zeros(d, dtype=np.int64)
-        for b in starts:
-            rows = sample[b:b + RELIEF_BATCH]
-            k = len(rows)
-            batch_rows[:k] = X[rows][:, None, :]
-            for start in range(0, n, RELIEF_TILE):
-                stop = min(start + RELIEF_TILE, n)
-                block = diff[:k, :stop - start]
-                # copying first lets the subtraction run in place over whole
-                # tiles, 2-3x faster than broadcasting each sampled row
-                np.copyto(block, batch_rows[:k, :stop - start])
-                np.subtract(X[order[start:stop]], block, out=block)
-                np.abs(block, out=block)
-                block.sum(axis=-1, out=dist[:k, start:stop])
-            dk = dist[:k]
-            dk[np.arange(k), position[rows]] = np.inf
-            # row by row: an argmin over a column slice of dk copies the slice
-            nearest0 = order[[r[:n0].argmin() for r in dk]]
-            nearest1 = order[[n0 + r[n0:].argmin() for r in dk]]
-            in0 = y[rows] == classes[0]
-            hit = np.where(in0, nearest0, nearest1)
-            miss = np.where(in0, nearest1, nearest0)
-            delta -= (binned[rows] != binned[hit]).sum(axis=0)
-            delta += (binned[rows] != binned[miss]).sum(axis=0)
-        return delta
+    batch_rows = np.empty((RELIEF_BATCH, RELIEF_TILE, d))  # each sampled row, tile-high
+    diff = np.empty((RELIEF_BATCH, RELIEF_TILE, d))
+    dist = np.empty((RELIEF_BATCH, n))
 
-    # integer tallies, summed over contiguous ranges of batches and divided
-    # once: the same weights for any split, and exact 1.0 / 0.0 in the
-    # label-identical and constant-feature cases
-    starts = np.arange(0, m, RELIEF_BATCH)
-    delta = sum(fan_out(tally, np.array_split(starts, worker_count(len(starts)))))
+    def tally(b: int) -> np.ndarray:
+        """The integer tally of the batch of sampled rows from `b`."""
+        rows = sample[b:b + RELIEF_BATCH]
+        k = len(rows)
+        batch_rows[:k] = X[rows][:, None, :]
+        for start in range(0, n, RELIEF_TILE):
+            stop = min(start + RELIEF_TILE, n)
+            block = diff[:k, :stop - start]
+            # copying first lets the subtraction run in place over whole
+            # tiles, 2-3x faster than broadcasting each sampled row
+            np.copyto(block, batch_rows[:k, :stop - start])
+            np.subtract(X[order[start:stop]], block, out=block)
+            np.abs(block, out=block)
+            block.sum(axis=-1, out=dist[:k, start:stop])
+        dk = dist[:k]
+        dk[np.arange(k), position[rows]] = np.inf
+        # row by row: an argmin over a column slice of dk copies the slice
+        nearest0 = order[[r[:n0].argmin() for r in dk]]
+        nearest1 = order[[n0 + r[n0:].argmin() for r in dk]]
+        in0 = y[rows] == classes[0]
+        hit = np.where(in0, nearest0, nearest1)
+        miss = np.where(in0, nearest1, nearest0)
+        return ((binned[rows] != binned[miss]).sum(axis=0)
+                - (binned[rows] != binned[hit]).sum(axis=0))
+
+    # integer tallies, summed over the batches and divided once: the same
+    # weights in any order, and exact 1.0 / 0.0 in the label-identical and
+    # constant-feature cases
+    delta = sum(fan_out(tally, range(0, m, RELIEF_BATCH)))
     return delta / m
 
 

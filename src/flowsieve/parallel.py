@@ -5,16 +5,20 @@ that loop does, whatever the number of workers. There is one worker per CPU
 this process may run on (`os.sched_getaffinity`, which `taskset`
 restricts), never more than there are tasks. The calling process is one of
 them: it runs task 0, and forks the others, so with one worker nothing is
-forked. Forked workers share the caller's memory copy-on-write: a task
-reaches one as its index in the list, and only each task's result,
-exception and warnings come back, pickled through a pipe.
+forked. Forked workers share the caller's memory copy-on-write, and what
+a task writes there stays in its worker's copy: a task reaches a worker as
+its index in the list, and only each task's result, exception and warnings
+come back, pickled through a pipe.
 
-Every worker claims the next task in task order when it is free, from a
-counter in a small shared file. A failing task stops the claims: every task
-before it was claimed already and runs to its end, and no further task
-starts. Once every worker is done and waited for, the caller raises the
-tasks' warnings again, task by task in task order, and then the exception of
-the first failing task in task order, as the loop would.
+Every free worker claims the next task in task order, one at a time, from a
+counter in a small shared file. That is the only rule for which worker runs
+which task, so a task must not depend on the tasks its worker ran before it,
+and a slow task holds up only its own worker. A failing task stops the
+claims: every task before it was claimed already and runs to its end, and
+no further task starts. Once every worker is done and waited for, the
+caller raises the tasks' warnings again, task by task in task order, and
+then the exception of the first failing task in task order, as the loop
+would.
 """
 
 import os
@@ -33,7 +37,7 @@ _busy = False  # this process is running a fan-out's tasks: fork no more workers
 _usage: list[dict] = []  # one record per open `usage` block
 
 
-def worker_count(tasks: int) -> int:
+def _worker_count(tasks: int) -> int:
     """How many workers, the calling process included, `fan_out` uses for
     `tasks` tasks."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -120,10 +124,10 @@ def _worker(fn, tasks, counter: int, results) -> None:
 
 
 def fan_out(fn, tasks) -> list:
-    """[fn(task) for task in tasks], computed by `worker_count(len(tasks))`
+    """[fn(task) for task in tasks], computed by `_worker_count(len(tasks))`
     workers; see the module docstring."""
     tasks = list(tasks)
-    workers = worker_count(len(tasks))
+    workers = _worker_count(len(tasks))
     if workers < 2:
         return [fn(task) for task in tasks]
     sys.stdout.flush()  # or a worker's exit could write the buffered text again

@@ -280,8 +280,9 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
     Thresholds that select identical subsets share one trained model; metric
     rows are still emitted per threshold. The (attack, subset, classifier)
     cells run in one `fan_out`, each in a worker that shares the cleaned
-    table copy-on-write; the metrics and the warnings come in the order a
-    loop over the cells gives them.
+    table copy-on-write and gathers the cell's train and test tables from
+    it; the metrics and the warnings come in the order a loop over the
+    cells gives them.
     """
     cfg = ctx.cfg
     table, per_attack = cleaned
@@ -291,8 +292,7 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
             attack_cells, notes[attack] = _attack_cells(ctx, attack, *per_attack[attack],
                                                         selections[attack])
             cells += attack_cells
-        tables = {}  # in each process, the train and test tables of its latest subset
-        outcomes = fan_out(lambda cell: _train_eval_cell(ctx, table, tables, cell), cells)
+        outcomes = fan_out(lambda cell: _train_eval_cell(ctx, table, cell), cells)
         by_tau = {attack: {} for attack in cfg.attacks}  # reports, in classifier order
         for (attack, _, taus, *_), (pair, caught) in zip(cells, outcomes):
             notes[attack] += caught
@@ -341,23 +341,16 @@ def _attack_cells(ctx: RunContext, attack: str, rows, labels,
             for names, taus in groups.items() for clf in CLASSIFIER_ORDER], skips
 
 
-def _train_eval_cell(ctx: RunContext, table: Table, tables: dict,
-                     cell) -> tuple[list, list[str]]:
-    """Train the cell's classifier on its train table, write the model, and
-    evaluate it: the train and test reports, and the warnings raised. The
-    train and test tables are gathered from the cleaned `table` unless
-    `tables` holds them from the cell before, which it then does for the
-    next one. An error is raised again led by "<attack>: threshold <tag>
-    <classifier>"."""
+def _train_eval_cell(ctx: RunContext, table: Table, cell) -> tuple[list, list[str]]:
+    """Gather the cell's train and test tables from the cleaned `table`,
+    train the cell's classifier on the first, write the model, and evaluate
+    it: the train and test reports, and the warnings raised. An error is
+    raised again led by "<attack>: threshold <tag> <classifier>"."""
     attack, names, taus, clf, train, test = cell
     tag = tau_tag(taus[0])
     with _caught() as caught:
         try:
-            if (attack, names) not in tables:
-                tables.clear()  # before the next subset's tables are gathered
-                tables[attack, names] = (subtable(table, *train, names),
-                                         subtable(table, *test, names))
-            train_t, test_t = tables[attack, names]
+            train_t, test_t = subtable(table, *train, names), subtable(table, *test, names)
             params = ctx.cfg.classifiers.params(clf)
             model = _TRAINERS[clf](train_t, params)
             save_model(model, params, _fresh(ctx.run_dir / attack_slug(attack) / "models"

@@ -34,9 +34,10 @@ the label column or repeats a name.
 The files are read in chunks of lines into one preallocated float64 matrix,
 sized by a first pass that counts their line ends, so a load holds that
 matrix, one chunk and each text column's distinct cells; the cells of the
-columns the caller excludes are not kept at all. The rows of a column that
-turns out textual after earlier chunks parsed it as numbers are read again
-from the files.
+columns the caller excludes are not kept at all. If a column turns out
+textual after earlier rows parsed it as numbers, that matrix is released and
+the files are read once more, with every text column textual from the first
+row.
 """
 
 import csv
@@ -300,9 +301,12 @@ class _Columns:
     excluded columns, which are not parsed, the columns whose every cell so
     far is a number, and for each other column the distinct cells seen, each
     with a number. The matrix holds a text cell's number until `finish` turns
-    the numbers into lexicographic category codes."""
+    the numbers into lexicographic category codes. The columns `text` are
+    textual from the first row; `late` is set when another column turns
+    textual after rows were parsed as numbers."""
 
-    def __init__(self, header: list[str], label_column: str, capacity: int, excluded):
+    def __init__(self, header: list[str], label_column: str, capacity: int, excluded,
+                 text=()):
         self.header = header
         # the header as a line, to spot repeats of it among quote-free lines
         self.header_line = None if any("," in name for name in header) else ",".join(header)
@@ -314,21 +318,19 @@ class _Columns:
         self.skipped = {c for c, name in enumerate(header) if name in excluded and c != self.label}
         for c in self.skipped:
             self.column(c)[:] = np.nan
-        self.numeric = set(range(len(header))) - self.skipped
-        self.ids: dict[int, dict[str, int]] = {}
-        # text columns whose first rows were parsed as numbers: how many
-        self.reread: dict[int, int] = {}
+        self.numeric = set(range(len(header))) - self.skipped - set(text)
+        self.ids: dict[int, dict[str, int]] = {c: {} for c in text}
+        self.late = False
 
     def column(self, c: int) -> np.ndarray:
         """Header column `c` as a writable view of the matrix or the labels."""
         return self.y if c == self.label else self.X[:, c - (c > self.label)]
 
-    def to_text(self, c: int, parsed: int) -> None:
-        """Make column `c` textual, its first `parsed` rows parsed as numbers."""
+    def to_text(self, c: int) -> None:
+        """Make column `c` textual from the rows being added on."""
         self.numeric.remove(c)
         self.ids[c] = {}
-        if parsed:
-            self.reread[c] = parsed
+        self.late = self.late or self.rows > 0
 
     def number(self, c: int, cells, start: int) -> None:
         """Write the ids of text column `c`'s `cells` from row `start` on."""
@@ -338,13 +340,11 @@ class _Columns:
         self.column(c)[start:start + len(cells)] = np.fromiter(map(ids.__getitem__, cells),
                                                                np.float64, len(cells))
 
-    def reserve(self, path, count: int) -> int:
-        """The first of `count` new rows."""
-        start = self.rows
-        if start + count > len(self.y):
+    def room(self, path, count: int) -> int:
+        """The first of `count` rows to add, once there is room for them."""
+        if self.rows + count > len(self.y):
             raise TableError(f"{path}: file grew while it was read")
-        self.rows += count
-        return start
+        return self.rows
 
     def read(self, path, lines, number: int) -> None:
         """Parse the rest of the raw `lines` of `path`, after line `number`, in
@@ -386,7 +386,7 @@ class _Columns:
         first = data[0].split(",")
         if len(first) == len(self.header):
             for c in [c for c in self.numeric if not _is_number(first[c])]:
-                self.to_text(c, self.rows)
+                self.to_text(c)
         runs = self.runs()
         try:
             block = np.loadtxt(data, dtype=[(f"c{c}", object if kind in "st" else np.float64, (k,))
@@ -395,7 +395,7 @@ class _Columns:
         except ValueError:
             return False
         self.repeated += lines.count(self.header_line)
-        start = self.reserve(path, len(data))
+        start = self.room(path, len(data))
         for c, k, kind in runs:
             cells = block[f"c{c}"]
             if kind == "x":
@@ -406,6 +406,7 @@ class _Columns:
             elif kind == "t":
                 for i in range(k):
                     self.number(c + i, cells[:, i].tolist(), start)
+        self.rows += len(data)
         return True
 
     def add_rows(self, path, rows: list[list[str]]) -> None:
@@ -413,7 +414,7 @@ class _Columns:
         every one of them, else the column is textual from now on."""
         if not rows:
             return
-        start = self.reserve(path, len(rows))
+        start = self.room(path, len(rows))
         for c in sorted(self.numeric.union(self.ids)):  # all but the excluded
             cells = [row[c] for row in rows]
             if c in self.numeric:
@@ -422,31 +423,13 @@ class _Columns:
                         map(float, cells), np.float64, len(cells))
                     continue
                 except ValueError:
-                    self.to_text(c, start)
+                    self.to_text(c)
             self.number(c, cells, start)
+        self.rows += len(rows)
 
-    def reread_text(self, paths) -> None:
-        """Number the cells of the rows that were parsed as numbers before
-        their column turned out textual, from a second read of the files."""
-        row = 0
-        for path in paths:
-            with _open(path) as fh:
-                lines = _byte_lines(fh)
-                _, number = _read_header(path, lines)
-                while row < max(self.reread.values()):
-                    rows, _, read = _csv_rows(path, self.header, lines, number + 1, _CHUNK_LINES)
-                    if not read:
-                        break
-                    number += read
-                    for c, stop in self.reread.items():
-                        self.number(c, [r[c] for r in rows[:max(stop - row, 0)]], row)
-                    row += len(rows)
-
-    def finish(self, paths) -> tuple[Table, CategoryMapping]:
+    def finish(self) -> tuple[Table, CategoryMapping]:
         """The table of the rows read, with each text column's cells coded by
         their position in the sorted list of its distinct cells."""
-        if self.reread:
-            self.reread_text(paths)
         categories = {}
         for c in sorted(self.ids):
             ids = self.ids[c]
@@ -484,6 +467,23 @@ def load_csv_merged(paths, label_column: str,
     if not paths:
         raise TableError("no input files given")
     capacity = sum(map(_line_ends, paths))
+    columns = _read_files(paths, label_column, capacity, excluded)
+    if columns.late:
+        text = set(columns.ids)
+        del columns  # the first read's matrix goes before the second's is allocated
+        columns = _read_files(paths, label_column, capacity, excluded, text)
+        if columns.late:
+            raise TableError(f"{paths[0]}: a column turned textual only when the files "
+                             "were read again; did they change while they were read?")
+    table, mapping = columns.finish()
+    report = CleaningReport()
+    report.count_rows(REASON_REPEATED_HEADER, columns.repeated)
+    return table, mapping, report
+
+
+def _read_files(paths, label_column: str, capacity: int, excluded, text=()) -> _Columns:
+    """Read the files into a `_Columns` of `capacity` rows, the columns
+    `text` textual from the first row."""
     first = None  # the first file's header
     columns = None
     for path in paths:
@@ -493,7 +493,7 @@ def load_csv_merged(paths, label_column: str,
             if first is None:
                 first = header
                 if label_column in header and len(set(header)) == len(header):
-                    columns = _Columns(header, label_column, capacity, excluded)
+                    columns = _Columns(header, label_column, capacity, excluded, text)
             if columns is None or header != first:
                 # a file is read to its end before its header is judged, so
                 # that a ragged row in it is reported first
@@ -506,10 +506,7 @@ def load_csv_merged(paths, label_column: str,
         raise TableError(f"{paths[0]}: header has no column {label_column!r}")
     if columns is None:
         raise TableError(f"{paths[0]}: duplicate column names in header")
-    table, mapping = columns.finish(paths)
-    report = CleaningReport()
-    report.count_rows(REASON_REPEATED_HEADER, columns.repeated)
-    return table, mapping, report
+    return columns
 
 
 def _valid_rows(X: np.ndarray, checked, report: CleaningReport) -> np.ndarray:

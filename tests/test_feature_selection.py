@@ -293,7 +293,8 @@ def test_relief_property_quantized_tables(data):
 
 @pytest.mark.parametrize("m", [1, RELIEF_BATCH, RELIEF_BATCH + 1, 2 * RELIEF_BATCH, 100])
 def test_relief_weights_do_not_depend_on_the_worker_count(monkeypatch, m):
-    # m up to 2 batches: more workers than batches; 100: 7 batches in 3 ranges
+    # m up to 2 batches: more workers than batches; 100: 7 batches, claimed
+    # one at a time by 2 or 3 workers
     t = random_table(np.random.default_rng(4), 150, 9)
     binned = bin_table(t)
     weights = {}

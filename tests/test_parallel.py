@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from flowsieve import parallel
-from flowsieve.parallel import fan_out, worker_count
+from flowsieve.parallel import fan_out
 from helpers import assert_all_reaped, record_forks, use_cpus
 
 
@@ -18,7 +18,22 @@ def forks(monkeypatch):
 
 def test_worker_count_is_the_usable_cpus_capped_by_the_tasks(monkeypatch):
     use_cpus(monkeypatch, 3)
-    assert [worker_count(n) for n in (0, 1, 2, 3, 7)] == [0, 1, 2, 3, 3]
+    counts = []
+    for n in (0, 1, 2, 3, 7):
+        with parallel.usage() as used:
+            fan_out(lambda i: i, range(n))
+        counts.append(used["workers"])
+    assert counts == [1, 1, 2, 3, 3]
+
+
+def test_tasks_are_claimed_one_at_a_time_in_order(monkeypatch, forks):
+    # while the caller sleeps in task 0, the one forked worker claims every
+    # other task in turn; a fixed share of the tasks per worker would leave
+    # some of them to the caller
+    use_cpus(monkeypatch, 2)
+    got = fan_out(lambda i: (time.sleep(0.2 if i == 0 else 0.0), os.getpid())[1], range(8))
+    assert got == [os.getpid()] + forks * 7
+    assert_all_reaped(forks)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

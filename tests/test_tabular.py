@@ -540,20 +540,60 @@ def test_a_cell_over_the_csv_field_limit_names_its_file_and_line(tmp_path):
     assert str(caught.value) == f"{path}: line 3: field larger than field limit (131072)"
 
 
-def test_load_peak_memory_is_within_twice_the_matrix(tmp_path, monkeypatch):
-    monkeypatch.setattr(tabular, "_CHUNK_LINES", 512)
+def wide_csv(tmp_path, late_text: bool):
+    """A 20,000 x 79 numeric file with an attack label; with `late_text`, the
+    last row's first cell is text."""
     rng = np.random.default_rng(3)
     values = np.round(rng.random((20_000, 79)) * 1000, 3)
     labels = np.where(rng.random(20_000) < 0.2, "Attack", "Benign")
     header = ",".join([f"f{j}" for j in range(79)] + ["Label"])
     lines = [",".join(map(str, row)) + "," + label for row, label in zip(values.tolist(), labels)]
-    path = write(tmp_path, "wide.csv", header + "\n" + "\n".join(lines) + "\n")
-    del values, labels, lines
+    if late_text:
+        lines[-1] = "x" + lines[-1][lines[-1].index(","):]
+    return write(tmp_path, "wide.csv", header + "\n" + "\n".join(lines) + "\n")
+
+
+def load_peak(path) -> tuple[Table, int]:
+    """The table of `path` and the `tracemalloc` peak of its load."""
     tracemalloc.start()
     try:
         t, _, _ = load_csv(path, "Label")
-        peak = tracemalloc.get_traced_memory()[1]
+        return t, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_load_peak_memory_is_within_twice_the_matrix(tmp_path, monkeypatch):
+    monkeypatch.setattr(tabular, "_CHUNK_LINES", 512)
+    t, peak = load_peak(wide_csv(tmp_path, late_text=False))
     assert t.X.shape == (20_000, 79)
     assert peak <= 2 * t.X.nbytes, (peak, t.X.nbytes)
+
+
+def test_a_late_text_column_reads_the_files_again_within_the_same_peak(tmp_path, monkeypatch):
+    # the second, full read starts after the first read's matrix is released
+    monkeypatch.setattr(tabular, "_CHUNK_LINES", 512)
+    reads = []
+    read = tabular._read_files
+    monkeypatch.setattr(tabular, "_read_files", lambda *args: reads.append(args) or read(*args))
+    t, peak = load_peak(wide_csv(tmp_path, late_text=True))
+    assert len(reads) == 2
+    assert t.X.shape == (20_000, 79)
+    assert t.column("f0")[-1] > t.column("f0")[:-1].max()  # "x" sorts after every number
+    assert peak <= 2 * t.X.nbytes, (peak, t.X.nbytes)
+
+
+def test_a_file_that_turns_a_column_textual_between_the_reads_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(tabular, "_CHUNK_LINES", 1)
+    path = write(tmp_path, "t.csv", "a,b,Label\n1,2,B\nx,3,B\n")
+    read = tabular._read_files
+
+    def read_files(paths, *args):
+        if len(args) == 4:  # the second read: `b` turns textual late
+            path.write_text("a,b,Label\n1,2,B\nx,y,B\n")
+        return read(paths, *args)
+
+    monkeypatch.setattr(tabular, "_read_files", read_files)
+    with pytest.raises(TableError, match="t.csv: a column turned textual only when the files "
+                                         "were read again"):
+        load_csv(path, "Label")
