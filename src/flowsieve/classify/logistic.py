@@ -12,12 +12,10 @@ THRESHOLD_SWEEP = [round(0.05 * i, 2) for i in range(1, 20)]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) below: neither branch overflows
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)

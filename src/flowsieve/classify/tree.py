@@ -103,22 +103,16 @@ def _grow(X, y, params: TreeParams, rng=None, features_per_split: int | None = N
             feats = np.sort(rng.choice(d, size=features_per_split, replace=False)) \
                 if sample_feats else all_feats
             split = _best_split(X, y, idx, feats, params.min_samples_leaf, params.criterion)
-        if split is None:
-            feature_index.append(-1)
-            threshold.append(math.nan)
-            left.append(-1)
-            right.append(-1)
-            score.append(p1)
-            continue
-        f, thr = split
+        f, thr = split or (-1, math.nan)
         feature_index.append(f)
         threshold.append(thr)
         left.append(-1)
         right.append(-1)
         score.append(p1)
-        mask = X[idx, f] < thr
-        stack.append((idx[~mask], depth + 1, node, False))
-        stack.append((idx[mask], depth + 1, node, True))
+        if split:
+            mask = X[idx, f] < thr
+            stack.append((idx[~mask], depth + 1, node, False))
+            stack.append((idx[mask], depth + 1, node, True))
     return (np.array(feature_index, dtype=np.int64), np.array(threshold),
             np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
             np.array(score))

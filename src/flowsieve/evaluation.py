@@ -42,10 +42,9 @@ def confusion(pred, truth) -> ConfusionMatrix:
         values = set(np.unique(arr).tolist())
         if not values <= {0, 1, 0.0, 1.0}:
             raise EvalError(f"{name} must be binary 0/1, found {sorted(values)}")
-    p = pred.astype(bool)
-    t = truth.astype(bool)
-    return ConfusionMatrix(tp=int((p & t).sum()), fp=int((p & ~t).sum()),
-                           fn=int((~p & t).sum()), tn=int((~p & ~t).sum()))
+    tn, fp, fn, tp = np.bincount(2 * truth.astype(np.intp) + pred.astype(np.intp),
+                                 minlength=4).tolist()
+    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,8 @@ def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
     binned once, by the edge matrix of `discretize.table_bin_edges`: relief
     and a (features, bins, classes) count tensor share the bin matrix, and
     the tensor gives IG, gain ratio, SU and chi-squared of every feature at
-    once. ANOVA F comes from per-class column statistics.
+    once. ANOVA F comes from per-class column statistics, over one class's
+    (features, rows) block at a time, copied from that class's rows.
     Each score equals, bit for bit, what a loop over the features computes
     for that feature alone with one-dimensional NumPy sums.
 
@@ -257,11 +258,8 @@ def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
     for j in np.flatnonzero(scores["split_info"] == 0.0):
         warnings.warn(f"gain ratio of single-valued feature {names[j]!r} defined as 0",
                       stacklevel=2)
-    # ANOVA reads (features, class rows) copies of a C-ordered (features, rows)
-    # matrix, one class at a time; compress on a transposed view would copy it whole
-    by_feature = np.ascontiguousarray(t.X.T)
     scores["anova_f"] = _anova(*_group_stats(
-        by_feature.compress(class_idx == c, axis=1) for c in range(len(classes))))
+        np.ascontiguousarray(t.X[class_idx == c].T) for c in range(len(classes))))
     scores["relief"] = relief
     return np.column_stack([scores[k] for k in METHODS])
 

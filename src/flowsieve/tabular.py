@@ -530,29 +530,15 @@ def drop_invalid_rows(t: Table) -> tuple[Table, CleaningReport]:
     return subtable(t, rows, t.y[rows], t.feature_names), report
 
 
-def _normalize_in_place(X: np.ndarray, numeric: np.ndarray) -> None:
-    """Rescale the `numeric` columns of `X`, each finite and not
-    single-valued, to [0, 1] by (x - min) / (max - min)."""
-    if not (len(X) and numeric.any()):
-        return
-    # other columns go through as (x - 0) / 1, which leaves every value as it is
-    lo = np.where(numeric, X.min(axis=0), 0.0)
-    hi = np.where(numeric, X.max(axis=0), 1.0)
-    # which signed zero a min returns depends on the order it visits the
-    # cells; take a zero minimum from the column alone, as a column pass does
-    for j in np.flatnonzero(numeric & (lo == 0.0)):
-        lo[j] = np.ascontiguousarray(X[:, j]).min()
-    X -= lo
-    X /= hi - lo
-
-
 def clean_table(t: Table, mapping: CategoryMapping, excluded) -> tuple[Table, CleaningReport]:
     """`t` cleaned and min-max normalized, and what cleaning removed: the
     `excluded` columns, the single-valued columns, the rows with a non-finite,
     else a negative, numeric cell, and then the columns that row removal left
     single-valued. Each is a mask on `t`'s matrix; the kept cells are gathered
-    once and normalized in place. A feature is numeric unless `mapping` holds
-    its categories."""
+    once and normalized in place. Each numeric column becomes (x - min) /
+    (max - min), by the extrema over the kept rows that also find the columns
+    row removal left single-valued. A feature is numeric unless `mapping`
+    holds its categories."""
     report = CleaningReport()
     for name in excluded:
         if name == t.label_name:
@@ -586,7 +572,18 @@ def clean_table(t: Table, mapping: CategoryMapping, excluded) -> tuple[Table, Cl
 
     keep = np.flatnonzero(cols)
     X = t.X[np.ix_(np.flatnonzero(rows), keep)]
-    _normalize_in_place(X, numeric[keep])
+    # categorical columns go through as (x - 0) / 1, which leaves every value
+    # as it is
+    numeric = numeric[keep]
+    lo = np.where(numeric, lo[keep], 0.0)
+    hi = np.where(numeric, hi[keep], 1.0)
+    # which signed zero a min returns depends on the order it visits the
+    # cells; take a zero minimum from the column alone, as a column pass does.
+    # A kept numeric column's maximum is above 0, so it has no such choice
+    for j in np.flatnonzero(numeric & (lo == 0.0)):
+        lo[j] = np.ascontiguousarray(X[:, j]).min()
+    X -= lo
+    X /= hi - lo
     return Table(tuple(t.feature_names[j] for j in keep), t.label_name, X, t.y[rows]), report
 
 

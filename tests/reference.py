@@ -126,6 +126,17 @@ def relief_ref(X, y, binned, sample, m):
     return weights
 
 
+def sigmoid_ref(z):
+    """The logistic function by its two overflow-free branches, each over its
+    own masked copy: 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def metrics_ref(tp, fp, fn, tn):
     total = tp + fp + fn + tn
     accuracy = (tp + tn) / total

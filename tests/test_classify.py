@@ -13,10 +13,11 @@ from flowsieve.classify import (ClassifyError, ForestParams, LogisticParams,
                                 predict_arrays, save_model,
                                 train_forest, train_logistic,
                                 train_naive_bayes, train_svm, train_tree)
-from flowsieve.classify.logistic import LogisticModel
+from flowsieve.classify.logistic import LogisticModel, _sigmoid
 from flowsieve.classify.params import ParamError
 from flowsieve.tabular import Table
 
+import reference as ref
 from helpers import blobs_2d, make_table, random_table, rows_of
 
 
@@ -64,6 +65,23 @@ def test_logistic_hand_sigmoid():
     t = make_table({"x": [1.0]}, [1.0])
     _, scores = predict_arrays(m, t)
     assert scores[0] == pytest.approx(0.8807970779778823, abs=1e-15)
+
+
+def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
+    # NumPy's exp may run an unaligned head or a short tail of a buffer on
+    # another code path than its body, so lengths and offsets vary
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 745.2, -745.2,
+                        709.8, -709.8, 36.8, -36.8, 1e-300, -1e-300])
+    rng = np.random.default_rng(0)
+    for n in [*range(71), 1000, 4097]:
+        for offset in range(4):
+            buf = rng.choice([-1.0, 1.0], n + 3) * 10.0 ** rng.uniform(-4, math.log10(800), n + 3)
+            z = buf[offset:offset + n]
+            planted = rng.random(n) < 0.25
+            z[planted] = rng.choice(special, planted.sum())
+            got, want = _sigmoid(z), ref.sigmoid_ref(z)
+            same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+            assert same.all(), (n, offset, z[~same])
 
 
 def test_logistic_strict_threshold_boundary():

@@ -323,6 +323,24 @@ def test_relief_peak_memory_is_one_distance_block(monkeypatch):
     assert peak < 1.75 * block, (peak, block)
 
 
+def test_score_all_copies_no_whole_table(monkeypatch):
+    # ANOVA holds one class's (features, rows) block at a time: with its row
+    # gather, one table's bytes for balanced classes. A transposed copy of
+    # the whole table besides lifts the peak to 1.7 tables; the bin matrix
+    # and the count tensor's int64 key take about 1.15. relief_m 16 is one
+    # relief batch, run in this process
+    use_cpus(monkeypatch, 1)
+    t = random_table(np.random.default_rng(6), 20_000, 40)
+    edges = table_bin_edges(t, 10)
+    tracemalloc.start()
+    try:
+        score_all(t, edges, relief_m=16, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * t.X.nbytes, (peak, t.X.nbytes)
+
+
 def test_relief_errors():
     t = make_table({"f": [0.1, 0.2, 0.3]}, [0, 0, 1])
     with pytest.raises(ScoringError, match="fewer than 2"):
