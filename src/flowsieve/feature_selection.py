@@ -27,10 +27,12 @@ SCORES_CSV_HEADER = ("feature_index", "feature_name", "ig", "gain_ratio",
                      "relief", "su", "chi2", "anova_f", "mean_score")
 
 # Relief's neighbour search: sampled rows per pass and data rows per tile.
-# Two batch x tile x features float64 buffers (1.3 MB at 78 features) fit
+# Two batch x tile x features float32 buffers (0.64 MB at 78 features) fit
 # in a 2 MB L2 cache; chosen by timing the relief_wide benchmark.
 RELIEF_BATCH = 16
 RELIEF_TILE = 64
+# Rows gathered in float64 at a time while relief builds its float32 copy.
+RELIEF_COPY_ROWS = 512
 
 
 class ScoringError(ValueError):
@@ -149,17 +151,27 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     table's (rows, features) bin matrix from `discretize.bin_matrix`. Weights
     stay in [-1, 1] because each of the m updates moves a weight by at most 1/m.
 
-    The search handles RELIEF_BATCH sampled rows per pass over the data,
-    RELIEF_TILE data rows at a time, so that the batch-by-tile block of
-    feature differences stays in cache and lives in preallocated buffers.
-    Each distance is still one sum over the contiguous feature axis of a
-    row, so it equals the per-row distance bit for bit. Each batch is one
-    task of `parallel.fan_out` and gives an integer tally; the tallies are
-    added before the one division, so the weights are the same for any
-    number of workers. The buffers are allocated once, before the fan-out:
-    besides the feature and bin matrices, which forked workers share, each
-    worker holds its own copy-on-write copy of them,
-    O(RELIEF_BATCH * (rows + RELIEF_TILE * features)) floats.
+    The search is a float32 filter followed by a float64 refine. A float32
+    copy of the table, in class order, is scanned RELIEF_BATCH sampled rows
+    per pass and RELIEF_TILE data rows at a time, so that the batch-by-tile
+    block of feature differences stays in cache and lives in preallocated
+    buffers; each row's sum is a BLAS matrix-vector product. Per sampled row
+    and class, every row whose float32 distance lies within the rounding
+    bound of `_filter_tolerance` of the class's float32 minimum is kept, and
+    the kept rows' distances are recomputed in float64 as one sum over the
+    contiguous feature axis of each row. The float64 minimum is always kept,
+    so hit, miss and weights are bit for bit those of an exhaustive float64
+    scan, for any BLAS and any summation order; exact ties and duplicate
+    rows only make the refine longer. Non-finite values, and values whose
+    float32 distances could overflow, raise a ScoringError.
+
+    Each batch is one task of `parallel.fan_out` and gives an integer tally;
+    the tallies are added before the one division, so the weights are the
+    same for any number of workers. The float32 copy (half the table's
+    bytes, built a chunk of rows at a time) and the buffers are allocated
+    once, before the fan-out: besides the feature, bin and float32 matrices,
+    which forked workers share, each worker holds its own copy-on-write copy
+    of the buffers, O(RELIEF_BATCH * (rows + RELIEF_TILE * features)) floats.
     """
     X = t.X
     y = t.y
@@ -176,35 +188,60 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     rng = np.random.default_rng(seed)
     sample = rng.choice(n, size=m, replace=False)
     # Distances are laid out with the rows of classes[0] first, each class in
-    # row order, so the first argmin over a class's span is its lowest-index
+    # row order, so the first minimum over a class's span is its lowest-index
     # nearest row.
     order = np.argsort(y, kind="stable")
     position = np.argsort(order)
     n0 = int(np.count_nonzero(y == classes[0]))
+    spans = ((0, n0), (n0, n))
 
-    batch_rows = np.empty((RELIEF_BATCH, RELIEF_TILE, d))  # each sampled row, tile-high
-    diff = np.empty((RELIEF_BATCH, RELIEF_TILE, d))
-    dist = np.empty((RELIEF_BATCH, n))
+    # Twice the largest sum of a row's absolute values bounds every distance;
+    # a quarter of float32's range keeps every float32 sum finite.
+    limit = float(np.finfo(np.float32).max) / 4
+    X32 = np.empty((n, d), dtype=np.float32)
+    norm_max = 0.0
+    for start in range(0, n, RELIEF_COPY_ROWS):
+        rows64 = X[order[start:start + RELIEF_COPY_ROWS]]
+        if not np.isfinite(rows64).all():
+            raise ScoringError("relief needs finite feature values")
+        norm_max = max(norm_max, float(np.abs(rows64).sum(axis=1).max()))
+        if norm_max >= limit:
+            raise ScoringError(
+                f"feature values too large for relief's float32 filter: a row's "
+                f"absolute values sum to {norm_max:.6g}, not below {limit:.6g}")
+        X32[start:start + RELIEF_COPY_ROWS] = rows64
+    del rows64
+    tol = _filter_tolerance(d, norm_max)
+
+    ones = np.ones(d, dtype=np.float32)
+    batch_rows = np.empty((RELIEF_BATCH, RELIEF_TILE, d), dtype=np.float32)
+    diff = np.empty((RELIEF_BATCH, RELIEF_TILE, d), dtype=np.float32)
+    dist = np.empty((RELIEF_BATCH, n), dtype=np.float32)
+
+    def nearest(r: int, dist_row: np.ndarray, lo: int, hi: int) -> int:
+        """The lowest-index row of span [lo, hi) nearest to row r in float64."""
+        span = dist_row[lo:hi]
+        kept = order[lo + np.flatnonzero(span <= span.min() + tol)]
+        return kept[np.abs(X[kept] - X[r]).sum(axis=-1).argmin()]
 
     def tally(b: int) -> np.ndarray:
         """The integer tally of the batch of sampled rows from `b`."""
         rows = sample[b:b + RELIEF_BATCH]
         k = len(rows)
-        batch_rows[:k] = X[rows][:, None, :]
+        batch_rows[:k] = X32[position[rows]][:, None, :]
         for start in range(0, n, RELIEF_TILE):
             stop = min(start + RELIEF_TILE, n)
             block = diff[:k, :stop - start]
             # copying first lets the subtraction run in place over whole
             # tiles, 2-3x faster than broadcasting each sampled row
             np.copyto(block, batch_rows[:k, :stop - start])
-            np.subtract(X[order[start:stop]], block, out=block)
+            np.subtract(X32[start:stop], block, out=block)
             np.abs(block, out=block)
-            block.sum(axis=-1, out=dist[:k, start:stop])
+            np.matmul(block, ones, out=dist[:k, start:stop])
         dk = dist[:k]
         dk[np.arange(k), position[rows]] = np.inf
-        # row by row: an argmin over a column slice of dk copies the slice
-        nearest0 = order[[r[:n0].argmin() for r in dk]]
-        nearest1 = order[[n0 + r[n0:].argmin() for r in dk]]
+        nearest0, nearest1 = np.array([[nearest(r, dist_row, lo, hi) for r, dist_row
+                                         in zip(rows, dk)] for lo, hi in spans])
         in0 = y[rows] == classes[0]
         hit = np.where(in0, nearest0, nearest1)
         miss = np.where(in0, nearest1, nearest0)
@@ -216,6 +253,29 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     # constant-feature cases
     delta = sum(fan_out(tally, range(0, m, RELIEF_BATCH)))
     return delta / m
+
+
+def _filter_tolerance(d: int, norm_max: float) -> np.float32:
+    """How far above its class's float32 minimum a row's float32 distance
+    may lie and the row still be the float64 minimum, for rows of d features
+    whose absolute values sum to at most norm_max.
+
+    With u = 2**-24 and M = 2 * norm_max, which bounds |x_j| + |y_j| summed
+    over the features of any two rows x and y, each float32 distance is
+    within E = gamma_{d+1} * M + 3 * d * 2**-150 of the exact distance, in
+    any summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3-4; gamma_k = k u / (1 - k u)): rounding each
+    input to float32 errs by at most u |x| + 2**-150 (the last term for
+    subnormals), each subtraction by a factor 1 + u, and the sum of the d
+    terms by gamma_{d-1} of their total. So the float64 minimum's float32
+    distance lies at most 2E above the float32 minimum, give or take the
+    float64 distances' own error, gamma_d * M in float64's u = 2**-53. The
+    tolerance is 4E: the margin covers that error and the float32 rounding
+    of the tolerance and of the minimum plus the tolerance.
+    """
+    u = 2.0 ** -24
+    gamma = (d + 1) * u / (1 - (d + 1) * u)
+    return np.float32(4 * (gamma * 2 * norm_max + 3 * d * 2.0 ** -150))
 
 
 def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,

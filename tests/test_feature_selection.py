@@ -1,13 +1,18 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import flowsieve
 import reference as ref
 from flowsieve.discretize import bin_matrix, table_bin_edges
 from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
@@ -339,6 +344,92 @@ def test_score_all_copies_no_whole_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.4 * t.X.nbytes, (peak, t.X.nbytes)
+
+
+def near_tie_table(rng, n, d, scales, fine_bits):
+    """Two clusters of rows, one per class, built so that float32 distances
+    tie or swap where float64 ones differ in their last bits. Feature j is
+    centred on a float32 value c_j of magnitude 0.5-1 |scales[j]| and the
+    sign of scales[j], the class-1 cluster shifted by |c_j| / 4. Each value
+    moves by 0-3 float32 half-ulps of c_j, so that it rounds up or down to
+    float32, and by up to 3 * 2**-fine_bits of that ulp. Every value is a
+    multiple of 2**-fine_bits of the smallest ulp and every distance stays
+    within 53 bits of it, so float64 distances are exact in any summation
+    order and the reference's Python sums agree with NumPy's. A few rows
+    duplicate others, within a class and across the classes."""
+    c = (scales * rng.uniform(0.5, 1.0, d)).astype(np.float32)
+    ulp = np.spacing(np.abs(c)).astype(float)
+    y = (np.arange(n) >= n // 2).astype(float)
+    steps = rng.integers(0, 4, (n, d)) / 2 + rng.integers(-3, 4, (n, d)) / 2**fine_bits
+    X = c.astype(float) + y[:, None] * np.abs(c) / 4 + steps * ulp
+    X[10:14] = X[4:8]
+    X[-4:] = X[20:24]
+    return make_table({f"f{j}": X[:, j] for j in range(d)}, y)
+
+
+NEAR_TIE_SCALES = {  # name: (feature scales of d features, fine_bits)
+    "unit": (lambda rng, d: np.ones(d), 20),
+    "1e6": (lambda rng, d: np.full(d, 1e6), 20),
+    "negative": (lambda rng, d: np.full(d, -1e3), 20),
+    "mixed": (lambda rng, d: rng.choice([-1, 1], d) * 10.0 ** rng.uniform(-1, 3, d), 8),
+}
+
+
+@pytest.mark.parametrize("d", [5, 12, 40])
+@pytest.mark.parametrize("scale", sorted(NEAR_TIE_SCALES))
+def test_relief_near_ties_match_reference_bit_for_bit(scale, d):
+    # the float32 filter keeps every row within its rounding bound of the
+    # float32 minimum; with no bound, the float64 nearest row is lost
+    rng = np.random.default_rng(41 + d)
+    scales, fine_bits = NEAR_TIE_SCALES[scale]
+    n = 2 * RELIEF_TILE + 5
+    t = near_tie_table(rng, n, d, scales(rng, d), fine_bits)
+    # a random bin matrix: any other choice of hit or miss shows in the weights
+    binned = rng.integers(0, 4, (n, d)).astype(np.uint8)
+    m = 128  # a power of two: the reference's running sums of +-1/m are exact
+    sample = np.random.default_rng(9).choice(n, size=m, replace=False)
+    want = np.array(ref.relief_ref(t.X.tolist(), t.y.tolist(), binned.tolist(),
+                                   sample.tolist(), m))
+    got = relief_weights(t, m=m, seed=9, binned=binned)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_relief_rejects_values_beyond_float32():
+    y = [0, 0, 1, 1]
+    for values, match in [([0.1, 0.2, 1e39, 0.4], "too large for relief's float32"),
+                          ([0.1, 3e38, -3e38, 0.4], "too large for relief's float32"),
+                          ([0.1, np.inf, 0.3, 0.4], "finite"),
+                          ([0.1, np.nan, 0.3, 0.4], "finite")]:
+        t = make_table({"f": values, "g": [0.0, 1.0, 0.0, 1.0]}, y)
+        with pytest.raises(ScoringError, match=match):
+            relief_weights(t, m=2, seed=0, binned=np.zeros((4, 2), dtype=np.uint8))
+    # distances up to 1e38 are finite in float32
+    t = make_table({"f": [0.0, 5e37, -5e37, 0.5]}, y)
+    relief_weights(t, m=4, seed=0, binned=np.zeros((4, 1), dtype=np.uint8))
+
+
+def test_relief_weights_do_not_depend_on_blas_threads():
+    # the filter's row sums go through BLAS, whose summation order may
+    # follow its thread count; only the float64 refine picks neighbours. At
+    # 150 features a tile's 64 x 150 product is large enough for OpenBLAS
+    # to split it over threads
+    src = Path(flowsieve.__file__).resolve().parent.parent
+    code = ("import sys, numpy as np\n"
+            "from flowsieve.feature_selection import relief_weights\n"
+            "from flowsieve.tabular import Table\n"
+            "rng = np.random.default_rng(8)\n"
+            "X = rng.random((3000, 150))\n"
+            "y = (rng.random(3000) < 0.3).astype(float)\n"
+            "t = Table(tuple(f'f{j}' for j in range(150)), 'Label', X, y)\n"
+            "w = relief_weights(t, 32, 0, (X * 10).astype(np.uint8))\n"
+            "sys.stdout.write(w.tobytes().hex())\n")
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        out[threads] = proc.stdout
+    assert len(out["1"]) == 2 * 8 * 150 and out["2"] == out["1"]
 
 
 def test_relief_errors():
