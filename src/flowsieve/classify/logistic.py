@@ -51,15 +51,18 @@ def train_logistic(train: Table, params: LogisticParams) -> LogisticModel:
     n, d = X.shape
     yf = y.astype(np.float64)
     coef = np.zeros(d + 1)
+    z = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for _ in range(params.epochs):
-            z = coef[0] + X @ coef[1:]
+            np.matmul(X, coef[1:], out=z)
+            z += coef[0]
             if not np.isfinite(z).all():  # the loss would be non-finite too
                 raise ClassifyError(
                     f"training loss became non-finite; lower learning_rate="
                     f"{params.learning_rate}")
-            resid = _sigmoid(z) - yf
-            coef[0] -= params.learning_rate * resid.mean()
+            resid = _sigmoid(z)
+            resid -= yf
+            coef[0] -= params.learning_rate * (resid.sum() / n)
             coef[1:] -= params.learning_rate * (X.T @ resid) / n
     if not np.isfinite(coef).all():
         raise ClassifyError("coefficients became non-finite; lower the learning rate")

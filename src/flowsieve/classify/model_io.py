@@ -67,8 +67,7 @@ def save_model(model, params, path) -> None:
         "parameters": _parameters(model),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def load_model(path):

@@ -37,22 +37,25 @@ def train_svm(train: Table, params: SvmParams) -> SvmModel:
     n, d = X.shape
     if len(np.unique(y01)) < 2:
         raise ClassifyError("training data holds a single class; nothing to separate")
-    y = np.where(y01 == 1, 1.0, -1.0)
+    y = np.where(y01 == 1, 1.0, -1.0).tolist()
     lam = 1.0 / (params.c * n)
     w = np.zeros(d)
+    step = np.empty(d)  # (eta * y_i) * x_i, added to w
     b = 0.0
     t = 0
+    inverse_t = params.schedule == "inverse_t"
     rng = np.random.default_rng(params.seed)
     for _ in range(params.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
-            eta = 1.0 / (lam * t) if params.schedule == "inverse_t" else params.learning_rate
-            if y[i] * (X[i] @ w + b) < 1.0:
-                w *= 1.0 - eta * lam
-                w += eta * y[i] * X[i]
+            eta = 1.0 / (lam * t) if inverse_t else params.learning_rate
+            x = X[i]
+            hinge = y[i] * (x.dot(w) + b) < 1.0
+            w *= 1.0 - eta * lam
+            if hinge:
+                np.multiply(x, eta * y[i], out=step)
+                w += step
                 b += eta * y[i]
-            else:
-                w *= 1.0 - eta * lam
         if not (np.isfinite(w).all() and np.isfinite(b)):
             raise ClassifyError("weights became non-finite; lower c or the learning rate")
     return SvmModel(train.feature_names, w, float(b))

@@ -20,6 +20,12 @@ from ..tabular import Table
 from .base import ClassifyError, training_arrays
 from .params import ForestParams, TreeParams
 
+# elements (node rows x candidate features) that one split-search block sorts
+# and scores together. Its float64 temporaries are 64 KiB each, under glibc's
+# default mmap threshold, so they reuse heap memory and stay in cache; a node
+# of more than SPLIT_BLOCK / 2 rows takes one feature at a time
+SPLIT_BLOCK = 1 << 13
+
 
 def _impurity(c0, c1, criterion: str):
     c0 = np.asarray(c0, dtype=np.float64)
@@ -37,41 +43,46 @@ def _impurity(c0, c1, criterion: str):
 
 
 def _best_split(X, y, idx, feats, min_leaf, criterion):
-    """Best (feature, threshold) over the candidates, or None if nothing separates."""
+    """Best (feature, threshold) over the candidates, or None if nothing separates.
+
+    The candidates are scored SPLIT_BLOCK // len(idx) features at a time (at
+    least one): each block's columns are stably sorted together, and every
+    sorted position that has no value change or leaves a child below min_leaf
+    scores -inf. argmax takes the lowest threshold within a feature and the
+    lowest feature within a block; a later block must gain strictly more."""
     n = len(idx)
     yv = y[idx]
     total1 = int(yv.sum())
     parent_imp = float(_impurity(n - total1, total1, criterion))
+    n_left = np.arange(1, n)[:, None]  # split after sorted position i: i + 1 rows go left
+    n_right = n - n_left
+    too_small = (n_left < min_leaf) | (n_right < min_leaf)
+    step = max(1, SPLIT_BLOCK // n)
     best_gain = -np.inf
     best = None
-    for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        pos = np.flatnonzero(vs[1:] != vs[:-1])  # split after sorted position i
-        if pos.size == 0:
-            continue
-        csum1 = np.cumsum(yv[order])
-        n_left = pos + 1
-        n_right = n - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        c1_left = csum1[pos]
+    for start in range(0, len(feats), step):
+        block = feats[start:start + step]
+        cols = np.arange(len(block))
+        v = X[idx[:, None], block]
+        order = v.argsort(axis=0, kind="stable")
+        vs = v[order, cols]
+        c1_left = yv[order[:-1]].cumsum(axis=0, dtype=np.float64)  # exact counts
         c1_right = total1 - c1_left
         imp_l = _impurity(n_left - c1_left, c1_left, criterion)
         imp_r = _impurity(n_right - c1_right, c1_right, criterion)
         gain = parent_imp - (n_left * imp_l + n_right * imp_r) / n
-        gain[~valid] = -np.inf
-        k = int(np.argmax(gain))  # first max: lowest threshold wins ties
-        if gain[k] > best_gain:   # strict: lowest feature index wins ties
-            lo = vs[pos[k]]
-            hi = vs[pos[k] + 1]
+        gain[(vs[1:] == vs[:-1]) | too_small] = -np.inf
+        pos = gain.argmax(axis=0)
+        j = int(gain[pos, cols].argmax())
+        k = pos[j]
+        if gain[k, j] > best_gain:  # strict: an earlier block wins ties
+            lo = vs[k, j]
+            hi = vs[k + 1, j]
             thr = (lo + hi) / 2.0
             if thr <= lo:  # midpoint rounded onto the lower value
                 thr = hi
-            best_gain = gain[k]
-            best = (int(f), float(thr))
+            best_gain = gain[k, j]
+            best = (int(block[j]), float(thr))
     return best
 
 

@@ -125,5 +125,4 @@ def write_metrics_csv(reports, path) -> None:
 
 def write_metrics_json(reports, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([r.to_json() for r in reports], fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps([r.to_json() for r in reports], indent=1) + "\n")

@@ -135,8 +135,7 @@ def find_run_dir(cfg: PipelineConfig) -> Path:
 
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def _fresh(path: Path) -> Path:

@@ -137,6 +137,121 @@ def sigmoid_ref(z):
     return out
 
 
+def logistic_ref(X, y, learning_rate, epochs, tune_threshold, decision_threshold=0.5):
+    """(coefficients, decision threshold) of full-batch gradient descent on the
+    mean cross-entropy, one fresh array per quantity and step; None where the
+    logits or the coefficients become non-finite."""
+    n, d = X.shape
+    yf = y.astype(np.float64)
+    coef = np.zeros(d + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            z = coef[0] + X @ coef[1:]
+            if not np.isfinite(z).all():
+                return None
+            resid = sigmoid_ref(z) - yf
+            coef[0] -= learning_rate * resid.mean()
+            coef[1:] -= learning_rate * (X.T @ resid) / n
+    if not np.isfinite(coef).all():
+        return None
+    if not tune_threshold:
+        return coef, decision_threshold
+    s = sigmoid_ref(coef[0] + X @ coef[1:])
+    best = (-1.0, decision_threshold)
+    for h in [round(0.05 * i, 2) for i in range(1, 20)]:
+        pred = s > h
+        tp = int((pred & (y == 1)).sum())
+        fp = int((pred & (y == 0)).sum())
+        fn = int((~pred & (y == 1)).sum())
+        f1 = metrics_ref(tp, fp, fn, 0)[3] if tp else 0.0
+        if f1 > best[0]:
+            best = (f1, h)
+    return coef, best[1]
+
+
+def svm_ref(X, y01, c, epochs, schedule, learning_rate, seed):
+    """(weights, bias) of the seeded per-sample hinge-loss subgradient loop,
+    NumPy scalars and array temporaries throughout; None where they become
+    non-finite."""
+    n, d = X.shape
+    y = np.where(y01 == 1, 1.0, -1.0)
+    lam = 1.0 / (c * n)
+    w = np.zeros(d)
+    b = 0.0
+    t = 0
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t) if schedule == "inverse_t" else learning_rate
+            if y[i] * (X[i] @ w + b) < 1.0:
+                w *= 1.0 - eta * lam
+                w += eta * y[i] * X[i]
+                b += eta * y[i]
+            else:
+                w *= 1.0 - eta * lam
+        if not (np.isfinite(w).all() and np.isfinite(b)):
+            return None
+    return w, float(b)
+
+
+def impurity_ref(c0, c1, criterion):
+    c0 = np.asarray(c0, dtype=np.float64)
+    c1 = np.asarray(c1, dtype=np.float64)
+    n = c0 + c1
+    p0 = np.divide(c0, n, out=np.zeros_like(n), where=n > 0)
+    p1 = np.divide(c1, n, out=np.zeros_like(n), where=n > 0)
+    if criterion == "gini":
+        return 1.0 - p0 * p0 - p1 * p1
+    out = np.zeros_like(n)
+    for p in (p0, p1):
+        nz = p > 0
+        out[nz] -= p[nz] * np.log2(p[nz])
+    return out
+
+
+def best_split_ref(X, y, idx, feats, min_leaf, criterion):
+    """The tree's best (feature, threshold), one candidate feature at a time:
+    a stable sort of the node's values, the impurity decrease after every
+    value change, the lowest threshold and then the lowest feature on ties,
+    and the midpoint of the two values (the upper one if it rounds down)."""
+    n = len(idx)
+    yv = y[idx]
+    total1 = int(yv.sum())
+    parent_imp = float(impurity_ref(n - total1, total1, criterion))
+    best_gain = -np.inf
+    best = None
+    for f in feats:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        pos = np.flatnonzero(vs[1:] != vs[:-1])
+        if pos.size == 0:
+            continue
+        csum1 = np.cumsum(yv[order])
+        n_left = pos + 1
+        n_right = n - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        c1_left = csum1[pos]
+        c1_right = total1 - c1_left
+        imp_l = impurity_ref(n_left - c1_left, c1_left, criterion)
+        imp_r = impurity_ref(n_right - c1_right, c1_right, criterion)
+        gain = parent_imp - (n_left * imp_l + n_right * imp_r) / n
+        gain[~valid] = -np.inf
+        k = int(np.argmax(gain))
+        if gain[k] > best_gain:
+            lo = vs[pos[k]]
+            hi = vs[pos[k] + 1]
+            thr = (lo + hi) / 2.0
+            if thr <= lo:
+                thr = hi
+            best_gain = gain[k]
+            best = (int(f), float(thr))
+    return best
+
+
 def metrics_ref(tp, fp, fn, tn):
     total = tp + fp + fn + tn
     accuracy = (tp + tn) / total

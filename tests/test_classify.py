@@ -109,6 +109,30 @@ def test_logistic_threshold_sweep_flag():
     assert base.decision_threshold == 0.5
 
 
+def test_logistic_matches_the_fresh_array_oracle():
+    # the trainer reuses its logit and residual buffers and takes the
+    # intercept's mean as a sum over n; the oracle allocates every quantity
+    rng = np.random.default_rng(31)
+    for epochs in (0, 1, 2, 7, 60, 300):
+        for tune in (False, True):
+            n, d = int(rng.integers(5, 120)), int(rng.integers(1, 20))
+            X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0, d)
+            y = ((X @ rng.normal(size=d) + rng.normal(size=n)) > 0.5).astype(float)
+            t = make_table({f"f{j}": X[:, j] for j in range(d)}, y)
+            params = LogisticParams(learning_rate=float(rng.choice([0.05, 0.5, 2.0])),
+                                    epochs=epochs, tune_threshold=tune)
+            m = train_logistic(t, params)
+            coef, threshold = ref.logistic_ref(t.X, y.astype(np.int64), params.learning_rate,
+                                               epochs, tune)
+            assert m.coefficients.tobytes() == coef.tobytes(), (epochs, tune)
+            assert m.decision_threshold == threshold
+    t = make_table({"x": [0.0, 1e3, 0.0, 1e3]}, [0, 1, 0, 1])
+    for epochs in (1, 5):  # the coefficients diverge, then the logits too
+        assert ref.logistic_ref(t.X, t.y.astype(np.int64), 1e308, epochs, False) is None
+        with pytest.raises(ClassifyError, match="non-finite"):
+            train_logistic(t, LogisticParams(learning_rate=1e308, epochs=epochs))
+
+
 # ---------------------------------------------------------------- naive bayes
 
 def test_nb_priors():
@@ -210,6 +234,39 @@ def test_svm_constant_schedule():
     t = blobs_2d(60, seed=30)
     m = train_svm(t, SvmParams(schedule="constant", learning_rate=0.05, epochs=30))
     assert accuracy(m, t) >= 0.95
+
+
+@pytest.mark.parametrize("schedule", ["inverse_t", "constant"])
+def test_svm_matches_the_per_sample_oracle(schedule):
+    # the trainer steps with Python floats, ndarray.dot and one step buffer;
+    # the oracle with NumPy scalars, @ and a fresh (eta * y_i) * x_i
+    rng = np.random.default_rng(23)
+    k = 0
+    for d in (1, 2, 7, 16, 17, 33):
+        for c in (0.1, 1.0, 25.0):
+            n = int(rng.integers(20, 90))
+            X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d)
+            y = (X.sum(axis=1) + rng.normal(size=n) > 0).astype(float)
+            y[:2] = [0.0, 1.0]
+            t = make_table({f"f{j}": X[:, j] for j in range(d)}, y)
+            params = SvmParams(c=c, epochs=k % 5 + 1, schedule=schedule,
+                               learning_rate=0.02, seed=k)
+            m = train_svm(t, params)
+            w, b = ref.svm_ref(t.X, y.astype(np.int64), c, params.epochs, schedule,
+                               params.learning_rate, params.seed)
+            assert m.weights.tobytes() == w.tobytes(), (d, c)
+            assert np.float64(m.bias).tobytes() == np.float64(b).tobytes(), (d, c)
+            k += 1
+
+
+def test_svm_non_finite_weights_rejected():
+    t = blobs_2d(20, seed=3)
+    params = SvmParams(schedule="constant", learning_rate=1e300, epochs=3)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+        assert ref.svm_ref(t.X, t.y.astype(np.int64), params.c, params.epochs,
+                           params.schedule, params.learning_rate, params.seed) is None
+        with pytest.raises(ClassifyError, match="non-finite"):
+            train_svm(t, params)
 
 
 # ---------------------------------------------------------------- tree
@@ -338,6 +395,50 @@ def test_forest_param_validation():
     for a, b in zip(capped.trees, every.trees):
         assert np.array_equal(a.feature_index, b.feature_index)
         assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
+
+
+def _tie_table(rng, n_rows, n_features, levels):
+    """Features with `levels` distinct values (None: continuous) and a copy of
+    feature 1 as the last feature, so thresholds and whole features tie."""
+    X = rng.random((n_rows, n_features))
+    if levels is not None:
+        X = np.floor(X * levels) / levels
+    if n_features > 2:
+        X[:, -1] = X[:, 1]
+    y = ((X[:, 0] + rng.random(n_rows)) > 1.0).astype(float)
+    return make_table({f"f{j}": X[:, j] for j in range(n_features)}, y)
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_tree_and_forest_match_the_per_feature_split_oracle(monkeypatch, block):
+    # a 40-element block takes one feature at a time at nodes of 40 rows or
+    # more and a few below, so ties are settled both within and across blocks
+    from flowsieve.classify import tree as tree_module
+    if block is not None:
+        monkeypatch.setattr(tree_module, "SPLIT_BLOCK", block)
+    rng = np.random.default_rng(17)
+    for k in range(24):
+        n_rows, n_features = int(rng.integers(2, 300)), int(rng.integers(1, 40))
+        t = _tie_table(rng, n_rows, n_features, (None, 2, 5, 40)[k % 4])
+        criterion = ("gini", "information_gain")[k % 2]
+        max_depth = (None, 2, 5)[k % 3]
+        min_leaf = (1, 3, 10)[k // 3 % 3]
+        tree_params = TreeParams(criterion=criterion, max_depth=max_depth,
+                                 min_samples_leaf=min_leaf)
+        forest_params = ForestParams(tree_count=3, bootstrap=k % 2 == 0,
+                                     features_per_split=(None, n_features)[k // 2 % 2],
+                                     criterion=criterion, max_depth=max_depth,
+                                     min_samples_leaf=min_leaf, seed=k)
+
+        def node_bytes():
+            models = train_tree(t, tree_params), train_forest(t, forest_params)
+            return [[a.tobytes() for a in arrays] for m in models for arrays in _node_arrays(m)]
+
+        got = node_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(tree_module, "_best_split", ref.best_split_ref)
+            want = node_bytes()
+        assert got == want, (k, n_rows, n_features)
 
 
 # ---------------------------------------------------------------- dispatch + io
