@@ -20,7 +20,7 @@ from ..tabular import Table
 from .base import ClassifyError, training_arrays
 from .params import ForestParams, TreeParams
 
-# elements (node rows x candidate features) that one split-search block sorts
+# elements (candidate features x node rows) that one split-search block sorts
 # and scores together. Its float64 temporaries are 64 KiB each, under glibc's
 # default mmap threshold, so they reuse heap memory and stay in cache; a node
 # of more than SPLIT_BLOCK / 2 rows takes one feature at a time
@@ -46,43 +46,56 @@ def _best_split(X, y, idx, feats, min_leaf, criterion):
     """Best (feature, threshold) over the candidates, or None if nothing separates.
 
     The candidates are scored SPLIT_BLOCK // len(idx) features at a time (at
-    least one): each block's columns are stably sorted together, and every
-    sorted position that has no value change or leaves a child below min_leaf
-    scores -inf. argmax takes the lowest threshold within a feature and the
-    lowest feature within a block; a later block must gain strictly more."""
+    least one): each feature's node rows are stably sorted, the block's sorted
+    rows are laid end to end, and only the value changes that leave both
+    children at least min_leaf rows are scored. argmax over that feature-major
+    list takes the lowest feature and then the lowest threshold; a later block
+    must gain strictly more."""
     n = len(idx)
     yv = y[idx]
     total1 = int(yv.sum())
     parent_imp = float(_impurity(n - total1, total1, criterion))
-    n_left = np.arange(1, n)[:, None]  # split after sorted position i: i + 1 rows go left
-    n_right = n - n_left
-    too_small = (n_left < min_leaf) | (n_right < min_leaf)
     step = max(1, SPLIT_BLOCK // n)
+    width = min(step, len(feats))
+    # a block's r-th feature fills flat positions r * n to r * n + n - 1, and
+    # a split after flat position i sends n_left[i] rows left; the last
+    # position of a feature leaves no row right, so it is never allowed
+    offsets = np.arange(0, width * n, n)[:, None]
+    n_left = np.tile(np.arange(1, n + 1), width)
+    allowed = (n_left[:-1] >= min_leaf) & (n - n_left[:-1] >= min_leaf)
+    # X is C-contiguous (a Table's matrix or a bootstrap copy of it), so its
+    # cells are gathered by flat index, the cheap one-index path
+    cells = X.ravel()
+    row_starts = idx * X.shape[1]
     best_gain = -np.inf
     best = None
     for start in range(0, len(feats), step):
         block = feats[start:start + step]
-        cols = np.arange(len(block))
-        v = X[idx[:, None], block]
-        order = v.argsort(axis=0, kind="stable")
-        vs = v[order, cols]
-        c1_left = yv[order[:-1]].cumsum(axis=0, dtype=np.float64)  # exact counts
+        v = cells[row_starts + block[:, None]]
+        order = v.argsort(axis=1, kind="stable")
+        c1 = yv[order].cumsum(axis=1).ravel()
+        order += offsets[:len(block)]
+        vs = v.ravel()[order.ravel()]
+        at = np.flatnonzero((vs[1:] != vs[:-1]) & allowed[:len(vs) - 1])
+        if at.size == 0:
+            continue
+        c1_left = c1[at]
         c1_right = total1 - c1_left
-        imp_l = _impurity(n_left - c1_left, c1_left, criterion)
-        imp_r = _impurity(n_right - c1_right, c1_right, criterion)
-        gain = parent_imp - (n_left * imp_l + n_right * imp_r) / n
-        gain[(vs[1:] == vs[:-1]) | too_small] = -np.inf
-        pos = gain.argmax(axis=0)
-        j = int(gain[pos, cols].argmax())
-        k = pos[j]
-        if gain[k, j] > best_gain:  # strict: an earlier block wins ties
-            lo = vs[k, j]
-            hi = vs[k + 1, j]
+        nl = n_left[at]
+        nr = n - nl
+        imp_l = _impurity(nl - c1_left, c1_left, criterion)
+        imp_r = _impurity(nr - c1_right, c1_right, criterion)
+        gain = parent_imp - (nl * imp_l + nr * imp_r) / n
+        k = int(gain.argmax())
+        if gain[k] > best_gain:  # strict: an earlier block wins ties
+            i = at[k]
+            lo = vs[i]
+            hi = vs[i + 1]
             thr = (lo + hi) / 2.0
             if thr <= lo:  # midpoint rounded onto the lower value
                 thr = hi
-            best_gain = gain[k, j]
-            best = (int(block[j]), float(thr))
+            best_gain = gain[k]
+            best = (int(block[i // n]), float(thr))
     return best
 
 
