@@ -45,17 +45,18 @@ def train_svm(train: Table, params: SvmParams) -> SvmModel:
     t = 0
     inverse_t = params.schedule == "inverse_t"
     rng = np.random.default_rng(params.seed)
-    for _ in range(params.epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            eta = 1.0 / (lam * t) if inverse_t else params.learning_rate
-            x = X[i]
-            hinge = y[i] * (x.dot(w) + b) < 1.0
-            w *= 1.0 - eta * lam
-            if hinge:
-                np.multiply(x, eta * y[i], out=step)
-                w += step
-                b += eta * y[i]
-        if not (np.isfinite(w).all() and np.isfinite(b)):
-            raise ClassifyError("weights became non-finite; lower c or the learning rate")
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+        for _ in range(params.epochs):
+            for i in rng.permutation(n).tolist():
+                t += 1
+                eta = 1.0 / (lam * t) if inverse_t else params.learning_rate
+                x = X[i]
+                hinge = y[i] * (x.dot(w) + b) < 1.0
+                w *= 1.0 - eta * lam
+                if hinge:
+                    np.multiply(x, eta * y[i], out=step)
+                    w += step
+                    b += eta * y[i]
+            if not (np.isfinite(w).all() and np.isfinite(b)):
+                raise ClassifyError("weights became non-finite; lower c or the learning rate")
     return SvmModel(train.feature_names, w, float(b))

@@ -46,11 +46,16 @@ def _best_split(X, y, idx, feats, min_leaf, criterion):
     """Best (feature, threshold) over the candidates, or None if nothing separates.
 
     The candidates are scored SPLIT_BLOCK // len(idx) features at a time (at
-    least one): each feature's node rows are stably sorted, the block's sorted
-    rows are laid end to end, and only the value changes that leave both
-    children at least min_leaf rows are scored. argmax over that feature-major
-    list takes the lowest feature and then the lowest threshold; a later block
-    must gain strictly more."""
+    least one): each feature's node rows are sorted, the block's sorted rows
+    are laid end to end, and only the value changes that leave both children
+    at least min_leaf rows are scored. argmax over that feature-major list
+    takes the lowest feature and then the lowest threshold; a later block
+    must gain strictly more. The sort need not be stable: a count is read
+    only where the sorted value changes, after every row of a lower value
+    and none of a higher one, so the order of tied rows changes no count;
+    and tied values are equal, -0.0 beside 0.0 included, so the midpoint of
+    the values on either side of a change is the same whichever tied row
+    stands there."""
     n = len(idx)
     yv = y[idx]
     total1 = int(yv.sum())
@@ -72,7 +77,7 @@ def _best_split(X, y, idx, feats, min_leaf, criterion):
     for start in range(0, len(feats), step):
         block = feats[start:start + step]
         v = cells[row_starts + block[:, None]]
-        order = v.argsort(axis=1, kind="stable")
+        order = v.argsort(axis=1)
         c1 = yv[order].cumsum(axis=1).ravel()
         order += offsets[:len(block)]
         vs = v.ravel()[order.ravel()]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretize import bin_matrix
 from .parallel import fan_out
-from .tabular import Table
+from .tabular import Table, dataset_rows, row_blocks
 
 METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
 
@@ -31,8 +31,13 @@ SCORES_CSV_HEADER = ("feature_index", "feature_name", "ig", "gain_ratio",
 # in a 2 MB L2 cache; chosen by timing the relief_wide benchmark.
 RELIEF_BATCH = 16
 RELIEF_TILE = 64
-# Rows gathered in float64 at a time while relief builds its float32 copy.
-RELIEF_COPY_ROWS = 512
+# Rows gathered from the feature matrix at a time into relief's float32
+# copy and into ANOVA's class blocks. An 8-feature ANOVA chunk is then 32 KB,
+# under glibc's default mmap threshold, so the chunks reuse heap memory.
+GATHER_ROWS = 512
+# Features whose int64 count keys, or whose per-class ANOVA blocks, are held
+# at a time: 64 bytes a row, about a tenth of a 78-feature row.
+SCORE_BLOCK_FEATURES = 8
 
 
 class ScoringError(ValueError):
@@ -59,16 +64,23 @@ def _ordered_sums(terms) -> np.ndarray:
 
 def _count_tensor(binned, class_idx, n_classes: int) -> np.ndarray:
     """(features, bins, classes) joint counts of a (rows, features) bin
-    matrix against per-row class indices, from one bincount. The bin axis
-    runs to the largest index present; empty bins change no score."""
+    matrix against per-row class indices, from one bincount per
+    SCORE_BLOCK_FEATURES features. The bin axis runs to the largest index
+    present; empty bins change no score."""
     features = binned.shape[1]
     bins = int(binned.max()) + 1 if binned.size else 0
-    # the intp arange widens the narrow bin type: the key cannot wrap
-    key = binned + np.arange(features) * bins
-    key *= n_classes
-    key += class_idx[:, None]
-    return np.bincount(key.ravel(), minlength=features * bins * n_classes).reshape(
-        features, bins, n_classes)
+    counts = np.empty((features, bins, n_classes), dtype=np.intp)
+    buf = np.empty(len(binned) * min(SCORE_BLOCK_FEATURES, features), dtype=np.intp)
+    for j in range(0, features, SCORE_BLOCK_FEATURES):
+        block = binned[:, j:j + SCORE_BLOCK_FEATURES]
+        w = block.shape[1]
+        # the key is intp, wider than the narrow bin type: it cannot wrap
+        key = np.add(block, np.arange(w) * bins, out=buf[:block.size].reshape(block.shape))
+        key *= n_classes
+        key += class_idx[:, None]
+        counts[j:j + w] = np.bincount(key.ravel(), minlength=w * bins * n_classes).reshape(
+            w, bins, n_classes)
+    return counts
 
 
 def _entropy_rows(counts) -> np.ndarray:
@@ -124,6 +136,28 @@ def _group_stats(blocks):
     return sizes, np.column_stack(means), np.column_stack(variances), grand
 
 
+def _class_anova(X, class_rows) -> np.ndarray:
+    """The F ratio of every feature of X over the groups of rows
+    `class_rows`, from each group's C-contiguous (features, group size)
+    block of SCORE_BLOCK_FEATURES features, gathered GATHER_ROWS rows at a
+    time into one buffer. Each row of a block is the same contiguous run as
+    in a block of all features, so its sums are too."""
+    d = X.shape[1]
+    width = min(SCORE_BLOCK_FEATURES, d)
+    buf = np.empty(width * max(len(rows) for rows in class_rows))
+
+    def blocks(j: int, w: int):
+        for rows in class_rows:
+            block = buf[:w * len(rows)].reshape(w, len(rows))
+            for start in range(0, len(rows), GATHER_ROWS):
+                chunk = rows[start:start + GATHER_ROWS]
+                block[:, start:start + len(chunk)] = X[chunk, j:j + w].T
+            yield block
+
+    return np.concatenate([_anova(*_group_stats(blocks(j, min(width, d - j))))
+                           for j in range(0, d, width)])
+
+
 def _anova(sizes, means, variances, grand) -> np.ndarray:
     """One-way F ratio per feature from (features, groups) statistics.
 
@@ -140,42 +174,45 @@ def _anova(sizes, means, variances, grand) -> np.ndarray:
     return f
 
 
-def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarray:
-    """Relief feature weights from m seeded samples drawn without replacement.
+def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray, rows=None,
+                   labels=None) -> np.ndarray:
+    """Relief feature weights of the rows `rows` of `t` labelled `labels`
+    (all rows and `t.y` by default), from m seeded samples of those rows
+    drawn without replacement. Row numbers below are positions in `rows`.
 
     For each sampled row the nearest same-class hit and nearest other-class
     miss are found by Manhattan distance over all (normalized) features, ties
     resolved to the lowest row index, the row itself excluded. The 0/1
     difference indicator for the weight update compares binned feature values,
     since exact equality of raw continuous values is vacuous: `binned` is the
-    table's (rows, features) bin matrix from `discretize.bin_matrix`. Weights
+    rows' (rows, features) bin matrix from `discretize.bin_matrix`. Weights
     stay in [-1, 1] because each of the m updates moves a weight by at most 1/m.
 
     The search is a float32 filter followed by a float64 refine. A float32
-    copy of the table, in class order, is scanned RELIEF_BATCH sampled rows
+    copy of the rows, in class order, is scanned RELIEF_BATCH sampled rows
     per pass and RELIEF_TILE data rows at a time, so that the batch-by-tile
     block of feature differences stays in cache and lives in preallocated
     buffers; each row's sum is a BLAS matrix-vector product. Per sampled row
     and class, every row whose float32 distance lies within the rounding
     bound of `_filter_tolerance` of the class's float32 minimum is kept, and
-    the kept rows' distances are recomputed in float64 as one sum over the
-    contiguous feature axis of each row. The float64 minimum is always kept,
-    so hit, miss and weights are bit for bit those of an exhaustive float64
-    scan, for any BLAS and any summation order; exact ties and duplicate
-    rows only make the refine longer. Non-finite values, and values whose
-    float32 distances could overflow, raise a ScoringError.
+    the kept rows' distances are recomputed in float64, from `t.X`, as one
+    sum over the contiguous feature axis of each row. The float64 minimum is
+    always kept, so hit, miss and weights are bit for bit those of an
+    exhaustive float64 scan, for any BLAS and any summation order; exact
+    ties and duplicate rows only make the refine longer. Non-finite values,
+    and values whose float32 distances could overflow, raise a ScoringError.
 
     Each batch is one task of `parallel.fan_out` and gives an integer tally;
     the tallies are added before the one division, so the weights are the
-    same for any number of workers. The float32 copy (half the table's
+    same for any number of workers. The float32 copy (half the rows' float64
     bytes, built a chunk of rows at a time) and the buffers are allocated
     once, before the fan-out: besides the feature, bin and float32 matrices,
     which forked workers share, each worker holds its own copy-on-write copy
     of the buffers, O(RELIEF_BATCH * (rows + RELIEF_TILE * features)) floats.
     """
     X = t.X
-    y = t.y
-    n, d = X.shape
+    rows, y = dataset_rows(t, rows, labels)
+    n, d = len(rows), X.shape[1]
     classes = np.unique(y)
     if len(classes) != 2:
         raise ScoringError(f"relief needs binary labels, found {len(classes)} classes")
@@ -200,8 +237,7 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
     limit = float(np.finfo(np.float32).max) / 4
     X32 = np.empty((n, d), dtype=np.float32)
     norm_max = 0.0
-    for start in range(0, n, RELIEF_COPY_ROWS):
-        rows64 = X[order[start:start + RELIEF_COPY_ROWS]]
+    for start, rows64 in row_blocks(X, rows[order], GATHER_ROWS):
         if not np.isfinite(rows64).all():
             raise ScoringError("relief needs finite feature values")
         norm_max = max(norm_max, float(np.abs(rows64).sum(axis=1).max()))
@@ -209,7 +245,7 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
             raise ScoringError(
                 f"feature values too large for relief's float32 filter: a row's "
                 f"absolute values sum to {norm_max:.6g}, not below {limit:.6g}")
-        X32[start:start + RELIEF_COPY_ROWS] = rows64
+        X32[start:start + len(rows64)] = rows64
     del rows64
     tol = _filter_tolerance(d, norm_max)
 
@@ -222,13 +258,13 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
         """The lowest-index row of span [lo, hi) nearest to row r in float64."""
         span = dist_row[lo:hi]
         kept = order[lo + np.flatnonzero(span <= span.min() + tol)]
-        return kept[np.abs(X[kept] - X[r]).sum(axis=-1).argmin()]
+        return kept[np.abs(X[rows[kept]] - X[rows[r]]).sum(axis=-1).argmin()]
 
     def tally(b: int) -> np.ndarray:
         """The integer tally of the batch of sampled rows from `b`."""
-        rows = sample[b:b + RELIEF_BATCH]
-        k = len(rows)
-        batch_rows[:k] = X32[position[rows]][:, None, :]
+        batch = sample[b:b + RELIEF_BATCH]
+        k = len(batch)
+        batch_rows[:k] = X32[position[batch]][:, None, :]
         for start in range(0, n, RELIEF_TILE):
             stop = min(start + RELIEF_TILE, n)
             block = diff[:k, :stop - start]
@@ -239,14 +275,14 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray) -> np.ndarra
             np.abs(block, out=block)
             np.matmul(block, ones, out=dist[:k, start:stop])
         dk = dist[:k]
-        dk[np.arange(k), position[rows]] = np.inf
+        dk[np.arange(k), position[batch]] = np.inf
         nearest0, nearest1 = np.array([[nearest(r, dist_row, lo, hi) for r, dist_row
-                                         in zip(rows, dk)] for lo, hi in spans])
-        in0 = y[rows] == classes[0]
+                                         in zip(batch, dk)] for lo, hi in spans])
+        in0 = y[batch] == classes[0]
         hit = np.where(in0, nearest0, nearest1)
         miss = np.where(in0, nearest1, nearest0)
-        return ((binned[rows] != binned[miss]).sum(axis=0)
-                - (binned[rows] != binned[hit]).sum(axis=0))
+        return ((binned[batch] != binned[miss]).sum(axis=0)
+                - (binned[batch] != binned[hit]).sum(axis=0))
 
     # integer tallies, summed over the batches and divided once: the same
     # weights in any order, and exact 1.0 / 0.0 in the label-identical and
@@ -279,17 +315,22 @@ def _filter_tolerance(d: int, norm_max: float) -> np.float32:
 
 
 def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
-              seed: int = 0) -> np.ndarray:
-    """Raw scores of every non-label feature of a cleaned, normalized,
-    binarized table: a (features, methods) matrix, methods in METHODS order.
+              seed: int = 0, rows=None, labels=None) -> np.ndarray:
+    """Raw scores of every non-label feature of the rows `rows` of a
+    cleaned, normalized table, against their binary labels `labels` (all
+    rows and `t.y` by default; an attack's dataset from
+    `tabular.split_by_attack`): a (features, methods) matrix, methods in
+    METHODS order. The rows are read from `t.X` a bounded block at a time,
+    never copied whole, and the scores equal those of `tabular.subtable`'s
+    copy of them byte for byte.
 
     Relief samples min(rows, relief_m) rows, relief_m defaulting to 5000;
-    a relief_m above the row count is capped with a warning. The table is
+    a relief_m above the row count is capped with a warning. The rows are
     binned once, by the edge matrix of `discretize.table_bin_edges`: relief
     and a (features, bins, classes) count tensor share the bin matrix, and
     the tensor gives IG, gain ratio, SU and chi-squared of every feature at
     once. ANOVA F comes from per-class column statistics, over one class's
-    (features, rows) block at a time, copied from that class's rows.
+    (features, rows) block of SCORE_BLOCK_FEATURES features at a time.
     Each score equals, bit for bit, what a loop over the features computes
     for that feature alone with one-dimensional NumPy sums.
 
@@ -301,25 +342,25 @@ def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,
     names = t.feature_names
     if not names:
         raise ScoringError("table has no feature columns")
-    y = t.y
+    rows, y = dataset_rows(t, rows, labels)
     classes, class_idx = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise ScoringError("labels are single-valued; nothing to score against")
-    n = t.row_count
+    n = len(rows)
     if relief_m is not None and relief_m > n:
         warnings.warn(f"relief_m={relief_m} exceeds the table's {n} rows; "
                       f"relief samples all {n} rows", stacklevel=2)
     m = min(n, 5000 if relief_m is None else relief_m)
 
-    binned = bin_matrix(t, edges)
-    relief = relief_weights(t, m, seed, binned)
+    binned = bin_matrix(t, edges, rows)
+    relief = relief_weights(t, m, seed, binned, rows, y)
     scores = _count_scores(_count_tensor(binned, class_idx, len(classes)))
     del binned
     for j in np.flatnonzero(scores["split_info"] == 0.0):
         warnings.warn(f"gain ratio of single-valued feature {names[j]!r} defined as 0",
                       stacklevel=2)
-    scores["anova_f"] = _anova(*_group_stats(
-        np.ascontiguousarray(t.X[class_idx == c].T) for c in range(len(classes))))
+    scores["anova_f"] = _class_anova(t.X, [rows[class_idx == c]
+                                           for c in range(len(classes))])
     scores["relief"] = relief
     return np.column_stack([scores[k] for k in METHODS])
 

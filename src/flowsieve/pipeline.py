@@ -50,7 +50,8 @@ class PipelineError(RuntimeError):
 
 
 # The cleaned table (original label codes) and each attack's rows and 0/1
-# labels (`split_by_attack`): the stages build one attack's tables at a time.
+# labels (`split_by_attack`): `select` scores each attack through its rows,
+# and `train-eval` builds one cell's train and test tables at a time.
 Cleaned = tuple[Table, dict[str, tuple]]
 # Each attack's selected feature names per threshold, in feature-index order.
 Selections = dict[str, dict[float, tuple[str, ...]]]
@@ -220,23 +221,25 @@ def load_preprocessed(ctx: RunContext) -> Cleaned:
 
 
 def stage_select(ctx: RunContext, cleaned: Cleaned) -> None:
-    """Score every feature with the six methods, rank the features by their
-    mean normalized score, and write one selection per threshold. A scoring
-    error is raised again led by its attack."""
+    """Score every feature of each attack's rows of the cleaned table with
+    the six methods, reading the rows in place (no attack table is built),
+    rank the features by their mean normalized score, and write one
+    selection per threshold. A scoring error is raised again led by its
+    attack."""
     cfg = ctx.cfg
     table, per_attack = cleaned
     names = table.feature_names
     with _stage(ctx, "select"):
         for attack in cfg.attacks:
-            t = subtable(table, *per_attack[attack], names)
+            rows, labels = per_attack[attack]
             adir = ctx.attack_dir(attack)
             with _recording(ctx, f"{attack}: "):
                 try:
-                    edges = table_bin_edges(t, cfg.bin_count)
-                    raw = score_all(t, edges, relief_m=cfg.relief_m, seed=cfg.seed)
+                    edges = table_bin_edges(table, cfg.bin_count, rows)
+                    raw = score_all(table, edges, relief_m=cfg.relief_m, seed=cfg.seed,
+                                    rows=rows, labels=labels)
                 except Exception as exc:
                     raise _named(exc, attack) from None
-                del t  # before the next attack's table is built
                 normalized = normalize_scores(raw)
                 mean = normalized.mean(axis=1)
                 _write_json(_fresh(adir / "bins.json"), bins_document(names, edges))

@@ -12,8 +12,9 @@ category codes from the row checks and from normalization. Cleaning never
 mutates: `clean_table` gathers the rows and columns it keeps into a new,
 normalized Table and returns it with a CleaningReport describing what was
 removed and why. A per-attack dataset is a list of row indices into the
-cleaned table plus 0/1 labels (`split_by_attack`); `subtable` builds its
-table when it is needed.
+cleaned table plus 0/1 labels (`split_by_attack`); scoring reads those rows
+straight from the cleaned table (`dataset_rows`, `row_blocks`), and
+`subtable` builds a table from them where one is needed.
 
 CSV input (`load_csv_merged`): the files share one header row, which names
 the label column. Rows are split as Python's csv module splits them: cells
@@ -119,6 +120,31 @@ def subtable(t: Table, rows, labels, names) -> Table:
     idx = [t.feature_names.index(n) for n in names]
     return Table(names, t.label_name,
                  t.X[np.ix_(np.asarray(rows, dtype=np.intp), idx)], labels)
+
+
+def dataset_rows(t: Table, rows=None, labels=None) -> tuple[np.ndarray, np.ndarray]:
+    """A row subset of `t` as an index array and its label vector: `rows`
+    and `labels` as `split_by_attack` gives them, or, by default, every row
+    of `t` and `t.y`. Missing labels are `t.y` at the rows."""
+    rows = np.arange(t.row_count) if rows is None else np.asarray(rows, dtype=np.intp)
+    if rows.size and (rows.min() < 0 or rows.max() >= t.row_count):
+        raise TableError(f"row indices must lie in [0, {t.row_count})")
+    labels = t.y[rows] if labels is None else np.asarray(labels, dtype=np.float64)
+    if labels.shape != rows.shape:
+        raise TableError(f"{len(rows)} rows but {len(labels)} labels")
+    return rows, labels
+
+
+def row_blocks(X: np.ndarray, rows: np.ndarray, size: int):
+    """(start, X[rows[start:start + size]]) for each block of `size` rows in
+    `rows`, in order: a row subset of X, copied a block at a time into one
+    buffer, which the next block overwrites. `rows` must lie in range (as
+    `dataset_rows` checks): the copy does not check them again."""
+    buf = np.empty((min(size, len(rows)), X.shape[1]), dtype=X.dtype)
+    for start in range(0, len(rows), size):
+        idx = rows[start:start + size]
+        # np.take checks no index in "clip" mode, and so needs no buffer of its own
+        yield start, np.take(X, idx, axis=0, out=buf[:len(idx)], mode="clip")
 
 
 @dataclass(frozen=True)
@@ -597,7 +623,8 @@ def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
                     benign_label) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each attack's dataset as (rows, labels): the indices of all benign rows
     plus that attack's rows, in table order, and their labels coded 0/1.
-    `subtable(t, rows, labels, t.feature_names)` builds the dataset's table.
+    The scorers read them from `t` as they are; `subtable(t, rows, labels,
+    t.feature_names)` builds the dataset's table.
 
     Labels may be given as category text (resolved through `mapping`) or as raw
     numeric label values. A table without benign rows, or an attack with no

@@ -265,8 +265,9 @@ def test_svm_non_finite_weights_rejected():
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
         assert ref.svm_ref(t.X, t.y.astype(np.int64), params.c, params.epochs,
                            params.schedule, params.learning_rate, params.seed) is None
-        with pytest.raises(ClassifyError, match="non-finite"):
-            train_svm(t, params)
+    # under the suite's warnings-as-errors, the trainer reaches its own error
+    with pytest.raises(ClassifyError, match="non-finite"):
+        train_svm(t, params)
 
 
 # ---------------------------------------------------------------- tree
@@ -429,6 +430,40 @@ def test_tree_and_forest_match_the_per_feature_split_oracle(monkeypatch, block):
                                      features_per_split=(None, n_features)[k // 2 % 2],
                                      criterion=criterion, max_depth=max_depth,
                                      min_samples_leaf=min_leaf, seed=k)
+
+        def node_bytes():
+            models = train_tree(t, tree_params), train_forest(t, forest_params)
+            return [[a.tobytes() for a in arrays] for m in models for arrays in _node_arrays(m)]
+
+        got = node_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(tree_module, "_best_split", ref.best_split_ref)
+            want = node_bytes()
+        assert got == want, (k, n_rows, n_features)
+
+
+# values that tie heavily, with -0.0 beside 0.0 and the smallest subnormals
+# beside them, whose midpoints round onto a zero
+SIGNED_ZERO_TIES = np.array([-0.0, 0.0, 5e-324, -5e-324, 0.25, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_tree_splits_on_signed_zero_ties_as_the_stable_oracle(monkeypatch, block):
+    # the split search sorts without regard to the order of tied rows; the
+    # oracle sorts stably, one feature at a time
+    from flowsieve.classify import tree as tree_module
+    if block is not None:
+        monkeypatch.setattr(tree_module, "SPLIT_BLOCK", block)
+    rng = np.random.default_rng(29)
+    for k in range(12):
+        n_rows, n_features = int(rng.integers(20, 400)), int(rng.integers(1, 12))
+        X = rng.choice(SIGNED_ZERO_TIES[:int(rng.integers(2, 8))], size=(n_rows, n_features))
+        y = ((X[:, 0] > 0) ^ (rng.random(n_rows) < 0.3)).astype(float)
+        y[:2] = [0.0, 1.0]
+        t = make_table({f"f{j}": X[:, j] for j in range(n_features)}, y)
+        criterion = ("gini", "information_gain")[k % 2]
+        tree_params = TreeParams(criterion=criterion, min_samples_leaf=(1, 3)[k // 2 % 2])
+        forest_params = ForestParams(tree_count=3, criterion=criterion, seed=k)
 
         def node_bytes():
             models = train_tree(t, tree_params), train_forest(t, forest_params)

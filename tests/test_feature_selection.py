@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import flowsieve
 import reference as ref
+from flowsieve import discretize, feature_selection
 from flowsieve.discretize import bin_matrix, table_bin_edges
 from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          ScoringError, _anova, _count_scores,
@@ -21,7 +22,7 @@ from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          _group_stats, normalize_scores,
                                          relief_weights, score_all,
                                          select_by_threshold, write_scores_csv)
-from flowsieve.tabular import subtable
+from flowsieve.tabular import CategoryMapping, split_by_attack, subtable
 
 from helpers import make_table, random_table, rows_of, use_cpus
 
@@ -329,11 +330,12 @@ def test_relief_peak_memory_is_one_distance_block(monkeypatch):
 
 
 def test_score_all_copies_no_whole_table(monkeypatch):
-    # ANOVA holds one class's (features, rows) block at a time: with its row
-    # gather, one table's bytes for balanced classes. A transposed copy of
-    # the whole table besides lifts the peak to 1.7 tables; the bin matrix
-    # and the count tensor's int64 key take about 1.15. relief_m 16 is one
-    # relief batch, run in this process
+    # no scorer copies the whole table, only bounded blocks; relief sets the
+    # peak, at 1.19 tables here: its float32 copy (0.5), the bin matrix
+    # (0.125), its float32 16 x rows distance block (0.2 at 40 features)
+    # and its row orders. A class's whole (features, rows) ANOVA block
+    # would add 0.5 for balanced classes, a transposed copy of the whole
+    # table 1.0. relief_m 16 is one relief batch, run in this process
     use_cpus(monkeypatch, 1)
     t = random_table(np.random.default_rng(6), 20_000, 40)
     edges = table_bin_edges(t, 10)
@@ -344,6 +346,98 @@ def test_score_all_copies_no_whole_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.4 * t.X.nbytes, (peak, t.X.nbytes)
+
+
+def test_scoring_an_attack_through_its_rows_copies_no_attack_table(monkeypatch):
+    # benign 60 % and two attacks of 20 % each; the first attack's dataset
+    # is 0.8 of the table's rows. Measured at 0.86 of its bytes, set by
+    # relief as above with a distance block of 0.1 at 78 features; a
+    # subtable copy of the dataset alone is 1.0, and the former copy path
+    # peaked at 2.5. The bound leaves a 10 % margin
+    use_cpus(monkeypatch, 1)
+    rng = np.random.default_rng(6)
+    n, d = 40_000, 78
+    y = rng.choice([0.0, 1.0, 2.0], size=n, p=[0.6, 0.2, 0.2])
+    t = make_table({f"f{j}": rng.random(n) for j in range(d)}, y)
+    rows, labels = split_by_attack(t, CategoryMapping({}), [1.0, 2.0], 0.0)["1.0"]
+    edges = table_bin_edges(t, 10, rows)
+    tracemalloc.start()
+    try:
+        score_all(t, edges, relief_m=16, seed=0, rows=rows, labels=labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    attack_bytes = len(rows) * d * 8
+    assert peak < 0.95 * attack_bytes, (peak, attack_bytes)
+
+
+# block sizes so large that every scorer takes its rows, features and
+# classes in one block, as a single copy would
+ONE_BLOCK = {"BIN_BLOCK_ROWS": 1 << 40, "GATHER_ROWS": 1 << 40,
+             "SCORE_BLOCK_FEATURES": 1 << 40}
+
+
+def scored(t, k, m, seed, blocks, rows=None, labels=None):
+    """Edges, bin matrix, raw scores and warning messages of scoring the
+    rows `rows` of `t` with the block sizes `blocks`, on one CPU."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        for name, size in blocks.items():
+            mp.setattr(discretize if name == "BIN_BLOCK_ROWS" else feature_selection,
+                       name, size)
+        edges = table_bin_edges(t, k, rows)
+        binned = bin_matrix(t, edges, rows)
+        raw = score_all(t, edges, relief_m=m, seed=seed, rows=rows, labels=labels)
+    return edges, binned, raw, [str(w.message) for w in caught]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scoring_through_rows_equals_scoring_a_copy(data):
+    """Each attack of a multi-attack table scored through its rows, with
+    small blocks of rows and features, gives the edges, bins, scores and
+    warnings, byte for byte, of its subtable copy scored in one block.
+    Columns are constant, constant on some attack's rows only, on coarse
+    grids that tie values and leave bins empty (with -0.0 beside 0.0), or
+    continuous."""
+    n = data.draw(st.integers(8, 160), label="n")
+    d = data.draw(st.integers(1, 20), label="d")
+    k = data.draw(st.integers(2, 12), label="bin_count")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    y = np.concatenate([[0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0],
+                        rng.choice(4, size=n - 8, p=[0.55, 0.25, 0.15, 0.05])])
+    y = rng.permutation(y)
+    columns = {}
+    for j in range(d):
+        kind = data.draw(st.sampled_from(["constant", "constant_on_1", "grid", "zeros",
+                                          "continuous"]), label=f"kind {j}")
+        if kind == "constant":
+            col = np.full(n, 0.25)
+        elif kind == "constant_on_1":
+            col = np.where(y <= 1, 0.5, rng.random(n))
+        elif kind == "grid":
+            steps = int(rng.integers(1, 3 * k))
+            col = rng.integers(0, steps + 1, size=n) / steps
+        elif kind == "zeros":
+            col = rng.choice([-0.0, 0.0, 0.375, 1.0], size=n)
+        else:
+            col = rng.random(n)
+        columns[f"f{j}"] = col
+    t = make_table(columns, y)
+    blocks = {"BIN_BLOCK_ROWS": data.draw(st.integers(1, n), label="bin rows"),
+              "GATHER_ROWS": data.draw(st.integers(1, n), label="gather rows"),
+              "SCORE_BLOCK_FEATURES": data.draw(st.integers(1, d), label="features")}
+    seed = data.draw(st.integers(0, 2**16), label="relief seed")
+    per_attack = split_by_attack(t, CategoryMapping({}), [1.0, 2.0, 3.0], 0.0)
+    for attack, (rows, labels) in per_attack.items():
+        m = data.draw(st.integers(1, min(len(rows), 40)), label=f"relief_m {attack}")
+        copy = subtable(t, rows, labels, t.feature_names)
+        want = scored(copy, k, m, seed, ONE_BLOCK)
+        got = scored(t, k, m, seed, blocks, rows, labels)
+        for name, a, b in zip(("edges", "bins", "scores"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (attack, name)
+        assert got[3] == want[3], attack
 
 
 def near_tie_table(rng, n, d, scales, fine_bits):

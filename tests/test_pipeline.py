@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowsieve import pipeline
+from flowsieve import pipeline, tabular
 from flowsieve.config import apply_overrides, config_hash, parse_config
 from flowsieve.feature_selection import ScoringError
 from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
@@ -486,10 +486,10 @@ def test_cleaned_arrays_disagreeing_with_columns_fail_closed(cfg):
 
 @pytest.mark.parametrize("staged", [False, True])
 def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
-    # three attacks share one large benign class; each attack's table must
-    # be dropped before the next one is built, and each feature subset's
-    # train and test tables before the next subset's are gathered, in this
-    # process or in a forked worker
+    # three attacks share one large benign class; select scores each attack
+    # through its rows and builds no table at all, and each feature subset's
+    # train and test tables must be dropped before the next subset's are
+    # gathered, in this process or in a forked worker
     rng = np.random.default_rng(8)
     attacks = ["AttackA", "AttackB", "AttackC"]
     labels = ["Benign"] * 600 + [a for a in attacks for _ in range(40)]
@@ -514,18 +514,36 @@ def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
             return fn(t, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(pipeline, "score_all", spy("score_all", pipeline.score_all))
+    selecting = []  # nonempty inside stage_select, and so in its forked workers
+    real_select, real_subtable = pipeline.stage_select, tabular.subtable
+
+    def stage_select(*args):
+        selecting.append(True)
+        try:
+            return real_select(*args)
+        finally:
+            selecting.pop()
+
+    def subtable(*args, **kwargs):
+        if selecting:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("subtable_in_select 1\n")
+        return real_subtable(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stage_select", stage_select)
+    monkeypatch.setattr(pipeline, "subtable", subtable)
+    monkeypatch.setattr(tabular, "subtable", subtable)
     monkeypatch.setitem(pipeline._TRAINERS, "logistic_regression",
                         spy("logistic_regression", pipeline._TRAINERS["logistic_regression"]))
     for workers in (1, 3):
         use_cpus(monkeypatch, workers)
         log.write_text("")
         run_commands(cfg, staged)
-        alive = {"score_all": [], "logistic_regression": []}
+        alive = {"subtable_in_select": [], "logistic_regression": []}
         for line in log.read_text(encoding="utf-8").splitlines():
             name, count = line.split()
             alive[name].append(int(count))
-        assert alive["score_all"] == [0, 0, 0], workers
+        assert alive["subtable_in_select"] == [], workers
         assert alive["logistic_regression"] == [0, 0, 0], workers
 
 

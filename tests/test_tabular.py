@@ -373,6 +373,25 @@ def test_row_and_feature_subsets_stay_c_ordered():
     assert np.array_equal(parts["subtable"].y, t.y[rows])
 
 
+def test_dataset_rows_and_row_blocks():
+    t = make_table({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]}, [0.0, 1.0, 2.0])
+    rows, labels = tabular.dataset_rows(t)
+    assert rows.tolist() == [0, 1, 2] and labels.tolist() == [0.0, 1.0, 2.0]
+    rows, labels = tabular.dataset_rows(t, [2, 0])
+    assert rows.dtype == np.intp and labels.tolist() == [2.0, 0.0]
+    assert tabular.dataset_rows(t, [2, 0], [1, 0])[1].tolist() == [1.0, 0.0]
+    # the row blocks copy without checking indices, so the rows are checked here
+    for bad in ([3], [-1]):
+        with pytest.raises(TableError, match=r"row indices must lie in \[0, 3\)"):
+            tabular.dataset_rows(t, bad)
+    with pytest.raises(TableError, match="2 rows but 1 labels"):
+        tabular.dataset_rows(t, [2, 0], [1.0])
+    rows = np.array([2, 0, 1, 2, 0])
+    blocks = [(start, block.copy()) for start, block in tabular.row_blocks(t.X, rows, 2)]
+    assert [start for start, _ in blocks] == [0, 2, 4]
+    assert np.concatenate([block for _, block in blocks]).tobytes() == t.X[rows].tobytes()
+
+
 # ------------------------------------------------------------ chunked loading
 
 EDGE_CELLS = ("Infinity", "-Infinity", "NaN", "-nan", "-0", "1e500", "-1e-400", "4.9e-324",
