@@ -52,7 +52,7 @@ def _parameters(model) -> dict:
     if isinstance(model, TreeModel):
         return {"nodes": _tree_nodes(model)}
     if isinstance(model, ForestModel):
-        return {"vote_rule": model.vote_rule,
+        return {"vote_rule": "majority",
                 "trees": [_tree_nodes(t) for t in model.trees]}
     raise ClassifyError(f"unknown model type {type(model).__name__}")
 
@@ -91,6 +91,8 @@ def load_model(path):
     if algo == "decision_tree":
         return _tree_from_nodes(names, p["nodes"])
     if algo == "random_forest":
-        trees = tuple(_tree_from_nodes(names, nd) for nd in p["trees"])
-        return ForestModel(names, trees, vote_rule=p.get("vote_rule", "majority"))
+        if p.get("vote_rule") != "majority":
+            raise ClassifyError(f"unsupported forest vote rule {p.get('vote_rule')!r}; "
+                                "expected 'majority'")
+        return ForestModel(names, tuple(_tree_from_nodes(names, nd) for nd in p["trees"]))
     raise ClassifyError(f"unknown algorithm tag {algo!r}")

@@ -68,8 +68,8 @@ def _best_split(X, y, idx, feats, min_leaf, criterion):
     offsets = np.arange(0, width * n, n)[:, None]
     n_left = np.tile(np.arange(1, n + 1), width)
     allowed = (n_left[:-1] >= min_leaf) & (n - n_left[:-1] >= min_leaf)
-    # X is C-contiguous (a Table's matrix or a bootstrap copy of it), so its
-    # cells are gathered by flat index, the cheap one-index path
+    # X is C-contiguous (a Table's matrix), so its cells are gathered by flat
+    # index, the cheap one-index path
     cells = X.ravel()
     row_starts = idx * X.shape[1]
     best_gain = -np.inf
@@ -104,9 +104,10 @@ def _best_split(X, y, idx, feats, min_leaf, criterion):
     return best
 
 
-def _grow(X, y, params: TreeParams, rng=None, features_per_split: int | None = None):
-    """Node arrays (feature, threshold, left, right, score) grown in preorder."""
-    n, d = X.shape
+def _grow(X, y, rows, params: TreeParams, rng=None, features_per_split: int | None = None):
+    """Node arrays (feature, threshold, left, right, score) grown in preorder
+    from the rows `rows` of X, which may repeat a row, as a bootstrap draw does."""
+    d = X.shape[1]
     feature_index: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -115,7 +116,7 @@ def _grow(X, y, params: TreeParams, rng=None, features_per_split: int | None = N
 
     all_feats = np.arange(d)
     sample_feats = features_per_split is not None and features_per_split < d
-    stack = [(np.arange(n), 0, -1, False)]
+    stack = [(rows, 0, -1, False)]
     while stack:
         idx, depth, parent, is_left = stack.pop()
         node = len(feature_index)
@@ -182,7 +183,7 @@ def train_tree(train: Table, params: TreeParams) -> TreeModel:
     X, y = training_arrays(train)
     if len(y) == 0:
         raise ClassifyError("cannot train a tree on an empty table")
-    arrays = _grow(X, y, params)
+    arrays = _grow(X, y, np.arange(len(y)), params)
     return TreeModel(train.feature_names, *arrays)
 
 
@@ -190,7 +191,6 @@ def train_tree(train: Table, params: TreeParams) -> TreeModel:
 class ForestModel:
     feature_names: tuple[str, ...]
     trees: tuple[TreeModel, ...]
-    vote_rule: str = "majority"
     kind: str = field(default="random_forest", init=False)
 
     def decide(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,11 +222,7 @@ def train_forest(train: Table, params: ForestParams) -> ForestModel:
     trees = []
     for i in range(params.tree_count):
         rng = np.random.default_rng(params.seed + i)
-        if params.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            Xi, yi = X[idx], y[idx]
-        else:
-            Xi, yi = X, y
-        arrays = _grow(Xi, yi, tree_params, rng=rng, features_per_split=fps)
+        rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        arrays = _grow(X, y, rows, tree_params, rng=rng, features_per_split=fps)
         trees.append(TreeModel(train.feature_names, *arrays))
     return ForestModel(train.feature_names, tuple(trees))

@@ -1,8 +1,12 @@
-"""Confusion matrix and the four classification metrics, attack = positive class."""
+"""Confusion matrix and the four classification metrics, attack = positive class.
+
+A metric row is the dict that `metrics.json` holds: split, attack,
+classifier, threshold, n_features, confusion ({"tp", "fp", "fn", "tn"}),
+then accuracy, precision, recall and f1, in that key order.
+"""
 
 import csv
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,23 +21,8 @@ class EvalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise EvalError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-def confusion(pred, truth) -> ConfusionMatrix:
+def confusion(pred, truth) -> dict:
+    """{"tp", "fp", "fn", "tn"} of 0/1 predictions against 0/1 truths."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
@@ -44,70 +33,34 @@ def confusion(pred, truth) -> ConfusionMatrix:
             raise EvalError(f"{name} must be binary 0/1, found {sorted(values)}")
     tn, fp, fn, tp = np.bincount(2 * truth.astype(np.intp) + pred.astype(np.intp),
                                  minlength=4).tolist()
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
-@dataclass(frozen=True)
-class MetricValues:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-
-def metrics(cm: ConfusionMatrix) -> MetricValues:
-    """Accuracy, precision, recall, F1; degenerate ratios are defined as 0."""
-    if cm.total == 0:
+def metrics(cm: dict) -> dict:
+    """Accuracy, precision, recall, F1 of a confusion dict; degenerate ratios
+    are defined as 0."""
+    tp, fp, fn, tn = cm["tp"], cm["fp"], cm["fn"], cm["tn"]
+    if min(tp, fp, fn, tn) < 0:
+        raise EvalError("confusion counts must be non-negative")
+    total = tp + fp + fn + tn
+    if total == 0:
         raise EvalError("empty confusion matrix")
-    accuracy = (cm.tp + cm.tn) / cm.total
-    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp else 0.0
-    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else 0.0
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MetricValues(accuracy, precision, recall, f1)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    split: str            # "train" or "test"
-    attack: str
-    classifier: str
-    threshold: float
-    n_features: int
-    confusion: ConfusionMatrix
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-    @classmethod
-    def build(cls, cm: ConfusionMatrix, *, split: str, attack: str,
-              classifier: str, threshold: float, n_features: int) -> "MetricsReport":
-        mv = metrics(cm)
-        return cls(split, attack, classifier, threshold, n_features, cm,
-                   mv.accuracy, mv.precision, mv.recall, mv.f1)
-
-    def to_json(self) -> dict:
-        return {
-            "split": self.split, "attack": self.attack,
-            "classifier": self.classifier, "threshold": self.threshold,
-            "n_features": self.n_features,
-            "confusion": {"tp": self.confusion.tp, "fp": self.confusion.fp,
-                          "fn": self.confusion.fn, "tn": self.confusion.tn},
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1,
-        }
+    return {"accuracy": (tp + tn) / total, "precision": precision, "recall": recall, "f1": f1}
 
 
 def evaluate(model, train: Table, test: Table, *, attack: str, classifier: str,
-             threshold: float) -> tuple[MetricsReport, MetricsReport]:
-    """One report per split, counting the model's features."""
+             threshold: float) -> tuple[dict, dict]:
+    """The train row and the test row, counting the model's features."""
     out = []
     for split, table in (("train", train), ("test", test)):
         labels, _ = predict_arrays(model, table)
         cm = confusion(labels, table.y)
-        out.append(MetricsReport.build(cm, split=split, attack=attack,
-                                       classifier=classifier, threshold=threshold,
-                                       n_features=len(model.feature_names)))
+        out.append({"split": split, "attack": attack, "classifier": classifier,
+                    "threshold": threshold, "n_features": len(model.feature_names),
+                    "confusion": cm, **metrics(cm)})
     return out[0], out[1]
 
 
@@ -117,12 +70,11 @@ def write_metrics_csv(reports, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRICS_CSV_HEADER)
         for r in reports:
-            writer.writerow([r.attack, f"{r.threshold:g}", str(r.n_features),
-                             r.classifier, r.split,
-                             f"{r.accuracy:.5f}", f"{r.precision:.5f}",
-                             f"{r.recall:.5f}", f"{r.f1:.5f}"])
+            writer.writerow([r["attack"], f"{r['threshold']:g}", str(r["n_features"]),
+                             r["classifier"], r["split"],
+                             *(f"{r[k]:.5f}" for k in METRICS_CSV_HEADER[5:])])
 
 
 def write_metrics_json(reports, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps([r.to_json() for r in reports], indent=1) + "\n")
+        fh.write(json.dumps(reports, indent=1) + "\n")

@@ -23,8 +23,7 @@ from .tabular import Table, dataset_rows, row_blocks
 
 METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
 
-SCORES_CSV_HEADER = ("feature_index", "feature_name", "ig", "gain_ratio",
-                     "relief", "su", "chi2", "anova_f", "mean_score")
+SCORES_CSV_HEADER = ("feature_index", "feature_name", *METHODS, "mean_score")
 
 # Relief's neighbour search: sampled rows per pass and data rows per tile.
 # Two batch x tile x features float32 buffers (0.64 MB at 78 features) fit

@@ -20,7 +20,6 @@ over the stage history of the commands before it, and records partial
 progress and the error when a stage fails.
 """
 
-import dataclasses
 import json
 import time
 import warnings
@@ -295,20 +294,20 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
                                                         selections[attack])
             cells += attack_cells
         outcomes = fan_out(lambda cell: _train_eval_cell(ctx, table, cell), cells)
-        by_tau = {attack: {} for attack in cfg.attacks}  # reports, in classifier order
+        by_tau = {attack: {} for attack in cfg.attacks}  # rows, in classifier order
         for (attack, _, taus, *_), (pair, caught) in zip(cells, outcomes):
             notes[attack] += caught
             for tau in taus:
                 by_tau[attack].setdefault(tau, []).extend(
-                    dataclasses.replace(r, threshold=tau) for r in pair)
+                    dict(row, threshold=tau) for row in pair)
         for attack in cfg.attacks:
             ctx.warnings.extend(f"{attack}: {message}" for message in notes[attack])
-        reports = [r for attack in cfg.attacks for tau in cfg.thresholds
-                   for r in by_tau[attack].get(tau, [])]
-        write_metrics_csv(reports, _fresh(ctx.run_dir / "metrics.csv"))
-        write_metrics_json(reports, _fresh(ctx.run_dir / "metrics.json"))
+        rows = [row for attack in cfg.attacks for tau in cfg.thresholds
+                for row in by_tau[attack].get(tau, [])]
+        write_metrics_csv(rows, _fresh(ctx.run_dir / "metrics.csv"))
+        write_metrics_json(rows, _fresh(ctx.run_dir / "metrics.json"))
     ctx.stages_completed.append("train_eval")
-    return reports
+    return rows
 
 
 def _attack_cells(ctx: RunContext, attack: str, rows, labels,
@@ -346,7 +345,7 @@ def _attack_cells(ctx: RunContext, attack: str, rows, labels,
 def _train_eval_cell(ctx: RunContext, table: Table, cell) -> tuple[list, list[str]]:
     """Gather the cell's train and test tables from the cleaned `table`,
     train the cell's classifier on the first, write the model, and evaluate
-    it: the train and test reports, and the warnings raised. An error is
+    it: the train and test metric rows, and the warnings raised. An error is
     raised again led by "<attack>: threshold <tag> <classifier>"."""
     attack, names, taus, clf, train, test = cell
     tag = tau_tag(taus[0])

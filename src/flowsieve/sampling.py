@@ -75,7 +75,7 @@ def _checked_floor(fraction: float, n: int, what: str) -> int:
 
 
 def _fraction_draw(rng, rows, spec: SplitSpec, what: str):
-    """The train and test draws of one class; see `fraction_stratified_split`."""
+    """The train and test draws of one class; see `split_table`."""
     n = len(rows)
     n_train = _checked_floor(spec.train_fraction, n, f"{what} train draw")
     n_test = _checked_floor(spec.test_fraction, n, f"{what} test draw")
@@ -99,24 +99,19 @@ def _build(draws: dict[int, tuple]) -> SplitResult:
     return SplitResult(train, test, *counts)
 
 
-def fraction_stratified_split(labels, spec: SplitSpec) -> SplitResult:
-    """Per class: floor(train_fraction*n) rows to train, floor(test_fraction*n)
-    of the remainder to test, sampled without replacement."""
-    if spec.scheme != FRACTION_STRATIFIED:
-        raise SamplingError(f"spec scheme is {spec.scheme!r}, not {FRACTION_STRATIFIED!r}")
+def split_table(labels, spec: SplitSpec) -> SplitResult:
+    """Train and test rows of a dataset with 0/1 `labels`, sampled without
+    replacement by the spec's scheme.
+
+    fraction_stratified: per class, floor(train_fraction*n) rows to train and
+    floor(test_fraction*n) of the remainder to test. minority_protect: benign
+    rows are drawn so too, and the attack rows split attack_train_fraction to
+    train and the remainder to test."""
     by_class = _class_indices(labels)
     rng = np.random.default_rng(spec.seed)
-    return _build({cls: _fraction_draw(rng, by_class[cls], spec, f"class {cls}")
-                   for cls in (0, 1)})
-
-
-def minority_protect_split(labels, spec: SplitSpec) -> SplitResult:
-    """Attack rows split attack_train_fraction / remainder; benign rows contribute
-    train_fraction to train and test_fraction to test, disjointly."""
-    if spec.scheme != MINORITY_PROTECT:
-        raise SamplingError(f"spec scheme is {spec.scheme!r}, not {MINORITY_PROTECT!r}")
-    by_class = _class_indices(labels)
-    rng = np.random.default_rng(spec.seed)
+    if spec.scheme == FRACTION_STRATIFIED:
+        return _build({cls: _fraction_draw(rng, by_class[cls], spec, f"class {cls}")
+                       for cls in (0, 1)})
     draws = {0: _fraction_draw(rng, by_class[0], spec, "benign")}
     attack = by_class[1]
     n_train = _checked_floor(spec.attack_train_fraction, len(attack), "attack train draw")
@@ -125,13 +120,6 @@ def minority_protect_split(labels, spec: SplitSpec) -> SplitResult:
     perm = rng.permutation(attack)
     draws[1] = (perm[:n_train], perm[n_train:])
     return _build(draws)
-
-
-def split_table(labels, spec: SplitSpec) -> SplitResult:
-    """Train and test rows of a dataset with 0/1 `labels`, by the spec's scheme."""
-    if spec.scheme == FRACTION_STRATIFIED:
-        return fraction_stratified_split(labels, spec)
-    return minority_protect_split(labels, spec)
 
 
 def split_manifest(spec: SplitSpec, result: SplitResult) -> dict:

@@ -385,6 +385,48 @@ def test_forest_determinism():
     assert any(not np.array_equal(a.score, b.score) for a, b in zip(f1.trees, f3.trees))
 
 
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_trees_equal_trees_grown_on_row_copies(bootstrap):
+    """Each forest tree indexes the training matrix by its bootstrap draw;
+    a tree grown on an explicit copy of the drawn rows, with the same RNG
+    stream, has the same node arrays."""
+    from flowsieve.classify.tree import _grow
+    for seed in range(6):
+        t = _tie_table(np.random.default_rng(seed + 300), 60, 5, (None, 3)[seed % 2])
+        params = ForestParams(tree_count=3, bootstrap=bootstrap, max_depth=5,
+                              criterion=("gini", "information_gain")[seed % 2], seed=seed)
+        forest = train_forest(t, params)
+        n, d = t.X.shape
+        for i, tree in enumerate(forest.trees):
+            rng = np.random.default_rng(seed + i)
+            idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+            want = _grow(t.X[idx], t.y[idx], np.arange(n), params.tree_params(), rng=rng,
+                         features_per_split=math.ceil(math.sqrt(d)))
+            for a, b in zip(want, _node_arrays(tree)[0], strict=True):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_load_model_refuses_a_forest_vote_rule_other_than_majority(tmp_path):
+    import json
+    t = blobs_2d(20, seed=4)
+    params = ForestParams(tree_count=2, seed=1)
+    path = tmp_path / "forest.json"
+    save_model(train_forest(t, params), params, path)
+    doc = json.loads(path.read_text())
+    assert doc["parameters"]["vote_rule"] == "majority"
+    assert predict_arrays(load_model(path), t)[0].tolist() == \
+        predict_arrays(train_forest(t, params), t)[0].tolist()
+    for rule in ("weighted", None):
+        if rule is None:
+            del doc["parameters"]["vote_rule"]
+        else:
+            doc["parameters"]["vote_rule"] = rule
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ClassifyError, match=f"vote rule {rule!r}; expected 'majority'"):
+            load_model(path)
+
 def test_forest_param_validation():
     with pytest.raises(ParamError, match="tree_count"):
         ForestParams(tree_count=0)

@@ -6,27 +6,28 @@ import pytest
 
 import reference as ref
 from flowsieve.classify import TreeParams, train_tree
-from flowsieve.evaluation import (ConfusionMatrix, EvalError, MetricsReport,
-                                  confusion, evaluate, metrics,
+from flowsieve.evaluation import (EvalError, confusion, evaluate, metrics,
                                   write_metrics_csv, write_metrics_json)
 
-from helpers import blobs_2d
+from helpers import blobs_2d, make_table
+
+
+def cm(tp, fp, fn, tn) -> dict:
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
 def test_confusion_perfect_and_all_benign():
     truth = np.array([1] * 50 + [0] * 50)
-    cm = confusion(truth, truth)
-    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (50, 0, 0, 50)
-    cm = confusion(np.zeros(100), truth)
-    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (0, 0, 50, 50)
+    assert confusion(truth, truth) == cm(50, 0, 0, 50)
+    assert confusion(np.zeros(100), truth) == cm(0, 0, 50, 50)
 
 
 def test_confusion_hand_tally():
     pred = [1, 1, 0, 0, 1, 0, 1, 0, 0, 1]
     truth = [1, 0, 0, 1, 1, 0, 0, 0, 1, 1]
-    cm = confusion(pred, truth)
-    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (3, 2, 2, 3)
-    assert cm.total == 10
+    counts = confusion(pred, truth)
+    assert list(counts.items()) == [("tp", 3), ("fp", 2), ("fn", 2), ("tn", 3)]
+    assert all(type(v) is int for v in counts.values())
 
 
 def test_confusion_errors():
@@ -35,24 +36,25 @@ def test_confusion_errors():
     with pytest.raises(EvalError, match="binary"):
         confusion([2, 0], [1, 0])
     with pytest.raises(EvalError, match="non-negative"):
-        ConfusionMatrix(-1, 0, 0, 0)
+        metrics(cm(-1, 0, 0, 2))
 
 
 def test_metrics_hand_case():
-    mv = metrics(ConfusionMatrix(tp=8, fp=2, fn=1, tn=89))
-    assert mv.precision == pytest.approx(0.8, abs=1e-15)
-    assert mv.recall == pytest.approx(8 / 9, abs=1e-15)
-    assert mv.f1 == pytest.approx(0.8421052631578948, abs=1e-12)
-    assert mv.accuracy == pytest.approx(0.97, abs=1e-15)
+    mv = metrics(cm(tp=8, fp=2, fn=1, tn=89))
+    assert list(mv) == ["accuracy", "precision", "recall", "f1"]
+    assert mv["precision"] == pytest.approx(0.8, abs=1e-15)
+    assert mv["recall"] == pytest.approx(8 / 9, abs=1e-15)
+    assert mv["f1"] == pytest.approx(0.8421052631578948, abs=1e-12)
+    assert mv["accuracy"] == pytest.approx(0.97, abs=1e-15)
 
 
 def test_metrics_degenerate_zeros():
-    mv = metrics(ConfusionMatrix(tp=0, fp=0, fn=3, tn=7))
-    assert mv.precision == 0.0 and mv.f1 == 0.0
-    mv = metrics(ConfusionMatrix(tp=0, fp=2, fn=0, tn=8))
-    assert mv.recall == 0.0 and mv.f1 == 0.0
+    mv = metrics(cm(tp=0, fp=0, fn=3, tn=7))
+    assert mv["precision"] == 0.0 and mv["f1"] == 0.0
+    mv = metrics(cm(tp=0, fp=2, fn=0, tn=8))
+    assert mv["recall"] == 0.0 and mv["f1"] == 0.0
     with pytest.raises(EvalError, match="empty"):
-        metrics(ConfusionMatrix(0, 0, 0, 0))
+        metrics(cm(0, 0, 0, 0))
 
 
 def test_metrics_bounds_and_identities():
@@ -61,15 +63,15 @@ def test_metrics_bounds_and_identities():
         tp, fp, fn, tn = (int(x) for x in rng.integers(0, 50, 4))
         if tp + fp + fn + tn == 0:
             continue
-        mv = metrics(ConfusionMatrix(tp, fp, fn, tn))
+        mv = metrics(cm(tp, fp, fn, tn))
         want = ref.metrics_ref(tp, fp, fn, tn)
-        assert (mv.accuracy, mv.precision, mv.recall, mv.f1) == pytest.approx(want, abs=1e-12)
-        for v in (mv.accuracy, mv.precision, mv.recall, mv.f1):
+        assert tuple(mv.values()) == pytest.approx(want, abs=1e-12)
+        for v in mv.values():
             assert 0.0 <= v <= 1.0
-        assert mv.accuracy == (tp + tn) / (tp + fp + fn + tn)
-        if mv.precision + mv.recall > 0:
-            assert mv.f1 == pytest.approx(
-                2 * mv.precision * mv.recall / (mv.precision + mv.recall), abs=1e-12)
+        assert mv["accuracy"] == (tp + tn) / (tp + fp + fn + tn)
+        p, r = mv["precision"], mv["recall"]
+        if p + r > 0:
+            assert mv["f1"] == pytest.approx(2 * p * r / (p + r), abs=1e-12)
 
 
 def test_label_swap_duality():
@@ -78,10 +80,9 @@ def test_label_swap_duality():
         tp, fp, fn, tn = (int(x) for x in rng.integers(0, 30, 4))
         if tp + fp + fn + tn == 0:
             continue
-        swapped = metrics(ConfusionMatrix(tp=tn, fp=fn, fn=fp, tn=tp))
+        swapped = metrics(cm(tp=tn, fp=fn, fn=fp, tn=tp))
         want = ref.metrics_ref(tn, fn, fp, tp)
-        assert (swapped.accuracy, swapped.precision, swapped.recall,
-                swapped.f1) == pytest.approx(want, abs=1e-12)
+        assert tuple(swapped.values()) == pytest.approx(want, abs=1e-12)
 
 
 def test_evaluate_pair_and_self_consistency():
@@ -89,17 +90,19 @@ def test_evaluate_pair_and_self_consistency():
     model = train_tree(t, TreeParams(max_depth=3))
     tr, ts = evaluate(model, t, t, attack="A", classifier="decision_tree",
                       threshold=0.4)
-    assert tr.split == "train" and ts.split == "test"
-    assert (tr.accuracy, tr.precision, tr.recall, tr.f1) == \
-           (ts.accuracy, ts.precision, ts.recall, ts.f1)
-    assert tr.n_features == 2 and tr.attack == "A" and tr.threshold == 0.4
+    assert list(tr) == ["split", "attack", "classifier", "threshold", "n_features",
+                        "confusion", "accuracy", "precision", "recall", "f1"]
+    assert tr["split"] == "train" and ts["split"] == "test"
+    assert {k: v for k, v in tr.items() if k != "split"} == \
+           {k: v for k, v in ts.items() if k != "split"}
+    assert tr["n_features"] == 2 and tr["attack"] == "A" and tr["threshold"] == 0.4
 
 
 def test_metrics_files(tmp_path):
-    cm = ConfusionMatrix(tp=8, fp=2, fn=1, tn=89)
-    report = MetricsReport.build(cm, split="test", attack="FTP",
-                                 classifier="random_forest", threshold=0.35,
-                                 n_features=8)
+    counts = cm(tp=8, fp=2, fn=1, tn=89)
+    report = {"split": "test", "attack": "FTP", "classifier": "random_forest",
+              "threshold": 0.35, "n_features": 8, "confusion": counts,
+              **metrics(counts)}
     csv_path = tmp_path / "metrics.csv"
     write_metrics_csv([report], csv_path)
     with open(csv_path, newline="") as fh:
@@ -113,3 +116,62 @@ def test_metrics_files(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc[0]["confusion"] == {"tp": 8, "fp": 2, "fn": 1, "tn": 89}
     assert doc[0]["attack"] == "FTP"
+
+
+METRICS_CSV_TEXT = (
+    "attack,threshold,n_features,classifier,split,accuracy,precision,recall,f1\r\n"
+    "FTP-BruteForce,0.35,1,decision_tree,train,1.00000,1.00000,1.00000,1.00000\r\n"
+    "FTP-BruteForce,0.35,1,decision_tree,test,0.97000,0.80000,0.88889,0.84211\r\n")
+
+METRICS_JSON_TEXT = """[
+ {
+  "split": "train",
+  "attack": "FTP-BruteForce",
+  "classifier": "decision_tree",
+  "threshold": 0.35,
+  "n_features": 1,
+  "confusion": {
+   "tp": 2,
+   "fp": 0,
+   "fn": 0,
+   "tn": 2
+  },
+  "accuracy": 1.0,
+  "precision": 1.0,
+  "recall": 1.0,
+  "f1": 1.0
+ },
+ {
+  "split": "test",
+  "attack": "FTP-BruteForce",
+  "classifier": "decision_tree",
+  "threshold": 0.35,
+  "n_features": 1,
+  "confusion": {
+   "tp": 8,
+   "fp": 2,
+   "fn": 1,
+   "tn": 89
+  },
+  "accuracy": 0.97,
+  "precision": 0.8,
+  "recall": 0.8888888888888888,
+  "f1": 0.8421052631578948
+ }
+]
+"""
+
+
+def test_metrics_files_exact_text(tmp_path):
+    """The bytes of both files for one evaluated pair: a stump that is
+    perfect on its four training rows and scores tp=8, fp=2, fn=1, tn=89 on
+    the 100 test rows."""
+    train = make_table({"x": [0, 1, 2, 3]}, [0, 0, 1, 1])
+    test = make_table({"x": [3] * 8 + [0] + [3] * 2 + [0] * 89}, [1] * 9 + [0] * 91)
+    model = train_tree(train, TreeParams(max_depth=1))
+    rows = evaluate(model, train, test, attack="FTP-BruteForce",
+                    classifier="decision_tree", threshold=0.35)
+    write_metrics_csv(rows, tmp_path / "metrics.csv")
+    write_metrics_json(rows, tmp_path / "metrics.json")
+    assert (tmp_path / "metrics.csv").read_bytes().decode() == METRICS_CSV_TEXT
+    assert (tmp_path / "metrics.json").read_bytes().decode() == METRICS_JSON_TEXT

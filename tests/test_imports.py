@@ -1,9 +1,10 @@
 """Every module of the package uses each name it imports, and reads each
-private name it defines.
+private name it defines; each public name it defines is read somewhere.
 
-No linter runs on this code, so these tests do the two checks a deletion most
-often leaves undone: an import that nothing reads any more, and a private
-helper that nothing calls any more.
+No linter runs on this code, so these tests do the three checks a deletion
+most often leaves undone: an import that nothing reads any more, a private
+helper that nothing calls any more, and a public function, class or constant
+that nothing reads any more.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flowsieve"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "flowsieve"
 each_module = pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
                                       ids=lambda p: p.relative_to(PACKAGE).as_posix())
 
@@ -47,11 +49,9 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_private_names(source: str) -> list[str]:
-    """The module-level private names (`_name`: a function, a class or an
-    assignment target) that the module's source never reads. Dunder names
-    such as `__all__` are not private."""
-    tree = ast.parse(source)
+def module_level_names(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top level: functions, classes and
+    assignment targets."""
     defined = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -60,6 +60,15 @@ def unread_private_names(source: str) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update(n.id for t in targets for n in ast.walk(t)
                            if isinstance(n, ast.Name))
+    return defined
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The module-level private names (`_name`: a function, a class or an
+    assignment target) that the module's source never reads. Dunder names
+    such as `__all__` are not private."""
+    tree = ast.parse(source)
+    defined = module_level_names(tree)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(name for name in defined - read
@@ -78,3 +87,40 @@ def test_unread_private_names_finds_what_nothing_reads():
 @each_module
 def test_module_reads_every_private_name_it_defines(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def read_names(source: str) -> set[str]:
+    """The names a source reads: as a bare name or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
+    """The "module.name" of each module-level public name (a function, a class
+    or an assignment target not led by "_") of the `package` sources, by
+    module, that none of the `readers` sources reads."""
+    read = set().union(*map(read_names, readers))
+    return sorted(f"{module}.{name}" for module, source in package.items()
+                  for name in module_level_names(ast.parse(source))
+                  if not name.startswith("_") and name not in read)
+
+
+def test_unread_public_names_finds_what_nothing_reads():
+    package = {"a": "X = 1\n_P = 2\n__version__ = '1'\nclass Record:\n    pass\n"
+                    "def used():\n    return X\ndef dead():\n    pass\n",
+               "b": "import a\nY, Z = a.used(), 3\n"}
+    readers = list(package.values()) + ["from a import dead\nprint(Y)\n"]
+    assert unread_public_names(package, readers) == ["a.Record", "a.dead", "b.Z"]
+
+
+def test_package_reads_every_public_name_it_defines():
+    package = {p.relative_to(PACKAGE).as_posix(): p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.rglob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for top in ("src", "tests", "bench")
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    assert unread_public_names(package, readers) == []

@@ -327,8 +327,8 @@ def test_empty_selection_skipped_with_warning(cfg):
     cleaned = load_preprocessed(ctx)
     selections = {a: {0.35: ("sig", "anti"), 0.55: ()} for a in cfg.attacks}
     ctx = dataclasses.replace(ctx, cfg=dataclasses.replace(cfg, thresholds=(0.35, 0.55)))
-    reports = stage_train_eval(ctx, cleaned, selections)
-    assert {r.threshold for r in reports} == {0.35}
+    rows = stage_train_eval(ctx, cleaned, selections)
+    assert {r["threshold"] for r in rows} == {0.35}
     assert len(ctx.skipped) == 2
     assert all(s["reason"] == "empty selection" for s in ctx.skipped)
     assert any("selects no features" in w for w in ctx.warnings)

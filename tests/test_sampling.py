@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from flowsieve.config import SamplingConfig
 from flowsieve.sampling import (FRACTION_STRATIFIED, MINORITY_PROTECT,
-                                SamplingError, SplitSpec,
-                                fraction_stratified_split,
-                                minority_protect_split, split_manifest,
+                                SamplingError, SplitSpec, split_manifest,
                                 split_table)
 
 
@@ -25,8 +23,8 @@ def two_class_labels(n_benign, n_attack):
 
 def test_fraction_split_counts():
     y = two_class_labels(100, 100)
-    r = fraction_stratified_split(y, spec(FRACTION_STRATIFIED, seed=42, train_fraction=0.2,
-                                          test_fraction=0.1))
+    r = split_table(y, spec(FRACTION_STRATIFIED, seed=42, train_fraction=0.2,
+                            test_fraction=0.1))
     assert r.train_class_counts == {0: 20, 1: 20}
     assert r.test_class_counts == {0: 10, 1: 10}
     assert len(r.train_rows) == 40 and len(r.test_rows) == 20
@@ -34,12 +32,12 @@ def test_fraction_split_counts():
 
 def test_fraction_split_deterministic_and_disjoint():
     y = two_class_labels(80, 40)
-    r1 = fraction_stratified_split(y, spec(FRACTION_STRATIFIED, seed=7))
-    r2 = fraction_stratified_split(y, spec(FRACTION_STRATIFIED, seed=7))
+    r1 = split_table(y, spec(FRACTION_STRATIFIED, seed=7))
+    r2 = split_table(y, spec(FRACTION_STRATIFIED, seed=7))
     assert np.array_equal(r1.train_rows, r2.train_rows)
     assert np.array_equal(r1.test_rows, r2.test_rows)
     assert not set(r1.train_rows.tolist()) & set(r1.test_rows.tolist())
-    r3 = fraction_stratified_split(y, spec(FRACTION_STRATIFIED, seed=8))
+    r3 = split_table(y, spec(FRACTION_STRATIFIED, seed=8))
     assert set(r3.train_rows.tolist()) != set(r1.train_rows.tolist())
 
 
@@ -49,8 +47,8 @@ def test_fraction_split_stratification_bound():
         n0 = int(rng.integers(30, 200))
         n1 = int(rng.integers(30, 200))
         y = rng.permutation(two_class_labels(n0, n1))
-        r = fraction_stratified_split(y, spec(FRACTION_STRATIFIED, seed=3,
-                                              train_fraction=0.37, test_fraction=0.21))
+        r = split_table(y, spec(FRACTION_STRATIFIED, seed=3,
+                                train_fraction=0.37, test_fraction=0.21))
         for cls, n in ((0, n0), (1, n1)):
             assert abs(r.train_class_counts[cls] - 0.37 * n) < 1
             assert abs(r.test_class_counts[cls] - 0.21 * n) < 1
@@ -58,16 +56,16 @@ def test_fraction_split_stratification_bound():
 
 def test_fraction_split_errors():
     with pytest.raises(SamplingError, match="class 1 has no rows"):
-        fraction_stratified_split(np.zeros(2), spec(FRACTION_STRATIFIED))
+        split_table(np.zeros(2), spec(FRACTION_STRATIFIED))
     with pytest.raises(SamplingError, match="vanish"):
-        fraction_stratified_split(two_class_labels(3, 100),
-                                  spec(FRACTION_STRATIFIED, train_fraction=0.2,
-                                       test_fraction=0.1))
+        split_table(two_class_labels(3, 100),
+                    spec(FRACTION_STRATIFIED, train_fraction=0.2,
+                         test_fraction=0.1))
     # fraction scheme cannot exhaust a class (train+test <= 1 is enforced at
     # spec level), but minority-protect benign draws can
     with pytest.raises(SamplingError, match="too few rows"):
-        minority_protect_split(two_class_labels(10, 10),
-                               spec(MINORITY_PROTECT, train_fraction=0.9, test_fraction=0.2))
+        split_table(two_class_labels(10, 10),
+                    spec(MINORITY_PROTECT, train_fraction=0.9, test_fraction=0.2))
     with pytest.raises(SamplingError, match="binarized"):
         split_table(np.array([0.0, 1.0, 2.0]), spec(FRACTION_STRATIFIED))
 
@@ -79,8 +77,6 @@ def test_spec_validation():
         spec(FRACTION_STRATIFIED, train_fraction=0.0)
     with pytest.raises(SamplingError, match="exceed 1"):
         spec(FRACTION_STRATIFIED, train_fraction=0.7, test_fraction=0.4)
-    with pytest.raises(SamplingError, match="not"):
-        minority_protect_split(two_class_labels(5, 5), spec(FRACTION_STRATIFIED))
 
 
 def test_spec_has_no_defaults_of_its_own():
@@ -91,26 +87,26 @@ def test_spec_has_no_defaults_of_its_own():
 
 
 def test_minority_protect_fractions():
-    r = minority_protect_split(two_class_labels(100, 10),
-                               spec(MINORITY_PROTECT, seed=5, train_fraction=0.2,
-                                    test_fraction=0.1, attack_train_fraction=0.7))
+    r = split_table(two_class_labels(100, 10),
+                    spec(MINORITY_PROTECT, seed=5, train_fraction=0.2,
+                         test_fraction=0.1, attack_train_fraction=0.7))
     assert r.train_class_counts == {0: 20, 1: 7}
     assert r.test_class_counts == {0: 10, 1: 3}
 
 
 def test_minority_protect_single_attack_row_errors():
     with pytest.raises(SamplingError, match="vanish"):
-        minority_protect_split(two_class_labels(100, 1), spec(MINORITY_PROTECT))
+        split_table(two_class_labels(100, 1), spec(MINORITY_PROTECT))
 
 
 def test_minority_protect_attack_remainder_boundaries():
     # floor(0.7*n) train / remainder test over small attack counts; at 2
     # rows the train draw would hold 1
     with pytest.raises(SamplingError, match="class 1 train draw has 1 row"):
-        minority_protect_split(two_class_labels(50, 2), spec(MINORITY_PROTECT, seed=2))
+        split_table(two_class_labels(50, 2), spec(MINORITY_PROTECT, seed=2))
     for n_attack in range(3, 11):
-        r = minority_protect_split(two_class_labels(50, n_attack),
-                                   spec(MINORITY_PROTECT, seed=2))
+        r = split_table(two_class_labels(50, n_attack),
+                        spec(MINORITY_PROTECT, seed=2))
         want_train = int(np.floor(0.7 * n_attack))
         assert r.train_class_counts[1] == want_train
         assert r.test_class_counts[1] == n_attack - want_train
@@ -120,26 +116,26 @@ def test_train_draw_of_one_row_is_refused():
     # one row of a class leaves naive Bayes no variance to estimate
     with pytest.raises(SamplingError, match="class 1 train draw has 1 row; training needs "
                                             "at least 2 rows of each class"):
-        fraction_stratified_split(two_class_labels(100, 5),
-                                  spec(FRACTION_STRATIFIED, train_fraction=0.2,
-                                       test_fraction=0.2))
+        split_table(two_class_labels(100, 5),
+                    spec(FRACTION_STRATIFIED, train_fraction=0.2,
+                         test_fraction=0.2))
     with pytest.raises(SamplingError, match="class 0 train draw has 1 row"):
-        minority_protect_split(two_class_labels(5, 20),
-                               spec(MINORITY_PROTECT, train_fraction=0.2, test_fraction=0.2))
-    r = fraction_stratified_split(two_class_labels(100, 10),
-                                  spec(FRACTION_STRATIFIED, train_fraction=0.2,
-                                       test_fraction=0.1))
+        split_table(two_class_labels(5, 20),
+                    spec(MINORITY_PROTECT, train_fraction=0.2, test_fraction=0.2))
+    r = split_table(two_class_labels(100, 10),
+                    spec(FRACTION_STRATIFIED, train_fraction=0.2,
+                         test_fraction=0.1))
     assert r.train_class_counts == {0: 20, 1: 2}
 
 
 def test_minority_protect_no_attack_errors():
     with pytest.raises(SamplingError, match="class 1 has no rows"):
-        minority_protect_split(np.zeros(2), spec(MINORITY_PROTECT))
+        split_table(np.zeros(2), spec(MINORITY_PROTECT))
 
 
 def test_minority_protect_no_benign_errors():
     with pytest.raises(SamplingError, match="class 0 has no rows"):
-        minority_protect_split(np.ones(20), spec(MINORITY_PROTECT))
+        split_table(np.ones(20), spec(MINORITY_PROTECT))
 
 
 def test_split_table_dispatch_and_manifest():
