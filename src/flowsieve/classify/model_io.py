@@ -73,6 +73,13 @@ def save_model(model, params, path) -> None:
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    try:
+        return _model_from(doc)
+    except KeyError as exc:
+        raise ClassifyError(f"model file {str(path)!r} lacks the key {exc.args[0]!r}") from None
+
+
+def _model_from(doc: dict):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ClassifyError(f"unsupported model format {doc.get('format_version')!r}")
     names = tuple(doc["feature_names"])

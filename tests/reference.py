@@ -169,10 +169,10 @@ def logistic_ref(X, y, learning_rate, epochs, tune_threshold, decision_threshold
     return coef, best[1]
 
 
-def svm_ref(X, y01, c, epochs, schedule, learning_rate, seed):
+def svm_ref(X, y01, c, epochs, schedule, learning_rate, seed, steps=None):
     """(weights, bias) of the seeded per-sample hinge-loss subgradient loop,
     NumPy scalars and array temporaries throughout; None where they become
-    non-finite."""
+    non-finite. With `steps`, the (weights, bias) that step `steps` + 1 sees."""
     n, d = X.shape
     y = np.where(y01 == 1, 1.0, -1.0)
     lam = 1.0 / (c * n)
@@ -182,6 +182,8 @@ def svm_ref(X, y01, c, epochs, schedule, learning_rate, seed):
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         for i in rng.permutation(n):
+            if t == steps:
+                return w, float(b)
             t += 1
             eta = 1.0 / (lam * t) if schedule == "inverse_t" else learning_rate
             if y[i] * (X[i] @ w + b) < 1.0:

@@ -1,6 +1,7 @@
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,8 +239,9 @@ def test_svm_constant_schedule():
 
 @pytest.mark.parametrize("schedule", ["inverse_t", "constant"])
 def test_svm_matches_the_per_sample_oracle(schedule):
-    # the trainer steps with Python floats, ndarray.dot and one step buffer;
-    # the oracle with NumPy scalars, @ and a fresh (eta * y_i) * x_i
+    # the trainer settles shrink-only steps in blocks and takes the others
+    # with Python floats, ndarray.dot and one step buffer; the oracle steps
+    # with NumPy scalars, @ and a fresh (eta * y_i) * x_i
     rng = np.random.default_rng(23)
     k = 0
     for d in (1, 2, 7, 16, 17, 33):
@@ -268,6 +270,110 @@ def test_svm_non_finite_weights_rejected():
     # under the suite's warnings-as-errors, the trainer reaches its own error
     with pytest.raises(ClassifyError, match="non-finite"):
         train_svm(t, params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 250), d=st.integers(1, 40),
+       log_c=st.floats(-2.0, 2.0), epochs=st.integers(1, 20),
+       schedule=st.sampled_from(["inverse_t", "constant"]), log_rate=st.floats(-3.0, 0.0),
+       noise=st.sampled_from([0.0, 0.3, 3.0]), zeros=st.floats(0.0, 0.6),
+       copies=st.integers(0, 40))
+def test_svm_blocks_match_the_per_sample_loop_property(seed, n, d, log_c, epochs, schedule,
+                                                        log_rate, noise, zeros, copies):
+    # few hinges (noise 0) settle whole blocks; many, or a diverging constant
+    # schedule, send most steps down the exact path
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d)  # negative cells too
+    X[rng.random((n, d)) < zeros] = 0.0
+    for _ in range(copies):  # duplicate rows
+        X[rng.integers(n)] = X[rng.integers(n)]
+    y = (X @ rng.normal(size=d) + noise * rng.normal(size=n) > 0).astype(float)
+    y[:2] = [0.0, 1.0]
+    t = make_table({f"f{j}": X[:, j] for j in range(d)}, y)
+    params = SvmParams(c=10.0 ** log_c, epochs=epochs, schedule=schedule,
+                       learning_rate=10.0 ** log_rate, seed=seed % 1000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref.svm_ref(t.X, y.astype(np.int64), params.c, epochs, schedule,
+                           params.learning_rate, params.seed)
+    if want is None:
+        with pytest.raises(ClassifyError, match="non-finite"):
+            train_svm(t, params)
+        return
+    m = train_svm(t, params)
+    assert m.weights.tobytes() == want[0].tobytes()
+    assert np.float64(m.bias).tobytes() == np.float64(want[1]).tobytes()
+
+
+class _DotLog(np.ndarray):
+    """A feature matrix whose rows log the ndarray.dot each of them takes."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def dot(self, other, out=None):
+        self.log.append(self.tobytes())
+        return np.asarray(self).dot(other)
+
+
+def test_svm_margin_within_the_bound_takes_the_exact_dot():
+    # one row is planted so that its margin at step p lies within 1e-6 of 1,
+    # as the difference of two products near 1e8, whose rounding errors
+    # (about 1e-8) exceed the margin's distance from 1: only the exact
+    # x.dot(w) can tell a hinge from none, and the plants take both outcomes
+    rng = np.random.default_rng(8)
+    n, d = 200, 6
+    X = rng.random((n, d))
+    y = (X[:, 0] > 0.5).astype(float)
+    params = SvmParams(c=1.0, epochs=1, schedule="constant", learning_rate=0.5, seed=2)
+    p = 150  # in the second block
+    i = int(np.random.default_rng(params.seed).permutation(n)[p])
+    w, b = ref.svm_ref(X, y.astype(np.int64), params.c, 1, "constant",
+                       params.learning_rate, params.seed, steps=p)
+    sign = 1.0 if y[i] == 1 else -1.0
+    a, c = np.argsort(-np.abs(w))[:2]
+    X[i] = 0.0
+    X[i, a] = 1e8 / w[a]
+    base = -(1e8 - (sign - b)) / w[c]
+    hinges = set()
+    for k in range(-12, 13):
+        X[i, c] = base + k * np.spacing(base)
+        margin = sign * (X[i] @ w + b)
+        assert abs(margin - 1.0) < 1e-6
+        hinges.add(bool(margin < 1.0))
+        feature = X.copy().view(_DotLog)
+        feature.log = []
+        train = SimpleNamespace(X=feature, y=y, feature_names=tuple(f"f{j}" for j in range(d)))
+        m = train_svm(train, params)
+        want = ref.svm_ref(X, y.astype(np.int64), params.c, 1, "constant",
+                           params.learning_rate, params.seed)
+        assert m.weights.tobytes() == want[0].tobytes(), k
+        assert np.float64(m.bias).tobytes() == np.float64(want[1]).tobytes(), k
+        assert X[i].tobytes() in feature.log, k  # the exact path ran
+        assert len(feature.log) < n  # and the filter settled other steps
+    assert hinges == {True, False}
+
+
+def test_multiply_reduce_is_the_loop_of_in_place_products():
+    # the trainer applies a run of shrink-only steps as np.multiply.reduce over
+    # [w, c_k, ..., c_j] along axis 0, which must round as w *= c_k; ...
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-300,
+                        1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan, -2.0, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in range(300):
+            k, d = int(rng.integers(1, 120)), int(rng.integers(1, 45))
+            W = rng.normal(size=(k + 1, d)) * 10.0 ** rng.integers(-320, 300, size=(k + 1, d))
+            planted = rng.random((k + 1, d)) < 0.1
+            W[planted] = rng.choice(special, size=planted.sum())
+            if trial % 2:  # one factor per row, negative ones among them, as the trainer stacks
+                W[1:] = rng.choice([0.999, -0.5, 1.5, 1e-200, 5e-324, -0.0], size=(k, 1))
+            w = W[0].copy()
+            for c in W[1:]:
+                w *= c
+            got = np.empty(d)
+            np.multiply.reduce(W, axis=0, out=got)
+            assert got.tobytes() == w.tobytes(), (k, d)
+            assert np.multiply.reduce(W, axis=0).tobytes() == w.tobytes(), (k, d)
 
 
 # ---------------------------------------------------------------- tree
@@ -426,6 +532,21 @@ def test_load_model_refuses_a_forest_vote_rule_other_than_majority(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ClassifyError, match=f"vote rule {rule!r}; expected 'majority'"):
             load_model(path)
+
+
+@pytest.mark.parametrize("key", ["bias", "schema_fingerprint", "feature_names", "algorithm"])
+def test_load_model_names_the_file_and_a_missing_key(tmp_path, key):
+    import json
+    t = blobs_2d(20, seed=6)
+    params = SvmParams(epochs=2)
+    path = tmp_path / "svm.json"
+    save_model(train_svm(t, params), params, path)
+    doc = json.loads(path.read_text())
+    del (doc["parameters"] if key == "bias" else doc)[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ClassifyError, match=f"model file '.*svm.json' lacks the key '{key}'"):
+        load_model(path)
+
 
 def test_forest_param_validation():
     with pytest.raises(ParamError, match="tree_count"):

@@ -355,6 +355,33 @@ def test_feature_matrix_is_the_table_storage():
     assert X.flags.c_contiguous and not X.flags.writeable
 
 
+@pytest.mark.parametrize("block", [1, 3, tabular.SUBTABLE_BLOCK])
+def test_subtable_gathers_the_bytes_of_one_ix_gather(monkeypatch, block):
+    monkeypatch.setattr(tabular, "SUBTABLE_BLOCK", block)
+    rng = np.random.default_rng(9)
+    t = make_table({f"f{j}": rng.normal(size=40) for j in range(6)}, rng.integers(0, 2, 40))
+    cases = {"repeated rows": [5, 5, 0, 39, 5, 12, 0],
+             "no rows": [],
+             "every row, reversed": list(range(39, -1, -1)),
+             "one row": [7]}
+    for what, rows in cases.items():
+        rows = np.asarray(rows, dtype=np.intp)
+        for names in (t.feature_names, ("f4", "f0", "f5"), ("f2",), ()):
+            idx = [t.feature_names.index(name) for name in names]
+            part = subtable(t, rows, t.y[rows], names)
+            want = t.X[np.ix_(rows, np.asarray(idx, dtype=np.intp))]
+            assert part.X.shape == want.shape, (what, names)
+            assert part.X.tobytes() == want.tobytes(), (what, names)
+            assert part.X.flags.c_contiguous and not part.X.flags.writeable
+            assert part.feature_names == names and part.y.tobytes() == t.y[rows].tobytes()
+    with pytest.raises(TableError, match="no column named 'f9'"):
+        subtable(t, [0], t.y[:1], ["f1", "f9"])
+    with pytest.raises(TableError, match="label column cannot be selected"):
+        subtable(t, [0], t.y[:1], ["f1", "Label"])
+    with pytest.raises(TableError, match=r"row indices must lie in \[0, 40\)"):
+        subtable(t, [0, 40], t.y[:2], ["f1"])
+
+
 def test_row_and_feature_subsets_stay_c_ordered():
     rng = np.random.default_rng(4)
     t = make_table({f"f{j}": rng.random(30) for j in range(5)}, rng.integers(0, 2, 30))
