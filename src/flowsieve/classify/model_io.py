@@ -31,13 +31,14 @@ def _tree_nodes(m: TreeModel) -> dict:
 
 
 def _tree_from_nodes(names, nodes: dict) -> TreeModel:
-    thr = [math.nan if t is None else float(t) for t in nodes["threshold"]]
+    thr = _value(nodes, "threshold", "a list of numbers and nulls",
+                 lambda v: isinstance(v, list) and all(t is None or _is_number(t) for t in v))
     return TreeModel(names,
-                     np.array(nodes["feature_index"], dtype=np.int64),
-                     np.array(thr),
-                     np.array(nodes["left"], dtype=np.int64),
-                     np.array(nodes["right"], dtype=np.int64),
-                     np.array(nodes["score"]))
+                     _array(nodes, "feature_index", 1, np.int64),
+                     np.array([math.nan if t is None else float(t) for t in thr]),
+                     _array(nodes, "left", 1, np.int64),
+                     _array(nodes, "right", 1, np.int64),
+                     _array(nodes, "score", 1))
 
 
 def _parameters(model) -> dict:
@@ -70,36 +71,77 @@ def save_model(model, params, path) -> None:
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 
+class _WrongType(Exception):
+    """A model file key whose value has the wrong JSON type: (key, expected)."""
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _value(doc: dict, key: str, expected: str, ok):
+    value = doc[key]
+    if not ok(value):
+        raise _WrongType(key, expected)
+    return value
+
+
+def _array(doc: dict, key: str, ndim: int, dtype=np.float64) -> np.ndarray:
+    """The value of `key` as an array of `dtype`; it must be a list of
+    numbers nested `ndim` deep, integers only for an integer dtype."""
+    value = doc[key]
+    integer = np.issubdtype(dtype, np.integer)
+    kinds = "iu" if integer else "iuf"
+    try:
+        a = np.array(value) if isinstance(value, list) else None
+    except ValueError:  # a ragged list
+        a = None
+    if a is None or a.ndim != ndim or (a.size and a.dtype.kind not in kinds):
+        raise _WrongType(key, f"a {ndim}-d list of {'integers' if integer else 'numbers'}")
+    return a.astype(dtype)
+
+
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    where = f"model file {str(path)!r}"
+    if not isinstance(doc, dict):
+        raise ClassifyError(f"{where} holds no JSON object")
     try:
         return _model_from(doc)
     except KeyError as exc:
-        raise ClassifyError(f"model file {str(path)!r} lacks the key {exc.args[0]!r}") from None
+        raise ClassifyError(f"{where} lacks the key {exc.args[0]!r}") from None
+    except _WrongType as exc:
+        key, expected = exc.args
+        raise ClassifyError(f"{where}: the key {key!r} is not {expected}") from None
 
 
 def _model_from(doc: dict):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ClassifyError(f"unsupported model format {doc.get('format_version')!r}")
-    names = tuple(doc["feature_names"])
+    names = tuple(_value(doc, "feature_names", "a list of strings",
+                         lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v)))
     if schema_fingerprint(names) != doc["schema_fingerprint"]:
         raise ClassifyError("schema fingerprint does not match the stored feature names")
     algo = doc["algorithm"]
-    p = doc["parameters"]
+    p = _value(doc, "parameters", "an object", lambda v: isinstance(v, dict))
     if algo == "logistic_regression":
-        return LogisticModel(names, np.array(p["coefficients"]),
-                             float(p["decision_threshold"]))
+        return LogisticModel(names, _array(p, "coefficients", 1),
+                             float(_value(p, "decision_threshold", "a number", _is_number)))
     if algo == "naive_bayes":
-        return BayesModel(names, np.array(p["priors"]), np.array(p["means"]),
-                          np.array(p["sigmas"]))
+        return BayesModel(names, _array(p, "priors", 1), _array(p, "means", 2),
+                          _array(p, "sigmas", 2))
     if algo == "svm":
-        return SvmModel(names, np.array(p["weights"]), float(p["bias"]))
+        return SvmModel(names, _array(p, "weights", 1),
+                        float(_value(p, "bias", "a number", _is_number)))
     if algo == "decision_tree":
-        return _tree_from_nodes(names, p["nodes"])
+        return _tree_from_nodes(names, _value(p, "nodes", "an object",
+                                              lambda v: isinstance(v, dict)))
     if algo == "random_forest":
         if p.get("vote_rule") != "majority":
             raise ClassifyError(f"unsupported forest vote rule {p.get('vote_rule')!r}; "
                                 "expected 'majority'")
-        return ForestModel(names, tuple(_tree_from_nodes(names, nd) for nd in p["trees"]))
+        trees = _value(p, "trees", "a list of objects",
+                       lambda v: isinstance(v, list) and all(isinstance(nd, dict) for nd in v))
+        return ForestModel(names, tuple(_tree_from_nodes(names, nd) for nd in trees))
     raise ClassifyError(f"unknown algorithm tag {algo!r}")

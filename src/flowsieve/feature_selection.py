@@ -26,12 +26,13 @@ METHODS = ("ig", "gain_ratio", "relief", "su", "chi2", "anova_f")
 SCORES_CSV_HEADER = ("feature_index", "feature_name", *METHODS, "mean_score")
 
 # Relief's neighbour search: sampled rows per pass and data rows per tile.
-# Two batch x tile x features float32 buffers (0.64 MB at 78 features) fit
-# in a 2 MB L2 cache; chosen by timing the relief_wide benchmark.
+# Two batch x tile x features float32 buffers (1.28 MB at 78 features) fit
+# in a 2 MB L2 cache; chosen by timing relief on the relief_wide benchmark's
+# table and on a 100k x 78 one, where 128 beat 64 by 3-8 %.
 RELIEF_BATCH = 16
-RELIEF_TILE = 64
+RELIEF_TILE = 128
 # Rows gathered from the feature matrix at a time into relief's float32
-# copy and into ANOVA's class blocks. An 8-feature ANOVA chunk is then 32 KB,
+# copy, into its float64 refine and into ANOVA's class blocks. An 8-feature ANOVA chunk is then 32 KB,
 # under glibc's default mmap threshold, so the chunks reuse heap memory.
 GATHER_ROWS = 512
 # Features whose int64 count keys, or whose per-class ANOVA blocks, are held
@@ -190,16 +191,19 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray, rows=None,
     The search is a float32 filter followed by a float64 refine. A float32
     copy of the rows, in class order, is scanned RELIEF_BATCH sampled rows
     per pass and RELIEF_TILE data rows at a time, so that the batch-by-tile
-    block of feature differences stays in cache and lives in preallocated
-    buffers; each row's sum is a BLAS matrix-vector product. Per sampled row
-    and class, every row whose float32 distance lies within the rounding
-    bound of `_filter_tolerance` of the class's float32 minimum is kept, and
-    the kept rows' distances are recomputed in float64, from `t.X`, as one
-    sum over the contiguous feature axis of each row. The float64 minimum is
-    always kept, so hit, miss and weights are bit for bit those of an
-    exhaustive float64 scan, for any BLAS and any summation order; exact
-    ties and duplicate rows only make the refine longer. Non-finite values,
-    and values whose float32 distances could overflow, raise a ScoringError.
+    block of featurewise minima stays in cache and lives in preallocated
+    buffers. Each float32 distance is s(x) + s(r) - 2 * sum_j min(x_j, r_j),
+    s being a row's sum, which is |x - r|_1 for any signs; the row sums are
+    one BLAS matrix-vector product per call and the sums of minima one per
+    tile. Per sampled row and class, every row whose float32 distance lies
+    within the rounding bound of `_filter_tolerance` of the class's float32
+    minimum is kept, and the kept rows' distances are recomputed in float64,
+    from `t.X`, as one sum over the contiguous feature axis of each row, for
+    the whole batch at once. The float64 minimum is always kept, so hit,
+    miss and weights are bit for bit those of an exhaustive float64 scan,
+    for any BLAS and any summation order; exact ties and duplicate rows only
+    make the refine longer. Non-finite values, and values whose float32
+    distances could overflow, raise a ScoringError.
 
     Each batch is one task of `parallel.fan_out` and gives an integer tally;
     the tallies are added before the one division, so the weights are the
@@ -231,9 +235,12 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray, rows=None,
     n0 = int(np.count_nonzero(y == classes[0]))
     spans = ((0, n0), (n0, n))
 
-    # Twice the largest sum of a row's absolute values bounds every distance;
-    # a quarter of float32's range keeps every float32 sum finite.
-    limit = float(np.finfo(np.float32).max) / 4
+    # 2 * norm_max bounds |x|_1 + |r|_1 for any two rows x and r, so the
+    # float32 terms 2 * sum(min(x, r)) and s(x) - 2 * sum(min(x, r)) stay
+    # below 4 and 3 times norm_max, and rounding raises them by at most a
+    # factor 1 + gamma_{d+1}: a quarter of float32's range over that factor
+    # keeps every float32 sum and difference finite.
+    limit = float(np.finfo(np.float32).max) / 4 / (1 + _gamma32(d + 1))
     X32 = np.empty((n, d), dtype=np.float32)
     norm_max = 0.0
     for start, rows64 in row_blocks(X, rows[order], GATHER_ROWS):
@@ -249,15 +256,24 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray, rows=None,
     tol = _filter_tolerance(d, norm_max)
 
     ones = np.ones(d, dtype=np.float32)
+    row_sums = X32 @ ones
     batch_rows = np.empty((RELIEF_BATCH, RELIEF_TILE, d), dtype=np.float32)
-    diff = np.empty((RELIEF_BATCH, RELIEF_TILE, d), dtype=np.float32)
+    mins = np.empty((RELIEF_BATCH, RELIEF_TILE, d), dtype=np.float32)
     dist = np.empty((RELIEF_BATCH, n), dtype=np.float32)
 
-    def nearest(r: int, dist_row: np.ndarray, lo: int, hi: int) -> int:
-        """The lowest-index row of span [lo, hi) nearest to row r in float64."""
-        span = dist_row[lo:hi]
-        kept = order[lo + np.flatnonzero(span <= span.min() + tol)]
-        return kept[np.abs(X[rows[kept]] - X[rows[r]]).sum(axis=-1).argmin()]
+    def nearest(batch: np.ndarray, dk: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Per sampled row of `batch`, the lowest-index row of the class span
+        [lo, hi) nearest to it in float64, from its float32 distances `dk`."""
+        span = dk[:, lo:hi]
+        bi, kept = np.nonzero(span <= span.min(axis=1, keepdims=True) + tol)
+        kept = order[lo + kept]
+        d64 = np.empty(len(kept))
+        for s in range(0, len(kept), GATHER_ROWS):
+            part = slice(s, s + GATHER_ROWS)
+            d64[part] = np.abs(X[rows[kept[part]]] - X[rows[batch[bi[part]]]]).sum(axis=-1)
+        # bi ascends, and kept ascends within each sampled row: the stable
+        # sort puts each row's nearest, lowest index first, at its run's start
+        return kept[np.lexsort((d64, bi))[np.searchsorted(bi, np.arange(len(batch)))]]
 
     def tally(b: int) -> np.ndarray:
         """The integer tally of the batch of sampled rows from `b`."""
@@ -266,17 +282,19 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray, rows=None,
         batch_rows[:k] = X32[position[batch]][:, None, :]
         for start in range(0, n, RELIEF_TILE):
             stop = min(start + RELIEF_TILE, n)
-            block = diff[:k, :stop - start]
-            # copying first lets the subtraction run in place over whole
-            # tiles, 2-3x faster than broadcasting each sampled row
-            np.copyto(block, batch_rows[:k, :stop - start])
-            np.subtract(X32[start:stop], block, out=block)
-            np.abs(block, out=block)
+            # one pass over the tile, straight into the buffer: the tile's
+            # rows broadcast over tile-high copies of the sampled rows, 1.7x
+            # faster than broadcasting each sampled row over the tile
+            block = np.minimum(X32[start:stop], batch_rows[:k, :stop - start],
+                               out=mins[:k, :stop - start])
             np.matmul(block, ones, out=dist[:k, start:stop])
+        # |x - r|_1 = s(x) + s(r) - 2 * sum(min(x, r)), for any signs
         dk = dist[:k]
+        dk *= -2
+        dk += row_sums
+        dk += row_sums[position[batch], None]
         dk[np.arange(k), position[batch]] = np.inf
-        nearest0, nearest1 = np.array([[nearest(r, dist_row, lo, hi) for r, dist_row
-                                         in zip(batch, dk)] for lo, hi in spans])
+        nearest0, nearest1 = (nearest(batch, dk, lo, hi) for lo, hi in spans)
         in0 = y[batch] == classes[0]
         hit = np.where(in0, nearest0, nearest1)
         miss = np.where(in0, nearest1, nearest0)
@@ -290,27 +308,49 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray, rows=None,
     return delta / m
 
 
+def _gamma32(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for float32's unit roundoff u = 2**-24."""
+    u = 2.0 ** -24
+    return k * u / (1 - k * u)
+
+
 def _filter_tolerance(d: int, norm_max: float) -> np.float32:
     """How far above its class's float32 minimum a row's float32 distance
     may lie and the row still be the float64 minimum, for rows of d features
     whose absolute values sum to at most norm_max.
 
-    With u = 2**-24 and M = 2 * norm_max, which bounds |x_j| + |y_j| summed
-    over the features of any two rows x and y, each float32 distance is
-    within E = gamma_{d+1} * M + 3 * d * 2**-150 of the exact distance, in
-    any summation order (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 3-4; gamma_k = k u / (1 - k u)): rounding each
-    input to float32 errs by at most u |x| + 2**-150 (the last term for
-    subnormals), each subtraction by a factor 1 + u, and the sum of the d
-    terms by gamma_{d-1} of their total. So the float64 minimum's float32
-    distance lies at most 2E above the float32 minimum, give or take the
-    float64 distances' own error, gamma_d * M in float64's u = 2**-53. The
-    tolerance is 4E: the margin covers that error and the float32 rounding
-    of the tolerance and of the minimum plus the tolerance.
+    Let u = 2**-24, gamma_k = k u / (1 - k u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3-4) and M = 2 * norm_max,
+    which bounds |x|_1 + |r|_1 for any two rows x and r. Rounding each value
+    to float32 errs by at most u |x_j| + 2**-150 (the last term for
+    subnormals), so the rounded rows x', r' have M' = |x'|_1 + |r'|_1 <=
+    (1 + u) M + 2 d 2**-150, and D' = |x' - r'|_1 lies within
+    u M + 2 d 2**-150 of the exact distance D = |x - r|_1.
+
+    The filter computes three sums of d float32 terms in any order (the
+    products by 1.0 are exact, and additions incur no underflow error):
+    a = s(x'), b = s(r') and c = sum_j min(x'_j, r'_j). Each errs by at most
+    gamma_{d-1} times the sum of its terms' absolute values, and
+    |min(x'_j, r'_j)| <= max(|x'_j|, |r'_j|), so by gamma_{d-1} |x'|_1,
+    gamma_{d-1} |r'|_1 and gamma_{d-1} M'. Since |p - q| = p + q - 2 min(p, q)
+    for any signs, a + b - 2c is within 3 gamma_{d-1} M' of D' <= M'. Then
+    v = fl(a - 2c) (the doubling is exact) errs by at most
+    u |a - 2c| <= 3 u (1 + gamma_{d-1}) M', and fl(v + b) by at most
+    u |v + b| <= u (1 + 3 gamma_{d-1} + 3 u (1 + gamma_{d-1})) M'. In all,
+    the float32 distance is within (3 gamma_{d-1} + 4 u + O(d u**2)) M' of
+    D', and so within (3 gamma_{d-1} + 5 u + O(d u**2)) M + 3 d 2**-150 of D.
+    For d < 2**20 the second-order terms fit in
+    3 gamma_{d+1} - 3 gamma_{d-1} >= 6 u, so every float32 distance is
+    within E = 3 gamma_{d+1} M + 3 d 2**-150 of the exact one.
+
+    The float64 minimum's float32 distance therefore lies at most 2E above
+    the float32 minimum, give or take the float64 distances' own error,
+    gamma_d M in float64's u = 2**-53. The tolerance is 4E: the margin
+    covers that error and the float32 rounding of the tolerance and of the
+    minimum plus the tolerance, together below u (M + 9E) < E / 2, since
+    E >= 6 u M.
     """
-    u = 2.0 ** -24
-    gamma = (d + 1) * u / (1 - (d + 1) * u)
-    return np.float32(4 * (gamma * 2 * norm_max + 3 * d * 2.0 ** -150))
+    return np.float32(4 * (3 * _gamma32(d + 1) * 2 * norm_max + 3 * d * 2.0 ** -150))
 
 
 def score_all(t: Table, edges: np.ndarray, relief_m: int | None = None,

@@ -548,6 +548,50 @@ def test_load_model_names_the_file_and_a_missing_key(tmp_path, key):
         load_model(path)
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("parameters", [], "an object"),
+    ("feature_names", 5, "a list of strings"),
+    ("weights", "abc", "a 1-d list of numbers"),
+    ("weights", [[0.5, 1.0]], "a 1-d list of numbers"),
+    ("weights", [0.5, "1.0"], "a 1-d list of numbers"),
+    ("bias", "0.5", "a number"),
+    ("bias", True, "a number"),
+])
+def test_load_model_names_the_file_and_a_wrongly_typed_key(tmp_path, key, value, expected):
+    import json
+    t = blobs_2d(20, seed=6)
+    params = SvmParams(epochs=2)
+    path = tmp_path / "svm.json"
+    save_model(train_svm(t, params), params, path)
+    doc = json.loads(path.read_text())
+    (doc["parameters"] if key in ("weights", "bias") else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ClassifyError,
+                       match=f"model file '.*svm.json': the key '{key}' is not {expected}$"):
+        load_model(path)
+
+
+def test_load_model_checks_tree_node_types(tmp_path):
+    import json
+    t = blobs_2d(20, seed=6)
+    params = ForestParams(tree_count=2, seed=1)
+    path = tmp_path / "forest.json"
+    save_model(train_forest(t, params), params, path)
+    doc = json.loads(path.read_text())
+    for nodes, key, value, expected in [
+            (doc["parameters"]["trees"][1], "left", [0.5], "a 1-d list of integers"),
+            (doc["parameters"]["trees"][0], "threshold", ["x"], "a list of numbers and nulls")]:
+        saved = nodes[key]
+        nodes[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ClassifyError, match=f"the key '{key}' is not {expected}$"):
+            load_model(path)
+        nodes[key] = saved
+    path.write_text(json.dumps([doc]))
+    with pytest.raises(ClassifyError, match="forest.json' holds no JSON object"):
+        load_model(path)
+
+
 def test_forest_param_validation():
     with pytest.raises(ParamError, match="tree_count"):
         ForestParams(tree_count=0)

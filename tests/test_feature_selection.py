@@ -297,6 +297,29 @@ def test_relief_property_quantized_tables(data):
     assert (np.abs(got) <= 1.0).all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relief_property_large_offsets_and_negative_cells(data):
+    # every cell is one common offset of 1e3-1e6, of either sign, plus k/64
+    # for |k| <= 64: the filter's row sums s(x) + s(r) dwarf the distances
+    # they cancel down to, the cells round to float32 once the offset passes
+    # 2**18, and float64 distances stay exact in any summation order
+    n = data.draw(st.integers(4, 2 * RELIEF_TILE + 3), label="n")
+    d = data.draw(st.integers(1, 12), label="d")
+    offset = data.draw(st.integers(10**3, 10**6), label="offset")
+    offset *= data.draw(st.sampled_from([-1, 1]), label="sign")
+    cells = data.draw(st.lists(st.lists(st.integers(-64, 64), min_size=d, max_size=d),
+                               min_size=n, max_size=n), label="cells")
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+    assume(2 <= sum(labels) <= n - 2)
+    m = data.draw(st.integers(1, n), label="m")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    X = offset + np.asarray(cells, dtype=float) / 64
+    t = make_table({f"f{j}": X[:, j] for j in range(d)}, labels)
+    got, want = relief_vs_oracle(t, m, seed)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("m", [1, RELIEF_BATCH, RELIEF_BATCH + 1, 2 * RELIEF_BATCH, 100])
 def test_relief_weights_do_not_depend_on_the_worker_count(monkeypatch, m):
     # m up to 2 batches: more workers than batches; 100: 7 batches, claimed
