@@ -1,5 +1,6 @@
 """Logistic regression trained by full-batch gradient descent."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,19 +52,32 @@ def train_logistic(train: Table, params: LogisticParams) -> LogisticModel:
     n, d = X.shape
     yf = y.astype(np.float64)
     coef = np.zeros(d + 1)
-    z = np.empty(n)
+    # one buffer per quantity, reused by every epoch: logits z, the sigmoid
+    # (and then the residual) e, its denominator, the z >= 0 mask and the
+    # gradient g; the values are those of `_sigmoid`, bit for bit
+    z, e, den = np.empty(n), np.empty(n), np.empty(n)
+    nonneg = np.empty(n, dtype=bool)
+    g = np.empty(d)
+    lr = params.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for _ in range(params.epochs):
             np.matmul(X, coef[1:], out=z)
             z += coef[0]
-            if not np.isfinite(z).all():  # the loss would be non-finite too
+            np.copysign(z, -1.0, out=e)  # -|z|: its minimum is -inf or NaN if any z is
+            if not math.isfinite(e.min(initial=0.0)):  # the loss would be non-finite too
                 raise ClassifyError(
-                    f"training loss became non-finite; lower learning_rate="
-                    f"{params.learning_rate}")
-            resid = _sigmoid(z)
-            resid -= yf
-            coef[0] -= params.learning_rate * (resid.sum() / n)
-            coef[1:] -= params.learning_rate * (X.T @ resid) / n
+                    f"training loss became non-finite; lower learning_rate={lr}")
+            np.exp(e, out=e)
+            np.add(e, 1.0, out=den)
+            np.greater_equal(z, 0.0, out=nonneg)
+            np.copyto(e, 1.0, where=nonneg)  # the numerator: 1 where z >= 0, else exp(z)
+            np.divide(e, den, out=e)
+            e -= yf
+            coef[0] -= lr * (e.sum() / n)
+            np.matmul(X.T, e, out=g)
+            g *= lr
+            g /= n
+            coef[1:] -= g
     if not np.isfinite(coef).all():
         raise ClassifyError("coefficients became non-finite; lower the learning rate")
 

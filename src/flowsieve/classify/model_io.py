@@ -33,12 +33,18 @@ def _tree_nodes(m: TreeModel) -> dict:
 def _tree_from_nodes(names, nodes: dict) -> TreeModel:
     thr = _value(nodes, "threshold", "a list of numbers and nulls",
                  lambda v: isinstance(v, list) and all(t is None or _is_number(t) for t in v))
-    return TreeModel(names,
-                     _array(nodes, "feature_index", 1, np.int64),
-                     np.array([math.nan if t is None else float(t) for t in thr]),
-                     _array(nodes, "left", 1, np.int64),
-                     _array(nodes, "right", 1, np.int64),
-                     _array(nodes, "score", 1))
+    feature_index = _array(nodes, "feature_index", (None,), "", np.int64)
+    count = len(feature_index)
+    if not count:
+        raise _BadValue("feature_index", "is empty, expected at least the root node")
+    _in_range("feature_index", feature_index, len(names), "-1 for a leaf, else a feature")
+    per_node = (count,), "one per node"
+    children = [_in_range(key, _array(nodes, key, *per_node, np.int64), count,
+                          "-1 for a leaf, else a node") for key in ("left", "right")]
+    return TreeModel(names, feature_index,
+                     _shaped("threshold", np.array([math.nan if t is None else float(t)
+                                                    for t in thr]), *per_node),
+                     *children, _array(nodes, "score", *per_node))
 
 
 def _parameters(model) -> dict:
@@ -71,8 +77,26 @@ def save_model(model, params, path) -> None:
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 
-class _WrongType(Exception):
-    """A model file key whose value has the wrong JSON type: (key, expected)."""
+class _BadValue(Exception):
+    """A model file key whose value has the wrong JSON type or does not fit
+    the model: (key, what is wrong with it)."""
+
+
+def _shaped(key: str, a: np.ndarray, shape: tuple, per: str) -> np.ndarray:
+    """`a`, if its shape is `shape`; `per` says what the lengths count."""
+    if a.shape != shape:
+        word = "length" if len(shape) == 1 else "shape"
+        raise _BadValue(key, f"has {word} {' x '.join(map(str, a.shape))}, expected "
+                             f"{' x '.join(map(str, shape))} ({per})")
+    return a
+
+
+def _in_range(key: str, a: np.ndarray, stop: int, what: str) -> np.ndarray:
+    """`a`, if every value lies in [-1, stop); `what` says what they index."""
+    bad = a[(a < -1) | (a >= stop)]
+    if bad.size:
+        raise _BadValue(key, f"holds {bad[0]}, outside [-1, {stop}) ({what})")
+    return a
 
 
 def _is_number(v) -> bool:
@@ -82,13 +106,15 @@ def _is_number(v) -> bool:
 def _value(doc: dict, key: str, expected: str, ok):
     value = doc[key]
     if not ok(value):
-        raise _WrongType(key, expected)
+        raise _BadValue(key, f"is not {expected}")
     return value
 
 
-def _array(doc: dict, key: str, ndim: int, dtype=np.float64) -> np.ndarray:
-    """The value of `key` as an array of `dtype`; it must be a list of
-    numbers nested `ndim` deep, integers only for an integer dtype."""
+def _array(doc: dict, key: str, shape: tuple, per: str, dtype=np.float64) -> np.ndarray:
+    """The value of `key` as an array of `dtype` and shape `shape`, None
+    standing for any length; it must be a list of numbers nested len(shape)
+    deep, integers only for an integer dtype. `per` says what the lengths
+    count."""
     value = doc[key]
     integer = np.issubdtype(dtype, np.integer)
     kinds = "iu" if integer else "iuf"
@@ -96,9 +122,11 @@ def _array(doc: dict, key: str, ndim: int, dtype=np.float64) -> np.ndarray:
         a = np.array(value) if isinstance(value, list) else None
     except ValueError:  # a ragged list
         a = None
-    if a is None or a.ndim != ndim or (a.size and a.dtype.kind not in kinds):
-        raise _WrongType(key, f"a {ndim}-d list of {'integers' if integer else 'numbers'}")
-    return a.astype(dtype)
+    if a is None or a.ndim != len(shape) or (a.size and a.dtype.kind not in kinds):
+        raise _BadValue(key, f"is not a {len(shape)}-d list of "
+                             f"{'integers' if integer else 'numbers'}")
+    return _shaped(key, a.astype(dtype), tuple(a.shape[i] if n is None else n
+                                               for i, n in enumerate(shape)), per)
 
 
 def load_model(path):
@@ -111,9 +139,9 @@ def load_model(path):
         return _model_from(doc)
     except KeyError as exc:
         raise ClassifyError(f"{where} lacks the key {exc.args[0]!r}") from None
-    except _WrongType as exc:
-        key, expected = exc.args
-        raise ClassifyError(f"{where}: the key {key!r} is not {expected}") from None
+    except _BadValue as exc:
+        key, wrong = exc.args
+        raise ClassifyError(f"{where}: the key {key!r} {wrong}") from None
 
 
 def _model_from(doc: dict):
@@ -125,14 +153,17 @@ def _model_from(doc: dict):
         raise ClassifyError("schema fingerprint does not match the stored feature names")
     algo = doc["algorithm"]
     p = _value(doc, "parameters", "an object", lambda v: isinstance(v, dict))
+    d = len(names)
     if algo == "logistic_regression":
-        return LogisticModel(names, _array(p, "coefficients", 1),
+        return LogisticModel(names, _array(p, "coefficients", (d + 1,),
+                                           "the intercept, then one per feature"),
                              float(_value(p, "decision_threshold", "a number", _is_number)))
     if algo == "naive_bayes":
-        return BayesModel(names, _array(p, "priors", 1), _array(p, "means", 2),
-                          _array(p, "sigmas", 2))
+        return BayesModel(names, _array(p, "priors", (2,), "one per class"),
+                          *(_array(p, key, (2, d), "classes x features")
+                            for key in ("means", "sigmas")))
     if algo == "svm":
-        return SvmModel(names, _array(p, "weights", 1),
+        return SvmModel(names, _array(p, "weights", (d,), "one per feature"),
                         float(_value(p, "bias", "a number", _is_number)))
     if algo == "decision_tree":
         return _tree_from_nodes(names, _value(p, "nodes", "an object",
@@ -143,5 +174,7 @@ def _model_from(doc: dict):
                                 "expected 'majority'")
         trees = _value(p, "trees", "a list of objects",
                        lambda v: isinstance(v, list) and all(isinstance(nd, dict) for nd in v))
+        if not trees:
+            raise _BadValue("trees", "is empty, expected at least one tree")
         return ForestModel(names, tuple(_tree_from_nodes(names, nd) for nd in trees))
     raise ClassifyError(f"unknown algorithm tag {algo!r}")

@@ -4,9 +4,10 @@ scorers and relief's difference indicator.
 A table's bins are one (features, k-1) float64 edge matrix: row j holds the
 k-1 strictly increasing interior cut points min + i*(max-min)/k, i in 1..k-1,
 of feature j. A constant feature is left unbinned: its row is all NaN, and
-all its values fall in bin 0. A value below the first edge is in bin 0, one
-at or above the last edge in bin k-1, and one equal to an interior edge goes
-to the higher bin.
+all its values fall in bin 0. A value's bin is the count of its feature's
+edges at or below it: a value below the first edge is in bin 0, one at or
+above the last edge in bin k-1, and one equal to an interior edge goes to
+the higher bin, as `np.searchsorted(edges, v, side="right")` places it.
 """
 
 import warnings
@@ -15,9 +16,10 @@ import numpy as np
 
 from .tabular import Table, dataset_rows, row_blocks
 
-# Rows of the feature matrix copied at a time while a row subset of it is
-# binned (2.5 MB at 78 features)
-BIN_BLOCK_ROWS = 4096
+# Rows of the feature matrix binned at a time: the gathered rows (315 KB at
+# 77 features) and the bool block of one edge comparison (39 KB) stay in
+# cache across the k-1 comparisons
+BIN_BLOCK_ROWS = 512
 
 
 class DiscretizeError(ValueError):
@@ -58,14 +60,29 @@ def table_bin_edges(t: Table, k: int, rows=None) -> np.ndarray:
 def bin_matrix(t: Table, edges: np.ndarray, rows=None) -> np.ndarray:
     """(rows, features) bin indices of every feature of the rows `rows` of
     `t` (all rows by default), in the smallest unsigned type that holds k-1
-    (uint8 up to 256 bins), binned BIN_BLOCK_ROWS rows at a time."""
+    (uint8 up to 256 bins).
+
+    A bin index is the count of the feature's edges at or below the value,
+    so each block of BIN_BLOCK_ROWS rows is compared with one edge of every
+    feature at a time, into one reused bool block, which is added to the
+    block's indices. That equals `np.searchsorted(edges[j], v, side="right")`
+    for every finite or infinite value, -0.0 against a 0.0 edge included; a
+    constant feature's NaN edges count no value, so it bins to 0. A NaN cell
+    would bin to 0 too, where `searchsorted` puts it in bin k-1; none gets
+    here, since cleaning drops such rows and `table_bin_edges` refuses them.
+    The cost is O(k) per cell against `searchsorted`'s O(log k) on one
+    strided column at a time, so it wins at a few dozen bins or fewer (the
+    default is 10) and loses above: 3.0 against 8.7 ms at k = 10, 19
+    against 16 ms at k = 64 and 78 against 21 ms at k = 256, on 3.5k x 77 on
+    one CPU. There is one path for every k all the same."""
     rows = dataset_rows(t, rows)[0]
     out = np.zeros((len(rows), t.X.shape[1]), dtype=np.min_scalar_type(edges.shape[1]))
+    ge = np.empty((min(BIN_BLOCK_ROWS, len(rows)), t.X.shape[1]), dtype=bool)
     for start, block in row_blocks(t.X, rows, BIN_BLOCK_ROWS):
         part = out[start:start + len(block)]
-        for j, row in enumerate(edges):
-            # NaN sorts above every number, so a constant feature's row bins to 0
-            part[:, j] = np.searchsorted(row, block[:, j], side="right")
+        flags = ge[:len(block)]
+        for edge in edges.T:
+            part += np.greater_equal(block, edge, out=flags)
     return out
 
 

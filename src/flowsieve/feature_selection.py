@@ -38,6 +38,11 @@ GATHER_ROWS = 512
 # Features whose int64 count keys, or whose per-class ANOVA blocks, are held
 # at a time: 64 bytes a row, about a tenth of a 78-feature row.
 SCORE_BLOCK_FEATURES = 8
+# Relief forks its workers only for a pass of at least this many
+# sampled-row x row x feature cells (m * rows * features): the crossover of
+# one against two CPUs on the benchmark's tables, where a 27M-cell pass took
+# 20 ms forked against 18 ms in one process, and a 38M-cell one 23 against 26
+RELIEF_FORK_CELLS = 1 << 25
 
 
 class ScoringError(ValueError):
@@ -205,9 +210,12 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray, rows=None,
     make the refine longer. Non-finite values, and values whose float32
     distances could overflow, raise a ScoringError.
 
-    Each batch is one task of `parallel.fan_out` and gives an integer tally;
-    the tallies are added before the one division, so the weights are the
-    same for any number of workers. The float32 copy (half the rows' float64
+    Each batch gives an integer tally; the tallies are added before the one
+    division, so the weights are the same for any number of workers. A pass
+    of at least RELIEF_FORK_CELLS cells (m * rows * features) hands the
+    batches to `parallel.fan_out`, one task each; a smaller one runs them in
+    this process, in the same order, since forking would cost it more than
+    a second CPU saves. The float32 copy (half the rows' float64
     bytes, built a chunk of rows at a time) and the buffers are allocated
     once, before the fan-out: besides the feature, bin and float32 matrices,
     which forked workers share, each worker holds its own copy-on-write copy
@@ -304,7 +312,11 @@ def relief_weights(t: Table, m: int, seed: int, binned: np.ndarray, rows=None,
     # integer tallies, summed over the batches and divided once: the same
     # weights in any order, and exact 1.0 / 0.0 in the label-identical and
     # constant-feature cases
-    delta = sum(fan_out(tally, range(0, m, RELIEF_BATCH)))
+    batches = range(0, m, RELIEF_BATCH)
+    if m * n * d >= RELIEF_FORK_CELLS:
+        delta = sum(fan_out(tally, batches))
+    else:
+        delta = sum(tally(b) for b in batches)
     return delta / m
 
 

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 
+from flowsieve import feature_selection
 from flowsieve.tabular import Table, subtable
 
 
@@ -44,6 +45,12 @@ def random_table(rng, n_rows: int, n_features: int) -> Table:
 def use_cpus(monkeypatch, n: int) -> None:
     """Make the fan-outs see `n` usable CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def fork_every_relief_pass(monkeypatch) -> None:
+    """Make relief fan its batches out however small its pass, as it does
+    for passes of at least RELIEF_FORK_CELLS cells."""
+    monkeypatch.setattr(feature_selection, "RELIEF_FORK_CELLS", 0)
 
 
 def record_forks(monkeypatch) -> list[int]:

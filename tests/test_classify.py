@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -590,6 +591,86 @@ def test_load_model_checks_tree_node_types(tmp_path):
     path.write_text(json.dumps([doc]))
     with pytest.raises(ClassifyError, match="forest.json' holds no JSON object"):
         load_model(path)
+
+
+def saved_model(tmp_path, train, params):
+    """A model trained on two features, the path of its file and the file's
+    JSON document."""
+    t = blobs_2d(20, seed=6)
+    path = tmp_path / "model.json"
+    save_model(train(t, params), params, path)
+    assert predict_arrays(load_model(path), t)[0].tolist() == \
+        predict_arrays(train(t, params), t)[0].tolist()
+    return path, json.loads(path.read_text())
+
+
+def refuses(path, doc, message):
+    """load_model refuses the document `doc`, written to `path`, naming the
+    file and then with `message`."""
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ClassifyError, match="^model file '.*model.json': " + message + "$"):
+        load_model(path)
+
+
+def test_load_model_checks_logistic_coefficients_against_the_feature_count(tmp_path):
+    path, doc = saved_model(tmp_path, train_logistic, LogisticParams(epochs=5))
+    doc["parameters"]["coefficients"] = [0.1, 0.2]
+    refuses(path, doc, r"the key 'coefficients' has length 2, expected 3 "
+                       r"\(the intercept, then one per feature\)")
+
+
+def test_load_model_checks_svm_weights_against_the_feature_count(tmp_path):
+    path, doc = saved_model(tmp_path, train_svm, SvmParams(epochs=2))
+    doc["parameters"]["weights"] = [0.5]
+    refuses(path, doc, r"the key 'weights' has length 1, expected 2 \(one per feature\)")
+
+
+def test_load_model_checks_bayes_shapes_against_the_feature_count(tmp_path):
+    path, doc = saved_model(tmp_path, train_naive_bayes, NaiveBayesParams())
+    p = doc["parameters"]
+    for key, value, message in [
+            ("priors", [1.0], r"has length 1, expected 2 \(one per class\)"),
+            ("means", [[0.1, 0.2, 0.3]] * 2, r"has shape 2 x 3, expected 2 x 2 "
+                                              r"\(classes x features\)"),
+            ("sigmas", [[0.1, 0.2]], r"has shape 1 x 2, expected 2 x 2 "
+                                     r"\(classes x features\)")]:
+        saved, p[key] = p[key], value
+        refuses(path, doc, f"the key '{key}' {message}")
+        p[key] = saved
+
+
+def test_load_model_checks_tree_nodes_against_the_features_and_nodes(tmp_path):
+    path, doc = saved_model(tmp_path, train_tree, TreeParams())
+    nodes = doc["parameters"]["nodes"]
+    count = len(nodes["feature_index"])
+    assert count > 1 and nodes["left"][0] > 0
+    for key, value, message in [
+            ("feature_index", [2] + nodes["feature_index"][1:],
+             r"holds 2, outside \[-1, 2\) \(-1 for a leaf, else a feature\)"),
+            ("feature_index", [], "is empty, expected at least the root node"),
+            ("left", [count] + nodes["left"][1:],
+             rf"holds {count}, outside \[-1, {count}\) \(-1 for a leaf, else a node\)"),
+            ("right", nodes["right"][:-1],
+             rf"has length {count - 1}, expected {count} \(one per node\)"),
+            ("threshold", nodes["threshold"] + [None],
+             rf"has length {count + 1}, expected {count} \(one per node\)"),
+            ("score", nodes["score"][1:],
+             rf"has length {count - 1}, expected {count} \(one per node\)")]:
+        saved, nodes[key] = nodes[key], value
+        refuses(path, doc, f"the key '{key}' {message}")
+        nodes[key] = saved
+
+
+def test_load_model_checks_each_forest_tree(tmp_path):
+    path, doc = saved_model(tmp_path, train_forest, ForestParams(tree_count=2, seed=1))
+    trees = doc["parameters"]["trees"]
+    saved = trees[1]["right"]
+    trees[1]["right"] = [-2] * len(saved)
+    refuses(path, doc, r"the key 'right' holds -2, outside \[-1, \d+\) "
+                       r"\(-1 for a leaf, else a node\)")
+    trees[1]["right"] = saved
+    doc["parameters"]["trees"] = []
+    refuses(path, doc, "the key 'trees' is empty, expected at least one tree")
 
 
 def test_forest_param_validation():

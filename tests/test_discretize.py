@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from flowsieve import discretize
 from flowsieve.discretize import DiscretizeError, bin_matrix, bins_document, table_bin_edges
 
 from helpers import make_table
@@ -142,3 +143,40 @@ def test_bin_matrix_matches_reference(case):
         else:
             assert np.isnan(e[j]).all()
         assert binned[:, j].tolist() == want_bins
+
+
+@pytest.mark.parametrize("block_rows", [1, 10_000])
+@pytest.mark.parametrize("k", [2, 10, 256, 257])
+def test_bin_matrix_counts_the_edges_of_other_rows(monkeypatch, k, block_rows):
+    # edges from the first 40 rows, bins of the rest: values below lo and
+    # above hi, on an edge, -0.0 against a 0.0 edge (lo -1, hi 1, even k),
+    # infinities, and a constant feature whose NaN edges count nothing
+    monkeypatch.setattr(discretize, "BIN_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(k)
+    fit = np.column_stack([np.r_[-1.0, 1.0, rng.uniform(-1, 1, 38)],
+                           np.r_[0.0, 100.0, rng.uniform(0, 100, 38)],
+                           np.full(40, 3.0)])
+    t = column_table(*fit.T)
+    with pytest.warns(UserWarning, match="column 'f2' is constant"):
+        e = table_bin_edges(t, k)
+    special = [-np.inf, np.inf, -0.0, 0.0, -5.0, 7.0, 3.0, -1.0, 1.0, 1e300, -1e300]
+    on_edges = rng.choice(e[:2].ravel(), size=30)
+    probe = np.concatenate([special, on_edges, rng.uniform(-2, 102, 30)])
+    X = np.vstack([fit, np.column_stack([probe, probe[::-1], rng.permutation(probe)])])
+    t = column_table(*X.T)
+    rows = np.arange(40, len(X))
+    binned = bin_matrix(t, e, rows)
+    assert binned.dtype == (np.uint8 if k <= 256 else np.uint16)
+    assert binned.shape == (len(rows), 3)
+    for j in range(3):
+        edges = [] if np.isnan(e[j]).all() else e[j].tolist()
+        want = [sum(1 for edge in edges if edge <= v) for v in X[rows, j].tolist()]
+        assert binned[:, j].tolist() == want, j
+        if edges:
+            assert binned[:, j].tolist() == np.searchsorted(e[j], X[rows, j],
+                                                            side="right").tolist()
+    assert binned[:, 2].tolist() == [0] * len(rows)
+    # -0.0 and 0.0 share a bin; with an even k, 0.0 is edge k/2 and in bin k/2
+    assert binned[2, 0] == binned[3, 0]
+    if k % 2 == 0:
+        assert e[0, k // 2 - 1] == 0.0 and binned[2, 0] == k // 2

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import flowsieve
 import reference as ref
-from flowsieve import discretize, feature_selection
+from flowsieve import discretize, feature_selection, parallel
 from flowsieve.discretize import bin_matrix, table_bin_edges
 from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          ScoringError, _anova, _count_scores,
@@ -24,7 +24,8 @@ from flowsieve.feature_selection import (METHODS, RELIEF_BATCH, RELIEF_TILE,
                                          select_by_threshold, write_scores_csv)
 from flowsieve.tabular import CategoryMapping, split_by_attack, subtable
 
-from helpers import make_table, random_table, rows_of, use_cpus
+from helpers import (assert_all_reaped, fork_every_relief_pass, make_table, random_table,
+                     record_forks, rows_of, use_cpus)
 
 
 def count_scores(counts):
@@ -324,6 +325,7 @@ def test_relief_property_large_offsets_and_negative_cells(data):
 def test_relief_weights_do_not_depend_on_the_worker_count(monkeypatch, m):
     # m up to 2 batches: more workers than batches; 100: 7 batches, claimed
     # one at a time by 2 or 3 workers
+    fork_every_relief_pass(monkeypatch)
     t = random_table(np.random.default_rng(4), 150, 9)
     binned = bin_table(t)
     weights = {}
@@ -331,6 +333,25 @@ def test_relief_weights_do_not_depend_on_the_worker_count(monkeypatch, m):
         use_cpus(monkeypatch, cpus)
         weights[cpus] = relief_weights(t, m=m, seed=3, binned=binned).tobytes()
     assert weights[2] == weights[1] and weights[3] == weights[1]
+
+
+def test_relief_forks_only_for_a_pass_of_the_fork_threshold(monkeypatch):
+    # 4 batches of 16 sampled rows, 80 rows x 6 features: 64 * 480 cells
+    use_cpus(monkeypatch, 3)
+    forks = record_forks(monkeypatch)
+    t = random_table(np.random.default_rng(4), 80, 6)
+    binned = bin_table(t)
+    cells = 4 * RELIEF_BATCH * 80 * 6
+    weights = {}
+    for threshold in (cells + 1, cells):
+        monkeypatch.setattr(feature_selection, "RELIEF_FORK_CELLS", threshold)
+        with parallel.usage() as used:
+            weights[threshold] = relief_weights(t, m=4 * RELIEF_BATCH, seed=3,
+                                                binned=binned).tobytes()
+        assert used["workers"] == (1 if threshold > cells else 3)
+        assert (len(forks) > 0) == (threshold == cells)
+    assert weights[cells] == weights[cells + 1]
+    assert_all_reaped(forks)
 
 
 def test_relief_peak_memory_is_one_distance_block(monkeypatch):

@@ -19,7 +19,7 @@ from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
 from flowsieve.sampling import SamplingError, SplitSpec, split_manifest, split_table
 from flowsieve.tabular import (TableError, clean_table, load_csv_merged, split_by_attack,
                                subtable)
-from helpers import assert_all_reaped, record_forks, use_cpus
+from helpers import assert_all_reaped, fork_every_relief_pass, record_forks, use_cpus
 
 
 def synth_files(tmp_path, seed=0, n_benign=240, n_attack=60):
@@ -489,7 +489,9 @@ def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
     # three attacks share one large benign class; select scores each attack
     # through its rows and builds no table at all, and each feature subset's
     # train and test tables must be dropped before the next subset's are
-    # gathered, in this process or in a forked worker
+    # gathered, in this process or in a forked worker; relief forks even for
+    # these small passes, so select's workers are checked too
+    fork_every_relief_pass(monkeypatch)
     rng = np.random.default_rng(8)
     attacks = ["AttackA", "AttackB", "AttackC"]
     labels = ["Benign"] * 600 + [a for a in attacks for _ in range(40)]
@@ -642,6 +644,8 @@ RESOURCE_KEYS = ("stage_seconds", "workers", "peak_rss_mb")
 
 @pytest.mark.parametrize("staged", [False, True])
 def test_run_directory_is_the_same_for_any_worker_count(tmp_path, monkeypatch, staged):
+    # relief forks even for this small pass, so select uses 3 workers
+    fork_every_relief_pass(monkeypatch)
     (tmp_path / "data").mkdir()
     cfg = warning_config(tmp_path)
     manifests, files = {}, {}
