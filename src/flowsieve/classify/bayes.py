@@ -20,12 +20,21 @@ class BayesModel:
     kind: str = field(default="naive_bayes", init=False)
 
     def log_posteriors(self, X: np.ndarray) -> np.ndarray:
-        """Unnormalized log posterior per class: log prior + sum of log densities."""
+        """Unnormalized log posterior per class: log prior + sum of log densities.
+
+        Each class's log densities are
+        `-log(sig) - log(sqrt(2 pi)) - (X - mu) ** 2 / (2 sig ** 2)`, evaluated
+        in that order, one operation at a time, in one (rows, features)
+        buffer that both classes reuse."""
         out = np.empty((X.shape[0], 2))
+        ll = np.empty(X.shape)
         for c in (0, 1):
             mu = self.means[c]
             sig = self.sigmas[c]
-            ll = -np.log(sig) - _LOG_SQRT_2PI - (X - mu) ** 2 / (2.0 * sig ** 2)
+            np.subtract(X, mu, out=ll)
+            np.square(ll, out=ll)
+            ll /= 2.0 * sig ** 2
+            np.subtract(-np.log(sig) - _LOG_SQRT_2PI, ll, out=ll)
             out[:, c] = np.log(self.priors[c]) + ll.sum(axis=1)
         return out
 

@@ -254,6 +254,40 @@ def best_split_ref(X, y, idx, feats, min_leaf, criterion):
     return best
 
 
+def tree_leaf_ref(tree, x):
+    """The leaf that the row x reaches, walked from the root one node at a time."""
+    node = 0
+    while tree.feature_index[node] >= 0:
+        f = tree.feature_index[node]
+        node = tree.left[node] if x[f] < tree.threshold[node] else tree.right[node]
+    return node
+
+
+def forest_decide_ref(trees, X):
+    """A forest's (labels, attack fractions), one tree and one row at a time:
+    the tree's label is its leaf's attack fraction above 0.5, and the labels
+    are added in tree order. A fraction of exactly 0.5 (an even vote) is
+    benign."""
+    votes = np.zeros(len(X))
+    for tree in trees:
+        for i, x in enumerate(X):
+            votes[i] += int(tree.score[tree_leaf_ref(tree, x)] > 0.5)
+    frac = votes / len(trees)
+    return (frac > 0.5).astype(np.int64), frac
+
+
+def bayes_log_posteriors_ref(model, X):
+    """Gaussian naive Bayes log posteriors per class as one expression per
+    class, with a fresh array for every intermediate."""
+    out = np.empty((X.shape[0], 2))
+    for c in (0, 1):
+        mu = model.means[c]
+        sig = model.sigmas[c]
+        ll = -np.log(sig) - 0.5 * np.log(2.0 * np.pi) - (X - mu) ** 2 / (2.0 * sig ** 2)
+        out[:, c] = np.log(model.priors[c]) + ll.sum(axis=1)
+    return out
+
+
 def metrics_ref(tp, fp, fn, tn):
     total = tp + fp + fn + tn
     accuracy = (tp + tn) / total

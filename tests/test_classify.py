@@ -203,6 +203,21 @@ def test_nb_log_domain_matches_direct_product():
             assert math.exp(lp[i, c]) == pytest.approx(direct, rel=1e-9)
 
 
+def test_nb_log_posteriors_match_the_fresh_array_oracle():
+    # one reused buffer per call, with the oracle's operations in its order:
+    # scales far apart, floored sigmas, signed zeros and one row or none
+    rng = np.random.default_rng(11)
+    for k in range(12):
+        n_rows, n_features = int(rng.integers(0, 300)), int(rng.integers(1, 40))
+        X = rng.normal(size=(max(n_rows, 4), n_features)) * 10.0 ** rng.uniform(-8, 8, n_features)
+        X[rng.random(X.shape) < 0.05] = -0.0
+        y = np.r_[0.0, 0.0, 1.0, 1.0, (rng.random(len(X) - 4) < 0.4).astype(float)]
+        t = make_table({f"f{j}": X[:, j] for j in range(n_features)}, y)
+        m = train_naive_bayes(t, NaiveBayesParams(variance_floor=(1e-9, 1e-3)[k % 2]))
+        probe = X[:n_rows] if k % 3 else X[:1]
+        assert m.log_posteriors(probe).tobytes() == ref.bayes_log_posteriors_ref(m, probe).tobytes()
+
+
 def test_nb_small_class_errors():
     t = make_table({"x": [0.1, 0.2, 0.9]}, [0, 0, 1])
     with pytest.raises(ClassifyError, match="at least 2"):
@@ -481,6 +496,42 @@ def test_forest_tie_vote_goes_benign():
     assert scores.tolist() == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("traverse_block", [None, 1, 7])
+def test_forest_votes_match_the_per_tree_loop(monkeypatch, traverse_block):
+    # even tree counts give even votes; single-node trees (benign, tied at
+    # 0.5 and attack) sit beside grown ones; a small TRAVERSE_BLOCK walks a
+    # few rows, or one, per block
+    from flowsieve.classify import tree as tree_module
+    from flowsieve.classify.tree import ForestModel, TreeModel
+    if traverse_block is not None:
+        monkeypatch.setattr(tree_module, "TRAVERSE_BLOCK", traverse_block)
+
+    def leaf(score):
+        return TreeModel(("f0", "f1", "f2"), np.array([-1]), np.array([math.nan]),
+                         np.array([-1]), np.array([-1]), np.array([score]))
+
+    rng = np.random.default_rng(23)
+    for k in range(8):
+        t = _tie_table(rng, int(rng.integers(10, 120)), 3, (None, 2, 5)[k % 3])
+        params = ForestParams(tree_count=int(rng.integers(1, 6)), max_depth=(None, 3)[k % 2], seed=k)
+        grown = train_forest(t, params).trees
+        trees = list(grown) + [leaf(s) for s in rng.choice([0.0, 0.5, 1.0, 0.75], size=k % 4)]
+        rng.shuffle(trees)
+        forest = ForestModel(t.feature_names, tuple(trees))
+        X = np.vstack([t.X, rng.random((int(rng.integers(0, 40)), 3))])
+        labels, frac = forest.decide(X)
+        want_labels, want_frac = ref.forest_decide_ref(forest.trees, X)
+        assert labels.dtype == want_labels.dtype and frac.dtype == want_frac.dtype
+        assert labels.tobytes() == want_labels.tobytes() and frac.tobytes() == want_frac.tobytes()
+        for tree in trees:
+            want = np.array([tree.score[ref.tree_leaf_ref(tree, x)] for x in X])
+            assert tree.leaf_scores(X).tobytes() == want.tobytes()
+    empty = ForestModel(("f0", "f1", "f2"), (leaf(1.0), leaf(0.0)))
+    labels, frac = empty.decide(np.empty((0, 3)))
+    assert labels.shape == frac.shape == (0,)
+    assert empty.decide(np.zeros((3, 3)))[1].tolist() == [0.5] * 3
+
+
 def test_forest_determinism():
     t = blobs_2d(40, seed=50)
     f1 = train_forest(t, ForestParams(tree_count=5, seed=7))
@@ -698,6 +749,11 @@ def _tie_table(rng, n_rows, n_features, levels):
     return make_table({f"f{j}": X[:, j] for j in range(n_features)}, y)
 
 
+def _oracle_split(X, y, idx, feats, min_leaf, criterion, ws):
+    """`_best_split`'s signature over the per-feature oracle, which needs no workspace."""
+    return ref.best_split_ref(X, y, idx, feats, min_leaf, criterion)
+
+
 @pytest.mark.parametrize("block", [None, 40])
 def test_tree_and_forest_match_the_per_feature_split_oracle(monkeypatch, block):
     # a 40-element block takes one feature at a time at nodes of 40 rows or
@@ -725,7 +781,7 @@ def test_tree_and_forest_match_the_per_feature_split_oracle(monkeypatch, block):
 
         got = node_bytes()
         with monkeypatch.context() as m:
-            m.setattr(tree_module, "_best_split", ref.best_split_ref)
+            m.setattr(tree_module, "_best_split", _oracle_split)
             want = node_bytes()
         assert got == want, (k, n_rows, n_features)
 
@@ -759,9 +815,81 @@ def test_tree_splits_on_signed_zero_ties_as_the_stable_oracle(monkeypatch, block
 
         got = node_bytes()
         with monkeypatch.context() as m:
-            m.setattr(tree_module, "_best_split", ref.best_split_ref)
+            m.setattr(tree_module, "_best_split", _oracle_split)
             want = node_bytes()
         assert got == want, (k, n_rows, n_features)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([None, 40, 300]),
+       ties=st.booleans(), n_features=st.integers(1, 12),
+       calls=st.lists(st.tuples(st.integers(2, 400), st.sampled_from([1, 3, 10]),
+                                st.sampled_from(["gini", "information_gain"])),
+                      min_size=2, max_size=8))
+def test_one_workspace_serves_split_searches_of_any_size(seed, block, ties, n_features, calls):
+    # the searches of one fit share one workspace, whose buffers hold what
+    # the last, perhaps larger, node left there: every result must still be
+    # the per-feature oracle's, bit for bit
+    from flowsieve.classify import tree as tree_module
+    rng = np.random.default_rng(seed)
+    rows = 400
+    if ties:
+        X = rng.choice(SIGNED_ZERO_TIES, size=(rows, n_features))
+    else:
+        X = np.floor(rng.random((rows, n_features)) * rng.choice([2, 5, 1 << 20]))
+    y = (rng.random(rows) < 0.4).astype(np.float64)
+    candidates = int(rng.integers(1, n_features + 1))
+    with pytest.MonkeyPatch.context() as m:
+        if block is not None:
+            m.setattr(tree_module, "SPLIT_BLOCK", block)
+        ws = tree_module._SplitWorkspace(rows, candidates)
+        for n, min_leaf, criterion in calls:
+            if n < 2 * min_leaf:
+                continue
+            idx = rng.choice(rows, size=n, replace=bool(rng.integers(2)))
+            feats = np.sort(rng.choice(n_features, size=candidates, replace=False))
+            got = tree_module._best_split(X, y, idx, feats, min_leaf, criterion, ws)
+            want = ref.best_split_ref(X, y, idx, feats, min_leaf, criterion)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+@pytest.mark.parametrize("criterion", ["gini", "information_gain"])
+def test_split_searches_allocate_no_block_sized_temporaries(monkeypatch, criterion):
+    # every split search of a 2000-row fit is traced: at nodes of 400 rows or
+    # more, the search's peak allocation stays under one and a half of its
+    # float64 blocks (features x node rows). The argsort's order, one block of
+    # intp that NumPy cannot write into a buffer, is the only block it may
+    # allocate; five-level features keep the scored value changes few, and
+    # smaller nodes would let a few KB of fixed cost count as a block
+    import tracemalloc
+    from flowsieve.classify import tree as tree_module
+    real = tree_module._best_split
+    peaks = []
+
+    def traced(X, y, idx, feats, *rest):
+        n = len(idx)
+        block_bytes = 8 * n * min(len(feats), max(1, tree_module.SPLIT_BLOCK // n))
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        split = real(X, y, idx, feats, *rest)
+        if n >= 400:
+            peaks.append((tracemalloc.get_traced_memory()[1] - before, block_bytes, n))
+        return split
+
+    monkeypatch.setattr(tree_module, "_best_split", traced)
+    t = _tie_table(np.random.default_rng(5), 2000, 20, 5)
+    tracemalloc.start()
+    try:
+        train_tree(t, TreeParams(criterion=criterion))
+        train_forest(t, ForestParams(tree_count=2, criterion=criterion, features_per_split=12))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= 10
+    over = [(peak, block, n) for peak, block, n in peaks[1:] if peak >= 1.5 * block]
+    assert not over, over[:5]
 
 
 # ---------------------------------------------------------------- dispatch + io

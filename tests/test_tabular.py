@@ -355,7 +355,7 @@ def test_feature_matrix_is_the_table_storage():
     assert X.flags.c_contiguous and not X.flags.writeable
 
 
-@pytest.mark.parametrize("block", [1, 3, tabular.SUBTABLE_BLOCK])
+@pytest.mark.parametrize("block", [1, 3, tabular.SUBTABLE_BLOCK, 1024])
 def test_subtable_gathers_the_bytes_of_one_ix_gather(monkeypatch, block):
     monkeypatch.setattr(tabular, "SUBTABLE_BLOCK", block)
     rng = np.random.default_rng(9)
