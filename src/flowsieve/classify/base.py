@@ -21,7 +21,8 @@ def schema_fingerprint(feature_names) -> str:
 
 
 def training_arrays(train: Table) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and 0/1 integer labels; rejects non-binarized labels."""
+    """Feature matrix and the table's float 0/1 labels; rejects
+    non-binarized labels."""
     X = train.X
     y = train.y
     values = set(np.unique(y).tolist())
@@ -29,19 +30,14 @@ def training_arrays(train: Table) -> tuple[np.ndarray, np.ndarray]:
         raise ClassifyError(f"labels must be binarized to 0/1, found {sorted(values)}")
     if X.shape[1] == 0:
         raise ClassifyError("table has no feature columns")
-    return X, y.astype(np.int64)
+    return X, y
 
 
-def check_manifest(model, t: Table) -> np.ndarray:
-    """Validate the table against the model's manifest; return its feature matrix."""
+def predict_arrays(model, t: Table) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (labels, scores) for any trained model variant, of a table
+    whose features match the model's manifest."""
     if t.feature_names != model.feature_names:
         raise ManifestMismatchError(
             f"feature columns {list(t.feature_names)} do not match the model's "
             f"manifest {list(model.feature_names)}")
-    return t.X
-
-
-def predict_arrays(model, t: Table) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (labels, scores) for any trained model variant."""
-    X = check_manifest(model, t)
-    return model.decide(X)
+    return model.decide(t.X)

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import evaluation
 from ..tabular import Table
 from .base import ClassifyError, training_arrays
 from .params import LogisticParams
@@ -35,22 +36,10 @@ class LogisticModel:
         return (s > self.decision_threshold).astype(np.int64), s
 
 
-def _f1(pred: np.ndarray, truth: np.ndarray) -> float:
-    tp = int(((pred == 1) & (truth == 1)).sum())
-    fp = int(((pred == 1) & (truth == 0)).sum())
-    fn = int(((pred == 0) & (truth == 1)).sum())
-    if tp == 0:
-        return 0.0
-    p = tp / (tp + fp)
-    r = tp / (tp + fn)
-    return 2 * p * r / (p + r)
-
-
 def train_logistic(train: Table, params: LogisticParams) -> LogisticModel:
     """Minimize mean cross-entropy from a zero start for `epochs` full-batch steps."""
     X, y = training_arrays(train)
     n, d = X.shape
-    yf = y.astype(np.float64)
     coef = np.zeros(d + 1)
     # one buffer per quantity, reused by every epoch: logits z, the sigmoid
     # (and then the residual) e, its denominator, the z >= 0 mask and the
@@ -72,7 +61,7 @@ def train_logistic(train: Table, params: LogisticParams) -> LogisticModel:
             np.greater_equal(z, 0.0, out=nonneg)
             np.copyto(e, 1.0, where=nonneg)  # the numerator: 1 where z >= 0, else exp(z)
             np.divide(e, den, out=e)
-            e -= yf
+            e -= y
             coef[0] -= lr * (e.sum() / n)
             np.matmul(X.T, e, out=g)
             g *= lr
@@ -87,7 +76,7 @@ def train_logistic(train: Table, params: LogisticParams) -> LogisticModel:
         s = probe.scores(X)
         best = (-1.0, threshold)
         for h in THRESHOLD_SWEEP:
-            f1 = _f1((s > h).astype(np.int64), y)
+            f1 = evaluation.metrics(evaluation.confusion(s > h, y))["f1"]
             if f1 > best[0]:
                 best = (f1, h)
         threshold = best[1]

@@ -41,10 +41,23 @@ def _tree_from_nodes(names, nodes: dict) -> TreeModel:
     per_node = (count,), "one per node"
     children = [_in_range(key, _array(nodes, key, *per_node, np.int64), count,
                           "-1 for a leaf, else a node") for key in ("left", "right")]
-    return TreeModel(names, feature_index,
-                     _shaped("threshold", np.array([math.nan if t is None else float(t)
-                                                    for t in thr]), *per_node),
-                     *children, _array(nodes, "score", *per_node))
+    threshold = _shaped("threshold", np.array([math.nan if t is None else float(t)
+                                               for t in thr]), *per_node)
+    score = _array(nodes, "score", *per_node)
+    # a split's children come after it, as `_grow`'s preorder numbers them,
+    # so that every path from the root ends at a leaf
+    split = np.flatnonzero(feature_index >= 0)
+    for key, child in zip(("left", "right"), children):
+        early = split[child[split] <= split]
+        if early.size:
+            i = early[0]
+            raise _BadValue(key, f"holds {child[i]} at node {i}, which splits, expected "
+                                 f"a later node in ({i}, {count})")
+    unset = split[np.isnan(threshold[split])]
+    if unset.size:
+        raise _BadValue("threshold", f"holds null at node {unset[0]}, which splits, "
+                                     "expected a number")
+    return TreeModel(names, feature_index, threshold, *children, score)
 
 
 def _parameters(model) -> dict:
@@ -68,7 +81,7 @@ def save_model(model, params, path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "algorithm": model.kind,
-        "hyperparams": dataclasses.asdict(params) if params is not None else {},
+        "hyperparams": dataclasses.asdict(params),
         "feature_names": list(model.feature_names),
         "schema_fingerprint": schema_fingerprint(model.feature_names),
         "parameters": _parameters(model),

@@ -28,6 +28,7 @@ class LogisticParams:
         _require(self.learning_rate > 0, "learning_rate must be positive")
         _require(self.epochs >= 0, "epochs must be non-negative")
         _require(0 < self.decision_threshold < 1, "decision_threshold must lie in (0, 1)")
+        _require(self.seed >= 0, f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,7 @@ class NaiveBayesParams:
 
     def __post_init__(self):
         _require(self.variance_floor > 0, "variance_floor must be positive")
+        _require(self.seed >= 0, f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class SvmParams:
         _require(self.schedule in ("inverse_t", "constant"),
                  f"unknown schedule {self.schedule!r}")
         _require(self.learning_rate > 0, "learning_rate must be positive")
+        _require(self.seed >= 0, f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,7 @@ class TreeParams:
         _require(self.max_depth is None or self.max_depth >= 0,
                  "max_depth must be non-negative")
         _require(self.min_samples_leaf >= 1, "min_samples_leaf must be at least 1")
+        _require(self.seed >= 0, f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

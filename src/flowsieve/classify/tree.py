@@ -179,10 +179,10 @@ def _child_impurity(rows, c1, criterion, out):
 def _grow(X, y, rows, params: TreeParams, rng=None, features_per_split: int | None = None,
           ws: _SplitWorkspace | None = None):
     """Node arrays (feature, threshold, left, right, score) grown in preorder
-    from the rows `rows` of X, which may repeat a row, as a bootstrap draw does.
-    Every split search uses the workspace `ws` (by default, one for this fit)."""
+    from the rows `rows` of X, which may repeat a row, as a bootstrap draw does,
+    and their float 0/1 labels in `y`, whose sums are exact counts. Every
+    split search uses the workspace `ws` (by default, one for this fit)."""
     d = X.shape[1]
-    y = np.asarray(y, dtype=np.float64)  # 0/1 labels, whose float sums are exact counts
     sample_feats = features_per_split is not None and features_per_split < d
     if ws is None:
         ws = _SplitWorkspace(len(rows), features_per_split if sample_feats else d)

@@ -124,6 +124,8 @@ class PipelineConfig:
             raise ConfigError(f"bin_count must be at least 2, got {self.bin_count}")
         if self.relief_m is not None and self.relief_m < 1:
             raise ConfigError("relief_m must be at least 1 (or omitted)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for i, name in enumerate(self.excluded_columns):
             j = self.excluded_columns.index(name)
             if name == self.label_column or j != i:

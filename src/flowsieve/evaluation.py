@@ -51,14 +51,15 @@ def metrics(cm: dict) -> dict:
     return {"accuracy": (tp + tn) / total, "precision": precision, "recall": recall, "f1": f1}
 
 
-def evaluate(model, train: Table, test: Table, *, attack: str, classifier: str,
+def evaluate(model, train: Table, test: Table, *, attack: str,
              threshold: float) -> tuple[dict, dict]:
-    """The train row and the test row, counting the model's features."""
+    """The train row and the test row, naming the model's kind and counting
+    its features."""
     out = []
     for split, table in (("train", train), ("test", test)):
         labels, _ = predict_arrays(model, table)
         cm = confusion(labels, table.y)
-        out.append({"split": split, "attack": attack, "classifier": classifier,
+        out.append({"split": split, "attack": attack, "classifier": model.kind,
                     "threshold": threshold, "n_features": len(model.feature_names),
                     "confusion": cm, **metrics(cm)})
     return out[0], out[1]

@@ -56,12 +56,19 @@ Cleaned = tuple[Table, dict[str, tuple]]
 Selections = dict[str, dict[float, tuple[str, ...]]]
 
 
+# The run manifest's history of a run: each command rewrites the manifest
+# with these keys, carrying over what the manifest it resumes holds under
+# them. RunContext holds each as an attribute of the same name.
+_HISTORY = ("stages_completed", "stage_seconds", "workers", "peak_rss_mb",
+            "warnings", "skipped")
+
+
 @dataclass
 class RunContext:
     cfg: PipelineConfig
     run_dir: Path
     warnings: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    stage_seconds: dict[str, float] = field(default_factory=dict)
     # per stage: the most workers a fan-out in it used, this process counting
     # as one, and the peak RSS in MB of this process ("main") and of the
     # workers it forked ("workers", None if it forked none)
@@ -159,7 +166,7 @@ def _stage(ctx: RunContext, stage: str):
         with parallel.usage() as used:
             yield
     finally:
-        ctx.timings[stage] = round(time.perf_counter() - t0, 6)
+        ctx.stage_seconds[stage] = round(time.perf_counter() - t0, 6)
         ctx.workers[stage] = used["workers"]
         ctx.peak_rss_mb[stage] = {"main": _mb(parallel.peak_rss_bytes()),
                                   "workers": _mb(used["worker_peak_rss"])}
@@ -356,8 +363,7 @@ def _train_eval_cell(ctx: RunContext, table: Table, cell) -> tuple[list, list[st
             model = _TRAINERS[clf](train_t, params)
             save_model(model, params, _fresh(ctx.run_dir / attack_slug(attack) / "models"
                                              / f"tau-{tag}-{clf}.json"))
-            pair = evaluate(model, train_t, test_t, attack=attack, classifier=clf,
-                            threshold=taus[0])
+            pair = evaluate(model, train_t, test_t, attack=attack, threshold=taus[0])
         except Exception as exc:
             raise _named(exc, f"{attack}: threshold {tag} {clf}") from None
     return pair, caught
@@ -374,13 +380,8 @@ def write_manifest(ctx: RunContext, error: str | None = None) -> Path:
         "version": __version__,
         "config": ctx.cfg.to_json(),
         "config_hash": config_hash(ctx.cfg),
-        "stages_completed": list(ctx.stages_completed),
-        "stage_seconds": dict(ctx.timings),
-        "workers": dict(ctx.workers),
-        "peak_rss_mb": dict(ctx.peak_rss_mb),
+        **{key: getattr(ctx, key) for key in _HISTORY},
         "outputs": files,
-        "warnings": list(ctx.warnings),
-        "skipped": list(ctx.skipped),
         "error": error,
     }
     path = ctx.run_dir / "run_manifest.json"
@@ -390,20 +391,16 @@ def write_manifest(ctx: RunContext, error: str | None = None) -> Path:
 
 def _resume_context(cfg: PipelineConfig) -> RunContext:
     """Context for a staged command: the newest run with this config, with
-    the stage history, timings, workers, memory, warnings and skips of its
-    manifest."""
+    the history its manifest holds. A key the manifest lacks (`workers` and
+    `peak_rss_mb`, in runs written before they were recorded) starts empty."""
     ctx = RunContext(cfg, find_run_dir(cfg))
     path = ctx.run_dir / "run_manifest.json"
     if path.exists():
         with open(path, encoding="utf-8") as fh:
             prior = json.load(fh)
-        ctx.stages_completed = list(prior["stages_completed"])
-        ctx.timings = dict(prior["stage_seconds"])
-        # absent from the manifests of runs written before workers were recorded
-        ctx.workers = dict(prior.get("workers", {}))
-        ctx.peak_rss_mb = dict(prior.get("peak_rss_mb", {}))
-        ctx.warnings = list(prior["warnings"])
-        ctx.skipped = list(prior["skipped"])
+        for key in _HISTORY:
+            if key in prior:
+                setattr(ctx, key, prior[key])
     return ctx
 
 

@@ -628,9 +628,15 @@ def clean_table(t: Table, mapping: CategoryMapping, excluded) -> tuple[Table, Cl
 
 
 def _resolve_label_code(t: Table, mapping: CategoryMapping, value) -> float:
-    if isinstance(value, str):
+    """The value in `t.y` of the label `value`: a text label's category code,
+    or the number it stands for if the label column has no categories."""
+    if isinstance(value, str) and t.label_name in mapping.categories:
         return float(mapping.encode(t.label_name, value))
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:
+        raise TableError(f"label {value!r} is not a number, and the label column "
+                         f"{t.label_name!r} holds only numbers") from None
 
 
 def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
@@ -640,9 +646,10 @@ def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
     The scorers read them from `t` as they are; `subtable(t, rows, labels,
     t.feature_names)` builds the dataset's table.
 
-    Labels may be given as category text (resolved through `mapping`) or as raw
-    numeric label values. A table without benign rows, or an attack with no
-    rows, is an error.
+    Labels may be given as category text (resolved through `mapping`), as
+    the text of a number in a numeric label column, or as raw numeric label
+    values. A table without benign rows, or an attack with no rows, is an
+    error.
     """
     y = t.y
     benign_mask = y == _resolve_label_code(t, mapping, benign_label)

@@ -310,8 +310,7 @@ def test_criterion_12_full_scale_reproduction():
     train_t = subtable(ftp, r.train_rows, ftp_labels[r.train_rows], names)
     test_t = subtable(ftp, r.test_rows, ftp_labels[r.test_rows], names)
     forest = train_forest(train_t, ForestParams(tree_count=10, seed=0))
-    _, test_report = evaluate(forest, train_t, test_t, attack="FTP",
-                              classifier="random_forest", threshold=0.35)
+    _, test_report = evaluate(forest, train_t, test_t, attack="FTP", threshold=0.35)
     assert test_report["accuracy"] >= 0.999
     _report(12, f"real-data cleaning gives 69 columns, split sizes match the "
                 f"reference counts within rounding, forest test accuracy "

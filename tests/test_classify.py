@@ -691,25 +691,45 @@ def test_load_model_checks_bayes_shapes_against_the_feature_count(tmp_path):
 
 
 def test_load_model_checks_tree_nodes_against_the_features_and_nodes(tmp_path):
-    path, doc = saved_model(tmp_path, train_tree, TreeParams())
-    nodes = doc["parameters"]["nodes"]
-    count = len(nodes["feature_index"])
-    assert count > 1 and nodes["left"][0] > 0
-    for key, value, message in [
-            ("feature_index", [2] + nodes["feature_index"][1:],
-             r"holds 2, outside \[-1, 2\) \(-1 for a leaf, else a feature\)"),
-            ("feature_index", [], "is empty, expected at least the root node"),
-            ("left", [count] + nodes["left"][1:],
-             rf"holds {count}, outside \[-1, {count}\) \(-1 for a leaf, else a node\)"),
-            ("right", nodes["right"][:-1],
-             rf"has length {count - 1}, expected {count} \(one per node\)"),
-            ("threshold", nodes["threshold"] + [None],
-             rf"has length {count + 1}, expected {count} \(one per node\)"),
-            ("score", nodes["score"][1:],
-             rf"has length {count - 1}, expected {count} \(one per node\)")]:
-        saved, nodes[key] = nodes[key], value
-        refuses(path, doc, f"the key '{key}' {message}")
-        nodes[key] = saved
+    # the nodes of a tree, then those of a forest's first tree
+    for train, params, tree_of in [
+            (train_tree, TreeParams(), lambda doc: doc["parameters"]["nodes"]),
+            (train_forest, ForestParams(tree_count=2, seed=1),
+             lambda doc: doc["parameters"]["trees"][0])]:
+        path, doc = saved_model(tmp_path, train, params)
+        nodes = tree_of(doc)
+        count = len(nodes["feature_index"])
+        assert count > 1 and nodes["left"][0] > 0
+        last = max(i for i, f in enumerate(nodes["feature_index"]) if f >= 0)
+        back = nodes["right"][:last] + [0] + nodes["right"][last + 1:]
+        for key, value, message in [
+                ("feature_index", [2] + nodes["feature_index"][1:],
+                 r"holds 2, outside \[-1, 2\) \(-1 for a leaf, else a feature\)"),
+                ("feature_index", [], "is empty, expected at least the root node"),
+                ("left", [count] + nodes["left"][1:],
+                 rf"holds {count}, outside \[-1, {count}\) \(-1 for a leaf, else a node\)"),
+                ("right", nodes["right"][:-1],
+                 rf"has length {count - 1}, expected {count} \(one per node\)"),
+                ("threshold", nodes["threshold"] + [None],
+                 rf"has length {count + 1}, expected {count} \(one per node\)"),
+                ("score", nodes["score"][1:],
+                 rf"has length {count - 1}, expected {count} \(one per node\)"),
+                # a split without a child, one that leads to itself (a
+                # traversal that never ends) and one that leads back
+                ("left", [-1] + nodes["left"][1:],
+                 rf"holds -1 at node 0, which splits, expected a later node in "
+                 rf"\(0, {count}\)"),
+                ("left", [0] + nodes["left"][1:],
+                 rf"holds 0 at node 0, which splits, expected a later node in "
+                 rf"\(0, {count}\)"),
+                ("right", back,
+                 rf"holds 0 at node {last}, which splits, expected a later node in "
+                 rf"\({last}, {count}\)"),
+                ("threshold", [None] + nodes["threshold"][1:],
+                 "holds null at node 0, which splits, expected a number")]:
+            saved, nodes[key] = nodes[key], value
+            refuses(path, doc, f"the key '{key}' {message}")
+            nodes[key] = saved
 
 
 def test_load_model_checks_each_forest_tree(tmp_path):

@@ -65,6 +65,16 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--attacks", "Ghost"]) == 1
 
 
+def test_negative_seed_exits_1_before_reading_the_input(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, inputs=[str(tmp_path / "missing.csv")])
+    assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 1
+    assert "config error: classifiers.logistic: seed must be non-negative, got -1" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the same config with a valid seed gets as far as the missing input
+    assert main(["run", "--config", str(cfg_path), "--seed", "1"]) == 2
+
+
 def test_runtime_failure_exit_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     # select before preprocess: stage precondition fails at runtime

@@ -167,6 +167,23 @@ def test_bad_configs_fail_at_load(tmp_path, key, value, message):
         parse_config(base_doc(tmp_path, **{key: value}))
 
 
+SEEDED = ("logistic", "naive_bayes", "svm", "tree", "forest")
+
+
+@pytest.mark.parametrize("extra, message", [
+    # the global seed is every classifier's seed that the document leaves unset
+    ({"seed": -1}, r"classifiers\.logistic: seed must be non-negative, got -1"),
+    ({"seed": -1, "classifiers": {key: {"seed": 0} for key in SEEDED}},
+     "seed must be non-negative, got -1"),
+    *(({"classifiers": {key: {"seed": -2}}},
+       rf"classifiers\.{key}: seed must be non-negative, got -2") for key in SEEDED),
+])
+def test_negative_seed_fails_at_load(tmp_path, extra, message):
+    # np.random.default_rng would refuse it only after the input is cleaned
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(base_doc(tmp_path, **extra))
+
+
 def test_repeated_attack_fails_at_load(tmp_path):
     # would fail mid-run, after the first attack's relief: its bins.json exists
     doc = base_doc(tmp_path, attacks=["FTP-BruteForce", "SSH-Bruteforce", "FTP-BruteForce"])

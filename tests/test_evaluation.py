@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import reference as ref
+from flowsieve import pipeline
 from flowsieve.classify import TreeParams, train_tree
+from flowsieve.config import CLASSIFIER_ORDER, ClassifierConfig
 from flowsieve.evaluation import (EvalError, confusion, evaluate, metrics,
                                   write_metrics_csv, write_metrics_json)
 
@@ -88,14 +90,23 @@ def test_label_swap_duality():
 def test_evaluate_pair_and_self_consistency():
     t = blobs_2d(30, seed=90)
     model = train_tree(t, TreeParams(max_depth=3))
-    tr, ts = evaluate(model, t, t, attack="A", classifier="decision_tree",
-                      threshold=0.4)
+    tr, ts = evaluate(model, t, t, attack="A", threshold=0.4)
     assert list(tr) == ["split", "attack", "classifier", "threshold", "n_features",
                         "confusion", "accuracy", "precision", "recall", "f1"]
     assert tr["split"] == "train" and ts["split"] == "test"
     assert {k: v for k, v in tr.items() if k != "split"} == \
            {k: v for k, v in ts.items() if k != "split"}
     assert tr["n_features"] == 2 and tr["attack"] == "A" and tr["threshold"] == 0.4
+
+
+@pytest.mark.parametrize("tag", CLASSIFIER_ORDER)
+def test_evaluate_names_each_model_by_its_kind(tag):
+    # a row's classifier is its model's kind, which must be the tag that names
+    # the trainer, its hyperparameters and its model file
+    t = blobs_2d(30, seed=90)
+    model = pipeline._TRAINERS[tag](t, ClassifierConfig().params(tag))
+    rows = evaluate(model, t, t, attack="A", threshold=0.4)
+    assert [row["classifier"] for row in rows] == [tag, tag]
 
 
 def test_metrics_files(tmp_path):
@@ -169,8 +180,7 @@ def test_metrics_files_exact_text(tmp_path):
     train = make_table({"x": [0, 1, 2, 3]}, [0, 0, 1, 1])
     test = make_table({"x": [3] * 8 + [0] + [3] * 2 + [0] * 89}, [1] * 9 + [0] * 91)
     model = train_tree(train, TreeParams(max_depth=1))
-    rows = evaluate(model, train, test, attack="FTP-BruteForce",
-                    classifier="decision_tree", threshold=0.35)
+    rows = evaluate(model, train, test, attack="FTP-BruteForce", threshold=0.35)
     write_metrics_csv(rows, tmp_path / "metrics.csv")
     write_metrics_json(rows, tmp_path / "metrics.json")
     assert (tmp_path / "metrics.csv").read_bytes().decode() == METRICS_CSV_TEXT

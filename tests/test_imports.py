@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and reads each
-private name it defines; each public name it defines is read somewhere.
+private name it defines; each public name it defines is read somewhere. The
+modules that import each other's packages import in any order.
 
 No linter runs on this code, so these tests do the three checks a deletion
 most often leaves undone: an import that nothing reads any more, a private
@@ -8,6 +9,9 @@ that nothing reads any more.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,3 +128,24 @@ def test_package_reads_every_public_name_it_defines():
     readers = [p.read_text(encoding="utf-8") for top in ("src", "tests", "bench")
                for p in sorted((ROOT / top).rglob("*.py"))]
     assert unread_public_names(package, readers) == []
+
+
+# evaluation imports the classify package, whose logistic module imports
+# evaluation back for the F1 of its threshold sweep
+CYCLE = ("flowsieve.evaluation", "flowsieve.classify", "flowsieve.classify.logistic",
+         "flowsieve.pipeline")
+
+
+@pytest.mark.parametrize("first", CYCLE)
+def test_each_module_of_the_import_cycle_imports_first(first):
+    # a fresh interpreter imports `first`, then the rest
+    order = [first] + [name for name in CYCLE if name != first]
+    code = ("import importlib, sys\n"
+            f"for name in {order!r}:\n"
+            "    importlib.import_module(name)\n"
+            "from flowsieve.classify import logistic\n"
+            "assert logistic.evaluation is sys.modules['flowsieve.evaluation']\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -572,6 +572,45 @@ def test_resume_does_not_repeat_preprocess_warnings(tmp_path):
     assert manifest["warnings"] == want
 
 
+def test_a_numeric_label_column_runs(tmp_path):
+    # the label column holds the numbers 0 and 1, which the config names as text
+    rng = np.random.default_rng(0)
+    labels = [int(i % 4 == 0) for i in range(200)]
+    lines = ["sig,noise,Label"] + [f"{0.6 * y + 0.4 * rng.random():.6f},{rng.random():.6f},{y}"
+                                   for y in labels]
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = parse_config({"inputs": [str(path)], "label_column": "Label", "benign_label": "0",
+                        "attacks": ["1"], "output_dir": str(tmp_path / "out"),
+                        "relief_m": 50, "thresholds": [0.1],
+                        "sampling": {"schemes": {"1": "fraction_stratified"}},
+                        "classifiers": {"logistic": {"epochs": 20}, "svm": {"epochs": 2},
+                                        "forest": {"tree_count": 2}}})
+    ctx = cmd_run(cfg)
+    assert ctx.stages_completed == ["preprocess", "select", "train_eval"]
+    prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
+    assert prep["per_attack_rows"] == {"1": 200}
+    rows = json.loads((ctx.run_dir / "metrics.json").read_text())
+    assert [(row["attack"], row["split"]) for row in rows[:2]] == [("1", "train"), ("1", "test")]
+    assert len(rows) == 10
+
+
+def test_a_staged_command_continues_a_manifest_without_workers_or_memory(cfg):
+    # runs written before the workers and the peak memory were recorded
+    pre = cmd_preprocess(cfg)
+    path = pre.run_dir / "run_manifest.json"
+    old = json.loads(path.read_text())
+    del old["workers"], old["peak_rss_mb"]
+    path.write_text(json.dumps(old))
+    cmd_select(cfg)
+    new = json.loads(path.read_text())
+    assert new["stages_completed"] == ["preprocess", "select"]
+    assert new["stage_seconds"]["preprocess"] == old["stage_seconds"]["preprocess"]
+    assert set(new["stage_seconds"]) == {"preprocess", "select"}
+    assert set(new["workers"]) == set(new["peak_rss_mb"]) == {"select"}
+    assert new["warnings"] == old["warnings"] and new["skipped"] == old["skipped"]
+
+
 def test_benign_label_without_valid_rows_fails_in_preprocess(tmp_path):
     (tmp_path / "data").mkdir()
     # minority_protect would split a dataset without benign rows, so only

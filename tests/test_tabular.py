@@ -312,10 +312,16 @@ def test_split_by_attack_absent_label():
 
 
 def test_split_by_attack_numeric_labels():
-    # raw numeric label values work without any category mapping
+    # raw numeric label values work without any category mapping, and so does
+    # the text of a number, as a config names a label
     t = make_table({"a": [1, 2, 3, 4]}, [0, 7, 0, 7])
     out = split_by_attack(t, CategoryMapping({}), [7.0], 0.0)
     assert out["7.0"][1].tolist() == [0.0, 1.0, 0.0, 1.0]
+    out = split_by_attack(t, CategoryMapping({}), ["7"], "0")
+    assert out["7"][1].tolist() == [0.0, 1.0, 0.0, 1.0]
+    with pytest.raises(TableError, match="^label 'FTP' is not a number, and the label "
+                                         "column 'Label' holds only numbers$"):
+        split_by_attack(t, CategoryMapping({}), ["FTP"], "0")
 
 
 def test_split_by_attack_no_benign_rows_errors():
