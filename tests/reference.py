@@ -1,12 +1,14 @@
 """Brute-force reference implementations, kept deliberately independent of the
 package: plain loops straight from the defining formulas, no shared code paths.
-The CSV loader oracle builds the package's result types, and nothing more."""
+The CSV loader and model file oracles build the package's result types, and
+nothing more."""
 
 import csv
 import math
 
 import numpy as np
 
+from flowsieve.classify import BayesModel, ForestModel, LogisticModel, SvmModel, TreeModel
 from flowsieve.tabular import (REASON_REPEATED_HEADER, CategoryMapping, CleaningReport, Table,
                                TableError)
 
@@ -286,6 +288,35 @@ def bayes_log_posteriors_ref(model, X):
         ll = -np.log(sig) - 0.5 * np.log(2.0 * np.pi) - (X - mu) ** 2 / (2.0 * sig ** 2)
         out[:, c] = np.log(model.priors[c]) + ll.sum(axis=1)
     return out
+
+
+def _tree_from_json_ref(names, nodes):
+    threshold = [math.nan if t is None else t for t in nodes["threshold"]]
+    return TreeModel(names, np.array(nodes["feature_index"], dtype=np.int64),
+                     np.array(threshold, dtype=np.float64),
+                     np.array(nodes["left"], dtype=np.int64),
+                     np.array(nodes["right"], dtype=np.int64),
+                     np.array(nodes["score"], dtype=np.float64))
+
+
+def model_from_json_ref(doc):
+    """The model that a `save_model` JSON document describes, built with plain
+    array calls and no checks of the document."""
+    names = tuple(doc["feature_names"])
+    p = doc["parameters"]
+    algo = doc["algorithm"]
+    if algo == "logistic_regression":
+        return LogisticModel(names, np.array(p["coefficients"]), p["decision_threshold"])
+    if algo == "naive_bayes":
+        return BayesModel(names, np.array(p["priors"]), np.array(p["means"]),
+                          np.array(p["sigmas"]))
+    if algo == "svm":
+        return SvmModel(names, np.array(p["weights"]), p["bias"])
+    if algo == "decision_tree":
+        return _tree_from_json_ref(names, p["nodes"])
+    if algo == "random_forest":
+        return ForestModel(names, tuple(_tree_from_json_ref(names, nodes)
+                                        for nodes in p["trees"]))
 
 
 def metrics_ref(tp, fp, fn, tn):

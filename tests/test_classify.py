@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from flowsieve.classify import (ClassifyError, ForestParams, LogisticParams,
                                 ManifestMismatchError, NaiveBayesParams,
-                                SvmParams, TreeParams, load_model,
-                                predict_arrays, save_model,
+                                SvmParams, TreeParams, predict_arrays, save_model,
                                 train_forest, train_logistic,
                                 train_naive_bayes, train_svm, train_tree)
 from flowsieve.classify.logistic import LogisticModel, _sigmoid
@@ -566,184 +565,6 @@ def test_forest_trees_equal_trees_grown_on_row_copies(bootstrap):
                 assert np.array_equal(a, b, equal_nan=True)
 
 
-def test_load_model_refuses_a_forest_vote_rule_other_than_majority(tmp_path):
-    import json
-    t = blobs_2d(20, seed=4)
-    params = ForestParams(tree_count=2, seed=1)
-    path = tmp_path / "forest.json"
-    save_model(train_forest(t, params), params, path)
-    doc = json.loads(path.read_text())
-    assert doc["parameters"]["vote_rule"] == "majority"
-    assert predict_arrays(load_model(path), t)[0].tolist() == \
-        predict_arrays(train_forest(t, params), t)[0].tolist()
-    for rule in ("weighted", None):
-        if rule is None:
-            del doc["parameters"]["vote_rule"]
-        else:
-            doc["parameters"]["vote_rule"] = rule
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ClassifyError, match=f"vote rule {rule!r}; expected 'majority'"):
-            load_model(path)
-
-
-@pytest.mark.parametrize("key", ["bias", "schema_fingerprint", "feature_names", "algorithm"])
-def test_load_model_names_the_file_and_a_missing_key(tmp_path, key):
-    import json
-    t = blobs_2d(20, seed=6)
-    params = SvmParams(epochs=2)
-    path = tmp_path / "svm.json"
-    save_model(train_svm(t, params), params, path)
-    doc = json.loads(path.read_text())
-    del (doc["parameters"] if key == "bias" else doc)[key]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ClassifyError, match=f"model file '.*svm.json' lacks the key '{key}'"):
-        load_model(path)
-
-
-@pytest.mark.parametrize("key, value, expected", [
-    ("parameters", [], "an object"),
-    ("feature_names", 5, "a list of strings"),
-    ("weights", "abc", "a 1-d list of numbers"),
-    ("weights", [[0.5, 1.0]], "a 1-d list of numbers"),
-    ("weights", [0.5, "1.0"], "a 1-d list of numbers"),
-    ("bias", "0.5", "a number"),
-    ("bias", True, "a number"),
-])
-def test_load_model_names_the_file_and_a_wrongly_typed_key(tmp_path, key, value, expected):
-    import json
-    t = blobs_2d(20, seed=6)
-    params = SvmParams(epochs=2)
-    path = tmp_path / "svm.json"
-    save_model(train_svm(t, params), params, path)
-    doc = json.loads(path.read_text())
-    (doc["parameters"] if key in ("weights", "bias") else doc)[key] = value
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ClassifyError,
-                       match=f"model file '.*svm.json': the key '{key}' is not {expected}$"):
-        load_model(path)
-
-
-def test_load_model_checks_tree_node_types(tmp_path):
-    import json
-    t = blobs_2d(20, seed=6)
-    params = ForestParams(tree_count=2, seed=1)
-    path = tmp_path / "forest.json"
-    save_model(train_forest(t, params), params, path)
-    doc = json.loads(path.read_text())
-    for nodes, key, value, expected in [
-            (doc["parameters"]["trees"][1], "left", [0.5], "a 1-d list of integers"),
-            (doc["parameters"]["trees"][0], "threshold", ["x"], "a list of numbers and nulls")]:
-        saved = nodes[key]
-        nodes[key] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ClassifyError, match=f"the key '{key}' is not {expected}$"):
-            load_model(path)
-        nodes[key] = saved
-    path.write_text(json.dumps([doc]))
-    with pytest.raises(ClassifyError, match="forest.json' holds no JSON object"):
-        load_model(path)
-
-
-def saved_model(tmp_path, train, params):
-    """A model trained on two features, the path of its file and the file's
-    JSON document."""
-    t = blobs_2d(20, seed=6)
-    path = tmp_path / "model.json"
-    save_model(train(t, params), params, path)
-    assert predict_arrays(load_model(path), t)[0].tolist() == \
-        predict_arrays(train(t, params), t)[0].tolist()
-    return path, json.loads(path.read_text())
-
-
-def refuses(path, doc, message):
-    """load_model refuses the document `doc`, written to `path`, naming the
-    file and then with `message`."""
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ClassifyError, match="^model file '.*model.json': " + message + "$"):
-        load_model(path)
-
-
-def test_load_model_checks_logistic_coefficients_against_the_feature_count(tmp_path):
-    path, doc = saved_model(tmp_path, train_logistic, LogisticParams(epochs=5))
-    doc["parameters"]["coefficients"] = [0.1, 0.2]
-    refuses(path, doc, r"the key 'coefficients' has length 2, expected 3 "
-                       r"\(the intercept, then one per feature\)")
-
-
-def test_load_model_checks_svm_weights_against_the_feature_count(tmp_path):
-    path, doc = saved_model(tmp_path, train_svm, SvmParams(epochs=2))
-    doc["parameters"]["weights"] = [0.5]
-    refuses(path, doc, r"the key 'weights' has length 1, expected 2 \(one per feature\)")
-
-
-def test_load_model_checks_bayes_shapes_against_the_feature_count(tmp_path):
-    path, doc = saved_model(tmp_path, train_naive_bayes, NaiveBayesParams())
-    p = doc["parameters"]
-    for key, value, message in [
-            ("priors", [1.0], r"has length 1, expected 2 \(one per class\)"),
-            ("means", [[0.1, 0.2, 0.3]] * 2, r"has shape 2 x 3, expected 2 x 2 "
-                                              r"\(classes x features\)"),
-            ("sigmas", [[0.1, 0.2]], r"has shape 1 x 2, expected 2 x 2 "
-                                     r"\(classes x features\)")]:
-        saved, p[key] = p[key], value
-        refuses(path, doc, f"the key '{key}' {message}")
-        p[key] = saved
-
-
-def test_load_model_checks_tree_nodes_against_the_features_and_nodes(tmp_path):
-    # the nodes of a tree, then those of a forest's first tree
-    for train, params, tree_of in [
-            (train_tree, TreeParams(), lambda doc: doc["parameters"]["nodes"]),
-            (train_forest, ForestParams(tree_count=2, seed=1),
-             lambda doc: doc["parameters"]["trees"][0])]:
-        path, doc = saved_model(tmp_path, train, params)
-        nodes = tree_of(doc)
-        count = len(nodes["feature_index"])
-        assert count > 1 and nodes["left"][0] > 0
-        last = max(i for i, f in enumerate(nodes["feature_index"]) if f >= 0)
-        back = nodes["right"][:last] + [0] + nodes["right"][last + 1:]
-        for key, value, message in [
-                ("feature_index", [2] + nodes["feature_index"][1:],
-                 r"holds 2, outside \[-1, 2\) \(-1 for a leaf, else a feature\)"),
-                ("feature_index", [], "is empty, expected at least the root node"),
-                ("left", [count] + nodes["left"][1:],
-                 rf"holds {count}, outside \[-1, {count}\) \(-1 for a leaf, else a node\)"),
-                ("right", nodes["right"][:-1],
-                 rf"has length {count - 1}, expected {count} \(one per node\)"),
-                ("threshold", nodes["threshold"] + [None],
-                 rf"has length {count + 1}, expected {count} \(one per node\)"),
-                ("score", nodes["score"][1:],
-                 rf"has length {count - 1}, expected {count} \(one per node\)"),
-                # a split without a child, one that leads to itself (a
-                # traversal that never ends) and one that leads back
-                ("left", [-1] + nodes["left"][1:],
-                 rf"holds -1 at node 0, which splits, expected a later node in "
-                 rf"\(0, {count}\)"),
-                ("left", [0] + nodes["left"][1:],
-                 rf"holds 0 at node 0, which splits, expected a later node in "
-                 rf"\(0, {count}\)"),
-                ("right", back,
-                 rf"holds 0 at node {last}, which splits, expected a later node in "
-                 rf"\({last}, {count}\)"),
-                ("threshold", [None] + nodes["threshold"][1:],
-                 "holds null at node 0, which splits, expected a number")]:
-            saved, nodes[key] = nodes[key], value
-            refuses(path, doc, f"the key '{key}' {message}")
-            nodes[key] = saved
-
-
-def test_load_model_checks_each_forest_tree(tmp_path):
-    path, doc = saved_model(tmp_path, train_forest, ForestParams(tree_count=2, seed=1))
-    trees = doc["parameters"]["trees"]
-    saved = trees[1]["right"]
-    trees[1]["right"] = [-2] * len(saved)
-    refuses(path, doc, r"the key 'right' holds -2, outside \[-1, \d+\) "
-                       r"\(-1 for a leaf, else a node\)")
-    trees[1]["right"] = saved
-    doc["parameters"]["trees"] = []
-    refuses(path, doc, "the key 'trees' is empty, expected at least one tree")
-
-
 def test_forest_param_validation():
     with pytest.raises(ParamError, match="tree_count"):
         ForestParams(tree_count=0)
@@ -969,12 +790,14 @@ def test_model_json_round_trip(tmp_path):
     for name, model in zoo.items():
         path = tmp_path / f"{name}.json"
         save_model(model, params[name], path)
-        back = load_model(path)
+        back = ref.model_from_json_ref(json.loads(path.read_text()))
+        assert back.kind == model.kind and back.feature_names == model.feature_names
         l1, s1 = predict_arrays(model, t)
         l2, s2 = predict_arrays(back, t)
         assert np.array_equal(l1, l2)
         assert np.array_equal(s1, s2)  # exact float round trip
-    import json
+    assert json.loads((tmp_path / "forest.json").read_text())["parameters"]["vote_rule"] == \
+        "majority"
     doc = json.loads((tmp_path / "logistic.json").read_text())
     assert doc["format_version"] == 1
     assert doc["algorithm"] == "logistic_regression"
@@ -1011,7 +834,7 @@ def test_tree_model_json_round_trip_property(seed, n_rows, n_features, levels, f
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_model(model, params, path)
-        back = load_model(path)
+        back = ref.model_from_json_ref(json.loads(path.read_text()))
     assert back.kind == model.kind and back.feature_names == model.feature_names
     for want, got in zip(_node_arrays(model), _node_arrays(back), strict=True):
         for a, b in zip(want, got):

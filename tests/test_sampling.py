@@ -77,6 +77,8 @@ def test_spec_validation():
         spec(FRACTION_STRATIFIED, train_fraction=0.0)
     with pytest.raises(SamplingError, match="exceed 1"):
         spec(FRACTION_STRATIFIED, train_fraction=0.7, test_fraction=0.4)
+    with pytest.raises(SamplingError, match="^seed must be non-negative, got -1$"):
+        SplitSpec(FRACTION_STRATIFIED, 0.5, 0.3, 0.7, -1)
 
 
 def test_spec_has_no_defaults_of_its_own():
