@@ -132,10 +132,14 @@ class PipelineConfig:
                 clash = "is the label_column" if j == i else f"repeats excluded_columns[{j}]"
                 raise ConfigError(f"excluded_columns[{i}] {name!r} {clash}")
         out = Path(self.output_dir).resolve()
-        for p in self.inputs:
+        paths: dict[Path, int] = {}
+        for i, p in enumerate(self.inputs):
             rp = Path(p).resolve()
             if rp == out or out in rp.parents:
                 raise ConfigError(f"input path {p!r} collides with the output directory")
+            j = paths.setdefault(rp, i)
+            if j != i:
+                raise ConfigError(f"inputs[{i}] {p!r} repeats inputs[{j}] {self.inputs[j]!r}")
         slugs: dict[str, int] = {}
         for i, attack in enumerate(self.attacks):
             if attack == self.benign_label:

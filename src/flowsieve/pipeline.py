@@ -17,7 +17,7 @@ forked workers (`parallel.fan_out`), with the same outputs for any number of
 workers. The run manifest (written last)
 inventories every file the run produced; every command rewrites it, carrying
 over the stage history of the commands before it, and records partial
-progress and the error when a stage fails.
+progress, the warnings raised so far and the error when a stage fails.
 """
 
 import json
@@ -39,7 +39,7 @@ from .evaluation import evaluate, write_metrics_csv, write_metrics_json
 from .feature_selection import (normalize_scores, score_all, select_by_threshold,
                                 write_scores_csv)
 from .parallel import fan_out
-from .sampling import SamplingError, split_manifest, split_table
+from .sampling import split_manifest, split_table
 from .tabular import (CategoryMapping, Table, clean_table, load_csv_merged, split_by_attack,
                       subtable)
 
@@ -84,33 +84,24 @@ class RunContext:
 
 
 @contextmanager
-def _caught():
-    """Yield a list that holds, once the block ends, the messages of the
-    warnings raised in it, in order."""
-    messages = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield messages
-    messages.extend(str(w.message) for w in caught)
-
-
-@contextmanager
-def _recording(ctx: RunContext, prefix: str):
-    """Record the warnings raised in the block, in order, as run warnings
-    led by `prefix`."""
-    with _caught() as messages:
-        yield
-    ctx.warnings.extend(prefix + message for message in messages)
-
-
-def _named(exc: Exception, where: str) -> Exception:
-    """`exc` as an exception of its type whose message is led by `where`,
-    with its traceback; `exc` itself if its type takes no message alone."""
+def _led_by(where: str):
+    """Raise the block's warnings again, in order, then its error, each with
+    its message led by `where`, as "<where>: <message>"; also the warnings
+    of a block that fails. An error whose type takes no message alone is
+    raised as it is."""
     try:
-        named = type(exc)(f"{where}: {exc}")
-    except Exception:
-        return exc
-    return named.with_traceback(exc.__traceback__)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+    except Exception as exc:
+        try:
+            named = type(exc)(f"{where}: {exc}").with_traceback(exc.__traceback__)
+        except Exception:
+            named = exc
+        raise named from None
+    finally:
+        for w in caught:
+            warnings.warn_explicit(f"{where}: {w.message}", w.category, w.filename, w.lineno)
 
 
 def new_run_dir(cfg: PipelineConfig) -> Path:
@@ -158,14 +149,17 @@ def _mb(size: int | None) -> float | None:
 
 @contextmanager
 def _stage(ctx: RunContext, stage: str):
-    """Record the block's wall time as `stage`'s, the most workers a fan-out
-    in it used, and the peak memory of this process and of the workers it
-    forked."""
+    """Record the messages of the warnings raised in the block, in order, as
+    run warnings, the block's wall time as `stage`'s, the most workers a
+    fan-out in it used, and the peak memory of this process and of the
+    workers it forked; also for a block that fails."""
     t0 = time.perf_counter()
     try:
-        with parallel.usage() as used:
+        with parallel.usage() as used, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             yield
     finally:
+        ctx.warnings.extend(str(w.message) for w in caught)
         ctx.stage_seconds[stage] = round(time.perf_counter() - t0, 6)
         ctx.workers[stage] = used["workers"]
         ctx.peak_rss_mb[stage] = {"main": _mb(parallel.peak_rss_bytes()),
@@ -177,7 +171,7 @@ def stage_preprocess(ctx: RunContext) -> None:
     attack's rows can be split for training, and write the cleaned table's
     arrays once."""
     cfg = ctx.cfg
-    with _stage(ctx, "preprocess"), _recording(ctx, ""):
+    with _stage(ctx, "preprocess"):
         table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column,
                                                  cfg.excluded_columns)
         raw_shape = (table.row_count, table.column_count)
@@ -187,10 +181,8 @@ def stage_preprocess(ctx: RunContext) -> None:
         # train-eval draws the same split again; drawing it here fails a
         # dataset too small to train on before scoring starts, naming it
         for attack, (_, labels) in per_attack.items():
-            try:
+            with _led_by(attack):
                 split_table(labels, cfg.sampling.spec(attack, cfg.seed))
-            except SamplingError as exc:
-                raise _named(exc, attack) from None
 
         _write_json(_fresh(ctx.run_dir / "cleaning_report.json"), report.to_json())
         prep = {
@@ -230,8 +222,8 @@ def stage_select(ctx: RunContext, cleaned: Cleaned) -> None:
     """Score every feature of each attack's rows of the cleaned table with
     the six methods, reading the rows in place (no attack table is built),
     rank the features by their mean normalized score, and write one
-    selection per threshold. A scoring error is raised again led by its
-    attack."""
+    selection per threshold. An attack's warnings and error are raised
+    again led by the attack."""
     cfg = ctx.cfg
     table, per_attack = cleaned
     names = table.feature_names
@@ -239,13 +231,10 @@ def stage_select(ctx: RunContext, cleaned: Cleaned) -> None:
         for attack in cfg.attacks:
             rows, labels = per_attack[attack]
             adir = ctx.attack_dir(attack)
-            with _recording(ctx, f"{attack}: "):
-                try:
-                    edges = table_bin_edges(table, cfg.bin_count, rows)
-                    raw = score_all(table, edges, relief_m=cfg.relief_m, seed=cfg.seed,
-                                    rows=rows, labels=labels)
-                except Exception as exc:
-                    raise _named(exc, attack) from None
+            with _led_by(attack):
+                edges = table_bin_edges(table, cfg.bin_count, rows)
+                raw = score_all(table, edges, relief_m=cfg.relief_m, seed=cfg.seed,
+                                rows=rows, labels=labels)
                 normalized = normalize_scores(raw)
                 mean = normalized.mean(axis=1)
                 _write_json(_fresh(adir / "bins.json"), bins_document(names, edges))
@@ -294,21 +283,15 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
     """
     cfg = ctx.cfg
     table, per_attack = cleaned
-    cells, notes = [], {}
     with _stage(ctx, "train_eval"):
-        for attack in cfg.attacks:
-            attack_cells, notes[attack] = _attack_cells(ctx, attack, *per_attack[attack],
-                                                        selections[attack])
-            cells += attack_cells
-        outcomes = fan_out(lambda cell: _train_eval_cell(ctx, table, cell), cells)
+        cells = [cell for attack in cfg.attacks
+                 for cell in _attack_cells(ctx, attack, *per_attack[attack], selections[attack])]
+        pairs = fan_out(lambda cell: _train_eval_cell(ctx, table, cell), cells)
         by_tau = {attack: {} for attack in cfg.attacks}  # rows, in classifier order
-        for (attack, _, taus, *_), (pair, caught) in zip(cells, outcomes):
-            notes[attack] += caught
+        for (attack, _, taus, *_), pair in zip(cells, pairs):
             for tau in taus:
                 by_tau[attack].setdefault(tau, []).extend(
                     dict(row, threshold=tau) for row in pair)
-        for attack in cfg.attacks:
-            ctx.warnings.extend(f"{attack}: {message}" for message in notes[attack])
         rows = [row for attack in cfg.attacks for tau in cfg.thresholds
                 for row in by_tau[attack].get(tau, [])]
         write_metrics_csv(rows, _fresh(ctx.run_dir / "metrics.csv"))
@@ -318,12 +301,12 @@ def stage_train_eval(ctx: RunContext, cleaned: Cleaned, selections: Selections):
 
 
 def _attack_cells(ctx: RunContext, attack: str, rows, labels,
-                  selections: dict[float, tuple[str, ...]]) -> tuple[list, list[str]]:
+                  selections: dict[float, tuple[str, ...]]) -> list:
     """Draw the attack's train/test split and write its manifest. Returns the
     attack's cells, one per distinct selected subset and classifier, each as
     (attack, feature names, thresholds selecting them, classifier, train rows
-    and labels, test rows and labels), and the warnings of the thresholds
-    that select nothing, which are skipped."""
+    and labels, test rows and labels); a threshold that selects nothing is
+    skipped."""
     cfg = ctx.cfg
     adir = ctx.attack_dir(attack)
     spec = cfg.sampling.spec(attack, cfg.seed)
@@ -334,39 +317,33 @@ def _attack_cells(ctx: RunContext, attack: str, rows, labels,
 
     # group thresholds whose selections coincide: one model per subset
     groups: dict[tuple[str, ...], list[float]] = {}
-    skips = []
     for tau in cfg.thresholds:
         if not selections[tau]:
             ctx.skipped.append({"attack": attack, "threshold": tau,
                                 "reason": "empty selection"})
-            skips.append(f"threshold {tau_tag(tau)} selects no features; skipped")
             continue
         groups.setdefault(selections[tau], []).append(tau)
     (adir / "models").mkdir(exist_ok=True)
     train = rows[result.train_rows], labels[result.train_rows]
     test = rows[result.test_rows], labels[result.test_rows]
     return [(attack, names, taus, clf, train, test)
-            for names, taus in groups.items() for clf in CLASSIFIER_ORDER], skips
+            for names, taus in groups.items() for clf in CLASSIFIER_ORDER]
 
 
-def _train_eval_cell(ctx: RunContext, table: Table, cell) -> tuple[list, list[str]]:
+def _train_eval_cell(ctx: RunContext, table: Table, cell) -> list:
     """Gather the cell's train and test tables from the cleaned `table`,
     train the cell's classifier on the first, write the model, and evaluate
-    it: the train and test metric rows, and the warnings raised. An error is
-    raised again led by "<attack>: threshold <tag> <classifier>"."""
+    it: the train and test metric rows. Its warnings and error are raised
+    again led by "<attack>: threshold <tag> <classifier>"."""
     attack, names, taus, clf, train, test = cell
     tag = tau_tag(taus[0])
-    with _caught() as caught:
-        try:
-            train_t, test_t = subtable(table, *train, names), subtable(table, *test, names)
-            params = ctx.cfg.classifiers.params(clf)
-            model = _TRAINERS[clf](train_t, params)
-            save_model(model, params, _fresh(ctx.run_dir / attack_slug(attack) / "models"
-                                             / f"tau-{tag}-{clf}.json"))
-            pair = evaluate(model, train_t, test_t, attack=attack, threshold=taus[0])
-        except Exception as exc:
-            raise _named(exc, f"{attack}: threshold {tag} {clf}") from None
-    return pair, caught
+    with _led_by(f"{attack}: threshold {tag} {clf}"):
+        train_t, test_t = subtable(table, *train, names), subtable(table, *test, names)
+        params = ctx.cfg.classifiers.params(clf)
+        model = _TRAINERS[clf](train_t, params)
+        save_model(model, params, _fresh(ctx.run_dir / attack_slug(attack) / "models"
+                                         / f"tau-{tag}-{clf}.json"))
+        return evaluate(model, train_t, test_t, attack=attack, threshold=taus[0])
 
 
 def write_manifest(ctx: RunContext, error: str | None = None) -> Path:

@@ -39,7 +39,7 @@ class SplitSpec:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise SamplingError(f"{name} must lie in (0, 1), got {v}")
-        if self.scheme == FRACTION_STRATIFIED and self.train_fraction + self.test_fraction > 1:
+        if self.train_fraction + self.test_fraction > 1:
             raise SamplingError("train_fraction + test_fraction must not exceed 1")
         if self.seed < 0:
             raise SamplingError(f"seed must be non-negative, got {self.seed}")

@@ -431,7 +431,7 @@ class _Columns:
         try:
             block = np.loadtxt(data, dtype=[(f"c{c}", object if kind in "st" else np.float64, (k,))
                                             for c, k, kind in runs],
-                               delimiter=",", quotechar='"', comments=None, ndmin=1)
+                               delimiter=",", comments=None, ndmin=1)
         except ValueError:
             return False
         self.repeated += lines.count(self.header_line)

@@ -194,6 +194,17 @@ def test_repeated_attack_fails_at_load(tmp_path):
         apply_overrides(cfg, attacks=["SSH-Bruteforce", "SSH-Bruteforce"])
 
 
+def test_repeated_input_fails_at_load(tmp_path, monkeypatch):
+    # its rows would be loaded twice
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(tmp_path, inputs=["data.csv", "./data.csv", str(tmp_path / "data.csv")])
+    with pytest.raises(ConfigError, match=r"^inputs\[1\] './data.csv' repeats inputs\[0\] "
+                                          r"'data.csv'$"):
+        parse_config(doc)
+    with pytest.raises(ConfigError, match=r"^inputs\[1\] '.+' repeats inputs\[0\] 'data.csv'$"):
+        parse_config(dict(doc, inputs=doc["inputs"][::2]))
+
+
 def test_benign_label_as_attack_fails_at_load(tmp_path):
     # would fail after preprocess: its table's labels are single-valued
     with pytest.raises(ConfigError, match=r"^attacks\[1\] 'Benign' is the benign_label"):
@@ -219,13 +230,14 @@ def test_attacks_sharing_a_directory_fail_at_load(tmp_path):
         parse_config(doc)
 
 
-def test_fraction_sum_is_checked_only_for_fraction_stratified_attacks(tmp_path):
+def test_fraction_sum_is_checked_for_every_scheme(tmp_path):
+    # minority_protect draws the benign class by both fractions too, so it
+    # would fail only in preprocess, after every input is loaded and cleaned
     sampling = {"train_fraction": 0.6, "test_fraction": 0.5}
-    cfg = parse_config(base_doc(tmp_path, attacks=["SQL Injection"], sampling=sampling))
-    assert cfg.sampling.spec("SQL Injection", 0).scheme == "minority_protect"
-    with pytest.raises(ConfigError, match="attack 'FTP-BruteForce'.*must not exceed 1"):
-        parse_config(base_doc(tmp_path, attacks=["SQL Injection", "FTP-BruteForce"],
-                              sampling=sampling))
+    for attack in ("SQL Injection", "FTP-BruteForce"):
+        with pytest.raises(ConfigError, match=rf"^sampling for attack '{attack}': "
+                                              r"train_fraction \+ test_fraction must not "):
+            parse_config(base_doc(tmp_path, attacks=[attack], sampling=sampling))
 
 
 # Staged commands find their run directory by this hash, so these values

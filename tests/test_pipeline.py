@@ -331,7 +331,8 @@ def test_empty_selection_skipped_with_warning(cfg):
     assert {r["threshold"] for r in rows} == {0.35}
     assert len(ctx.skipped) == 2
     assert all(s["reason"] == "empty selection" for s in ctx.skipped)
-    assert any("selects no features" in w for w in ctx.warnings)
+    # select's "no feature reaches threshold" warning already says so
+    assert not any("selects no features" in w for w in ctx.warnings)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -391,13 +392,18 @@ def test_forest_features_per_split_above_a_subset_is_capped(tmp_path):
     assert manifest["error"] is None
     assert manifest["stages_completed"] == ["preprocess", "select", "train_eval"]
     rows = [r.split(",") for r in (ctx.run_dir / "metrics.csv").read_text().splitlines()[1:]]
-    # (attack, feature count) of the forests on fewer features than features_per_split
-    small = {(r[0], int(r[2])) for r in rows if r[2] in ("1", "2") and r[3] == "random_forest"}
+    # (attack, feature count) of the forests on fewer features than
+    # features_per_split, and the lowest threshold selecting that subset,
+    # whose row comes first
+    small = {}
+    for r in rows:
+        if r[2] in ("1", "2") and r[3] == "random_forest":
+            small.setdefault((r[0], int(r[2])), r[1])
     assert {attack for attack, _ in small} == {"AttackA", "AttackB"}
     capped = {w for w in manifest["warnings"] if "features_per_split=3 exceeds" in w}
-    # each attack's warnings name it
-    assert capped == {f"{attack}: features_per_split=3 exceeds feature count {n}; capped at {n}"
-                      for attack, n in small}
+    # each cell's warnings name it, as its error would
+    assert capped == {f"{attack}: threshold {tag} random_forest: features_per_split=3 exceeds "
+                      f"feature count {n}; capped at {n}" for (attack, n), tag in small.items()}
 
 
 def test_run_and_staged_commands_write_identical_files(cfg):
@@ -789,3 +795,75 @@ def test_a_scoring_error_names_its_attack(cfg, monkeypatch, staged):
     manifest = json.loads((find_run_dir(cfg) / "run_manifest.json").read_text())
     assert manifest["error"] == "ScoringError: AttackB: no feature to score"
     assert manifest["stages_completed"] == ["preprocess"]
+
+
+def test_a_failed_preprocess_keeps_its_warnings(tmp_path):
+    # the late single-valued column warns in cleaning, before the split
+    # check refuses the 2 rows of "Rare"
+    rng = np.random.default_rng(3)
+    labels = ["Benign"] * 100 + ["AttackA"] * 40 + ["Rare"] * 2
+    lines = ["sig,late,Label"] + [f"{rng.random():.6f},0,{label}" for label in labels]
+    lines.append("inf,1,Benign")
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "flows.csv").write_text("\n".join(lines) + "\n")
+    cfg = synth_config(tmp_path, inputs=[str(tmp_path / "data" / "flows.csv")],
+                       attacks=["AttackA", "Rare"], excluded_columns=[],
+                       sampling={"schemes": {"AttackA": "fraction_stratified",
+                                             "Rare": "minority_protect"}})
+    with pytest.raises(SamplingError, match="^Rare: "):
+        cmd_preprocess(cfg)
+    run_dir, = Path(cfg.output_dir).glob("run-*")
+    manifest = json.loads((run_dir / "run_manifest.json").read_text())
+    assert manifest["error"].startswith("SamplingError: Rare: ")
+    assert manifest["warnings"] == ["columns became single-valued after row cleaning and "
+                                    "were dropped: late"]
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_a_failed_select_keeps_the_failing_attacks_warnings(cfg, monkeypatch, staged):
+    scored = []
+    real_score_all = pipeline.score_all
+
+    def score_all(t, *args, **kwargs):
+        scored.append(t.row_count)
+        warnings.warn("scoring", UserWarning)
+        warnings.warn("scoring again", RuntimeWarning)
+        if len(scored) == 2:  # the second attack's
+            raise ScoringError("no feature to score")
+        return real_score_all(t, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "score_all", score_all)
+    with pytest.raises(ScoringError, match="^AttackB: no feature to score$"):
+        run_commands(cfg, staged)
+    manifest = json.loads((find_run_dir(cfg) / "run_manifest.json").read_text())
+    assert manifest["error"] == "ScoringError: AttackB: no feature to score"
+    assert manifest["warnings"] == [f"{attack}: scoring{again}" for attack in ("AttackA", "AttackB")
+                                    for again in ("", " again")]
+
+
+def test_a_failed_train_eval_keeps_the_warnings_up_to_its_failing_cell(cfg, monkeypatch):
+    # every classifier warns, and svm then fails: the first failing cell in
+    # task order is AttackA's svm cell, the third; later cells may have run
+    # in other workers, but their warnings are not the loop's
+    def warning(clf, train):
+        def trainer(t, params):
+            warnings.warn(f"{clf} trains", UserWarning)
+            if clf == "svm":
+                raise FloatingPointError("overflow in the margin")
+            return train(t, params)
+        return trainer
+
+    for clf, train in list(pipeline._TRAINERS.items()):
+        monkeypatch.setitem(pipeline._TRAINERS, clf, warning(clf, train))
+    recorded = {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(FloatingPointError, match=r"^AttackA: threshold 0\.35 svm: "):
+            cmd_run(cfg)
+        manifest = json.loads((find_run_dir(cfg) / "run_manifest.json").read_text())
+        assert manifest["stages_completed"] == ["preprocess", "select"]
+        assert manifest["workers"]["train_eval"] == cpus
+        recorded[cpus] = manifest["warnings"]
+    assert recorded[1] == [f"AttackA: threshold 0.35 {clf}: {clf} trains"
+                           for clf in ("logistic_regression", "naive_bayes", "svm")]
+    assert recorded[2] == recorded[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve.config import SamplingConfig
-from flowsieve.sampling import (FRACTION_STRATIFIED, MINORITY_PROTECT,
+from flowsieve.sampling import (FRACTION_STRATIFIED, MINORITY_PROTECT, SCHEMES,
                                 SamplingError, SplitSpec, split_manifest,
                                 split_table)
 
@@ -61,11 +61,6 @@ def test_fraction_split_errors():
         split_table(two_class_labels(3, 100),
                     spec(FRACTION_STRATIFIED, train_fraction=0.2,
                          test_fraction=0.1))
-    # fraction scheme cannot exhaust a class (train+test <= 1 is enforced at
-    # spec level), but minority-protect benign draws can
-    with pytest.raises(SamplingError, match="too few rows"):
-        split_table(two_class_labels(10, 10),
-                    spec(MINORITY_PROTECT, train_fraction=0.9, test_fraction=0.2))
     with pytest.raises(SamplingError, match="binarized"):
         split_table(np.array([0.0, 1.0, 2.0]), spec(FRACTION_STRATIFIED))
 
@@ -75,8 +70,10 @@ def test_spec_validation():
         spec("bogus")
     with pytest.raises(SamplingError, match="train_fraction"):
         spec(FRACTION_STRATIFIED, train_fraction=0.0)
-    with pytest.raises(SamplingError, match="exceed 1"):
-        spec(FRACTION_STRATIFIED, train_fraction=0.7, test_fraction=0.4)
+    # both schemes draw the benign class by train and test fraction
+    for scheme in SCHEMES:
+        with pytest.raises(SamplingError, match="exceed 1"):
+            spec(scheme, train_fraction=0.7, test_fraction=0.4)
     with pytest.raises(SamplingError, match="^seed must be non-negative, got -1$"):
         SplitSpec(FRACTION_STRATIFIED, 0.5, 0.3, 0.7, -1)
 
@@ -183,7 +180,7 @@ def test_split_rows_property(labels, scheme, train_fraction, test_fraction,
     try:
         s = SplitSpec(scheme, train_fraction, test_fraction, attack_train_fraction, seed)
     except SamplingError:
-        return  # train + test > 1 for the fraction scheme, checked elsewhere
+        return  # train + test > 1, checked elsewhere
     want = expected_counts(y, s)
     if want is None:
         with pytest.raises(SamplingError):
