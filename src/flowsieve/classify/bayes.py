@@ -9,6 +9,10 @@ from .base import ClassifyError, training_arrays
 from .params import NaiveBayesParams
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+# Most bytes of the (rows, features) buffer `log_posteriors` evaluates rows
+# in: under 128 KiB, it comes from the heap rather than from a fresh mmap
+# that faults in every page on each call
+BAYES_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -24,18 +28,26 @@ class BayesModel:
 
         Each class's log densities are
         `-log(sig) - log(sqrt(2 pi)) - (X - mu) ** 2 / (2 sig ** 2)`, evaluated
-        in that order, one operation at a time, in one (rows, features)
-        buffer that both classes reuse."""
-        out = np.empty((X.shape[0], 2))
-        ll = np.empty(X.shape)
-        for c in (0, 1):
-            mu = self.means[c]
-            sig = self.sigmas[c]
-            np.subtract(X, mu, out=ll)
-            np.square(ll, out=ll)
-            ll /= 2.0 * sig ** 2
-            np.subtract(-np.log(sig) - _LOG_SQRT_2PI, ll, out=ll)
-            out[:, c] = np.log(self.priors[c]) + ll.sum(axis=1)
+        in that order, one operation at a time, for a block of rows at a time
+        in one (rows, features) buffer of at most BAYES_BLOCK_BYTES that both
+        classes reuse. Each row's sum is its own, so the blocks change no
+        bit of it."""
+        n, d = X.shape
+        step = max(1, BAYES_BLOCK_BYTES // (8 * max(d, 1)))
+        out = np.empty((n, 2))
+        ll = np.empty((min(step, n), d))
+        classes = [(self.means[c], 2.0 * self.sigmas[c] ** 2,
+                    -np.log(self.sigmas[c]) - _LOG_SQRT_2PI, np.log(self.priors[c]))
+                   for c in (0, 1)]
+        for start in range(0, n, step):
+            block = X[start:start + step]
+            buf = ll[:len(block)]
+            for c, (mu, scale, const, log_prior) in enumerate(classes):
+                np.subtract(block, mu, out=buf)
+                np.square(buf, out=buf)
+                buf /= scale
+                np.subtract(const, buf, out=buf)
+                out[start:start + len(block), c] = log_prior + buf.sum(axis=1)
         return out
 
     def decide(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,10 +3,12 @@
 Each run appends a fresh directory named by timestamp plus config hash under
 the configured output directory; nothing inside an existing run is
 overwritten. Staged subcommands locate the newest run directory with the same
-config hash and continue it. `preprocess` cleans the merged inputs with
-`tabular.clean_table` and stores the cleaned table once, as its arrays
-(`cleaned.npz`: feature matrix `X`, label vector `y`) plus its columns and
-categories in `preprocess.json`; `select` and `train-eval` rebuild it from
+config hash and continue it. `preprocess` plans the cleaning of the merged
+inputs with `tabular.plan_cleaning` and stores the cleaned table once, as
+its arrays (`cleaned.npz`: feature matrix `X`, label vector `y`, the matrix
+gathered, normalized and written a block of rows at a time by
+`tabular.cleaned_blocks`) plus its columns and categories in
+`preprocess.json`; `select` and `train-eval` rebuild it from
 them without parsing text, and find each attack's rows in it again. `select`
 writes each attack's scores and one `selection-*.json` per threshold, which
 `train-eval` reads back. The stages hand off through these files alone: `run`
@@ -23,12 +25,14 @@ progress, the warnings raised so far and the error when a stage fails.
 import json
 import time
 import warnings
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from . import __version__, parallel
 from .classify import (save_model, train_forest, train_logistic,
@@ -40,8 +44,8 @@ from .feature_selection import (normalize_scores, score_all, select_by_threshold
                                 write_scores_csv)
 from .parallel import fan_out
 from .sampling import split_manifest, split_table
-from .tabular import (CategoryMapping, Table, clean_table, load_csv_merged, split_by_attack,
-                      subtable)
+from .tabular import (CategoryMapping, CleaningPlan, Table, cleaned_blocks, load_csv_merged,
+                      plan_cleaning, split_by_attack, subtable)
 
 
 class PipelineError(RuntimeError):
@@ -167,38 +171,63 @@ def _stage(ctx: RunContext, stage: str):
 
 
 def stage_preprocess(ctx: RunContext) -> None:
-    """Load and merge the inputs, clean and normalize them, check that each
-    attack's rows can be split for training, and write the cleaned table's
-    arrays once."""
+    """Load and merge the inputs, plan their cleaning and normalization,
+    check that each attack's rows can be split for training, and write the
+    cleaned table's arrays once, its matrix a block of rows at a time."""
     cfg = ctx.cfg
     with _stage(ctx, "preprocess"):
         table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column,
                                                  cfg.excluded_columns)
-        raw_shape = (table.row_count, table.column_count)
-        table, rep = clean_table(table, mapping, cfg.excluded_columns)
+        plan, rep = plan_cleaning(table, mapping, cfg.excluded_columns)
         report = report.merged(rep)
-        per_attack = split_by_attack(table, mapping, cfg.attacks, cfg.benign_label)
-        # train-eval draws the same split again; drawing it here fails a
-        # dataset too small to train on before scoring starts, naming it
-        for attack, (_, labels) in per_attack.items():
+        # the plan holds the kept labels: only the loaded matrix is kept
+        label, raw_shape, X = table.label_name, (table.row_count, table.column_count), table.X
+        del table
+        attack_rows = {}
+        for attack in cfg.attacks:
+            # train-eval draws the same split again; drawing it here fails a
+            # dataset too small to train on before scoring starts, naming it.
+            # One attack's rows at a time are held beside the loaded matrix
+            rows, labels = split_by_attack(plan.y, label, mapping, [attack],
+                                           cfg.benign_label)[attack]
+            attack_rows[attack] = len(rows)
+            del rows
             with _led_by(attack):
                 split_table(labels, cfg.sampling.spec(attack, cfg.seed))
 
         _write_json(_fresh(ctx.run_dir / "cleaning_report.json"), report.to_json())
         prep = {
             "raw_rows": raw_shape[0], "raw_columns": raw_shape[1],
-            "clean_rows": table.row_count, "clean_columns": table.column_count,
+            "clean_rows": plan.shape[0], "clean_columns": plan.shape[1] + 1,
             "columns": [[n, "categorical" if n in mapping.categories else "numeric"]
-                        for n in table.feature_names] + [[table.label_name, "label"]],
+                        for n in plan.feature_names] + [[label, "label"]],
             "category_mapping": {name: cats for name, cats in mapping.to_json().items()
-                                 if name == table.label_name or name in table.feature_names},
+                                 if name == label or name in plan.feature_names},
             "label_coding": {"benign": {cfg.benign_label: 0},
                              "attack": {a: 1 for a in cfg.attacks}},
-            "per_attack_rows": {a: len(rows) for a, (rows, _) in per_attack.items()},
+            "per_attack_rows": attack_rows,
         }
         _write_json(_fresh(ctx.run_dir / "preprocess.json"), prep)
-        np.savez(_fresh(ctx.run_dir / "cleaned.npz"), X=table.X, y=table.y)
+        _write_cleaned(_fresh(ctx.run_dir / "cleaned.npz"), X, plan)
     ctx.stages_completed.append("preprocess")
+
+
+def _write_cleaned(path: Path, X: np.ndarray, plan: CleaningPlan) -> None:
+    """Write the cleaned feature matrix and labels that `plan` makes of the
+    loaded matrix `X` to `path`, in the bytes np.savez(path, X=..., y=...)
+    writes (stored zip members, zip64 forced, npy format 1.0), the matrix's
+    rows gathered, normalized and written a block at a time: the cleaned
+    matrix is never held whole."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        with zf.open("X.npy", "w", force_zip64=True) as fh:
+            npy_format.write_array_header_1_0(
+                fh, {"descr": npy_format.dtype_to_descr(np.dtype(np.float64)),
+                     "fortran_order": False, "shape": plan.shape})
+            for _, block in cleaned_blocks(X, plan):
+                # as flat bytes, whose length zipfile counts as their size
+                fh.write(block.reshape(-1).view(np.uint8))
+        with zf.open("y.npy", "w", force_zip64=True) as fh:
+            npy_format.write_array(fh, plan.y)
 
 
 def load_preprocessed(ctx: RunContext) -> Cleaned:
@@ -215,7 +244,7 @@ def load_preprocessed(ctx: RunContext) -> Cleaned:
         table = Table(features, label, arrays["X"], arrays["y"])
     mapping = CategoryMapping({name: tuple(cats)
                                for name, cats in prep["category_mapping"].items()})
-    return table, split_by_attack(table, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
+    return table, split_by_attack(table.y, label, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
 
 
 def stage_select(ctx: RunContext, cleaned: Cleaned) -> None:

@@ -7,14 +7,16 @@ label vector, so a table is stored and rebuilt as them
 integer-coded at load time (codes are positions in a lexicographically sorted
 category list) so every cell is a float64; the code-to-text correspondence
 lives in a CategoryMapping, and a column is categorical exactly when it is
-one of the mapping's keys. Only cleaning reads that: `clean_table` exempts
+one of the mapping's keys. Only cleaning reads that: `plan_cleaning` exempts
 category codes from the row checks and from normalization. Cleaning never
-mutates: `clean_table` gathers the rows and columns it keeps into a new,
-normalized Table and returns it with a CleaningReport describing what was
-removed and why. A per-attack dataset is a list of row indices into the
-cleaned table plus 0/1 labels (`split_by_attack`); scoring reads those rows
-straight from the cleaned table (`dataset_rows`, `row_blocks`), and
-`subtable` builds a table from them where one is needed.
+mutates: `plan_cleaning` finds the rows and columns to keep and each kept
+column's normalization, with a CleaningReport describing what was removed
+and why, and `cleaned_blocks` gathers and normalizes the kept cells a block
+of rows at a time, so that the cleaned matrix can be written out without
+being held beside the loaded one. A per-attack dataset is a list of row
+indices into the cleaned table plus 0/1 labels (`split_by_attack`); scoring
+reads those rows straight from the cleaned table (`dataset_rows`,
+`row_blocks`), and `subtable` builds a table from them where one is needed.
 
 CSV input (`load_csv_merged`): the files share one header row, which names
 the label column. Rows are split as Python's csv module splits them: cells
@@ -35,10 +37,11 @@ the label column or repeats a name.
 The files are read in chunks of lines into one preallocated float64 matrix,
 sized by a first pass that counts their line ends, so a load holds that
 matrix, one chunk and each text column's distinct cells; the cells of the
-columns the caller excludes are not kept at all. If a column turns out
-textual after earlier rows parsed it as numbers, that matrix is released and
-the files are read once more, with every text column textual from the first
-row.
+columns the caller excludes are not kept at all. A quote-free chunk is held
+once, as its raw lines, which np.loadtxt decodes one at a time as it parses
+them into a block of the chunk's rows. If a column turns out textual after
+earlier rows parsed it as numbers, that matrix is released and the files
+are read once more, with every text column textual from the first row.
 """
 
 import csv
@@ -61,6 +64,13 @@ REASON_REPEATED_HEADER = "repeated-header"
 # whole-array row then column takes; 800 rows x 30 of 77 take 167 us against
 # 320-390 us with 1024-row blocks
 SUBTABLE_BLOCK = 128
+# Rows checked, and rows gathered and normalized, at a time by cleaning: at
+# 80 columns a block of whole rows is 160 KB, which stays in cache through
+# the gather and the normalization, and is all that cleaning holds of the
+# cleaned matrix. On a 200k x 80 table, gathering, normalizing and writing
+# take 0.11-0.12 s in blocks of 256 to 1024 rows, 0.12-0.15 s in blocks of
+# 128 or 4096, and 0.18 s as one gather written by np.savez
+CLEAN_BLOCK = 256
 
 
 class TableError(ValueError):
@@ -214,8 +224,8 @@ class CleaningReport:
         }
 
 
-_CHUNK_LINES = 1 << 13  # lines parsed at a time: bounds what a load holds besides its table
-_BLOCK_BYTES = 1 << 18  # bytes read from a file at a time
+_CHUNK_LINES = 1 << 9  # lines parsed at a time: bounds what a load holds besides its table
+_BLOCK_BYTES = 1 << 16  # bytes read from a file at a time
 
 
 def _open(path):
@@ -308,24 +318,15 @@ def _check_rows(path, header, lines, number: int) -> None:
         number += read
 
 
-def _plain_lines(chunk: list[bytes]) -> list[str] | None:
-    """The lines of the raw `chunk` without their line ends, if every one
-    splits at its commas exactly as csv.reader splits it: ASCII without a
-    quote or a NUL (which csv.reader rejects before Python 3.11), ended by
-    \\n or \\r\\n, and no longer than the csv field limit. Else None."""
+def _is_plain(chunk: list[bytes]) -> bool:
+    """Whether every raw line of `chunk` splits at its commas exactly as
+    csv.reader splits it: ASCII without a quote or a NUL (which csv.reader
+    rejects before Python 3.11), ended by \\n or \\r\\n, and no longer than
+    the csv field limit."""
     text = b"".join(chunk)
-    if (not text.isascii() or b'"' in text or b"\0" in text
-            or max(map(len, chunk)) > csv.field_size_limit()):
-        return None
-    text = text.decode("ascii")
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
+    return (text.isascii() and b'"' not in text and b"\0" not in text
+            and text.count(b"\r") == text.count(b"\r\n")
+            and max(map(len, chunk)) <= csv.field_size_limit())
 
 
 def _is_number(cell: str) -> bool:
@@ -348,8 +349,12 @@ class _Columns:
     def __init__(self, header: list[str], label_column: str, capacity: int, excluded,
                  text=()):
         self.header = header
-        # the header as a line, to spot repeats of it among quote-free lines
-        self.header_line = None if any("," in name for name in header) else ",".join(header)
+        # the raw lines a quote-free chunk drops: repeats of the header, then
+        # blank lines; a header name with a comma is quoted, so never in one
+        line = ",".join(header).encode()
+        self.header_lines = () if any("," in name for name in header) else (
+            line + b"\n", line + b"\r\n", line)
+        self.dropped = self.header_lines + (b"\n", b"\r\n")
         self.label = header.index(label_column)
         self.X = np.empty((capacity, len(header) - 1))
         self.y = np.empty(capacity)
@@ -390,8 +395,7 @@ class _Columns:
         """Parse the rest of the raw `lines` of `path`, after line `number`, in
         chunks: quote-free chunks with np.loadtxt, the others with csv.reader."""
         while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-            plain = _plain_lines(chunk)
-            if plain is not None and self.add_lines(path, plain):
+            if _is_plain(chunk) and self.add_lines(path, chunk):
                 read = len(chunk)
             else:
                 rows, repeated, read = _csv_rows(path, self.header, itertools.chain(chunk, lines),
@@ -412,29 +416,33 @@ class _Columns:
             runs.append((run[0], len(run), kind))
         return runs
 
-    def add_lines(self, path, lines: list[str]) -> bool:
-        """Add the quote-free `lines`, if np.loadtxt takes them. Blank lines
-        and repeated headers go; loadtxt parses the rest, with one field per
-        header column: the numeric columns as float64, the text and excluded
-        columns as their cells, of which only the text columns' are kept.
-        False, with no row added, where it rejects a line: a row of another
-        length than the header, or a cell it does not take as a number."""
-        data = [line for line in lines if line and line != self.header_line]
+    def add_lines(self, path, chunk: list[bytes]) -> bool:
+        """Add the quote-free raw lines `chunk`, if np.loadtxt takes them.
+        Blank lines and repeated headers go; loadtxt parses the rest, decoded
+        one at a time as it reads them, into a block of their rows, with one
+        field per header column: the numeric columns as float64, the text and
+        excluded columns as their cells, of which only the text columns' are
+        kept. False, with no row added, where it rejects a line: a row of
+        another length than the header, or a cell it does not take as a
+        number."""
+        repeated = sum(map(chunk.count, self.header_lines))
+        data = [line for line in chunk if line not in self.dropped]
         if not data:
-            self.repeated += lines.count(self.header_line)
+            self.repeated += repeated
             return True
-        first = data[0].split(",")
+        first = data[0].decode("ascii").rstrip("\r\n").split(",")
         if len(first) == len(self.header):
             for c in [c for c in self.numeric if not _is_number(first[c])]:
                 self.to_text(c)
         runs = self.runs()
         try:
-            block = np.loadtxt(data, dtype=[(f"c{c}", object if kind in "st" else np.float64, (k,))
-                                            for c, k, kind in runs],
-                               delimiter=",", comments=None, ndmin=1)
+            block = np.loadtxt(map(bytes.decode, data),
+                               dtype=[(f"c{c}", object if kind in "st" else np.float64, (k,))
+                                      for c, k, kind in runs],
+                               delimiter=",", comments=None, ndmin=1, max_rows=len(data))
         except ValueError:
             return False
-        self.repeated += lines.count(self.header_line)
+        self.repeated += repeated
         start = self.room(path, len(data))
         for c, k, kind in runs:
             cells = block[f"c{c}"]
@@ -501,7 +509,7 @@ def load_csv_merged(paths, label_column: str,
     Data lines that repeat the header verbatim are dropped and counted;
     completely blank lines are skipped. The cells of the `excluded`
     columns other than the label are not parsed: each such column is all NaN
-    and gets no categories, so that `clean_table` can drop it by name. The
+    and gets no categories, so that `plan_cleaning` drops it by name. The
     module docstring says how the files are read and when a load fails.
     """
     if not paths:
@@ -551,9 +559,13 @@ def _read_files(paths, label_column: str, capacity: int, excluded, text=()) -> _
 
 def _valid_rows(X: np.ndarray, checked, report: CleaningReport) -> np.ndarray:
     """Mask of the rows whose `checked` cells are finite and not negative;
-    `report` counts the others."""
-    non_finite = ~np.isfinite(X).all(axis=1, where=checked)
-    negative = (X < 0).any(axis=1, where=checked) & ~non_finite
+    `report` counts the others. The rows are checked CLEAN_BLOCK at a time."""
+    non_finite = np.empty(len(X), dtype=bool)
+    negative = np.empty(len(X), dtype=bool)
+    for start in range(0, len(X), CLEAN_BLOCK):
+        at = slice(start, start + CLEAN_BLOCK)
+        non_finite[at] = ~np.isfinite(X[at]).all(axis=1, where=checked)
+        negative[at] = (X[at] < 0).any(axis=1, where=checked) & ~non_finite[at]
     report.count_rows(REASON_NON_FINITE, int(non_finite.sum()))
     report.count_rows(REASON_NEGATIVE, int(negative.sum()))
     return ~(non_finite | negative)
@@ -570,15 +582,37 @@ def drop_invalid_rows(t: Table) -> tuple[Table, CleaningReport]:
     return subtable(t, rows, t.y[rows], t.feature_names), report
 
 
-def clean_table(t: Table, mapping: CategoryMapping, excluded) -> tuple[Table, CleaningReport]:
-    """`t` cleaned and min-max normalized, and what cleaning removed: the
-    `excluded` columns, the single-valued columns, the rows with a non-finite,
-    else a negative, numeric cell, and then the columns that row removal left
-    single-valued. Each is a mask on `t`'s matrix; the kept cells are gathered
-    once and normalized in place. Each numeric column becomes (x - min) /
+@dataclass(frozen=True, eq=False)
+class CleaningPlan:
+    """What cleaning keeps of a table and how it normalizes it: the kept
+    rows and feature columns of its matrix, as indices in order, the kept
+    features' names, the kept rows' labels, and for each kept column the
+    `lo` and `span` of its (x - lo) / span."""
+
+    feature_names: tuple[str, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    y: np.ndarray
+    lo: np.ndarray
+    span: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The cleaned feature matrix's (rows, features)."""
+        return len(self.rows), len(self.cols)
+
+
+def plan_cleaning(t: Table, mapping: CategoryMapping,
+                  excluded) -> tuple[CleaningPlan, CleaningReport]:
+    """How to clean and min-max normalize `t`, and what cleaning removes:
+    the `excluded` columns, the single-valued columns, the rows with a
+    non-finite, else a negative, numeric cell, and then the columns that row
+    removal left single-valued. Each numeric column becomes (x - min) /
     (max - min), by the extrema over the kept rows that also find the columns
-    row removal left single-valued. A feature is numeric unless `mapping`
-    holds its categories."""
+    row removal left single-valued; categorical columns go through as
+    (x - 0) / 1, which leaves every code as it is. A feature is numeric
+    unless `mapping` holds its categories. `cleaned_blocks` applies the
+    plan: no cell of `t`'s matrix is copied here."""
     report = CleaningReport()
     for name in excluded:
         if name == t.label_name:
@@ -611,39 +645,54 @@ def clean_table(t: Table, mapping: CategoryMapping, excluded) -> tuple[Table, Cl
         warnings.warn("table reduced to its label column only", stacklevel=2)
 
     keep = np.flatnonzero(cols)
-    X = t.X[np.ix_(np.flatnonzero(rows), keep)]
-    # categorical columns go through as (x - 0) / 1, which leaves every value
-    # as it is
+    rows = np.flatnonzero(rows)
     numeric = numeric[keep]
     lo = np.where(numeric, lo[keep], 0.0)
     hi = np.where(numeric, hi[keep], 1.0)
     # which signed zero a min returns depends on the order it visits the
-    # cells; take a zero minimum from the column alone, as a column pass does.
-    # A kept numeric column's maximum is above 0, so it has no such choice
+    # cells; take a zero minimum from the kept cells of the column alone, as
+    # a pass over the cleaned column does. A kept numeric column's maximum is
+    # above 0, so it has no such choice
     for j in np.flatnonzero(numeric & (lo == 0.0)):
-        lo[j] = np.ascontiguousarray(X[:, j]).min()
-    X -= lo
-    X /= hi - lo
-    return Table(tuple(t.feature_names[j] for j in keep), t.label_name, X, t.y[rows]), report
+        lo[j] = t.X[rows, keep[j]].min()
+    plan = CleaningPlan(tuple(t.feature_names[j] for j in keep), rows, keep, t.y[rows],
+                        lo, hi - lo)
+    return plan, report
 
 
-def _resolve_label_code(t: Table, mapping: CategoryMapping, value) -> float:
-    """The value in `t.y` of the label `value`: a text label's category code,
-    or the number it stands for if the label column has no categories."""
-    if isinstance(value, str) and t.label_name in mapping.categories:
-        return float(mapping.encode(t.label_name, value))
+def cleaned_blocks(X: np.ndarray, plan: CleaningPlan):
+    """(start, rows start.. of the cleaned matrix) for each block of
+    CLEAN_BLOCK kept rows, in order: the kept cells of the feature matrix
+    `X` that `plan_cleaning` planned, gathered and normalized a block at a
+    time into one buffer, which the next block overwrites."""
+    buf = np.empty((min(CLEAN_BLOCK, len(plan.rows)), len(plan.cols)))
+    for start, block in row_blocks(X, plan.rows, CLEAN_BLOCK):
+        out = buf[:len(block)]
+        block.take(plan.cols, axis=1, out=out, mode="clip")
+        out -= plan.lo
+        out /= plan.span
+        yield start, out
+
+
+def _resolve_label_code(label_name: str, mapping: CategoryMapping, value) -> float:
+    """The coded value of the label `value` in the label column `label_name`:
+    a text label's category code, or the number it stands for if the label
+    column has no categories."""
+    if isinstance(value, str) and label_name in mapping.categories:
+        return float(mapping.encode(label_name, value))
     try:
         return float(value)
     except ValueError:
         raise TableError(f"label {value!r} is not a number, and the label column "
-                         f"{t.label_name!r} holds only numbers") from None
+                         f"{label_name!r} holds only numbers") from None
 
 
-def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
+def split_by_attack(y: np.ndarray, label_name: str, mapping: CategoryMapping, attack_labels,
                     benign_label) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each attack's dataset as (rows, labels): the indices of all benign rows
-    plus that attack's rows, in table order, and their labels coded 0/1.
-    The scorers read them from `t` as they are; `subtable(t, rows, labels,
+    """Each attack's dataset as (rows, labels) of a table whose label column
+    `label_name` is `y`: the indices of all benign rows plus that attack's
+    rows, in table order, and their labels coded 0/1. The scorers read them
+    from the table `t` as they are; `subtable(t, rows, labels,
     t.feature_names)` builds the dataset's table.
 
     Labels may be given as category text (resolved through `mapping`), as
@@ -651,13 +700,12 @@ def split_by_attack(t: Table, mapping: CategoryMapping, attack_labels,
     values. A table without benign rows, or an attack with no rows, is an
     error.
     """
-    y = t.y
-    benign_mask = y == _resolve_label_code(t, mapping, benign_label)
+    benign_mask = y == _resolve_label_code(label_name, mapping, benign_label)
     if not benign_mask.any():
         raise TableError(f"no rows carry the benign label {benign_label!r}")
     out = {}
     for attack in attack_labels:
-        attack_mask = y == _resolve_label_code(t, mapping, attack)
+        attack_mask = y == _resolve_label_code(label_name, mapping, attack)
         if not attack_mask.any():
             raise TableError(f"attack label {attack!r} has no rows")
         rows = np.flatnonzero(benign_mask | attack_mask)

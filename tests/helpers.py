@@ -5,7 +5,7 @@ import os
 import numpy as np
 
 from flowsieve import feature_selection
-from flowsieve.tabular import Table, subtable
+from flowsieve.tabular import Table, cleaned_blocks, plan_cleaning, subtable
 
 
 def make_table(features: dict, labels) -> Table:
@@ -14,6 +14,16 @@ def make_table(features: dict, labels) -> Table:
     cols = [np.asarray(values, dtype=np.float64) for values in features.values()]
     X = np.column_stack(cols) if cols else np.empty((len(y), 0))
     return Table(tuple(features), "Label", X, y)
+
+
+def clean_table(t: Table, mapping, excluded):
+    """`t` cleaned and normalized as one table, and the cleaning report:
+    `plan_cleaning`'s plan, its `cleaned_blocks` copied into one matrix."""
+    plan, report = plan_cleaning(t, mapping, excluded)
+    X = np.empty(plan.shape)
+    for start, block in cleaned_blocks(t.X, plan):
+        X[start:start + len(block)] = block
+    return Table(plan.feature_names, t.label_name, X, plan.y), report
 
 
 def rows_of(t: Table, rows) -> Table:
@@ -40,6 +50,28 @@ def random_table(rng, n_rows: int, n_features: int) -> Table:
         if 0 < y.sum() < n_rows:
             break
     return make_table({f"f{j}": X[:, j] for j in range(n_features)}, y)
+
+
+def flow_csv(path, n_rows: int, seed: int = 0):
+    """Write a flow-table CSV of `n_rows` rows and 81 columns to `path`: a
+    `Timestamp`, 78 numeric flow columns (the last constant), a text
+    `Service` and a `Label` that is "Attack" in about 30 % of the rows, with
+    about 1 % of rows holding an `Infinity` and 1 % a negative cell: lines
+    of about 460 bytes, near the CSE-CIC-IDS2018 day files' 440."""
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.random((n_rows, 78)) * 10.0 ** rng.integers(0, 6, 78), 1)
+    values[:, -1] = 0.0
+    cells = values.astype(str)
+    cells[rng.random(n_rows) < 0.01, 3] = "Infinity"
+    cells[rng.random(n_rows) < 0.01, 5] = "-1"
+    services = np.array(["dns", "ftp", "http", "https", "ssh"])[rng.integers(0, 5, n_rows)]
+    labels = np.where(rng.random(n_rows) < 0.3, "Attack", "Benign")
+    header = ",".join(["Timestamp", *(f"f{j}" for j in range(78)), "Service", "Label"])
+    lines = [f"14/02/2018 08:{i // 60 % 60:02d}:{i % 60:02d},{','.join(row)},{service},{label}"
+             for i, (row, service, label) in enumerate(zip(cells.tolist(), services, labels))]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n" + "\n".join(lines) + "\n")
+    return path
 
 
 def use_cpus(monkeypatch, n: int) -> None:

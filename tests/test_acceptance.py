@@ -25,10 +25,10 @@ from flowsieve.feature_selection import (_anova, _count_scores, _group_stats,
                                          score_all, select_by_threshold)
 from flowsieve.pipeline import cmd_run
 from flowsieve.sampling import SplitSpec, split_table
-from flowsieve.tabular import (CategoryMapping, clean_table, load_csv, load_csv_merged,
-                               split_by_attack, subtable)
+from flowsieve.tabular import (CategoryMapping, load_csv, load_csv_merged, split_by_attack,
+                               subtable)
 
-from helpers import blobs_2d, make_table, random_table
+from helpers import blobs_2d, clean_table, make_table, random_table
 
 
 def _report(n: int, text: str) -> None:
@@ -288,7 +288,7 @@ def test_criterion_12_full_scale_reproduction():
     table, mapping, _ = load_csv(path, "Label")
     assert table.column_count == 80
     table = _clean_real(table, mapping)
-    per_attack = split_by_attack(table, mapping,
+    per_attack = split_by_attack(table.y, table.label_name, mapping,
                                  ["FTP-BruteForce", "SSH-Bruteforce"], "Benign")
     for attack, want in REFERENCE_DATASET_ROWS.items():
         assert abs(len(per_attack[attack][0]) - want) <= 2, attack
@@ -330,7 +330,8 @@ def test_criterion_12_full_scale_web_attacks():
     table, mapping, _ = load_csv_merged(paths, "Label")
     assert table.column_count == 80 + len(WEB_EXTRA_COLUMNS)
     table = _clean_real(table, mapping, WEB_EXTRA_COLUMNS)
-    per_attack = split_by_attack(table, mapping, list(WEB_REFERENCE_ROWS), "Benign")
+    per_attack = split_by_attack(table.y, table.label_name, mapping, list(WEB_REFERENCE_ROWS),
+                                 "Benign")
     spec = SplitSpec(scheme="minority_protect", train_fraction=0.2,
                      test_fraction=0.1, attack_train_fraction=0.7, seed=0)
     for attack, want in WEB_REFERENCE_ROWS.items():

@@ -217,6 +217,26 @@ def test_nb_log_posteriors_match_the_fresh_array_oracle():
         assert m.log_posteriors(probe).tobytes() == ref.bayes_log_posteriors_ref(m, probe).tobytes()
 
 
+def test_nb_log_posteriors_in_row_blocks_match_the_unblocked_formula():
+    # rows are evaluated BAYES_BLOCK_BYTES of the buffer at a time; each
+    # row's sum is its own, so row counts just below, at and above one block
+    # and over several blocks give the unblocked bits
+    from flowsieve.classify import bayes
+    rng = np.random.default_rng(12)
+    for n_features in (1, 7, 77):
+        step = bayes.BAYES_BLOCK_BYTES // (8 * n_features)
+        n = 2 * step + 3
+        X = rng.normal(size=(n, n_features)) * 10.0 ** rng.uniform(-6, 6, n_features)
+        X[rng.random(X.shape) < 0.05] = -0.0
+        y = np.r_[0.0, 0.0, 1.0, 1.0, (rng.random(n - 4) < 0.4).astype(float)]
+        t = make_table({f"f{j}": X[:, j] for j in range(n_features)}, y)
+        m = train_naive_bayes(t, NaiveBayesParams())
+        for rows in (step - 1, step, step + 1, n):
+            probe = X[:rows]
+            want = ref.bayes_log_posteriors_ref(m, probe)
+            assert m.log_posteriors(probe).tobytes() == want.tobytes(), (n_features, rows)
+
+
 def test_nb_small_class_errors():
     t = make_table({"x": [0.1, 0.2, 0.9]}, [0, 0, 1])
     with pytest.raises(ClassifyError, match="at least 2"):

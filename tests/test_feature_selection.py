@@ -403,7 +403,7 @@ def test_scoring_an_attack_through_its_rows_copies_no_attack_table(monkeypatch):
     n, d = 40_000, 78
     y = rng.choice([0.0, 1.0, 2.0], size=n, p=[0.6, 0.2, 0.2])
     t = make_table({f"f{j}": rng.random(n) for j in range(d)}, y)
-    rows, labels = split_by_attack(t, CategoryMapping({}), [1.0, 2.0], 0.0)["1.0"]
+    rows, labels = split_by_attack(t.y, t.label_name, CategoryMapping({}), [1.0, 2.0], 0.0)["1.0"]
     edges = table_bin_edges(t, 10, rows)
     tracemalloc.start()
     try:
@@ -473,7 +473,7 @@ def test_scoring_through_rows_equals_scoring_a_copy(data):
               "GATHER_ROWS": data.draw(st.integers(1, n), label="gather rows"),
               "SCORE_BLOCK_FEATURES": data.draw(st.integers(1, d), label="features")}
     seed = data.draw(st.integers(0, 2**16), label="relief seed")
-    per_attack = split_by_attack(t, CategoryMapping({}), [1.0, 2.0, 3.0], 0.0)
+    per_attack = split_by_attack(t.y, t.label_name, CategoryMapping({}), [1.0, 2.0, 3.0], 0.0)
     for attack, (rows, labels) in per_attack.items():
         m = data.draw(st.integers(1, min(len(rows), 40)), label=f"relief_m {attack}")
         copy = subtable(t, rows, labels, t.feature_names)

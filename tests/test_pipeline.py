@@ -2,13 +2,16 @@ import dataclasses
 import gc
 import json
 import threading
+import tracemalloc
 import warnings
 import weakref
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference as ref
 from flowsieve import pipeline, tabular
 from flowsieve.config import apply_overrides, config_hash, parse_config
 from flowsieve.feature_selection import ScoringError
@@ -17,9 +20,10 @@ from flowsieve.pipeline import (PipelineError, RunContext, attack_slug,
                                 cmd_train_eval, find_run_dir, load_preprocessed,
                                 new_run_dir, stage_train_eval)
 from flowsieve.sampling import SamplingError, SplitSpec, split_manifest, split_table
-from flowsieve.tabular import (TableError, clean_table, load_csv_merged, split_by_attack,
-                               subtable)
-from helpers import assert_all_reaped, fork_every_relief_pass, record_forks, use_cpus
+from flowsieve.tabular import (CategoryMapping, Table, TableError, load_csv_merged,
+                               plan_cleaning, split_by_attack, subtable)
+from helpers import (assert_all_reaped, clean_table, flow_csv, fork_every_relief_pass,
+                     record_forks, use_cpus)
 
 
 def synth_files(tmp_path, seed=0, n_benign=240, n_attack=60):
@@ -443,7 +447,7 @@ def test_load_preprocessed_equals_in_memory_split(cfg):
     table, mapping, _ = load_csv_merged(cfg.inputs, cfg.label_column)
     # the cleaned table in memory
     table, _ = clean_table(table, mapping, cfg.excluded_columns)
-    per_attack = split_by_attack(table, mapping, cfg.attacks, cfg.benign_label)
+    per_attack = split_by_attack(table.y, table.label_name, mapping, cfg.attacks, cfg.benign_label)
     got_table, got_per_attack = load_preprocessed(RunContext(cfg, ctx.run_dir))
     assert got_table.feature_names == table.feature_names
     assert got_table.label_name == table.label_name
@@ -455,6 +459,133 @@ def test_load_preprocessed_equals_in_memory_split(cfg):
         got_rows, got_labels = got_per_attack[attack]
         assert got_rows.tobytes() == rows.tobytes(), attack
         assert got_labels.tobytes() == labels.tobytes(), attack
+
+
+def dirty_table(rng, n: int):
+    """A table of every case cleaning treats apart, in header order, with
+    its column kinds: signed-zero minima, non-finite and negative rows, a
+    column single-valued only on the rows kept, categorical columns (one
+    with negative codes, which no row check reads), an excluded column and
+    a constant one."""
+    kinds = {"zeros": "numeric", "cat": "categorical", "rate": "numeric", "late": "numeric",
+             "Label": "label", "Timestamp": "numeric", "neg_cat": "categorical",
+             "const": "numeric", "x": "numeric"}
+    cells = {
+        "zeros": rng.choice([0.0, -0.0, 0.5, 2.0], n),
+        "cat": rng.integers(0, 4, n).astype(float),
+        "rate": np.where(rng.random(n) < 0.03, rng.choice([np.inf, -np.inf, np.nan], n),
+                         rng.random(n) * 1e6),
+        "late": np.where(rng.random(n) < 0.03, -1.0, 7.0),
+        "Label": rng.integers(0, 3, n).astype(float),
+        "Timestamp": rng.random(n),
+        "neg_cat": rng.integers(-2, 2, n).astype(float),
+        "const": np.full(n, 3.0),
+        "x": rng.random(n) * 10.0 ** rng.integers(-3, 4, n),
+    }
+    cells["late"][:2] = [-1.0, 7.0]  # single-valued only once row checks drop -1
+    features = [name for name in kinds if name != "Label"]
+    # which zero is the minimum depends on the order a min visits the cells:
+    # draw `zeros` until a min over the whole matrix's kept rows picks the
+    # other zero than a pass over the column's kept cells alone
+    kept = np.isfinite(cells["rate"]) & (cells["late"] >= 0)
+    j = features.index("zeros")
+    while True:
+        X = np.column_stack([cells[n] for n in features])
+        whole = X.min(axis=0, where=kept[:, None], initial=np.inf)[j]
+        if np.signbit(whole) != np.signbit(X[kept, j].min()):
+            break
+        cells["zeros"] = rng.choice([0.0, -0.0, 0.5, 2.0], n)
+    t = Table(tuple(features), "Label", X, cells["Label"])
+    mapping = CategoryMapping({n: ("a", "b", "c", "d") for n, k in kinds.items()
+                               if k == "categorical"})
+    return t, mapping, list(kinds.items()), np.column_stack(list(cells.values()))
+
+
+def former_gather(t: Table, mapping, rows, keep) -> np.ndarray:
+    """The cleaned matrix as one np.ix_ gather of the kept rows and columns,
+    each numeric column then normalized by its own minimum and maximum."""
+    X = t.X[np.ix_(rows, keep)]
+    for j, k in enumerate(keep):
+        if t.feature_names[k] not in mapping.categories:
+            col = np.ascontiguousarray(X[:, j])
+            X[:, j] -= col.min()
+            X[:, j] /= col.max() - col.min()
+    return X
+
+
+@pytest.mark.parametrize("block", [1, 7, tabular.CLEAN_BLOCK])
+def test_cleaned_npz_holds_the_bytes_of_the_cleaning_oracles(tmp_path, monkeypatch, block):
+    # the matrix written a block of rows at a time is the step-by-step
+    # oracle's and the whole-table gather's, in the file np.savez writes
+    monkeypatch.setattr(tabular, "CLEAN_BLOCK", block)
+    t, mapping, columns, cells = dirty_table(np.random.default_rng(block), 3 * 256 + 5)
+    excluded = ["Timestamp", "absent"]
+    with pytest.warns(UserWarning, match="single-valued after row cleaning.*: late"):
+        plan, report = plan_cleaning(t, mapping, excluded)
+    pipeline._write_cleaned(tmp_path / "cleaned.npz", t.X, plan)
+    with np.load(tmp_path / "cleaned.npz") as arrays:
+        X, y = arrays["X"], arrays["y"]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want_columns, want_rows, want_report, _ = ref.clean_ref(columns, cells.tolist(),
+                                                                excluded)
+    assert report.to_json() == want_report
+    kinds = [kind for _, kind in want_columns]
+    assert [name for name, _ in want_columns if _ != "label"] == list(plan.feature_names)
+    assert {"zeros", "cat", "neg_cat", "rate", "x"} == set(plan.feature_names)
+    want = np.array(want_rows).reshape(len(want_rows), len(want_columns))
+    assert 0 < len(X) < len(t.X) and (want[:, kinds.index("label")] == y).all()
+    assert X.tobytes() == np.delete(want, kinds.index("label"), axis=1).tobytes()
+    assert y.tobytes() == want[:, kinds.index("label")].tobytes()
+    assert X.tobytes() == former_gather(t, mapping, plan.rows, plan.cols).tobytes()
+
+    np.savez(tmp_path / "savez.npz", X=X, y=y)
+    assert (tmp_path / "cleaned.npz").stat().st_size == (tmp_path / "savez.npz").stat().st_size
+    with zipfile.ZipFile(tmp_path / "cleaned.npz") as got, \
+            zipfile.ZipFile(tmp_path / "savez.npz") as saved:
+        assert got.namelist() == saved.namelist() == ["X.npy", "y.npy"]
+        for name in got.namelist():
+            assert got.read(name) == saved.read(name), name
+            assert got.getinfo(name).compress_type == zipfile.ZIP_STORED
+
+
+def test_cleaned_npz_of_a_table_reduced_to_its_labels_holds_np_savez_bytes(tmp_path):
+    # every feature single-valued: the matrix has rows but no columns
+    t = Table(("a", "b"), "Label", np.ones((600, 2)), np.arange(600) % 2.0)
+    with pytest.warns(UserWarning, match="label column only"):
+        plan, _ = plan_cleaning(t, CategoryMapping({}), [])
+    pipeline._write_cleaned(tmp_path / "cleaned.npz", t.X, plan)
+    np.savez(tmp_path / "savez.npz", X=np.empty((600, 0)), y=t.y)
+    with zipfile.ZipFile(tmp_path / "cleaned.npz") as got, \
+            zipfile.ZipFile(tmp_path / "savez.npz") as saved:
+        assert [got.read(n) for n in got.namelist()] == [saved.read(n) for n in saved.namelist()]
+
+
+def test_preprocess_peak_memory_is_within_a_quarter_of_the_cleaned_matrix(tmp_path):
+    # preprocess forks nothing, so tracemalloc sees all it allocates: the
+    # loaded table, one parse chunk, and one block of cleaned rows at a time.
+    # A first, small run imports what the stage imports on first use
+    def config(rows):
+        return parse_config({"inputs": [str(flow_csv(tmp_path / f"{rows}.csv", rows))],
+                             "label_column": "Label", "benign_label": "Benign",
+                             "attacks": ["Attack"], "output_dir": str(tmp_path / f"out{rows}"),
+                             "sampling": {"schemes": {"Attack": "fraction_stratified"}}})
+
+    cmd_preprocess(config(200))
+    cfg = config(20_000)
+    tracemalloc.start()
+    try:
+        ctx = cmd_preprocess(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with np.load(ctx.run_dir / "cleaned.npz") as arrays:
+        X = arrays["X"]
+    assert X.shape == (json.loads((ctx.run_dir / "preprocess.json").read_text())["clean_rows"],
+                       78)  # Timestamp and the constant column dropped, Service kept
+    assert 19_000 < len(X) < 20_000
+    assert peak <= 1.25 * X.nbytes, (peak, X.nbytes)
 
 
 def test_loaded_tables_compare_by_identity(cfg):

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 import reference as ref
 from flowsieve import tabular
-from flowsieve.tabular import (CategoryMapping, Table, TableError, clean_table,
-                               drop_invalid_rows, load_csv, load_csv_merged,
-                               split_by_attack, subtable)
+from flowsieve.tabular import (CategoryMapping, Table, TableError, drop_invalid_rows,
+                               load_csv, load_csv_merged, split_by_attack, subtable)
 
-from helpers import make_table, rows_of
+from helpers import clean_table, flow_csv, make_table, rows_of
 
 
 def write(tmp_path, name, text):
@@ -289,7 +288,7 @@ def test_category_round_trip(tmp_path):
 def test_split_by_attack_binarizes():
     t = make_table({"a": [1, 2, 3, 4, 5]}, [0, 1, 2, 0, 1])
     mapping = CategoryMapping({"Label": ("Benign", "FTP", "SSH")})
-    out = split_by_attack(t, mapping, ["FTP", "SSH"], "Benign")
+    out = split_by_attack(t.y, t.label_name, mapping, ["FTP", "SSH"], "Benign")
     assert set(out) == {"FTP", "SSH"}
     rows, labels = out["FTP"]
     assert rows.tolist() == [0, 1, 3, 4]  # 2 benign + 2 FTP, in table order
@@ -306,29 +305,29 @@ def test_split_by_attack_absent_label():
     t = make_table({"a": [1, 2]}, [0, 1])
     mapping = CategoryMapping({"Label": ("Benign", "FTP", "Rare")})
     with pytest.raises(TableError, match="'Rare' has no rows"):
-        split_by_attack(t, mapping, ["Rare"], "Benign")
+        split_by_attack(t.y, t.label_name, mapping, ["Rare"], "Benign")
     with pytest.raises(TableError, match="not a known category"):
-        split_by_attack(t, mapping, ["Unknown"], "Benign")
+        split_by_attack(t.y, t.label_name, mapping, ["Unknown"], "Benign")
 
 
 def test_split_by_attack_numeric_labels():
     # raw numeric label values work without any category mapping, and so does
     # the text of a number, as a config names a label
     t = make_table({"a": [1, 2, 3, 4]}, [0, 7, 0, 7])
-    out = split_by_attack(t, CategoryMapping({}), [7.0], 0.0)
+    out = split_by_attack(t.y, t.label_name, CategoryMapping({}), [7.0], 0.0)
     assert out["7.0"][1].tolist() == [0.0, 1.0, 0.0, 1.0]
-    out = split_by_attack(t, CategoryMapping({}), ["7"], "0")
+    out = split_by_attack(t.y, t.label_name, CategoryMapping({}), ["7"], "0")
     assert out["7"][1].tolist() == [0.0, 1.0, 0.0, 1.0]
     with pytest.raises(TableError, match="^label 'FTP' is not a number, and the label "
                                          "column 'Label' holds only numbers$"):
-        split_by_attack(t, CategoryMapping({}), ["FTP"], "0")
+        split_by_attack(t.y, t.label_name, CategoryMapping({}), ["FTP"], "0")
 
 
 def test_split_by_attack_no_benign_rows_errors():
     t = make_table({"a": [1, 2]}, [1, 1])
     mapping = CategoryMapping({"Label": ("Benign", "FTP")})
     with pytest.raises(TableError, match="no rows carry the benign label 'Benign'"):
-        split_by_attack(t, mapping, ["FTP"], "Benign")
+        split_by_attack(t.y, t.label_name, mapping, ["FTP"], "Benign")
 
 
 def test_table_invariants():
@@ -605,11 +604,12 @@ def wide_csv(tmp_path, late_text: bool):
     return write(tmp_path, "wide.csv", header + "\n" + "\n".join(lines) + "\n")
 
 
-def load_peak(path) -> tuple[Table, int]:
-    """The table of `path` and the `tracemalloc` peak of its load."""
+def load_peak(path, excluded=()) -> tuple[Table, int]:
+    """The table of `path`, less the `excluded` columns' cells, and the
+    `tracemalloc` peak of its load."""
     tracemalloc.start()
     try:
-        t, _, _ = load_csv(path, "Label")
+        t, _, _ = load_csv_merged([path], "Label", excluded)
         return t, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -620,6 +620,14 @@ def test_load_peak_memory_is_within_twice_the_matrix(tmp_path, monkeypatch):
     t, peak = load_peak(wide_csv(tmp_path, late_text=False))
     assert t.X.shape == (20_000, 79)
     assert peak <= 2 * t.X.nbytes, (peak, t.X.nbytes)
+
+
+def test_a_default_chunk_load_peaks_within_one_and_a_half_matrices(tmp_path):
+    # a quote-free chunk is held once, as its raw lines, beside the block of
+    # rows np.loadtxt parses them into
+    t, peak = load_peak(flow_csv(tmp_path / "flows.csv", 5000), ["Timestamp"])
+    assert t.X.shape == (5000, 80)
+    assert peak <= 1.5 * t.X.nbytes, (peak, t.X.nbytes)
 
 
 def test_a_late_text_column_reads_the_files_again_within_the_same_peak(tmp_path, monkeypatch):
