@@ -25,9 +25,8 @@ def training_arrays(train: Table) -> tuple[np.ndarray, np.ndarray]:
     non-binarized labels."""
     X = train.X
     y = train.y
-    values = set(np.unique(y).tolist())
-    if not values <= {0.0, 1.0}:
-        raise ClassifyError(f"labels must be binarized to 0/1, found {sorted(values)}")
+    if np.count_nonzero(y == 0) + np.count_nonzero(y == 1) != y.size:
+        raise ClassifyError(f"labels must be binarized to 0/1, found {np.unique(y).tolist()}")
     if X.shape[1] == 0:
         raise ClassifyError("table has no feature columns")
     return X, y

@@ -28,9 +28,8 @@ def confusion(pred, truth) -> dict:
     if pred.shape != truth.shape:
         raise EvalError(f"length mismatch: {pred.shape} predictions vs {truth.shape} truths")
     for name, arr in (("predictions", pred), ("truths", truth)):
-        values = set(np.unique(arr).tolist())
-        if not values <= {0, 1, 0.0, 1.0}:
-            raise EvalError(f"{name} must be binary 0/1, found {sorted(values)}")
+        if np.count_nonzero(arr == 0) + np.count_nonzero(arr == 1) != arr.size:
+            raise EvalError(f"{name} must be binary 0/1, found {np.unique(arr).tolist()}")
     tn, fp, fn, tp = np.bincount(2 * truth.astype(np.intp) + pred.astype(np.intp),
                                  minlength=4).tolist()
     return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}

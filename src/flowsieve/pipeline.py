@@ -5,11 +5,13 @@ the configured output directory; nothing inside an existing run is
 overwritten. Staged subcommands locate the newest run directory with the same
 config hash and continue it. `preprocess` plans the cleaning of the merged
 inputs with `tabular.plan_cleaning` and stores the cleaned table once, as
-its arrays (`cleaned.npz`: feature matrix `X`, label vector `y`, the matrix
-gathered, normalized and written a block of rows at a time by
-`tabular.cleaned_blocks`) plus its columns and categories in
-`preprocess.json`; `select` and `train-eval` rebuild it from
-them without parsing text, and find each attack's rows in it again. `select`
+its kept cells, each column in the narrowest type that holds them exactly,
+and each column's normalization (`cleaned.npz`, its rows gathered by
+`tabular.cleaned_blocks` and written a block at a time), plus its columns and
+categories in `preprocess.json`. `select` and `train-eval` rebuild it from
+them without parsing text, reading the rows a block at a time into the
+float64 matrix and normalizing them there (`load_preprocessed`), and find
+each attack's rows in it again. `select`
 writes each attack's scores and one `selection-*.json` per threshold, which
 `train-eval` reads back. The stages hand off through these files alone: `run`
 runs the three stages in one process, each reading what the one before
@@ -44,8 +46,8 @@ from .feature_selection import (normalize_scores, score_all, select_by_threshold
                                 write_scores_csv)
 from .parallel import fan_out
 from .sampling import split_manifest, split_table
-from .tabular import (CategoryMapping, CleaningPlan, Table, cleaned_blocks, load_csv_merged,
-                      plan_cleaning, split_by_attack, subtable)
+from .tabular import (CLEAN_BLOCK, STORED_TYPES, CategoryMapping, CleaningPlan, Table,
+                      cleaned_blocks, load_csv_merged, plan_cleaning, split_by_attack, subtable)
 
 
 class PipelineError(RuntimeError):
@@ -171,9 +173,9 @@ def _stage(ctx: RunContext, stage: str):
 
 
 def stage_preprocess(ctx: RunContext) -> None:
-    """Load and merge the inputs, plan their cleaning and normalization,
-    check that each attack's rows can be split for training, and write the
-    cleaned table's arrays once, its matrix a block of rows at a time."""
+    """Load and merge the inputs, plan their cleaning, normalization and
+    storage, check that each attack's rows can be split for training, and
+    write the cleaned table once, its kept cells a block of rows at a time."""
     cfg = ctx.cfg
     with _stage(ctx, "preprocess"):
         table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column,
@@ -212,22 +214,98 @@ def stage_preprocess(ctx: RunContext) -> None:
     ctx.stages_completed.append("preprocess")
 
 
+# cleaned.npz's zip members: the matrix `X`, one record of each kept row's
+# cells (`_row_record`), and the kept columns' positions in STORED_TYPES
+# (`types`), their (x - lo) / span, and the labels `y` in their own type
+_CLEANED_MEMBERS = ("X.npy", "lo.npy", "span.npy", "types.npy", "y.npy")
+
+
+def _row_record(types: np.ndarray) -> tuple[np.dtype, list[np.ndarray]]:
+    """The record that cleaned.npz stores a row of kept columns of `types`
+    as: one field per type in STORED_TYPES, named by it, holding that type's
+    columns in table order; and the columns of each field."""
+    fields = [np.flatnonzero(types == code) for code in range(len(STORED_TYPES))]
+    return (np.dtype([(t.str[1:], t, (len(cols),)) for t, cols in zip(STORED_TYPES, fields)]),
+            fields)
+
+
 def _write_cleaned(path: Path, X: np.ndarray, plan: CleaningPlan) -> None:
-    """Write the cleaned feature matrix and labels that `plan` makes of the
-    loaded matrix `X` to `path`, in the bytes np.savez(path, X=..., y=...)
-    writes (stored zip members, zip64 forced, npy format 1.0), the matrix's
-    rows gathered, normalized and written a block at a time: the cleaned
-    matrix is never held whole."""
+    """Write the cleaned table that `plan` makes of the loaded matrix `X` to
+    `path`, as zip members stored (not compressed, zip64 forced) as np.savez
+    stores them: the kept rows' records, gathered and written a block at a
+    time, so the cleaned matrix is never held, and the plan's types, lows,
+    spans and labels. `_read_cleaned` normalizes."""
+    dtype, fields = _row_record(plan.types)
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
         with zf.open("X.npy", "w", force_zip64=True) as fh:
             npy_format.write_array_header_1_0(
-                fh, {"descr": npy_format.dtype_to_descr(np.dtype(np.float64)),
-                     "fortran_order": False, "shape": plan.shape})
+                fh, {"descr": npy_format.dtype_to_descr(dtype), "fortran_order": False,
+                     "shape": (len(plan.rows),)})
             for _, block in cleaned_blocks(X, plan):
+                records = np.empty(len(block), dtype)
+                for name, cols in zip(dtype.names, fields):
+                    records[name] = block[:, cols]  # exact: every cell fits its type
                 # as flat bytes, whose length zipfile counts as their size
-                fh.write(block.reshape(-1).view(np.uint8))
-        with zf.open("y.npy", "w", force_zip64=True) as fh:
-            npy_format.write_array(fh, plan.y)
+                fh.write(records.view(np.uint8))
+        for name, arr in (("lo", plan.lo), ("span", plan.span), ("types", plan.types),
+                          ("y", plan.y.astype(STORED_TYPES[plan.y_type]))):
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                npy_format.write_array(fh, arr)
+
+
+def _read_cleaned(path: Path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The cleaned float64 matrix of `shape` (rows, features) and its float64
+    labels, as `_write_cleaned` wrote them to `path`: CLEAN_BLOCK records at
+    a time are read into the matrix and normalized there, so no other copy
+    of the matrix is held. A file of any other layout fails closed."""
+    rows, width = shape
+
+    def refuse(why: str) -> PipelineError:
+        return PipelineError(f"{path}: {why}; run `preprocess` again")
+
+    def expect(name: str, arr_shape, arr_dtype, want_shape, want_dtypes) -> None:
+        if arr_shape != want_shape or arr_dtype not in want_dtypes:
+            raise refuse(f"{name} holds {arr_dtype} of shape {arr_shape}, not "
+                         f"{' or '.join(map(str, want_dtypes))} of shape {want_shape}")
+
+    try:
+        with zipfile.ZipFile(path) as zf:
+            if sorted(zf.namelist()) != list(_CLEANED_MEMBERS):
+                raise refuse(f"holds the members {sorted(zf.namelist())}, not "
+                             f"{list(_CLEANED_MEMBERS)}")
+            small = {}
+            for name, want_shape, want_dtypes in (
+                    ("lo", (width,), STORED_TYPES[-1:]), ("span", (width,), STORED_TYPES[-1:]),
+                    ("types", (width,), STORED_TYPES[:1]), ("y", (rows,), STORED_TYPES)):
+                with zf.open(f"{name}.npy") as fh:
+                    arr = npy_format.read_array(fh, allow_pickle=False)
+                expect(f"{name}.npy", arr.shape, arr.dtype, want_shape, want_dtypes)
+                small[name] = arr
+            if small["types"].max(initial=0) >= len(STORED_TYPES):
+                raise refuse(f"types.npy holds a type above {len(STORED_TYPES) - 1}")
+            dtype, fields = _row_record(small["types"])
+            X = np.empty(shape)
+            with zf.open("X.npy") as fh:
+                version = npy_format.read_magic(fh)
+                if version != (1, 0):
+                    raise refuse(f"X.npy is in npy format {version}, not (1, 0)")
+                got_shape, _, got_dtype = npy_format.read_array_header_1_0(fh)
+                expect("X.npy", got_shape, got_dtype, (rows,), (dtype,))
+                buf = np.empty(min(CLEAN_BLOCK, rows), dtype)
+                for start in range(0, rows, CLEAN_BLOCK):
+                    block = X[start:start + CLEAN_BLOCK]
+                    records = buf[:len(block)]
+                    if fh.readinto(records.view(np.uint8)) != records.nbytes:
+                        raise refuse(f"X.npy ends before row {rows}")
+                    for name, cols in zip(dtype.names, fields):
+                        block[:, cols] = records[name]
+                    block -= small["lo"]
+                    block /= small["span"]
+                if fh.read(1):
+                    raise refuse(f"X.npy holds more than {rows} rows")
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise refuse(f"not a cleaned table ({exc})") from None
+    return X, small["y"].astype(np.float64)
 
 
 def load_preprocessed(ctx: RunContext) -> Cleaned:
@@ -240,8 +318,7 @@ def load_preprocessed(ctx: RunContext) -> Cleaned:
         prep = json.load(fh)
     label = next(name for name, kind in prep["columns"] if kind == "label")
     features = [name for name, kind in prep["columns"] if kind != "label"]
-    with np.load(path) as arrays:
-        table = Table(features, label, arrays["X"], arrays["y"])
+    table = Table(features, label, *_read_cleaned(path, (prep["clean_rows"], len(features))))
     mapping = CategoryMapping({name: tuple(cats)
                                for name, cats in prep["category_mapping"].items()})
     return table, split_by_attack(table.y, label, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)

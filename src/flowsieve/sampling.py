@@ -55,17 +55,18 @@ class SplitResult:
     test_class_counts: dict[int, int]
 
 
-def _class_indices(labels) -> dict[int, np.ndarray]:
-    """The rows of class 0 and of class 1; each class must have some."""
+def _class_sizes(labels) -> tuple[np.ndarray, dict[int, int]]:
+    """The labels as an array and the row count of class 0 and of class 1;
+    every label must be 0 or 1, and each class must have rows."""
     y = np.asarray(labels)
-    values = np.unique(y)
-    if not set(values.tolist()) <= {0.0, 1.0}:
-        raise SamplingError(f"labels must be binarized to 0/1, found values {values.tolist()}")
-    by_class = {cls: np.flatnonzero(y == cls) for cls in (0, 1)}
-    for cls, rows in by_class.items():
-        if not len(rows):
+    sizes = {cls: int(np.count_nonzero(y == cls)) for cls in (0, 1)}
+    if sum(sizes.values()) != y.size:
+        raise SamplingError("labels must be binarized to 0/1, found values "
+                            f"{np.unique(y).tolist()}")
+    for cls, n in sizes.items():
+        if not n:
             raise SamplingError(f"class {cls} has no rows")
-    return by_class
+    return y, sizes
 
 
 def _checked_floor(fraction: float, n: int, what: str) -> int:
@@ -76,29 +77,34 @@ def _checked_floor(fraction: float, n: int, what: str) -> int:
     return count
 
 
-def _fraction_draw(rng, rows, spec: SplitSpec, what: str):
-    """The train and test draws of one class; see `split_table`."""
-    n = len(rows)
+def _fraction_counts(spec: SplitSpec, n: int, what: str) -> tuple[int, int]:
+    """The train and test draw sizes of a class of `n` rows by the spec's
+    train and test fractions."""
     n_train = _checked_floor(spec.train_fraction, n, f"{what} train draw")
     n_test = _checked_floor(spec.test_fraction, n, f"{what} test draw")
     if n_train + n_test > n:
         raise SamplingError(
             f"{what}: train draw {n_train} leaves too few rows for test draw {n_test}")
-    perm = rng.permutation(rows)
-    return perm[:n_train], perm[n_train:n_train + n_test]
+    return n_train, n_test
 
 
-def _build(draws: dict[int, tuple]) -> SplitResult:
-    """The split of each class's (train rows, test rows) draw. A train draw
-    of fewer than 2 rows is refused: a classifier such as naive Bayes needs
-    2 rows of a class to estimate its variance."""
-    for cls, (train, _) in draws.items():
-        if len(train) < 2:
-            raise SamplingError(f"class {cls} train draw has {len(train)} row; "
+def _draw_counts(spec: SplitSpec, sizes: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """Each class's train and test draw sizes; see `split_table`. A train
+    draw of fewer than 2 rows is refused: a classifier such as naive Bayes
+    needs 2 rows of a class to estimate its variance."""
+    if spec.scheme == FRACTION_STRATIFIED:
+        counts = {cls: _fraction_counts(spec, sizes[cls], f"class {cls}") for cls in (0, 1)}
+    else:
+        counts = {0: _fraction_counts(spec, sizes[0], "benign")}
+        n_train = _checked_floor(spec.attack_train_fraction, sizes[1], "attack train draw")
+        if n_train >= sizes[1]:
+            raise SamplingError("attack train draw leaves no rows for the test split")
+        counts[1] = (n_train, sizes[1] - n_train)
+    for cls, (n_train, _) in counts.items():
+        if n_train < 2:
+            raise SamplingError(f"class {cls} train draw has {n_train} row; "
                                 "training needs at least 2 rows of each class")
-    train, test = (np.sort(np.concatenate(parts)) for parts in zip(*draws.values()))
-    counts = ({cls: len(draw[k]) for cls, draw in draws.items()} for k in (0, 1))
-    return SplitResult(train, test, *counts)
+    return counts
 
 
 def split_table(labels, spec: SplitSpec) -> SplitResult:
@@ -108,20 +114,23 @@ def split_table(labels, spec: SplitSpec) -> SplitResult:
     fraction_stratified: per class, floor(train_fraction*n) rows to train and
     floor(test_fraction*n) of the remainder to test. minority_protect: benign
     rows are drawn so too, and the attack rows split attack_train_fraction to
-    train and the remainder to test."""
-    by_class = _class_indices(labels)
+    train and the remainder to test. Each class's draws are the head of one
+    permutation of its rows, class 0 first; a class's rows and permutation
+    go once its draws are copied into the split."""
+    y, sizes = _class_sizes(labels)
+    counts = _draw_counts(spec, sizes)
     rng = np.random.default_rng(spec.seed)
-    if spec.scheme == FRACTION_STRATIFIED:
-        return _build({cls: _fraction_draw(rng, by_class[cls], spec, f"class {cls}")
-                       for cls in (0, 1)})
-    draws = {0: _fraction_draw(rng, by_class[0], spec, "benign")}
-    attack = by_class[1]
-    n_train = _checked_floor(spec.attack_train_fraction, len(attack), "attack train draw")
-    if n_train >= len(attack):
-        raise SamplingError("attack train draw leaves no rows for the test split")
-    perm = rng.permutation(attack)
-    draws[1] = (perm[:n_train], perm[n_train:])
-    return _build(draws)
+    train = np.empty(counts[0][0] + counts[1][0], dtype=np.intp)
+    test = np.empty(counts[0][1] + counts[1][1], dtype=np.intp)
+    for cls, (at_train, at_test) in ((0, (0, 0)), (1, counts[0])):
+        n_train, n_test = counts[cls]
+        perm = rng.permutation(np.flatnonzero(y == cls))
+        train[at_train:at_train + n_train] = perm[:n_train]
+        test[at_test:at_test + n_test] = perm[n_train:n_train + n_test]
+        del perm
+    train.sort()
+    test.sort()
+    return SplitResult(train, test, *({cls: c[k] for cls, c in counts.items()} for k in (0, 1)))
 
 
 def split_manifest(spec: SplitSpec, result: SplitResult) -> dict:

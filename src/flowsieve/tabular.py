@@ -9,11 +9,13 @@ category list) so every cell is a float64; the code-to-text correspondence
 lives in a CategoryMapping, and a column is categorical exactly when it is
 one of the mapping's keys. Only cleaning reads that: `plan_cleaning` exempts
 category codes from the row checks and from normalization. Cleaning never
-mutates: `plan_cleaning` finds the rows and columns to keep and each kept
-column's normalization, with a CleaningReport describing what was removed
-and why, and `cleaned_blocks` gathers and normalizes the kept cells a block
-of rows at a time, so that the cleaned matrix can be written out without
-being held beside the loaded one. A per-attack dataset is a list of row
+mutates: `plan_cleaning` finds the rows and columns to keep, each kept
+column's normalization and the narrowest type that holds its kept cells
+exactly, with a CleaningReport describing what was removed and why, and
+`cleaned_blocks` gathers the kept cells a block of rows at a time, so that
+they can be written out without the cleaned matrix being held beside the
+loaded one; the normalization is applied where the cleaned table is read
+back (`pipeline.load_preprocessed`). A per-attack dataset is a list of row
 indices into the cleaned table plus 0/1 labels (`split_by_attack`); scoring
 reads those rows straight from the cleaned table (`dataset_rows`,
 `row_blocks`), and `subtable` builds a table from them where one is needed.
@@ -64,13 +66,21 @@ REASON_REPEATED_HEADER = "repeated-header"
 # whole-array row then column takes; 800 rows x 30 of 77 take 167 us against
 # 320-390 us with 1024-row blocks
 SUBTABLE_BLOCK = 128
-# Rows checked, and rows gathered and normalized, at a time by cleaning: at
-# 80 columns a block of whole rows is 160 KB, which stays in cache through
-# the gather and the normalization, and is all that cleaning holds of the
-# cleaned matrix. On a 200k x 80 table, gathering, normalizing and writing
-# take 0.11-0.12 s in blocks of 256 to 1024 rows, 0.12-0.15 s in blocks of
-# 128 or 4096, and 0.18 s as one gather written by np.savez
+# Rows checked, typed and gathered at a time by cleaning, and rows of the
+# cleaned table read back and normalized at a time: at 80 columns a block of
+# whole rows is 160 KB, which stays in cache through the gather and the
+# normalization, and is all that cleaning holds of the cleaned matrix. On a
+# 200k x 80 table, gathering, normalizing and writing take 0.11-0.12 s in
+# blocks of 256 to 1024 rows, 0.12-0.15 s in blocks of 128 or 4096, and
+# 0.18 s as one gather written by np.savez
 CLEAN_BLOCK = 256
+# The types a kept column's cells are stored in, narrowest first: a column
+# takes the first into which each of its kept cells casts and back bit for
+# bit, so the unsigned integers hold whole numbers from +0.0 below their
+# limits (_STORED_LIMITS), and float64 holds every other column: one with a
+# -0.0, a negative or fractional cell, or a cell of 2^32 or more
+STORED_TYPES = (np.dtype("u1"), np.dtype("<u2"), np.dtype("<u4"), np.dtype("<f8"))
+_STORED_LIMITS = (2.0 ** 8, 2.0 ** 16, 2.0 ** 32)
 
 
 class TableError(ValueError):
@@ -224,7 +234,9 @@ class CleaningReport:
         }
 
 
-_CHUNK_LINES = 1 << 9  # lines parsed at a time: bounds what a load holds besides its table
+# lines parsed, and rows of a text column coded, at a time: bounds what a
+# load holds besides its table
+_CHUNK_LINES = 1 << 9
 _BLOCK_BYTES = 1 << 16  # bytes read from a file at a time
 
 
@@ -484,8 +496,11 @@ class _Columns:
             cats = tuple(sorted(ids))
             code = np.empty(len(cats))
             code[[ids[s] for s in cats]] = np.arange(len(cats))
-            col = self.column(c)[:self.rows]
-            col[:] = code[col.astype(np.intp)]
+            col = self.column(c)
+            for start in range(0, self.rows, _CHUNK_LINES):
+                at = col[start:min(start + _CHUNK_LINES, self.rows)]
+                # every id indexes `code`, so "clip" changes none
+                np.take(code, at.astype(np.intp), out=at, mode="clip")
             categories[self.header[c]] = cats
         features = tuple(name for c, name in enumerate(self.header) if c != self.label)
         return (Table(features, self.header[self.label], self.X[:self.rows], self.y[:self.rows]),
@@ -584,10 +599,12 @@ def drop_invalid_rows(t: Table) -> tuple[Table, CleaningReport]:
 
 @dataclass(frozen=True, eq=False)
 class CleaningPlan:
-    """What cleaning keeps of a table and how it normalizes it: the kept
-    rows and feature columns of its matrix, as indices in order, the kept
-    features' names, the kept rows' labels, and for each kept column the
-    `lo` and `span` of its (x - lo) / span."""
+    """What cleaning keeps of a table and how it normalizes and stores it:
+    the kept rows and feature columns of its matrix, as indices in order,
+    the kept features' names, the kept rows' labels, for each kept column
+    the `lo` and `span` of its (x - lo) / span and the position in
+    STORED_TYPES of the type that holds its kept cells, and that of the
+    labels' type."""
 
     feature_names: tuple[str, ...]
     rows: np.ndarray
@@ -595,6 +612,8 @@ class CleaningPlan:
     y: np.ndarray
     lo: np.ndarray
     span: np.ndarray
+    types: np.ndarray
+    y_type: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -602,17 +621,32 @@ class CleaningPlan:
         return len(self.rows), len(self.cols)
 
 
+def _stored_types(blocks, width: int) -> np.ndarray:
+    """For each of the `width` columns of the (start, block of rows) pairs
+    `blocks`, the position in STORED_TYPES of the narrowest type into which
+    each of its cells casts and back bit for bit, as uint8."""
+    inexact = np.zeros(width, dtype=bool)
+    top = np.zeros(width)
+    for _, block in blocks:
+        # a -0.0 or negative cell has its sign bit set; NaN is not its trunc
+        inexact |= (np.signbit(block) | (np.trunc(block) != block)).any(axis=0)
+        np.maximum(top, block.max(axis=0, initial=0.0), out=top)
+    fits = np.searchsorted(_STORED_LIMITS, top, side="right")
+    return np.where(inexact, len(_STORED_LIMITS), fits).astype(np.uint8)
+
+
 def plan_cleaning(t: Table, mapping: CategoryMapping,
                   excluded) -> tuple[CleaningPlan, CleaningReport]:
-    """How to clean and min-max normalize `t`, and what cleaning removes:
-    the `excluded` columns, the single-valued columns, the rows with a
-    non-finite, else a negative, numeric cell, and then the columns that row
-    removal left single-valued. Each numeric column becomes (x - min) /
+    """How to clean, min-max normalize and store `t`, and what cleaning
+    removes: the `excluded` columns, the single-valued columns, the rows with
+    a non-finite, else a negative, numeric cell, and then the columns that
+    row removal left single-valued. Each numeric column becomes (x - min) /
     (max - min), by the extrema over the kept rows that also find the columns
     row removal left single-valued; categorical columns go through as
     (x - 0) / 1, which leaves every code as it is. A feature is numeric
-    unless `mapping` holds its categories. `cleaned_blocks` applies the
-    plan: no cell of `t`'s matrix is copied here."""
+    unless `mapping` holds its categories. Each kept column's type, and the
+    labels', is picked from its kept cells, CLEAN_BLOCK rows at a time.
+    `cleaned_blocks` gathers the kept cells: none is copied here."""
     report = CleaningReport()
     for name in excluded:
         if name == t.label_name:
@@ -655,22 +689,22 @@ def plan_cleaning(t: Table, mapping: CategoryMapping,
     # above 0, so it has no such choice
     for j in np.flatnonzero(numeric & (lo == 0.0)):
         lo[j] = t.X[rows, keep[j]].min()
-    plan = CleaningPlan(tuple(t.feature_names[j] for j in keep), rows, keep, t.y[rows],
-                        lo, hi - lo)
+    types = _stored_types(row_blocks(t.X, rows, CLEAN_BLOCK), len(t.feature_names))[keep]
+    y = t.y[rows]
+    plan = CleaningPlan(tuple(t.feature_names[j] for j in keep), rows, keep, y,
+                        lo, hi - lo, types, int(_stored_types([(0, y[:, None])], 1)[0]))
     return plan, report
 
 
 def cleaned_blocks(X: np.ndarray, plan: CleaningPlan):
-    """(start, rows start.. of the cleaned matrix) for each block of
-    CLEAN_BLOCK kept rows, in order: the kept cells of the feature matrix
-    `X` that `plan_cleaning` planned, gathered and normalized a block at a
-    time into one buffer, which the next block overwrites."""
+    """(start, rows start.. of the kept cells) for each block of CLEAN_BLOCK
+    kept rows, in order: the cells of the feature matrix `X` that
+    `plan_cleaning` keeps, not yet normalized, gathered a block at a time
+    into one buffer, which the next block overwrites."""
     buf = np.empty((min(CLEAN_BLOCK, len(plan.rows)), len(plan.cols)))
     for start, block in row_blocks(X, plan.rows, CLEAN_BLOCK):
         out = buf[:len(block)]
         block.take(plan.cols, axis=1, out=out, mode="clip")
-        out -= plan.lo
-        out /= plan.span
         yield start, out
 
 

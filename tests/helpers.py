@@ -1,11 +1,13 @@
 """Shared table builders and process helpers for the test suite."""
 
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from flowsieve import feature_selection
-from flowsieve.tabular import Table, cleaned_blocks, plan_cleaning, subtable
+from flowsieve import feature_selection, pipeline
+from flowsieve.tabular import Table, plan_cleaning, subtable
 
 
 def make_table(features: dict, labels) -> Table:
@@ -18,12 +20,14 @@ def make_table(features: dict, labels) -> Table:
 
 def clean_table(t: Table, mapping, excluded):
     """`t` cleaned and normalized as one table, and the cleaning report:
-    `plan_cleaning`'s plan, its `cleaned_blocks` copied into one matrix."""
+    `plan_cleaning`'s plan, written to a cleaned.npz and read back as
+    `preprocess` and `load_preprocessed` write and read it."""
     plan, report = plan_cleaning(t, mapping, excluded)
-    X = np.empty(plan.shape)
-    for start, block in cleaned_blocks(t.X, plan):
-        X[start:start + len(block)] = block
-    return Table(plan.feature_names, t.label_name, X, plan.y), report
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cleaned.npz"
+        pipeline._write_cleaned(path, t.X, plan)
+        X, y = pipeline._read_cleaned(path, plan.shape)
+    return Table(plan.feature_names, t.label_name, X, y), report
 
 
 def rows_of(t: Table, rows) -> Table:

@@ -328,6 +328,28 @@ def metrics_ref(tp, fp, fn, tn):
     return accuracy, precision, recall, f1
 
 
+def split_table_ref(labels, spec):
+    """The sorted train and test rows of a split of the 0/1 `labels` by
+    `spec`, drawn as `split_table` drew them when it found both classes'
+    rows first and kept each class's whole permutation until it joined the
+    draws: one permutation of each class's rows, class 0 first, from one
+    generator seeded by the spec. Only for a split that succeeds."""
+    y = np.asarray(labels)
+    by_class = {cls: np.flatnonzero(y == cls) for cls in (0, 1)}
+    rng = np.random.default_rng(spec.seed)
+    draws = []
+    for cls, rows in by_class.items():
+        perm = rng.permutation(rows)
+        if cls == 1 and spec.scheme == "minority_protect":
+            n_train = math.floor(spec.attack_train_fraction * len(rows))
+            draws.append((perm[:n_train], perm[n_train:]))
+        else:
+            n_train = math.floor(spec.train_fraction * len(rows))
+            n_test = math.floor(spec.test_fraction * len(rows))
+            draws.append((perm[:n_train], perm[n_train:n_train + n_test]))
+    return tuple(np.sort(np.concatenate(parts)) for parts in zip(*draws))
+
+
 def _distinct(values):
     """How many distinct values: NaN is one value, and so are 0.0 and -0.0."""
     return len({"nan" if v != v else v for v in values})

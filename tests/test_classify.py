@@ -779,6 +779,16 @@ def test_predict_empty_table_and_row_purity():
         assert np.array_equal(scores[perm], ps)
 
 
+@pytest.mark.parametrize("train, params", [
+    (train_logistic, LogisticParams()), (train_naive_bayes, NaiveBayesParams()),
+    (train_svm, SvmParams()), (train_tree, TreeParams()), (train_forest, ForestParams())])
+def test_labels_not_binarized_are_refused_naming_their_values(train, params):
+    t = make_table({"x": [0.1, 0.2, 0.3, 0.4, 0.5]}, [2.0, 0.0, np.nan, 1.0, 2.0])
+    with pytest.raises(ClassifyError, match=r"^labels must be binarized to 0/1, "
+                                            r"found \[0\.0, 1\.0, 2\.0, nan\]$"):
+        train(t, params)
+
+
 def test_manifest_mismatch_rejected():
     t = blobs_2d(20, seed=63)
     model = train_logistic(t, LogisticParams(epochs=10))

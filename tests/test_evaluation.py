@@ -35,8 +35,10 @@ def test_confusion_hand_tally():
 def test_confusion_errors():
     with pytest.raises(EvalError, match="length"):
         confusion([1, 0], [1])
-    with pytest.raises(EvalError, match="binary"):
-        confusion([2, 0], [1, 0])
+    with pytest.raises(EvalError, match=r"^predictions must be binary 0/1, found \[0, 1, 2\]$"):
+        confusion([2, 0, 1, 2], [1, 0, 1, 1])
+    with pytest.raises(EvalError, match=r"^truths must be binary 0/1, found \[0\.0, nan\]$"):
+        confusion([True, False], [np.nan, 0.0])
     with pytest.raises(EvalError, match="non-negative"):
         metrics(cm(-1, 0, 0, 2))
 

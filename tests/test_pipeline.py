@@ -117,8 +117,12 @@ def test_preprocess_outputs(cfg):
     assert prep["columns"] == [["proto", "categorical"], ["sig", "numeric"],
                                ["anti", "numeric"], ["noise", "numeric"], ["Label", "label"]]
     with np.load(ctx.run_dir / "cleaned.npz") as arrays:
-        assert sorted(arrays.files) == ["X", "y"]
-        X, y = arrays["X"], arrays["y"]
+        assert sorted(arrays.files) == ["X", "lo", "span", "types", "y"]
+        # proto's codes fit uint8; the three fractional columns stay float64
+        assert arrays["types"].tolist() == [0, 3, 3, 3]
+        assert arrays["X"].shape == (480 + 60 + 60,) and arrays["y"].dtype == np.uint8
+    table, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
+    X, y = table.X, table.y
     assert X.shape == (480 + 60 + 60, 4) and X.dtype == np.float64 and X.flags.c_contiguous
     assert set(np.unique(y).tolist()) == {0.0, 1.0, 2.0}
     assert not any(p.is_dir() for p in ctx.run_dir.iterdir())
@@ -465,11 +469,13 @@ def dirty_table(rng, n: int):
     """A table of every case cleaning treats apart, in header order, with
     its column kinds: signed-zero minima, non-finite and negative rows, a
     column single-valued only on the rows kept, categorical columns (one
-    with negative codes, which no row check reads), an excluded column and
-    a constant one."""
+    with negative codes, which no row check reads), an excluded column, a
+    constant one, and whole-number columns at the limits of each stored
+    type."""
     kinds = {"zeros": "numeric", "cat": "categorical", "rate": "numeric", "late": "numeric",
              "Label": "label", "Timestamp": "numeric", "neg_cat": "categorical",
-             "const": "numeric", "x": "numeric"}
+             "const": "numeric", "x": "numeric", "flag": "numeric", "port": "numeric",
+             "bytes": "numeric", "big": "numeric"}
     cells = {
         "zeros": rng.choice([0.0, -0.0, 0.5, 2.0], n),
         "cat": rng.integers(0, 4, n).astype(float),
@@ -481,13 +487,23 @@ def dirty_table(rng, n: int):
         "neg_cat": rng.integers(-2, 2, n).astype(float),
         "const": np.full(n, 3.0),
         "x": rng.random(n) * 10.0 ** rng.integers(-3, 4, n),
+        "flag": rng.integers(1, 256, n).astype(float),
+        "port": rng.integers(0, 2 ** 16, n).astype(float),
+        "bytes": rng.integers(0, 2 ** 32, n).astype(float),
+        "big": rng.integers(0, 2 ** 33, n).astype(float),
     }
     cells["late"][:2] = [-1.0, 7.0]  # single-valued only once row checks drop -1
+    kept = np.isfinite(cells["rate"]) & (cells["late"] >= 0)
+    # each type's largest whole number, and the next, in rows that are kept
+    first = np.flatnonzero(kept)[:2]
+    cells["flag"][first[0]] = 255.0
+    cells["port"][first] = [256.0, 2.0 ** 16 - 1]
+    cells["bytes"][first] = [2.0 ** 16, 2.0 ** 32 - 1]
+    cells["big"][first[0]] = 2.0 ** 32
     features = [name for name in kinds if name != "Label"]
     # which zero is the minimum depends on the order a min visits the cells:
     # draw `zeros` until a min over the whole matrix's kept rows picks the
     # other zero than a pass over the column's kept cells alone
-    kept = np.isfinite(cells["rate"]) & (cells["late"] >= 0)
     j = features.index("zeros")
     while True:
         X = np.column_stack([cells[n] for n in features])
@@ -513,18 +529,31 @@ def former_gather(t: Table, mapping, rows, keep) -> np.ndarray:
     return X
 
 
+# what cleaned.npz holds besides the bytes of its arrays: five zip members'
+# headers and npy headers, and the zip's central directory
+CLEANED_NPZ_OVERHEAD = 2048
+
+
+def stored_bytes(path) -> int:
+    """The bytes of the arrays in the cleaned.npz `path`, headers left out."""
+    with np.load(path) as arrays:
+        return sum(arrays[name].nbytes for name in arrays.files)
+
+
 @pytest.mark.parametrize("block", [1, 7, tabular.CLEAN_BLOCK])
 def test_cleaned_npz_holds_the_bytes_of_the_cleaning_oracles(tmp_path, monkeypatch, block):
-    # the matrix written a block of rows at a time is the step-by-step
-    # oracle's and the whole-table gather's, in the file np.savez writes
+    # the matrix written and read back a block of rows at a time is the
+    # step-by-step oracle's and the whole-table gather's, and the file holds
+    # each kept column in the narrowest type that holds its cells exactly
     monkeypatch.setattr(tabular, "CLEAN_BLOCK", block)
+    monkeypatch.setattr(pipeline, "CLEAN_BLOCK", block)
     t, mapping, columns, cells = dirty_table(np.random.default_rng(block), 3 * 256 + 5)
     excluded = ["Timestamp", "absent"]
     with pytest.warns(UserWarning, match="single-valued after row cleaning.*: late"):
         plan, report = plan_cleaning(t, mapping, excluded)
-    pipeline._write_cleaned(tmp_path / "cleaned.npz", t.X, plan)
-    with np.load(tmp_path / "cleaned.npz") as arrays:
-        X, y = arrays["X"], arrays["y"]
+    path = tmp_path / "cleaned.npz"
+    pipeline._write_cleaned(path, t.X, plan)
+    X, y = pipeline._read_cleaned(path, plan.shape)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -533,33 +562,41 @@ def test_cleaned_npz_holds_the_bytes_of_the_cleaning_oracles(tmp_path, monkeypat
     assert report.to_json() == want_report
     kinds = [kind for _, kind in want_columns]
     assert [name for name, _ in want_columns if _ != "label"] == list(plan.feature_names)
-    assert {"zeros", "cat", "neg_cat", "rate", "x"} == set(plan.feature_names)
     want = np.array(want_rows).reshape(len(want_rows), len(want_columns))
     assert 0 < len(X) < len(t.X) and (want[:, kinds.index("label")] == y).all()
     assert X.tobytes() == np.delete(want, kinds.index("label"), axis=1).tobytes()
     assert y.tobytes() == want[:, kinds.index("label")].tobytes()
     assert X.tobytes() == former_gather(t, mapping, plan.rows, plan.cols).tobytes()
 
-    np.savez(tmp_path / "savez.npz", X=X, y=y)
-    assert (tmp_path / "cleaned.npz").stat().st_size == (tmp_path / "savez.npz").stat().st_size
-    with zipfile.ZipFile(tmp_path / "cleaned.npz") as got, \
-            zipfile.ZipFile(tmp_path / "savez.npz") as saved:
-        assert got.namelist() == saved.namelist() == ["X.npy", "y.npy"]
-        for name in got.namelist():
-            assert got.read(name) == saved.read(name), name
-            assert got.getinfo(name).compress_type == zipfile.ZIP_STORED
+    with np.load(path) as arrays:
+        stored = {name: tabular.STORED_TYPES[code].name
+                  for name, code in zip(plan.feature_names, arrays["types"])}
+        assert arrays["y"].dtype == np.uint8
+    assert stored == {"zeros": "float64", "cat": "uint8", "rate": "float64",
+                      "neg_cat": "float64", "x": "float64", "flag": "uint8",
+                      "port": "uint16", "bytes": "uint32", "big": "float64"}
+    narrow = len(X) * (1 + 1 + 2 + 4 + 8 * 5) + len(y) + 9 * (8 + 8 + 1)
+    assert stored_bytes(path) == narrow
+    assert narrow < path.stat().st_size <= narrow + CLEANED_NPZ_OVERHEAD
+    with zipfile.ZipFile(path) as zf:
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
 
 
-def test_cleaned_npz_of_a_table_reduced_to_its_labels_holds_np_savez_bytes(tmp_path):
-    # every feature single-valued: the matrix has rows but no columns
+def test_cleaned_npz_of_a_table_reduced_to_its_labels_round_trips(tmp_path):
+    # every feature single-valued: the matrix has rows but no columns, and
+    # its records no bytes
     t = Table(("a", "b"), "Label", np.ones((600, 2)), np.arange(600) % 2.0)
     with pytest.warns(UserWarning, match="label column only"):
         plan, _ = plan_cleaning(t, CategoryMapping({}), [])
-    pipeline._write_cleaned(tmp_path / "cleaned.npz", t.X, plan)
-    np.savez(tmp_path / "savez.npz", X=np.empty((600, 0)), y=t.y)
-    with zipfile.ZipFile(tmp_path / "cleaned.npz") as got, \
-            zipfile.ZipFile(tmp_path / "savez.npz") as saved:
-        assert [got.read(n) for n in got.namelist()] == [saved.read(n) for n in saved.namelist()]
+    path = tmp_path / "cleaned.npz"
+    pipeline._write_cleaned(path, t.X, plan)
+    X, y = pipeline._read_cleaned(path, (600, 0))
+    assert X.shape == (600, 0) and X.dtype == np.float64
+    assert y.tobytes() == t.y.tobytes()
+    with np.load(path) as arrays:
+        assert arrays["X"].shape == (600,) and arrays["X"].dtype.itemsize == 0
+    assert stored_bytes(path) == 600
+    assert path.stat().st_size <= 600 + CLEANED_NPZ_OVERHEAD
 
 
 def test_preprocess_peak_memory_is_within_a_quarter_of_the_cleaned_matrix(tmp_path):
@@ -580,12 +617,33 @@ def test_preprocess_peak_memory_is_within_a_quarter_of_the_cleaned_matrix(tmp_pa
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    with np.load(ctx.run_dir / "cleaned.npz") as arrays:
-        X = arrays["X"]
-    assert X.shape == (json.loads((ctx.run_dir / "preprocess.json").read_text())["clean_rows"],
-                       78)  # Timestamp and the constant column dropped, Service kept
-    assert 19_000 < len(X) < 20_000
-    assert peak <= 1.25 * X.nbytes, (peak, X.nbytes)
+    prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
+    # Timestamp and the constant column dropped, Service kept
+    assert prep["clean_columns"] == 78 + 1
+    assert 19_000 < prep["clean_rows"] < 20_000
+    matrix = prep["clean_rows"] * 78 * 8  # the cleaned float64 matrix's bytes
+    assert peak <= 1.25 * matrix, (peak, matrix)
+
+
+def test_load_preprocessed_peaks_within_a_tenth_above_the_cleaned_matrix(tmp_path):
+    # the stored records are read a block at a time into the float64
+    # matrix: the load holds no other copy of it. A first load imports what
+    # loading imports on first use
+    csv = flow_csv(tmp_path / "flows.csv", 20_000)
+    cfg = parse_config({"inputs": [str(csv)], "label_column": "Label",
+                        "benign_label": "Benign", "attacks": ["Attack"],
+                        "output_dir": str(tmp_path / "out"),
+                        "sampling": {"schemes": {"Attack": "fraction_stratified"}}})
+    ctx = cmd_preprocess(cfg)
+    load_preprocessed(ctx)
+    tracemalloc.start()
+    try:
+        table, _ = load_preprocessed(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.X.shape[1] == 78 and 19_000 < len(table.X) < 20_000
+    assert peak <= 1.1 * table.X.nbytes, (peak, table.X.nbytes)
 
 
 def test_loaded_tables_compare_by_identity(cfg):
@@ -607,18 +665,81 @@ def test_select_without_cleaned_arrays_fails_closed(cfg):
     assert manifest["stages_completed"] == ["preprocess"]
 
 
-def test_cleaned_arrays_disagreeing_with_columns_fail_closed(cfg):
-    ctx = cmd_preprocess(cfg)
-    path = ctx.run_dir / "cleaned.npz"
+def rewritten(arrays: dict, case: str) -> dict:
+    """The members of a cleaned.npz, by name, changed as `case` names."""
+    X, types = arrays["X"], arrays["types"]
+    if case == "an earlier run's float64 matrix":
+        return {"X": np.zeros((len(X), len(types))), "y": arrays["y"].astype(float)}
+    if case == "a float64 matrix among the members":
+        return dict(arrays, X=np.zeros((len(X), len(types))))
+    if case == "a missing member":
+        return {name: arr for name, arr in arrays.items() if name != "span"}
+    if case == "field types disagreeing with the types":
+        return dict(arrays, types=np.where(types == 0, 1, types).astype(np.uint8))
+    if case == "a type code out of range":
+        return dict(arrays, types=np.where(types == 3, 4, types).astype(np.uint8))
+    if case == "one feature column fewer":
+        return dict(arrays, types=types[1:], lo=arrays["lo"][1:], span=arrays["span"][1:])
+    if case == "a row fewer":
+        return dict(arrays, X=X[1:])
+    if case == "lo of the wrong length":
+        return dict(arrays, lo=arrays["lo"][1:])
+    if case == "span of the wrong length":
+        return dict(arrays, span=np.append(arrays["span"], 1.0))
+    if case == "labels of another type":
+        return dict(arrays, y=arrays["y"].astype(np.int64))
+    raise AssertionError(case)
+
+
+def corrupt(path, case: str) -> None:
+    """Rewrite the cleaned.npz `path` as `case` names."""
+    if case == "not a zip file":
+        path.write_bytes(path.read_bytes()[:1000])
+        return
     with np.load(path) as arrays:
-        X, y = arrays["X"], arrays["y"]
-    np.savez(path, X=X[:, 1:], y=y)  # one feature column fewer than `columns` lists
-    with pytest.raises(TableError, match="ragged"):
-        cmd_select(cfg)
-    manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
-    assert manifest["error"].startswith("TableError: ragged table")
-    assert manifest["stages_completed"] == ["preprocess"]
-    assert not (ctx.run_dir / "attacka").exists()
+        members = dict(arrays)
+    if case not in ("a truncated matrix", "a matrix longer than its header",
+                    "a matrix in npy format 2.0"):
+        np.savez(path, **rewritten(members, case))
+        return
+    X = members.pop("X")
+    with zipfile.ZipFile(path, "w") as zf:
+        with zf.open("X.npy", "w") as fh:
+            if case == "a matrix in npy format 2.0":
+                np.lib.format.write_array(fh, X, version=(2, 0))
+            else:
+                # the header gives the true row count; the member holds a
+                # row less or a row more
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": np.lib.format.dtype_to_descr(X.dtype),
+                         "fortran_order": False, "shape": X.shape})
+                fh.write((X[:-1] if case == "a truncated matrix" else X[[*range(len(X)), 0]])
+                         .tobytes())
+        for name, arr in members.items():
+            with zf.open(f"{name}.npy", "w") as fh:
+                np.lib.format.write_array(fh, arr)
+
+
+def test_cleaned_arrays_disagreeing_with_columns_fail_closed(cfg):
+    for case in ("an earlier run's float64 matrix", "a float64 matrix among the members",
+                 "a missing member", "field types disagreeing with the types",
+                 "a type code out of range", "one feature column fewer", "a row fewer",
+                 "lo of the wrong length", "span of the wrong length",
+                 "labels of another type", "a truncated matrix",
+                 "a matrix longer than its header", "a matrix in npy format 2.0",
+                 "not a zip file"):
+        ctx = cmd_preprocess(cfg)  # select continues the newest run
+        path = ctx.run_dir / "cleaned.npz"
+        corrupt(path, case)
+        with pytest.raises(PipelineError) as caught:
+            cmd_select(cfg)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: "), case
+        assert message.endswith("; run `preprocess` again"), case
+        manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
+        assert manifest["error"] == f"PipelineError: {message}", case
+        assert manifest["stages_completed"] == ["preprocess"], case
+        assert not (ctx.run_dir / "attacka").exists(), case
 
 
 @pytest.mark.parametrize("staged", [False, True])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from flowsieve.config import SamplingConfig
 from flowsieve.sampling import (FRACTION_STRATIFIED, MINORITY_PROTECT, SCHEMES,
                                 SamplingError, SplitSpec, split_manifest,
@@ -61,8 +62,9 @@ def test_fraction_split_errors():
         split_table(two_class_labels(3, 100),
                     spec(FRACTION_STRATIFIED, train_fraction=0.2,
                          test_fraction=0.1))
-    with pytest.raises(SamplingError, match="binarized"):
-        split_table(np.array([0.0, 1.0, 2.0]), spec(FRACTION_STRATIFIED))
+    with pytest.raises(SamplingError, match=r"^labels must be binarized to 0/1, found values "
+                                            r"\[0\.0, 1\.0, 2\.0, nan\]$"):
+        split_table(np.array([2.0, 0.0, np.nan, 1.0, 2.0]), spec(FRACTION_STRATIFIED))
 
 
 def test_spec_validation():
@@ -187,6 +189,10 @@ def test_split_rows_property(labels, scheme, train_fraction, test_fraction,
             split_table(y, s)
         return
     r = split_table(y, s)
+    # the same draws as when both classes' rows and permutations were held at once
+    want_train, want_test = ref.split_table_ref(y, s)
+    assert r.train_rows.tobytes() == want_train.tobytes()
+    assert r.test_rows.tobytes() == want_test.tobytes()
     for rows in (r.train_rows, r.test_rows):
         assert rows.dtype.kind == "i"
         assert np.all(np.diff(rows) > 0)  # sorted and unique

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import reference as ref
 from flowsieve import tabular
-from flowsieve.tabular import (CategoryMapping, Table, TableError, drop_invalid_rows,
-                               load_csv, load_csv_merged, split_by_attack, subtable)
+from flowsieve.tabular import (STORED_TYPES, CategoryMapping, Table, TableError,
+                               drop_invalid_rows, load_csv, load_csv_merged, plan_cleaning,
+                               split_by_attack, subtable)
 
 from helpers import clean_table, flow_csv, make_table, rows_of
 
@@ -283,6 +284,65 @@ def test_category_round_trip(tmp_path):
         assert np.array_equal(codes, codes.astype(int)), name
         assert [mapping.categories[name][int(c)] for c in codes] == want, name
         assert [mapping.encode(name, v) for v in want] == codes.tolist(), name
+
+
+@pytest.mark.parametrize("block", [1, 7, tabular.CLEAN_BLOCK])
+def test_plan_stores_each_column_in_the_narrowest_type_holding_its_cells(monkeypatch, block):
+    # each column's kept cells, read a block of rows at a time, cast to its
+    # type and back bit for bit; the next narrower type would not hold them
+    monkeypatch.setattr(tabular, "CLEAN_BLOCK", block)
+    n = 40
+    columns = {  # name: (cells of the kept rows, whose last is the extreme, type)
+        "u8": ([0.0] * (n - 1) + [255.0], "uint8"),
+        "u16_low": ([1.0] * (n - 1) + [256.0], "uint16"),
+        "u16": ([0.0] * (n - 1) + [65535.0], "uint16"),
+        "u32_low": ([3.0] * (n - 1) + [65536.0], "uint32"),
+        "u32": ([0.0] * (n - 1) + [2.0 ** 32 - 1], "uint32"),
+        "at_2_32": ([0.0] * (n - 1) + [2.0 ** 32], "float64"),
+        "above_2_32": ([5.0] * (n - 1) + [2.0 ** 40], "float64"),
+        "minus_zero": ([1.0] * (n - 1) + [-0.0], "float64"),
+        "fraction": ([2.0] * (n - 1) + [0.5], "float64"),
+        "tiny": ([1.0] * (n - 1) + [1e-300], "float64"),
+        "codes": ([0.0, 1.0] * (n // 2), "uint8"),
+        "negative_codes": ([0.0] * (n - 1) + [-1.0], "float64"),
+    }
+    X = np.column_stack([cells for cells, _ in columns.values()])
+    # a row the row checks drop, whose cells would need float64 in any column
+    X = np.vstack([X[:n // 2], np.full(len(columns), -0.5), X[n // 2:]])
+    mapping = CategoryMapping({"codes": ("a", "b"), "negative_codes": ("a", "b")})
+    t = Table(tuple(columns), "Label", X, np.arange(n + 1) % 2.0)
+    plan, report = plan_cleaning(t, mapping, [])
+    assert report.dropped_row_counts == {"negative": 1} and plan.feature_names == t.feature_names
+    assert [STORED_TYPES[code].name for code in plan.types] == [
+        kind for _, kind in columns.values()]
+    assert plan.types.dtype == np.uint8 and STORED_TYPES[plan.y_type] == np.uint8
+    for j, code in enumerate(plan.types):
+        cells = X[plan.rows, j]
+        assert cells.astype(STORED_TYPES[code]).astype(np.float64).tobytes() == cells.tobytes()
+
+
+@pytest.mark.parametrize("labels, kind", [
+    ([0.0, 1.0, 2.0], "uint8"), ([0.0, 1.0, 300.0], "uint16"), ([0.0, 1.0, 2.5], "float64"),
+    ([0.0, -1.0, 1.0], "float64")])
+def test_plan_stores_the_labels_in_the_narrowest_type_holding_them(labels, kind):
+    t = make_table({"a": [0.1, 0.2, 0.3]}, labels)
+    plan, _ = plan_cleaning(t, CategoryMapping({}), [])
+    assert STORED_TYPES[plan.y_type].name == kind
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 7, 512])
+def test_text_columns_are_coded_a_block_of_rows_at_a_time(tmp_path, monkeypatch, chunk_lines):
+    # the codes of a text feature and a text label, over more rows than a
+    # few blocks, are the whole-file parse's bit for bit
+    monkeypatch.setattr(tabular, "_CHUNK_LINES", chunk_lines)
+    rng = np.random.default_rng(chunk_lines)
+    services = rng.integers(0, 300, 1200)
+    labels = np.array(["Benign", "FTP", "SSH"])[rng.integers(0, 3, 1200)]
+    path = write(tmp_path, "flows.csv", "svc,a,Label\n" + "".join(
+        f"s{svc},{i % 13},{label}\n" for i, (svc, label) in enumerate(zip(services, labels))))
+    got = load_outcome(load_csv_merged, [path])
+    assert got == load_outcome(ref.load_csv_merged_ref, [path])
+    assert len(got[2][0][1]) == len(set(services.tolist()))  # svc's categories
 
 
 def test_split_by_attack_binarizes():
