@@ -5,11 +5,12 @@ the configured output directory; nothing inside an existing run is
 overwritten. Staged subcommands locate the newest run directory with the same
 config hash and continue it. `preprocess` plans the cleaning of the merged
 inputs with `tabular.plan_cleaning` and stores the cleaned table once, as
-its kept cells, each column in the narrowest type that holds them exactly,
-and each column's normalization (`cleaned.npz`, its rows gathered by
-`tabular.cleaned_blocks` and written a block at a time), plus its columns and
-categories in `preprocess.json`. `select` and `train-eval` rebuild it from
-them without parsing text, reading the rows a block at a time into the
+one record of each kept row's cells and label (`cleaned.npy`, filled from
+the loaded matrix and written a block of rows at a time), each column in the
+narrowest type that holds its cells exactly. `preprocess.json` states each
+column once: its name, kind and stored type, and a feature's normalization,
+beside the categories. `select` and `train-eval` rebuild the table from
+them without parsing text, reading the records a block at a time into the
 float64 matrix and normalizing them there (`load_preprocessed`), and find
 each attack's rows in it again. `select`
 writes each attack's scores and one `selection-*.json` per threshold, which
@@ -27,7 +28,6 @@ progress, the warnings raised so far and the error when a stage fails.
 import json
 import time
 import warnings
-import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -47,7 +47,7 @@ from .feature_selection import (normalize_scores, score_all, select_by_threshold
 from .parallel import fan_out
 from .sampling import split_manifest, split_table
 from .tabular import (CLEAN_BLOCK, STORED_TYPES, CategoryMapping, CleaningPlan, Table,
-                      cleaned_blocks, load_csv_merged, plan_cleaning, split_by_attack, subtable)
+                      load_csv_merged, plan_cleaning, row_blocks, split_by_attack, subtable)
 
 
 class PipelineError(RuntimeError):
@@ -90,14 +90,33 @@ class RunContext:
 
 
 @contextmanager
+def _user_warnings():
+    """The UserWarnings raised in the block, each as the arguments it was
+    shown with, in order: every warning flowsieve raises is one. A warning
+    of any other category meets the caller's filters where it is raised,
+    and is shown as they show it."""
+    caught = []
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def keep(message, category, *where):
+            if issubclass(category, UserWarning):
+                caught.append((message, category, *where))
+            else:
+                show(message, category, *where)
+        warnings.showwarning = keep
+        warnings.simplefilter("always", UserWarning)
+        yield caught
+
+
+@contextmanager
 def _led_by(where: str):
-    """Raise the block's warnings again, in order, then its error, each with
-    its message led by `where`, as "<where>: <message>"; also the warnings
-    of a block that fails. An error whose type takes no message alone is
-    raised as it is."""
+    """Raise the block's UserWarnings again, in order, then its error, each
+    with its message led by `where`, as "<where>: <message>"; also the
+    warnings of a block that fails. An error whose type takes no message
+    alone is raised as it is."""
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with _user_warnings() as caught:
             yield
     except Exception as exc:
         try:
@@ -106,8 +125,8 @@ def _led_by(where: str):
             named = exc
         raise named from None
     finally:
-        for w in caught:
-            warnings.warn_explicit(f"{where}: {w.message}", w.category, w.filename, w.lineno)
+        for message, category, filename, lineno, *_ in caught:
+            warnings.warn_explicit(f"{where}: {message}", category, filename, lineno)
 
 
 def new_run_dir(cfg: PipelineConfig) -> Path:
@@ -155,17 +174,16 @@ def _mb(size: int | None) -> float | None:
 
 @contextmanager
 def _stage(ctx: RunContext, stage: str):
-    """Record the messages of the warnings raised in the block, in order, as
-    run warnings, the block's wall time as `stage`'s, the most workers a
-    fan-out in it used, and the peak memory of this process and of the
-    workers it forked; also for a block that fails."""
+    """Record the messages of the UserWarnings raised in the block, in
+    order, as run warnings, the block's wall time as `stage`'s, the most
+    workers a fan-out in it used, and the peak memory of this process and
+    of the workers it forked; also for a block that fails."""
     t0 = time.perf_counter()
     try:
-        with parallel.usage() as used, warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with parallel.usage() as used, _user_warnings() as caught:
             yield
     finally:
-        ctx.warnings.extend(str(w.message) for w in caught)
+        ctx.warnings.extend(str(message) for message, *_ in caught)
         ctx.stage_seconds[stage] = round(time.perf_counter() - t0, 6)
         ctx.workers[stage] = used["workers"]
         ctx.peak_rss_mb[stage] = {"main": _mb(parallel.peak_rss_bytes()),
@@ -198,130 +216,123 @@ def stage_preprocess(ctx: RunContext) -> None:
                 split_table(labels, cfg.sampling.spec(attack, cfg.seed))
 
         _write_json(_fresh(ctx.run_dir / "cleaning_report.json"), report.to_json())
-        prep = {
+        _write_cleaned(ctx.run_dir, X, plan, mapping, label, {
             "raw_rows": raw_shape[0], "raw_columns": raw_shape[1],
-            "clean_rows": plan.shape[0], "clean_columns": plan.shape[1] + 1,
-            "columns": [[n, "categorical" if n in mapping.categories else "numeric"]
-                        for n in plan.feature_names] + [[label, "label"]],
-            "category_mapping": {name: cats for name, cats in mapping.to_json().items()
-                                 if name == label or name in plan.feature_names},
             "label_coding": {"benign": {cfg.benign_label: 0},
                              "attack": {a: 1 for a in cfg.attacks}},
-            "per_attack_rows": attack_rows,
-        }
-        _write_json(_fresh(ctx.run_dir / "preprocess.json"), prep)
-        _write_cleaned(_fresh(ctx.run_dir / "cleaned.npz"), X, plan)
+            "per_attack_rows": attack_rows})
     ctx.stages_completed.append("preprocess")
 
 
-# cleaned.npz's zip members: the matrix `X`, one record of each kept row's
-# cells (`_row_record`), and the kept columns' positions in STORED_TYPES
-# (`types`), their (x - lo) / span, and the labels `y` in their own type
-_CLEANED_MEMBERS = ("X.npy", "lo.npy", "span.npy", "types.npy", "y.npy")
+# The stored types as preprocess.json and cleaned.npy name them: u1, u2, u4, f8
+_TYPE_NAMES = tuple(t.str[1:] for t in STORED_TYPES)
 
 
-def _row_record(types: np.ndarray) -> tuple[np.dtype, list[np.ndarray]]:
-    """The record that cleaned.npz stores a row of kept columns of `types`
-    as: one field per type in STORED_TYPES, named by it, holding that type's
-    columns in table order; and the columns of each field."""
-    fields = [np.flatnonzero(types == code) for code in range(len(STORED_TYPES))]
-    return (np.dtype([(t.str[1:], t, (len(cols),)) for t, cols in zip(STORED_TYPES, fields)]),
-            fields)
+def _row_record(types) -> tuple[np.dtype, list[np.ndarray]]:
+    """The record of a cleaned.npy row whose features' and then label's types
+    are at `types` in STORED_TYPES: a field per type, named by it, of its
+    features in table order, then `label`; and each type field's features."""
+    types = np.asarray(types)
+    fields = [np.flatnonzero(types[:-1] == code) for code in range(len(STORED_TYPES))]
+    return (np.dtype([*((name, t, (len(cols),))
+                        for name, t, cols in zip(_TYPE_NAMES, STORED_TYPES, fields)),
+                      ("label", STORED_TYPES[types[-1]])]), fields)
 
 
-def _write_cleaned(path: Path, X: np.ndarray, plan: CleaningPlan) -> None:
-    """Write the cleaned table that `plan` makes of the loaded matrix `X` to
-    `path`, as zip members stored (not compressed, zip64 forced) as np.savez
-    stores them: the kept rows' records, gathered and written a block at a
-    time, so the cleaned matrix is never held, and the plan's types, lows,
-    spans and labels. `_read_cleaned` normalizes."""
-    dtype, fields = _row_record(plan.types)
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
-        with zf.open("X.npy", "w", force_zip64=True) as fh:
-            npy_format.write_array_header_1_0(
-                fh, {"descr": npy_format.dtype_to_descr(dtype), "fortran_order": False,
-                     "shape": (len(plan.rows),)})
-            for _, block in cleaned_blocks(X, plan):
-                records = np.empty(len(block), dtype)
-                for name, cols in zip(dtype.names, fields):
-                    records[name] = block[:, cols]  # exact: every cell fits its type
-                # as flat bytes, whose length zipfile counts as their size
-                fh.write(records.view(np.uint8))
-        for name, arr in (("lo", plan.lo), ("span", plan.span), ("types", plan.types),
-                          ("y", plan.y.astype(STORED_TYPES[plan.y_type]))):
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                npy_format.write_array(fh, arr)
+def _write_cleaned(run_dir: Path, X: np.ndarray, plan: CleaningPlan, mapping: CategoryMapping,
+                   label: str, prep: dict) -> None:
+    """Write the cleaned table that `plan` makes of the loaded matrix `X`,
+    labelled `label`, to `run_dir`: to cleaned.npy, an npy 1.0 array of one
+    record per kept row (`_row_record`) filled and written a block of rows
+    at a time, so the cleaned matrix is never held; and to preprocess.json
+    `prep`, the shape, the columns' categories in `mapping` and `columns`:
+    [name, kind, type, lo, span] for each feature in table order, its kind
+    "categorical" or "numeric", its stored type by name and its (x - lo) /
+    span (json writes a float as the shortest text that reads back as it),
+    then [label, "label", type]. `_read_cleaned` normalizes."""
+    _write_json(_fresh(run_dir / "preprocess.json"), {
+        **prep, "clean_rows": len(plan.rows), "clean_columns": len(plan.cols) + 1,
+        "columns": [[name, "categorical" if name in mapping.categories else "numeric",
+                     _TYPE_NAMES[code], lo, span]
+                    for name, code, lo, span in zip(plan.feature_names, plan.types.tolist(),
+                                                    plan.lo.tolist(), plan.span.tolist())
+                    ] + [[label, "label", _TYPE_NAMES[plan.y_type]]],
+        "category_mapping": {name: cats for name, cats in mapping.to_json().items()
+                             if name == label or name in plan.feature_names}})
+    dtype, fields = _row_record([*plan.types, plan.y_type])
+    sources = [plan.cols[cols] for cols in fields]  # each field's columns of X
+    buf = np.empty(min(CLEAN_BLOCK, len(plan.rows)), dtype)
+    with open(_fresh(run_dir / "cleaned.npy"), "wb") as fh:
+        npy_format.write_array_header_1_0(
+            fh, {"descr": npy_format.dtype_to_descr(dtype), "fortran_order": False,
+                 "shape": (len(plan.rows),)})
+        for start, block in row_blocks(X, plan.rows, CLEAN_BLOCK):
+            records = buf[:len(block)]
+            for name, cols in zip(_TYPE_NAMES, sources):
+                records[name] = block[:, cols]  # exact: every cell fits its type
+            records["label"] = plan.y[start:start + len(block)]
+            fh.write(records.view(np.uint8))
 
 
-def _read_cleaned(path: Path, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The cleaned float64 matrix of `shape` (rows, features) and its float64
-    labels, as `_write_cleaned` wrote them to `path`: CLEAN_BLOCK records at
-    a time are read into the matrix and normalized there, so no other copy
-    of the matrix is held. A file of any other layout fails closed."""
-    rows, width = shape
-
-    def refuse(why: str) -> PipelineError:
+def _read_cleaned(run_dir: Path) -> tuple[Table, CategoryMapping]:
+    """The cleaned table that `_write_cleaned` wrote to `run_dir`, and the
+    categories of its columns: cleaned.npy's records, CLEAN_BLOCK at a
+    time, are read into the float64 matrix and normalized there, so no
+    other copy of it is held. Files of any other layout fail closed."""
+    def refuse(path: Path, why: str) -> PipelineError:
         return PipelineError(f"{path}: {why}; run `preprocess` again")
 
-    def expect(name: str, arr_shape, arr_dtype, want_shape, want_dtypes) -> None:
-        if arr_shape != want_shape or arr_dtype not in want_dtypes:
-            raise refuse(f"{name} holds {arr_dtype} of shape {arr_shape}, not "
-                         f"{' or '.join(map(str, want_dtypes))} of shape {want_shape}")
-
-    try:
-        with zipfile.ZipFile(path) as zf:
-            if sorted(zf.namelist()) != list(_CLEANED_MEMBERS):
-                raise refuse(f"holds the members {sorted(zf.namelist())}, not "
-                             f"{list(_CLEANED_MEMBERS)}")
-            small = {}
-            for name, want_shape, want_dtypes in (
-                    ("lo", (width,), STORED_TYPES[-1:]), ("span", (width,), STORED_TYPES[-1:]),
-                    ("types", (width,), STORED_TYPES[:1]), ("y", (rows,), STORED_TYPES)):
-                with zf.open(f"{name}.npy") as fh:
-                    arr = npy_format.read_array(fh, allow_pickle=False)
-                expect(f"{name}.npy", arr.shape, arr.dtype, want_shape, want_dtypes)
-                small[name] = arr
-            if small["types"].max(initial=0) >= len(STORED_TYPES):
-                raise refuse(f"types.npy holds a type above {len(STORED_TYPES) - 1}")
-            dtype, fields = _row_record(small["types"])
-            X = np.empty(shape)
-            with zf.open("X.npy") as fh:
-                version = npy_format.read_magic(fh)
-                if version != (1, 0):
-                    raise refuse(f"X.npy is in npy format {version}, not (1, 0)")
-                got_shape, _, got_dtype = npy_format.read_array_header_1_0(fh)
-                expect("X.npy", got_shape, got_dtype, (rows,), (dtype,))
-                buf = np.empty(min(CLEAN_BLOCK, rows), dtype)
-                for start in range(0, rows, CLEAN_BLOCK):
-                    block = X[start:start + CLEAN_BLOCK]
-                    records = buf[:len(block)]
-                    if fh.readinto(records.view(np.uint8)) != records.nbytes:
-                        raise refuse(f"X.npy ends before row {rows}")
-                    for name, cols in zip(dtype.names, fields):
-                        block[:, cols] = records[name]
-                    block -= small["lo"]
-                    block /= small["span"]
-                if fh.read(1):
-                    raise refuse(f"X.npy holds more than {rows} rows")
-    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
-        raise refuse(f"not a cleaned table ({exc})") from None
-    return X, small["y"].astype(np.float64)
+    path, prep_path = run_dir / "cleaned.npy", run_dir / "preprocess.json"
+    if not path.exists():
+        raise PipelineError(f"{path} missing; run `preprocess` first")
+    with open(prep_path, encoding="utf-8") as fh:
+        prep = json.load(fh)
+    labels = [entry for entry in prep["columns"] if entry[1:2] == ["label"]]
+    features = [entry for entry in prep["columns"] if entry not in labels]
+    if len(labels) != 1:
+        raise refuse(prep_path, f"`columns` holds {len(labels)} label entries, not 1")
+    for entry, size in [*((entry, 5) for entry in features), (labels[0], 3)]:
+        if (len(entry) != size or entry[2] not in _TYPE_NAMES
+                or not all(isinstance(v, (int, float)) for v in entry[3:])):
+            raise refuse(prep_path, f"`columns` entry {entry} is not [name, kind, type, lo, "
+                         f"span] or [name, \"label\", type], type one of {_TYPE_NAMES}")
+    dtype, fields = _row_record([_TYPE_NAMES.index(entry[2]) for entry in [*features, *labels]])
+    lo, span = np.array([entry[3:] for entry in features], dtype=np.float64).reshape(-1, 2).T
+    rows = prep["clean_rows"]
+    X, y = np.empty((rows, len(features))), np.empty(rows)
+    with open(path, "rb") as fh:
+        try:
+            version = npy_format.read_magic(fh)
+            if version != (1, 0):
+                raise refuse(path, f"is in npy format {version}, not (1, 0)")
+            shape, _, got = npy_format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise refuse(path, f"is not an npy file ({exc})") from None
+        if shape != (rows,) or got != dtype:
+            raise refuse(path, f"holds {got} of shape {shape}, not {dtype} of shape {(rows,)}")
+        buf = np.empty(min(CLEAN_BLOCK, rows), dtype)
+        for start in range(0, rows, CLEAN_BLOCK):
+            block = X[start:start + CLEAN_BLOCK]
+            records = buf[:len(block)]
+            if fh.readinto(records.view(np.uint8)) != records.nbytes:
+                raise refuse(path, f"ends before row {rows}")
+            for name, cols in zip(_TYPE_NAMES, fields):
+                block[:, cols] = records[name]
+            y[start:start + len(block)] = records["label"]
+            block -= lo
+            block /= span
+        if fh.read(1):
+            raise refuse(path, f"holds more than {rows} rows")
+    return (Table([entry[0] for entry in features], labels[0][0], X, y),
+            CategoryMapping({name: tuple(cats) for name, cats in prep["category_mapping"].items()}))
 
 
 def load_preprocessed(ctx: RunContext) -> Cleaned:
     """The cleaned table and each attack's rows and 0/1 labels in it, rebuilt
-    from the arrays, columns and categories `stage_preprocess` wrote."""
-    path = ctx.run_dir / "cleaned.npz"
-    if not path.exists():
-        raise PipelineError(f"{path} missing; run `preprocess` first")
-    with open(ctx.run_dir / "preprocess.json", encoding="utf-8") as fh:
-        prep = json.load(fh)
-    label = next(name for name, kind in prep["columns"] if kind == "label")
-    features = [name for name, kind in prep["columns"] if kind != "label"]
-    table = Table(features, label, *_read_cleaned(path, (prep["clean_rows"], len(features))))
-    mapping = CategoryMapping({name: tuple(cats)
-                               for name, cats in prep["category_mapping"].items()})
-    return table, split_by_attack(table.y, label, mapping, ctx.cfg.attacks, ctx.cfg.benign_label)
+    from the records, columns and categories `stage_preprocess` wrote."""
+    table, mapping = _read_cleaned(ctx.run_dir)
+    return table, split_by_attack(table.y, table.label_name, mapping, ctx.cfg.attacks,
+                                  ctx.cfg.benign_label)
 
 
 def stage_select(ctx: RunContext, cleaned: Cleaned) -> None:

@@ -11,13 +11,13 @@ one of the mapping's keys. Only cleaning reads that: `plan_cleaning` exempts
 category codes from the row checks and from normalization. Cleaning never
 mutates: `plan_cleaning` finds the rows and columns to keep, each kept
 column's normalization and the narrowest type that holds its kept cells
-exactly, with a CleaningReport describing what was removed and why, and
-`cleaned_blocks` gathers the kept cells a block of rows at a time, so that
-they can be written out without the cleaned matrix being held beside the
-loaded one; the normalization is applied where the cleaned table is read
-back (`pipeline.load_preprocessed`). A per-attack dataset is a list of row
-indices into the cleaned table plus 0/1 labels (`split_by_attack`); scoring
-reads those rows straight from the cleaned table (`dataset_rows`,
+exactly, with a CleaningReport describing what was removed and why; the
+kept cells are copied out of the loaded matrix a block of rows at a time
+where the cleaned table is written (`pipeline.stage_preprocess`), so the
+cleaned matrix is never held beside the loaded one, and normalized where it
+is read back (`pipeline.load_preprocessed`). A per-attack dataset is a list
+of row indices into the cleaned table plus 0/1 labels (`split_by_attack`);
+scoring reads those rows straight from the cleaned table (`dataset_rows`,
 `row_blocks`), and `subtable` builds a table from them where one is needed.
 
 CSV input (`load_csv_merged`): the files share one header row, which names
@@ -66,8 +66,8 @@ REASON_REPEATED_HEADER = "repeated-header"
 # whole-array row then column takes; 800 rows x 30 of 77 take 167 us against
 # 320-390 us with 1024-row blocks
 SUBTABLE_BLOCK = 128
-# Rows checked, typed and gathered at a time by cleaning, and rows of the
-# cleaned table read back and normalized at a time: at 80 columns a block of
+# Rows checked and typed at a time by cleaning, and rows of the cleaned
+# table gathered and written, and read back and normalized, at a time: at 80 columns a block of
 # whole rows is 160 KB, which stays in cache through the gather and the
 # normalization, and is all that cleaning holds of the cleaned matrix. On a
 # 200k x 80 table, gathering, normalizing and writing take 0.11-0.12 s in
@@ -615,11 +615,6 @@ class CleaningPlan:
     types: np.ndarray
     y_type: int
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        """The cleaned feature matrix's (rows, features)."""
-        return len(self.rows), len(self.cols)
-
 
 def _stored_types(blocks, width: int) -> np.ndarray:
     """For each of the `width` columns of the (start, block of rows) pairs
@@ -646,7 +641,7 @@ def plan_cleaning(t: Table, mapping: CategoryMapping,
     (x - 0) / 1, which leaves every code as it is. A feature is numeric
     unless `mapping` holds its categories. Each kept column's type, and the
     labels', is picked from its kept cells, CLEAN_BLOCK rows at a time.
-    `cleaned_blocks` gathers the kept cells: none is copied here."""
+    No kept cell is copied here."""
     report = CleaningReport()
     for name in excluded:
         if name == t.label_name:
@@ -694,18 +689,6 @@ def plan_cleaning(t: Table, mapping: CategoryMapping,
     plan = CleaningPlan(tuple(t.feature_names[j] for j in keep), rows, keep, y,
                         lo, hi - lo, types, int(_stored_types([(0, y[:, None])], 1)[0]))
     return plan, report
-
-
-def cleaned_blocks(X: np.ndarray, plan: CleaningPlan):
-    """(start, rows start.. of the kept cells) for each block of CLEAN_BLOCK
-    kept rows, in order: the cells of the feature matrix `X` that
-    `plan_cleaning` keeps, not yet normalized, gathered a block at a time
-    into one buffer, which the next block overwrites."""
-    buf = np.empty((min(CLEAN_BLOCK, len(plan.rows)), len(plan.cols)))
-    for start, block in row_blocks(X, plan.rows, CLEAN_BLOCK):
-        out = buf[:len(block)]
-        block.take(plan.cols, axis=1, out=out, mode="clip")
-        yield start, out
 
 
 def _resolve_label_code(label_name: str, mapping: CategoryMapping, value) -> float:

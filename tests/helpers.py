@@ -20,14 +20,14 @@ def make_table(features: dict, labels) -> Table:
 
 def clean_table(t: Table, mapping, excluded):
     """`t` cleaned and normalized as one table, and the cleaning report:
-    `plan_cleaning`'s plan, written to a cleaned.npz and read back as
-    `preprocess` and `load_preprocessed` write and read it."""
+    `plan_cleaning`'s plan, written to a cleaned.npy and a preprocess.json
+    and read back as `preprocess` and `load_preprocessed` write and read
+    them."""
     plan, report = plan_cleaning(t, mapping, excluded)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cleaned.npz"
-        pipeline._write_cleaned(path, t.X, plan)
-        X, y = pipeline._read_cleaned(path, plan.shape)
-    return Table(plan.feature_names, t.label_name, X, y), report
+        pipeline._write_cleaned(Path(tmp), t.X, plan, mapping, t.label_name, {})
+        table, _ = pipeline._read_cleaned(Path(tmp))
+    return table, report
 
 
 def rows_of(t: Table, rows) -> Table:

@@ -5,7 +5,6 @@ import threading
 import tracemalloc
 import warnings
 import weakref
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -114,16 +113,21 @@ def test_preprocess_outputs(cfg):
                                             "negative": 1}
     # one cleaned table for all attacks, with the original label codes
     prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
-    assert prep["columns"] == [["proto", "categorical"], ["sig", "numeric"],
-                               ["anti", "numeric"], ["noise", "numeric"], ["Label", "label"]]
-    with np.load(ctx.run_dir / "cleaned.npz") as arrays:
-        assert sorted(arrays.files) == ["X", "lo", "span", "types", "y"]
-        # proto's codes fit uint8; the three fractional columns stay float64
-        assert arrays["types"].tolist() == [0, 3, 3, 3]
-        assert arrays["X"].shape == (480 + 60 + 60,) and arrays["y"].dtype == np.uint8
+    # proto's codes fit uint8 and are not normalized; the three fractional
+    # columns stay float64
+    assert [entry[:3] for entry in prep["columns"]] == [
+        ["proto", "categorical", "u1"], ["sig", "numeric", "f8"], ["anti", "numeric", "f8"],
+        ["noise", "numeric", "f8"], ["Label", "label", "u1"]]
+    assert prep["columns"][0][3:] == [0.0, 1.0]
+    records = np.load(ctx.run_dir / "cleaned.npy")
+    assert records.shape == (480 + 60 + 60,) and records["label"].dtype == np.uint8
+    lo, span = np.array([entry[3:] for entry in prep["columns"][1:4]]).T
+    assert (records["f8"].min(axis=0) == lo).all()
+    assert (records["f8"].max(axis=0) - lo == span).all()
     table, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
     X, y = table.X, table.y
     assert X.shape == (480 + 60 + 60, 4) and X.dtype == np.float64 and X.flags.c_contiguous
+    assert (X[:, 1:].min(axis=0) == 0.0).all() and (X[:, 1:].max(axis=0) == 1.0).all()
     assert set(np.unique(y).tolist()) == {0.0, 1.0, 2.0}
     assert not any(p.is_dir() for p in ctx.run_dir.iterdir())
     # categories only of the cleaned table's columns: not of the dropped Timestamp
@@ -151,8 +155,9 @@ def test_preprocess_json_marks_the_mapping_features_and_lists_the_label_last(tmp
     prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
     _, mapping, _ = load_csv_merged(cfg.inputs, cfg.label_column)
     assert set(mapping.categories) == {"Label", "proto", "svc"}
-    assert prep["columns"] == [["proto", "categorical"], ["sig", "numeric"],
-                               ["svc", "categorical"], ["Label", "label"]]
+    assert [entry[:3] for entry in prep["columns"]] == [
+        ["proto", "categorical", "u1"], ["sig", "numeric", "f8"], ["svc", "categorical", "u1"],
+        ["Label", "label", "u1"]]
     table, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
     assert (table.feature_names, table.label_name) == (("proto", "sig", "svc"), "Label")
     # category codes are not normalized
@@ -180,7 +185,7 @@ def test_columns_single_valued_after_row_cleaning_are_dropped(tmp_path, late):
     assert report["dropped_row_counts"] == {"non-finite": 1}
     prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
     kept = [n for n in ("sig", "num_late", "cat_late") if n not in late]
-    assert [n for n, _ in prep["columns"]] == [*kept, "Label"]
+    assert [entry[0] for entry in prep["columns"]] == [*kept, "Label"]
     assert set(prep["category_mapping"]) == {"Label"}
     manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
     assert manifest["warnings"] == ["columns became single-valued after row cleaning and "
@@ -350,7 +355,7 @@ def test_rerun_is_byte_identical(tmp_path):
     ctx2 = cmd_run(cfg)
     assert ctx1.run_dir != ctx2.run_dir
     for rel in ["metrics.csv", "attacka/feature_scores.csv", "attackb/feature_scores.csv",
-                "cleaned.npz", "attacka/split/manifest.json"]:
+                "cleaned.npy", "preprocess.json", "attacka/split/manifest.json"]:
         b1 = (ctx1.run_dir / rel).read_bytes()
         b2 = (ctx2.run_dir / rel).read_bytes()
         assert b1 == b2, rel
@@ -425,7 +430,7 @@ def test_run_and_staged_commands_write_identical_files(cfg):
     for name in ("bins.json", "feature_scores.csv", "selection-0.35.json",
                  "split/manifest.json"):
         assert f"attacka/{name}" in want and f"attackb/{name}" in want
-    assert "cleaned.npz" in want and "metrics.csv" in want and "metrics.json" in want
+    assert "cleaned.npy" in want and "metrics.csv" in want and "metrics.json" in want
     assert any(rel.startswith("attacka/models/") for rel in want)
     for rel in want:
         assert got[rel] == want[rel], rel
@@ -441,7 +446,7 @@ def test_run_directory_holds_one_data_table(cfg):
         # the rest are result tables: per-attack scores and the metrics grid
         assert csvs == ["attacka/feature_scores.csv", "attackb/feature_scores.csv",
                         "metrics.csv"]
-        assert [p.name for p in run_dir.rglob("*.npz")] == ["cleaned.npz"]
+        assert [p.name for p in run_dir.rglob("*.np*")] == ["cleaned.npy"]
         assert not list(run_dir.glob("*/dataset.csv"))
         assert not list(run_dir.glob("*/split/*.csv"))
 
@@ -470,12 +475,15 @@ def dirty_table(rng, n: int):
     its column kinds: signed-zero minima, non-finite and negative rows, a
     column single-valued only on the rows kept, categorical columns (one
     with negative codes, which no row check reads), an excluded column, a
-    constant one, and whole-number columns at the limits of each stored
-    type."""
+    constant one, whole-number columns at the limits of each stored type,
+    and columns whose low or span only the shortest float text in
+    preprocess.json gives back exactly: a -0.0 low, a subnormal low, cells
+    near 1.7e308 and whole numbers above 2^53."""
     kinds = {"zeros": "numeric", "cat": "categorical", "rate": "numeric", "late": "numeric",
              "Label": "label", "Timestamp": "numeric", "neg_cat": "categorical",
              "const": "numeric", "x": "numeric", "flag": "numeric", "port": "numeric",
-             "bytes": "numeric", "big": "numeric"}
+             "bytes": "numeric", "big": "numeric", "neg_zero": "numeric",
+             "subnormal": "numeric", "huge": "numeric", "above_2_53": "numeric"}
     cells = {
         "zeros": rng.choice([0.0, -0.0, 0.5, 2.0], n),
         "cat": rng.integers(0, 4, n).astype(float),
@@ -491,6 +499,10 @@ def dirty_table(rng, n: int):
         "port": rng.integers(0, 2 ** 16, n).astype(float),
         "bytes": rng.integers(0, 2 ** 32, n).astype(float),
         "big": rng.integers(0, 2 ** 33, n).astype(float),
+        "neg_zero": rng.choice([-0.0, 0.1, 3.0], n),
+        "subnormal": rng.choice([5e-324, 1e-310, 0.3], n),
+        "huge": rng.uniform(1.6e308, 1.7e308, n),
+        "above_2_53": rng.choice([2.0 ** 53 + 2, 2.0 ** 53 + 6, 2.0 ** 60 + 2 ** 8], n),
     }
     cells["late"][:2] = [-1.0, 7.0]  # single-valued only once row checks drop -1
     kept = np.isfinite(cells["rate"]) & (cells["late"] >= 0)
@@ -500,6 +512,9 @@ def dirty_table(rng, n: int):
     cells["port"][first] = [256.0, 2.0 ** 16 - 1]
     cells["bytes"][first] = [2.0 ** 16, 2.0 ** 32 - 1]
     cells["big"][first[0]] = 2.0 ** 32
+    # the lows, in rows that are kept
+    cells["neg_zero"][first[0]], cells["subnormal"][first[0]] = -0.0, 5e-324
+    cells["above_2_53"][first[0]] = 2.0 ** 53 + 2
     features = [name for name in kinds if name != "Label"]
     # which zero is the minimum depends on the order a min visits the cells:
     # draw `zeros` until a min over the whole matrix's kept rows picks the
@@ -529,31 +544,29 @@ def former_gather(t: Table, mapping, rows, keep) -> np.ndarray:
     return X
 
 
-# what cleaned.npz holds besides the bytes of its arrays: five zip members'
-# headers and npy headers, and the zip's central directory
-CLEANED_NPZ_OVERHEAD = 2048
-
-
-def stored_bytes(path) -> int:
-    """The bytes of the arrays in the cleaned.npz `path`, headers left out."""
-    with np.load(path) as arrays:
-        return sum(arrays[name].nbytes for name in arrays.files)
+def npy_header_bytes(path) -> int:
+    """The bytes of the npy file `path` before its array's."""
+    with open(path, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        np.lib.format.read_array_header_1_0(fh)
+        return fh.tell()
 
 
 @pytest.mark.parametrize("block", [1, 7, tabular.CLEAN_BLOCK])
 def test_cleaned_npz_holds_the_bytes_of_the_cleaning_oracles(tmp_path, monkeypatch, block):
     # the matrix written and read back a block of rows at a time is the
-    # step-by-step oracle's and the whole-table gather's, and the file holds
-    # each kept column in the narrowest type that holds its cells exactly
+    # step-by-step oracle's and the whole-table gather's, the file holds
+    # each kept column in the narrowest type that holds its cells exactly,
+    # and preprocess.json gives back each low and span bit for bit
     monkeypatch.setattr(tabular, "CLEAN_BLOCK", block)
     monkeypatch.setattr(pipeline, "CLEAN_BLOCK", block)
     t, mapping, columns, cells = dirty_table(np.random.default_rng(block), 3 * 256 + 5)
     excluded = ["Timestamp", "absent"]
     with pytest.warns(UserWarning, match="single-valued after row cleaning.*: late"):
         plan, report = plan_cleaning(t, mapping, excluded)
-    path = tmp_path / "cleaned.npz"
-    pipeline._write_cleaned(path, t.X, plan)
-    X, y = pipeline._read_cleaned(path, plan.shape)
+    pipeline._write_cleaned(tmp_path, t.X, plan, mapping, "Label", {})
+    table, _ = pipeline._read_cleaned(tmp_path)
+    X, y = table.X, table.y
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -562,41 +575,50 @@ def test_cleaned_npz_holds_the_bytes_of_the_cleaning_oracles(tmp_path, monkeypat
     assert report.to_json() == want_report
     kinds = [kind for _, kind in want_columns]
     assert [name for name, _ in want_columns if _ != "label"] == list(plan.feature_names)
+    assert table.feature_names == plan.feature_names and table.label_name == "Label"
     want = np.array(want_rows).reshape(len(want_rows), len(want_columns))
     assert 0 < len(X) < len(t.X) and (want[:, kinds.index("label")] == y).all()
     assert X.tobytes() == np.delete(want, kinds.index("label"), axis=1).tobytes()
     assert y.tobytes() == want[:, kinds.index("label")].tobytes()
     assert X.tobytes() == former_gather(t, mapping, plan.rows, plan.cols).tobytes()
 
-    with np.load(path) as arrays:
-        stored = {name: tabular.STORED_TYPES[code].name
-                  for name, code in zip(plan.feature_names, arrays["types"])}
-        assert arrays["y"].dtype == np.uint8
-    assert stored == {"zeros": "float64", "cat": "uint8", "rate": "float64",
-                      "neg_cat": "float64", "x": "float64", "flag": "uint8",
-                      "port": "uint16", "bytes": "uint32", "big": "float64"}
-    narrow = len(X) * (1 + 1 + 2 + 4 + 8 * 5) + len(y) + 9 * (8 + 8 + 1)
-    assert stored_bytes(path) == narrow
-    assert narrow < path.stat().st_size <= narrow + CLEANED_NPZ_OVERHEAD
-    with zipfile.ZipFile(path) as zf:
-        assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
+    entries = json.loads((tmp_path / "preprocess.json").read_text())["columns"]
+    assert entries[-1] == ["Label", "label", "u1"]
+    assert np.array([e[3] for e in entries[:-1]]).tobytes() == plan.lo.tobytes()
+    assert np.array([e[4] for e in entries[:-1]]).tobytes() == plan.span.tobytes()
+    lows = dict(zip(plan.feature_names, plan.lo.tolist()))
+    assert str(lows["neg_zero"]) == "-0.0" and lows["subnormal"] == 5e-324
+    assert lows["huge"] > 1.6e308 and lows["above_2_53"] == 2.0 ** 53 + 2
+    stored = {name: kind for name, _, kind, *_ in entries[:-1]}
+    assert stored == {"zeros": "f8", "cat": "u1", "rate": "f8", "neg_cat": "f8", "x": "f8",
+                      "flag": "u1", "port": "u2", "bytes": "u4", "big": "f8",
+                      "neg_zero": "f8", "subnormal": "f8", "huge": "f8", "above_2_53": "f8"}
+    # an npy file of one record per row, which np.load reads as it is
+    path = tmp_path / "cleaned.npy"
+    records = np.load(path)
+    assert records.dtype.names == ("u1", "u2", "u4", "f8", "label")
+    assert records.dtype.itemsize == 1 + 1 + 2 + 4 + 8 * 9 + 1 and records.shape == (len(X),)
+    assert records["label"].dtype == np.uint8
+    assert records["label"].tobytes() == y.astype(np.uint8).tobytes()
+    assert path.stat().st_size == npy_header_bytes(path) + records.nbytes
 
 
 def test_cleaned_npz_of_a_table_reduced_to_its_labels_round_trips(tmp_path):
     # every feature single-valued: the matrix has rows but no columns, and
-    # its records no bytes
+    # each record holds the label alone
     t = Table(("a", "b"), "Label", np.ones((600, 2)), np.arange(600) % 2.0)
     with pytest.warns(UserWarning, match="label column only"):
         plan, _ = plan_cleaning(t, CategoryMapping({}), [])
-    path = tmp_path / "cleaned.npz"
-    pipeline._write_cleaned(path, t.X, plan)
-    X, y = pipeline._read_cleaned(path, (600, 0))
-    assert X.shape == (600, 0) and X.dtype == np.float64
-    assert y.tobytes() == t.y.tobytes()
-    with np.load(path) as arrays:
-        assert arrays["X"].shape == (600,) and arrays["X"].dtype.itemsize == 0
-    assert stored_bytes(path) == 600
-    assert path.stat().st_size <= 600 + CLEANED_NPZ_OVERHEAD
+    pipeline._write_cleaned(tmp_path, t.X, plan, CategoryMapping({}), "Label", {})
+    table, _ = pipeline._read_cleaned(tmp_path)
+    assert table.X.shape == (600, 0) and table.feature_names == ()
+    assert table.y.tobytes() == t.y.tobytes()
+    prep = json.loads((tmp_path / "preprocess.json").read_text())
+    assert prep["columns"] == [["Label", "label", "u1"]] and prep["clean_rows"] == 600
+    path = tmp_path / "cleaned.npy"
+    records = np.load(path)
+    assert records.shape == (600,) and records.dtype.itemsize == 1
+    assert path.stat().st_size == npy_header_bytes(path) + 600
 
 
 def test_preprocess_peak_memory_is_within_a_quarter_of_the_cleaned_matrix(tmp_path):
@@ -657,85 +679,75 @@ def test_loaded_tables_compare_by_identity(cfg):
 
 def test_select_without_cleaned_arrays_fails_closed(cfg):
     ctx = cmd_preprocess(cfg)
-    (ctx.run_dir / "cleaned.npz").unlink()
-    with pytest.raises(PipelineError, match="cleaned.npz missing; run `preprocess` first"):
+    (ctx.run_dir / "cleaned.npy").unlink()
+    with pytest.raises(PipelineError, match="cleaned.npy missing; run `preprocess` first"):
         cmd_select(cfg)
     manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
     assert "run `preprocess` first" in manifest["error"]
     assert manifest["stages_completed"] == ["preprocess"]
 
 
-def rewritten(arrays: dict, case: str) -> dict:
-    """The members of a cleaned.npz, by name, changed as `case` names."""
-    X, types = arrays["X"], arrays["types"]
-    if case == "an earlier run's float64 matrix":
-        return {"X": np.zeros((len(X), len(types))), "y": arrays["y"].astype(float)}
-    if case == "a float64 matrix among the members":
-        return dict(arrays, X=np.zeros((len(X), len(types))))
-    if case == "a missing member":
-        return {name: arr for name, arr in arrays.items() if name != "span"}
-    if case == "field types disagreeing with the types":
-        return dict(arrays, types=np.where(types == 0, 1, types).astype(np.uint8))
-    if case == "a type code out of range":
-        return dict(arrays, types=np.where(types == 3, 4, types).astype(np.uint8))
-    if case == "one feature column fewer":
-        return dict(arrays, types=types[1:], lo=arrays["lo"][1:], span=arrays["span"][1:])
-    if case == "a row fewer":
-        return dict(arrays, X=X[1:])
-    if case == "lo of the wrong length":
-        return dict(arrays, lo=arrays["lo"][1:])
-    if case == "span of the wrong length":
-        return dict(arrays, span=np.append(arrays["span"], 1.0))
-    if case == "labels of another type":
-        return dict(arrays, y=arrays["y"].astype(np.int64))
-    raise AssertionError(case)
-
-
-def corrupt(path, case: str) -> None:
-    """Rewrite the cleaned.npz `path` as `case` names."""
-    if case == "not a zip file":
-        path.write_bytes(path.read_bytes()[:1000])
-        return
-    with np.load(path) as arrays:
-        members = dict(arrays)
-    if case not in ("a truncated matrix", "a matrix longer than its header",
-                    "a matrix in npy format 2.0"):
-        np.savez(path, **rewritten(members, case))
-        return
-    X = members.pop("X")
-    with zipfile.ZipFile(path, "w") as zf:
-        with zf.open("X.npy", "w") as fh:
-            if case == "a matrix in npy format 2.0":
-                np.lib.format.write_array(fh, X, version=(2, 0))
-            else:
-                # the header gives the true row count; the member holds a
-                # row less or a row more
-                np.lib.format.write_array_header_1_0(
-                    fh, {"descr": np.lib.format.dtype_to_descr(X.dtype),
-                         "fortran_order": False, "shape": X.shape})
-                fh.write((X[:-1] if case == "a truncated matrix" else X[[*range(len(X)), 0]])
-                         .tobytes())
-        for name, arr in members.items():
-            with zf.open(f"{name}.npy", "w") as fh:
-                np.lib.format.write_array(fh, arr)
+def corrupt(run_dir, case: str) -> str:
+    """Rewrite the run's cleaned table as `case` names; the error's text."""
+    path, prep_path = run_dir / "cleaned.npy", run_dir / "preprocess.json"
+    prep = json.loads(prep_path.read_text())
+    columns = prep["columns"]
+    data = path.read_bytes()
+    record = (len(data) - npy_header_bytes(path)) // prep["clean_rows"]
+    if case == "a column of an unknown stored type":
+        columns[1][2] = "i8"
+    elif case == "a column without its stored type":
+        columns[1] = columns[1][:2]
+    elif case == "no label entry":
+        del columns[-1]
+    elif case == "a column of another stored type":
+        columns[0][2] = "u2"
+    elif case == "another row count":
+        prep["clean_rows"] -= 1
+    elif case == "not an npy file":
+        path.write_bytes(data[:5])
+    elif case == "npy format 2.0":
+        records = np.load(path)
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, records, version=(2, 0))
+    elif case == "a record too few":
+        path.write_bytes(data[:-record])
+    elif case == "a record too many":
+        path.write_bytes(data + data[-record:])
+    elif case == "an earlier layout":
+        records = np.load(path)
+        np.savez(run_dir / "cleaned.npz", X=records[["u1", "u2", "u4", "f8"]],
+                 y=records["label"])
+        path.unlink()
+        prep["columns"] = [entry[:2] for entry in columns]
+    prep_path.write_text(json.dumps(prep))
+    return {
+        "a column of an unknown stored type": f"{prep_path}: `columns` entry",
+        "a column without its stored type": f"{prep_path}: `columns` entry",
+        "no label entry": f"{prep_path}: `columns` holds 0 label entries, not 1",
+        "a column of another stored type": f"{path}: holds ",
+        "another row count": f"{path}: holds ",
+        "not an npy file": f"{path}: is not an npy file",
+        "npy format 2.0": f"{path}: is in npy format (2, 0), not (1, 0)",
+        "a record too few": f"{path}: ends before row {prep['clean_rows']}",
+        "a record too many": f"{path}: holds more than {prep['clean_rows']} rows",
+        "an earlier layout": f"{path} missing; run `preprocess` first",
+    }[case]
 
 
 def test_cleaned_arrays_disagreeing_with_columns_fail_closed(cfg):
-    for case in ("an earlier run's float64 matrix", "a float64 matrix among the members",
-                 "a missing member", "field types disagreeing with the types",
-                 "a type code out of range", "one feature column fewer", "a row fewer",
-                 "lo of the wrong length", "span of the wrong length",
-                 "labels of another type", "a truncated matrix",
-                 "a matrix longer than its header", "a matrix in npy format 2.0",
-                 "not a zip file"):
+    for case in ("a column of an unknown stored type", "a column without its stored type",
+                 "no label entry", "a column of another stored type", "another row count",
+                 "not an npy file", "npy format 2.0", "a record too few",
+                 "a record too many", "an earlier layout"):
         ctx = cmd_preprocess(cfg)  # select continues the newest run
-        path = ctx.run_dir / "cleaned.npz"
-        corrupt(path, case)
+        want = corrupt(ctx.run_dir, case)
         with pytest.raises(PipelineError) as caught:
             cmd_select(cfg)
         message = str(caught.value)
-        assert message.startswith(f"{path}: "), case
-        assert message.endswith("; run `preprocess` again"), case
+        assert message.startswith(want), (case, message)
+        if case != "an earlier layout":
+            assert message.endswith("; run `preprocess` again"), case
         manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
         assert manifest["error"] == f"PipelineError: {message}", case
         assert manifest["stages_completed"] == ["preprocess"], case
@@ -887,7 +899,7 @@ def test_benign_label_without_valid_rows_fails_in_preprocess(tmp_path):
     manifest = json.loads((run_dir / "run_manifest.json").read_text())
     assert manifest["error"] == "TableError: no rows carry the benign label 'Ghost'"
     assert manifest["stages_completed"] == []
-    assert not (run_dir / "cleaned.npz").exists()
+    assert not (run_dir / "cleaned.npy").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "preprocess"])
@@ -1085,12 +1097,44 @@ def test_a_failed_select_keeps_the_failing_attacks_warnings(cfg, monkeypatch, st
         return real_score_all(t, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "score_all", score_all)
-    with pytest.raises(ScoringError, match="^AttackB: no feature to score$"):
+    with (pytest.raises(ScoringError, match="^AttackB: no feature to score$"),
+          warnings.catch_warnings(record=True) as shown):
+        warnings.simplefilter("always")
         run_commands(cfg, staged)
     manifest = json.loads((find_run_dir(cfg) / "run_manifest.json").read_text())
     assert manifest["error"] == "ScoringError: AttackB: no feature to score"
-    assert manifest["warnings"] == [f"{attack}: scoring{again}" for attack in ("AttackA", "AttackB")
-                                    for again in ("", " again")]
+    assert manifest["warnings"] == [f"{attack}: scoring" for attack in ("AttackA", "AttackB")]
+    # a warning of another category is no run warning: it reaches the
+    # caller's filters as it was raised
+    assert [(w.category, str(w.message)) for w in shown] == [(RuntimeWarning, "scoring again")] * 2
+
+
+def test_only_user_warnings_become_run_warnings(cfg, monkeypatch):
+    # every warning flowsieve raises is a UserWarning; any other meets the
+    # caller's filters where it is raised, unchanged, and is no run warning
+    real_load = pipeline.load_csv_merged
+
+    def load_csv_merged(*args):
+        warnings.warn("deprecated", DeprecationWarning)
+        warnings.warn("flowsieve's own", UserWarning)
+        return real_load(*args)
+
+    line = load_csv_merged.__code__.co_firstlineno + 1
+    monkeypatch.setattr(pipeline, "load_csv_merged", load_csv_merged)
+    for action, want in (("always", [(DeprecationWarning, "deprecated", __file__, line)]),
+                         ("ignore", [])):
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(action)
+            ctx = cmd_preprocess(cfg)
+        assert [(w.category, str(w.message), w.filename, w.lineno) for w in shown] == want
+        assert ctx.warnings == ["flowsieve's own"], action
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        with pytest.raises(DeprecationWarning, match="^deprecated$"):
+            cmd_preprocess(cfg)
+    manifest = json.loads((find_run_dir(cfg) / "run_manifest.json").read_text())
+    assert manifest["error"] == "DeprecationWarning: deprecated"
+    assert manifest["warnings"] == [] and manifest["stages_completed"] == []
 
 
 def test_a_failed_train_eval_keeps_the_warnings_up_to_its_failing_cell(cfg, monkeypatch):
