@@ -68,9 +68,6 @@ def main(argv=None) -> int:
         return 1
     try:
         ctx = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"flowsieve: config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - every runtime failure maps to exit 2
         print(f"flowsieve: {args.command} failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)

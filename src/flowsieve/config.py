@@ -9,6 +9,7 @@ a typo in a long sweep config cannot silently fall back to a default.
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import types
 import typing
@@ -181,6 +182,9 @@ def _convert(value, tp, path: str):
     accepted = (int, float) if tp is float else tp
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path} must be {_JSON_TYPES[tp]}, got {value!r}")
+    # json reads NaN, Infinity and -Infinity, which are not JSON, as floats
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return value
 
 

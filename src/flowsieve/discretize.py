@@ -17,14 +17,10 @@ import numpy as np
 from .tabular import Table, dataset_rows, row_blocks
 
 # Rows of the feature matrix binned at a time: the gathered rows (315 KB at
-# 77 features) and the bool block of one edge comparison (39 KB) stay in
-# cache across the k-1 comparisons
+# 77 features), the bool block of one edge comparison (39 KB) and the edges
+# repeated over a tile of rows (no more floats than the gathered rows, at
+# any k up to BIN_BLOCK_ROWS + 1) stay in cache across the k-1 comparisons
 BIN_BLOCK_ROWS = 512
-# rows one edge comparison spans: up to BIN_TILE_ROWS, a power of two, while
-# the table of every edge repeated that many times holds at most
-# BIN_TILE_CELLS floats (355 KB at 77 features and k = 10, one table a call)
-BIN_TILE_ROWS = 64
-BIN_TILE_CELLS = 1 << 16
 
 
 class DiscretizeError(ValueError):
@@ -68,46 +64,39 @@ def bin_matrix(t: Table, edges: np.ndarray, rows=None) -> np.ndarray:
     (uint8 up to 256 bins).
 
     A bin index is the count of the feature's edges at or below the value,
-    so each block of BIN_BLOCK_ROWS rows is compared with one edge of every
-    feature at a time, into one reused bool block, which is added to the
-    block's indices. That equals `np.searchsorted(edges[j], v, side="right")`
-    for every finite or infinite value, -0.0 against a 0.0 edge included; a
-    constant feature's NaN edges count no value, so it bins to 0. A NaN cell
-    would bin to 0 too, where `searchsorted` puts it in bin k-1; none gets
-    here, since cleaning drops such rows and `table_bin_edges` refuses them.
-    Each edge row is tiled across up to BIN_TILE_ROWS rows, so that one
-    comparison runs over that many whole rows of the block rather than over
-    one row's features. The cost is O(k) per cell against `searchsorted`'s
-    O(log k) on one strided column at a time, so it wins at a few dozen bins
-    or fewer (the default is 10) and loses above. On 3.5k x 77 on one CPU:
-    2.5 against 9-11 ms at k = 10 (3.6 comparing one row at a time), 12
-    against 16 ms at k = 64 and 60 against 21 ms at k = 256; on 100k x 77 at
-    k = 10, 39-49 ms against 65-89 ms one row at a time. There is one path
-    for every k all the same."""
+    so each block of rows is compared with one edge of every feature at a
+    time, into one reused bool block, which is added to the block's indices.
+    That equals `np.searchsorted(edges[j], v, side="right")` for every
+    finite or infinite value, -0.0 against a 0.0 edge included; a constant
+    feature's NaN edges count no value, so it bins to 0. A NaN cell would bin
+    to 0 too, where `searchsorted` puts it in bin k-1; none gets here, since
+    cleaning drops such rows and `table_bin_edges` refuses them.
+
+    Each edge row is repeated across a tile of min(BIN_BLOCK_ROWS, rows) //
+    (k-1) rows (at least one), so that one comparison runs over that many
+    whole rows of the block, and the repeated edges hold no more floats than
+    a block of rows (or the edges themselves, above BIN_BLOCK_ROWS edges).
+    The rows are padded with their last row up to a whole tile and binned in
+    blocks of whole tiles, and the padding's bins are dropped. The cost is
+    O(k) per cell against `searchsorted`'s O(log k) on one strided column
+    at a time, so it wins at a few dozen bins or fewer (the default is 10)
+    and loses above; there is one path for every k all the same."""
     rows = dataset_rows(t, rows)[0]
-    d = t.X.shape[1]
+    n, d = len(rows), t.X.shape[1]
+    tile = max(1, min(BIN_BLOCK_ROWS, n) // edges.shape[1])
+    table = np.tile(edges.T, (1, tile))  # row i: edge i of every feature, `tile` times
+    rows = np.concatenate([rows, np.repeat(rows[-1:], -n % tile)])
     out = np.zeros((len(rows), d), dtype=np.min_scalar_type(edges.shape[1]))
-    ge = np.empty((min(BIN_BLOCK_ROWS, len(rows)), d), dtype=bool)
-    # each edge of every feature, repeated for `tile` rows, so that one
-    # comparison runs over `tile` whole rows of the block
-    tile = min(BIN_TILE_ROWS, BIN_TILE_CELLS // max(1, edges.size))
-    tile = 1 << max(0, tile.bit_length() - 1)  # a power of two: it divides BIN_BLOCK_ROWS
-    table = np.tile(edges.T, (1, tile))
-    for start, block in row_blocks(t.X, rows, BIN_BLOCK_ROWS):
-        part = out[start:start + len(block)]
-        flags = ge[:len(block)]
-        full = len(block) - len(block) % tile
-        pieces = [(full // tile, tile * d, slice(0, full), table)] if full else []
-        if full < len(block):  # the rows past the last whole tile
-            pieces.append((1, (len(block) - full) * d, slice(full, None),
-                           table[:, :(len(block) - full) * d]))
-        for count, width, at, edge_rows in pieces:
-            values = block[at].reshape(count, width)
-            counts = part[at].reshape(count, width)
-            above = flags[at].reshape(count, width)
-            for edge in edge_rows:
-                counts += np.greater_equal(values, edge, out=above)
-    return out
+    step = BIN_BLOCK_ROWS - BIN_BLOCK_ROWS % tile
+    ge = np.empty((min(step, len(rows)), d), dtype=bool)
+    for start, block in row_blocks(t.X, rows, step):
+        shape = (len(block) // tile, tile * d)
+        values = block.reshape(shape)
+        counts = out[start:start + len(block)].reshape(shape)
+        above = ge[:len(block)].reshape(shape)
+        for edge in table:
+            counts += np.greater_equal(values, edge, out=above)
+    return out[:n]
 
 
 def bins_document(feature_names, edges: np.ndarray) -> dict:

@@ -28,6 +28,7 @@ progress, the warnings raised so far and the error when a stage fails.
 import json
 import time
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -161,6 +162,28 @@ def _write_json(path: Path, obj) -> None:
         fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
+def _refuse(path: Path, why: str, stage: str) -> PipelineError:
+    return PipelineError(f"{path}: {why}; run `{stage}` again")
+
+
+def _read_json(path: Path, stage: str, keys: dict[str, type], required: bool = True) -> dict:
+    """The JSON object in `path`, whose each key of `keys` holds a value of
+    the type it maps to; a key it lacks is refused only if `required`. A
+    file that cannot be read or parsed, or holds anything else, is refused
+    with the `stage` that writes it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _refuse(path, f"cannot be read ({exc})", stage) from None
+    if not isinstance(doc, dict):
+        raise _refuse(path, f"holds a {type(doc).__name__}, not an object", stage)
+    for key, kind in keys.items():
+        if (required or key in doc) and not isinstance(doc.get(key), kind):
+            raise _refuse(path, f"holds no {kind.__name__} `{key}`", stage)
+    return doc
+
+
 def _fresh(path: Path) -> Path:
     if path.exists():
         raise PipelineError(f"{path} already exists; runs are append-only "
@@ -192,14 +215,19 @@ def _stage(ctx: RunContext, stage: str):
 
 def stage_preprocess(ctx: RunContext) -> None:
     """Load and merge the inputs, plan their cleaning, normalization and
-    storage, check that each attack's rows can be split for training, and
-    write the cleaned table once, its kept cells a block of rows at a time."""
+    storage, check that cleaning keeps a feature column and that each
+    attack's rows can be split for training, and write the cleaned table
+    once, its kept cells a block of rows at a time."""
     cfg = ctx.cfg
     with _stage(ctx, "preprocess"):
         table, mapping, report = load_csv_merged(cfg.inputs, cfg.label_column,
                                                  cfg.excluded_columns)
         plan, rep = plan_cleaning(table, mapping, cfg.excluded_columns)
         report = report.merged(rep)
+        if not plan.feature_names:
+            reasons = Counter(reason for _, reason in report.dropped_columns)
+            raise PipelineError("cleaning kept no feature column; dropped " + ", ".join(
+                f"{count} {reason}" for reason, count in sorted(reasons.items())))
         # the plan holds the kept labels: only the loaded matrix is kept
         label, raw_shape, X = table.label_name, (table.row_count, table.column_count), table.X
         del table
@@ -280,14 +308,24 @@ def _read_cleaned(run_dir: Path) -> tuple[Table, CategoryMapping]:
     time, are read into the float64 matrix and normalized there, so no
     other copy of it is held. Files of any other layout fail closed."""
     def refuse(path: Path, why: str) -> PipelineError:
-        return PipelineError(f"{path}: {why}; run `preprocess` again")
+        return _refuse(path, why, "preprocess")
 
     path, prep_path = run_dir / "cleaned.npy", run_dir / "preprocess.json"
     if not path.exists():
         raise PipelineError(f"{path} missing; run `preprocess` first")
-    with open(prep_path, encoding="utf-8") as fh:
-        prep = json.load(fh)
-    labels = [entry for entry in prep["columns"] if entry[1:2] == ["label"]]
+    prep = _read_json(prep_path, "preprocess",
+                      {"clean_rows": int, "columns": list, "category_mapping": dict})
+    rows = prep["clean_rows"]
+    if rows < 0:
+        raise refuse(prep_path, f"`clean_rows` is {rows}")
+    if not all(isinstance(cats, list) for cats in prep["category_mapping"].values()):
+        raise refuse(prep_path, "`category_mapping` maps a column to no list")
+    for entry in prep["columns"]:
+        if not (isinstance(entry, list) and len(entry) >= 3
+                and all(isinstance(v, str) for v in entry[:3])):
+            raise refuse(prep_path, f"`columns` entry {entry} does not start with "
+                         "three strings")
+    labels = [entry for entry in prep["columns"] if entry[1] == "label"]
     features = [entry for entry in prep["columns"] if entry not in labels]
     if len(labels) != 1:
         raise refuse(prep_path, f"`columns` holds {len(labels)} label entries, not 1")
@@ -298,7 +336,6 @@ def _read_cleaned(run_dir: Path) -> tuple[Table, CategoryMapping]:
                          f"span] or [name, \"label\", type], type one of {_TYPE_NAMES}")
     dtype, fields = _row_record([_TYPE_NAMES.index(entry[2]) for entry in [*features, *labels]])
     lo, span = np.array([entry[3:] for entry in features], dtype=np.float64).reshape(-1, 2).T
-    rows = prep["clean_rows"]
     X, y = np.empty((rows, len(features))), np.empty(rows)
     with open(path, "rb") as fh:
         try:
@@ -372,8 +409,12 @@ def load_selections(ctx: RunContext) -> Selections:
             path = adir / f"selection-{tau_tag(tau)}.json"
             if not path.exists():
                 raise PipelineError(f"{path} missing; run `select` first")
-            with open(path, encoding="utf-8") as fh:
-                features = sorted(json.load(fh)["features"], key=lambda f: f["index"])
+            features = _read_json(path, "select", {"features": list})["features"]
+            if not all(isinstance(f, dict) and isinstance(f.get("name"), str)
+                       and isinstance(f.get("index"), int) for f in features):
+                raise _refuse(path, "a `features` entry has no str `name` and int `index`",
+                              "select")
+            features.sort(key=lambda f: f["index"])
             out[attack][tau] = tuple(f["name"] for f in features)
     return out
 
@@ -486,12 +527,14 @@ def write_manifest(ctx: RunContext, error: str | None = None) -> Path:
 def _resume_context(cfg: PipelineConfig) -> RunContext:
     """Context for a staged command: the newest run with this config, with
     the history its manifest holds. A key the manifest lacks (`workers` and
-    `peak_rss_mb`, in runs written before they were recorded) starts empty."""
+    `peak_rss_mb`, in runs written before they were recorded) starts empty;
+    a manifest that cannot be read, or holds a key of another type, is
+    refused and left as it is."""
     ctx = RunContext(cfg, find_run_dir(cfg))
     path = ctx.run_dir / "run_manifest.json"
     if path.exists():
-        with open(path, encoding="utf-8") as fh:
-            prior = json.load(fh)
+        prior = _read_json(path, "preprocess",
+                           {key: type(getattr(ctx, key)) for key in _HISTORY}, required=False)
         for key in _HISTORY:
             if key in prior:
                 setattr(ctx, key, prior[key])

@@ -75,6 +75,36 @@ def test_negative_seed_exits_1_before_reading_the_input(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--seed", "1"]) == 2
 
 
+def test_an_infinite_config_number_exits_1_before_reading_the_input(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, inputs=[str(tmp_path / "missing.csv")],
+                            classifiers={"svm": {"c": float("inf")}})
+    assert "Infinity" in cfg_path.read_text()
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "config error: classifiers.svm.c must be a finite number, got inf" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_keeping_no_feature_column_exits_2(tmp_path, capsys):
+    # both feature columns are constant: cleaning would keep the label alone,
+    # and select would fail on a table preprocess recorded as complete
+    lines = ["a,b,Label"] + [f"1,2,{'Attack' if i % 3 == 0 else 'Benign'}" for i in range(30)]
+    (tmp_path / "flows.csv").write_text("\n".join(lines) + "\n")
+    cfg_path = write_config(tmp_path, inputs=[str(tmp_path / "flows.csv")], attacks=["Attack"],
+                            excluded_columns=[],
+                            sampling={"schemes": {"Attack": "fraction_stratified"}})
+    for command in ("preprocess", "run"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert (f"{command} failed: PipelineError: cleaning kept no feature column; "
+                "dropped 2 single-valued") in capsys.readouterr().err
+        run_dir = latest_run(tmp_path / "out")
+        manifest = json.loads((run_dir / "run_manifest.json").read_text())
+        assert manifest["error"].startswith("PipelineError: cleaning kept no feature column")
+        assert manifest["stages_completed"] == []
+        assert "table reduced to its label column only" in manifest["warnings"]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["run_manifest.json"]
+
+
 def test_runtime_failure_exit_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     # select before preprocess: stage precondition fails at runtime

@@ -167,6 +167,25 @@ def test_bad_configs_fail_at_load(tmp_path, key, value, message):
         parse_config(base_doc(tmp_path, **{key: value}))
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key, value, path", [
+    ("thresholds", [0.5, "X"], r"thresholds\[1\]"),
+    ("sampling", {"train_fraction": "X"}, r"sampling\.train_fraction"),
+    ("classifiers", {"svm": {"c": "X"}}, r"classifiers\.svm\.c"),
+    ("classifiers", {"naive_bayes": {"variance_floor": "X"}},
+     r"classifiers\.naive_bayes\.variance_floor"),
+    ("classifiers", {"logistic": {"learning_rate": "X"}}, r"classifiers\.logistic\.learning_rate"),
+], ids=["threshold", "train_fraction", "svm.c", "variance_floor", "learning_rate"])
+def test_non_finite_numbers_fail_at_load(tmp_path, token, key, value, path):
+    # json reads these tokens, which are not JSON, as floats; an infinite
+    # svm c or variance floor would pass the range checks and fail, or write
+    # the token into the model files, only after the input is cleaned
+    text = json.dumps(base_doc(tmp_path, **{key: value})).replace('"X"', token)
+    (tmp_path / "config.json").write_text(text)
+    with pytest.raises(ConfigError, match=f"^{path} must be a finite number, got "):
+        load_config(tmp_path / "config.json")
+
+
 SEEDED = ("logistic", "naive_bayes", "svm", "tree", "forest")
 
 

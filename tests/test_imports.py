@@ -6,7 +6,8 @@ packages import in any order.
 No linter runs on this code, so these tests do the three checks a deletion
 most often leaves undone: an import that nothing reads any more, a private
 helper that nothing calls any more, and a public function, class or constant
-that nothing but its tests reads any more.
+that nothing but its tests reads any more. The package declares Python
+3.10, so every source file must parse under its grammar too.
 """
 
 import ast
@@ -21,6 +22,33 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flowsieve"
 each_module = pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
                                       ids=lambda p: p.relative_to(PACKAGE).as_posix())
+
+
+def parses_under_3_10(source: str) -> bool:
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_the_3_10_grammar_check_refuses_later_syntax():
+    assert parses_under_3_10("def f(x: int | None):\n    match x:\n        case _:\n"
+                             "            return f'{x!r:>{4}}'\n")
+    for later in ("try:\n    pass\nexcept* ValueError:\n    pass\n",  # 3.11
+                  "type X = int\n", "def f[T](x):\n    pass\n",  # 3.12
+                  "f\"{f\"{1}\"}\"\n"):  # 3.12: an f-string nested in its own quotes
+        assert not parses_under_3_10(later), later
+
+
+def test_every_source_file_parses_under_the_3_10_grammar():
+    """requires-python is >=3.10: a construct of a later grammar would fail
+    to import there. This checks the grammar only, not that the standard
+    library or NumPy of 3.10 has each name a file uses."""
+    sources = [p for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))]
+    assert len(sources) > 20
+    assert [p.relative_to(ROOT).as_posix() for p in sources
+            if not parses_under_3_10(p.read_text(encoding="utf-8"))] == []
 
 
 def unused_imports(source: str) -> list[str]:

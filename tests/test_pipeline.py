@@ -754,6 +754,86 @@ def test_cleaned_arrays_disagreeing_with_columns_fail_closed(cfg):
         assert not (ctx.run_dir / "attacka").exists(), case
 
 
+def edit_json(change):
+    """An edit of a JSON file: its document replaced by `change` of it."""
+    def edit(path):
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    return edit
+
+
+def cut_short(path):
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+SELECTION = "attacka/selection-0.35.json"
+# (file, edit, command, what the message says after "<path>: ", the stage
+# it names): each edit used to end in a bare exception naming no file
+STAGE_FILE_CASES = {
+    "preprocess.json without clean_rows": (
+        "preprocess.json", edit_json(without("clean_rows")), cmd_select,
+        "holds no int `clean_rows`", "preprocess"),
+    "preprocess.json cut short": (
+        "preprocess.json", cut_short, cmd_select, "cannot be read (", "preprocess"),
+    "preprocess.json removed": (
+        "preprocess.json", Path.unlink, cmd_select, "cannot be read (", "preprocess"),
+    "clean_rows of -1": (
+        "preprocess.json", edit_json(lambda doc: {**doc, "clean_rows": -1}), cmd_select,
+        "`clean_rows` is -1", "preprocess"),
+    "a column named 5": (
+        "preprocess.json",
+        edit_json(lambda doc: {**doc, "columns": [[5, *doc["columns"][0][1:]],
+                                                  *doc["columns"][1:]]}),
+        cmd_select, "`columns` entry [5, ", "preprocess"),
+    "a column's categories of 3": (
+        "preprocess.json",
+        edit_json(lambda doc: {**doc, "category_mapping": {**doc["category_mapping"],
+                                                           "proto": 3}}),
+        cmd_select, "`category_mapping` maps a column to no list", "preprocess"),
+    "a selection of []": (
+        SELECTION, edit_json(lambda doc: []), cmd_train_eval,
+        "holds a list, not an object", "select"),
+    "a selection without features": (
+        SELECTION, edit_json(lambda doc: {"threshold": 0.35}), cmd_train_eval,
+        "holds no list `features`", "select"),
+    "a selected feature without a name": (
+        SELECTION, edit_json(lambda doc: {**doc, "features": [
+            without("name")(f) for f in doc["features"]]}), cmd_train_eval,
+        "a `features` entry has no str `name` and int `index`", "select"),
+    "a manifest cut short": (
+        "run_manifest.json", cut_short, cmd_train_eval, "cannot be read (", "preprocess"),
+    "a manifest of [1]": (
+        "run_manifest.json", edit_json(lambda doc: [1]), cmd_train_eval,
+        "holds a list, not an object", "preprocess"),
+}
+
+
+@pytest.mark.parametrize("case", STAGE_FILE_CASES)
+def test_unreadable_stage_files_fail_closed_naming_the_file(cfg, case):
+    name, edit, command, why, stage = STAGE_FILE_CASES[case]
+    run_dir = cmd_preprocess(cfg).run_dir
+    if command is cmd_train_eval:
+        cmd_select(cfg)
+        assert json.loads((run_dir / SELECTION).read_text())["features"]
+    path = run_dir / name
+    edit(path)
+    manifest = (run_dir / "run_manifest.json").read_bytes()
+    with pytest.raises(PipelineError) as caught:
+        command(cfg)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: {why}"), message
+    assert message.endswith(f"; run `{stage}` again"), message
+    if name == "run_manifest.json":  # refused before the command starts: left as it was
+        assert (run_dir / name).read_bytes() == manifest
+    else:
+        after = json.loads((run_dir / "run_manifest.json").read_text())
+        assert after["error"] == f"PipelineError: {message}"
+        assert after["stages_completed"] == json.loads(manifest)["stages_completed"]
+
+
 @pytest.mark.parametrize("staged", [False, True])
 def test_one_attack_table_is_alive_at_a_time(tmp_path, monkeypatch, staged):
     # three attacks share one large benign class; select scores each attack
