@@ -78,7 +78,7 @@ def _tolerance_scale(d: int, steps: int) -> float:
 def train_svm(train: Table, params: SvmParams) -> SvmModel:
     X, y01 = training_arrays(train)
     n, d = X.shape
-    if len(np.unique(y01)) < 2:
+    if not 0 < y01.sum() < n:  # the labels are 0/1
         raise ClassifyError("training data holds a single class; nothing to separate")
     y = np.where(y01 == 1, 1.0, -1.0)
     lam = 1.0 / (params.c * n)

@@ -7,12 +7,13 @@ config hash and continue it. `preprocess` plans the cleaning of the merged
 inputs with `tabular.plan_cleaning` and stores the cleaned table once, as
 one record of each kept row's cells and label (`cleaned.npy`, filled from
 the loaded matrix and written a block of rows at a time), each column in the
-narrowest type that holds its cells exactly. `preprocess.json` states each
-column once: its name, kind and stored type, and a feature's normalization,
-beside the categories. `select` and `train-eval` rebuild the table from
-them without parsing text, reading the records a block at a time into the
-float64 matrix and normalizing them there (`load_preprocessed`), and find
-each attack's rows in it again. `select`
+narrowest type that holds its cells exactly, a column of decimals with p
+places as the whole numbers x * 10**p. `preprocess.json` states each column
+once: its name, kind and stored type, and a feature's places and
+normalization, beside the categories. `select` and `train-eval` rebuild the
+table from them without parsing text, reading the records a block at a time
+into the float64 matrix, dividing by 10**p and normalizing there
+(`load_preprocessed`), and find each attack's rows in it again. `select`
 writes each attack's scores and one `selection-*.json` per threshold, which
 `train-eval` reads back. The stages hand off through these files alone: `run`
 runs the three stages in one process, each reading what the one before
@@ -47,8 +48,9 @@ from .feature_selection import (normalize_scores, score_all, select_by_threshold
                                 write_scores_csv)
 from .parallel import fan_out
 from .sampling import split_manifest, split_table
-from .tabular import (CLEAN_BLOCK, STORED_TYPES, CategoryMapping, CleaningPlan, Table,
-                      load_csv_merged, plan_cleaning, row_blocks, split_by_attack, subtable)
+from .tabular import (CLEAN_BLOCK, MOST_PLACES, SCALES, STORED_TYPES, CategoryMapping,
+                      CleaningPlan, Table, load_csv_merged, plan_cleaning, row_blocks,
+                      split_by_attack, subtable)
 
 
 class PipelineError(RuntimeError):
@@ -272,23 +274,28 @@ def _write_cleaned(run_dir: Path, X: np.ndarray, plan: CleaningPlan, mapping: Ca
     """Write the cleaned table that `plan` makes of the loaded matrix `X`,
     labelled `label`, to `run_dir`: to cleaned.npy, an npy 1.0 array of one
     record per kept row (`_row_record`) filled and written a block of rows
-    at a time, so the cleaned matrix is never held; and to preprocess.json
-    `prep`, the shape, the columns' categories in `mapping` and `columns`:
-    [name, kind, type, lo, span] for each feature in table order, its kind
-    "categorical" or "numeric", its stored type by name and its (x - lo) /
-    span (json writes a float as the shortest text that reads back as it),
-    then [label, "label", type]. `_read_cleaned` normalizes."""
+    at a time, so the cleaned matrix is never held, a column of p decimal
+    places as its rint(x * 10**p); and to preprocess.json `prep`, the shape,
+    the columns' categories in `mapping` and `columns`: [name, kind, type,
+    places, lo, span] for each feature in table order, its kind
+    "categorical" or "numeric", its stored type by name, its places p and
+    its (x - lo) / span (json writes a float as the shortest text that reads
+    back as it), then [label, "label", type]. `_read_cleaned` divides and
+    normalizes."""
     _write_json(_fresh(run_dir / "preprocess.json"), {
         **prep, "clean_rows": len(plan.rows), "clean_columns": len(plan.cols) + 1,
         "columns": [[name, "categorical" if name in mapping.categories else "numeric",
-                     _TYPE_NAMES[code], lo, span]
-                    for name, code, lo, span in zip(plan.feature_names, plan.types.tolist(),
-                                                    plan.lo.tolist(), plan.span.tolist())
+                     _TYPE_NAMES[code], places, lo, span]
+                    for name, code, places, lo, span in zip(
+                        plan.feature_names, plan.types.tolist(), plan.places.tolist(),
+                        plan.lo.tolist(), plan.span.tolist())
                     ] + [[label, "label", _TYPE_NAMES[plan.y_type]]],
         "category_mapping": {name: cats for name, cats in mapping.to_json().items()
                              if name == label or name in plan.feature_names}})
     dtype, fields = _row_record([*plan.types, plan.y_type])
     sources = [plan.cols[cols] for cols in fields]  # each field's columns of X
+    decimal = np.flatnonzero(plan.places)
+    scaled, scale = plan.cols[decimal], SCALES[plan.places[decimal]]
     buf = np.empty(min(CLEAN_BLOCK, len(plan.rows)), dtype)
     with open(_fresh(run_dir / "cleaned.npy"), "wb") as fh:
         npy_format.write_array_header_1_0(
@@ -296,6 +303,7 @@ def _write_cleaned(run_dir: Path, X: np.ndarray, plan: CleaningPlan, mapping: Ca
                  "shape": (len(plan.rows),)})
         for start, block in row_blocks(X, plan.rows, CLEAN_BLOCK):
             records = buf[:len(block)]
+            block[:, scaled] = np.rint(block[:, scaled] * scale)
             for name, cols in zip(_TYPE_NAMES, sources):
                 records[name] = block[:, cols]  # exact: every cell fits its type
             records["label"] = plan.y[start:start + len(block)]
@@ -305,8 +313,9 @@ def _write_cleaned(run_dir: Path, X: np.ndarray, plan: CleaningPlan, mapping: Ca
 def _read_cleaned(run_dir: Path) -> tuple[Table, CategoryMapping]:
     """The cleaned table that `_write_cleaned` wrote to `run_dir`, and the
     categories of its columns: cleaned.npy's records, CLEAN_BLOCK at a
-    time, are read into the float64 matrix and normalized there, so no
-    other copy of it is held. Files of any other layout fail closed."""
+    time, are read into the float64 matrix, divided there by each column's
+    10**p, giving back each cell bit for bit, and normalized, so no other
+    copy of it is held. Files of any other layout fail closed."""
     def refuse(path: Path, why: str) -> PipelineError:
         return _refuse(path, why, "preprocess")
 
@@ -329,13 +338,19 @@ def _read_cleaned(run_dir: Path) -> tuple[Table, CategoryMapping]:
     features = [entry for entry in prep["columns"] if entry not in labels]
     if len(labels) != 1:
         raise refuse(prep_path, f"`columns` holds {len(labels)} label entries, not 1")
-    for entry, size in [*((entry, 5) for entry in features), (labels[0], 3)]:
+    for entry, size in [*((entry, 6) for entry in features), (labels[0], 3)]:
         if (len(entry) != size or entry[2] not in _TYPE_NAMES
-                or not all(isinstance(v, (int, float)) for v in entry[3:])):
-            raise refuse(prep_path, f"`columns` entry {entry} is not [name, kind, type, lo, "
-                         f"span] or [name, \"label\", type], type one of {_TYPE_NAMES}")
+                or not all(isinstance(v, (int, float)) for v in entry[4:])):
+            raise refuse(prep_path, f"`columns` entry {entry} is not [name, kind, type, places, "
+                         f"lo, span] or [name, \"label\", type], type one of {_TYPE_NAMES}")
+    for entry in features:
+        most = 0 if entry[2] == "f8" else MOST_PLACES
+        if type(entry[3]) is not int or not 0 <= entry[3] <= most:
+            raise refuse(prep_path, f"`columns` entry {entry} has places {entry[3]!r}, not an "
+                         f"int from 0 to {most} as type {entry[2]} takes")
     dtype, fields = _row_record([_TYPE_NAMES.index(entry[2]) for entry in [*features, *labels]])
-    lo, span = np.array([entry[3:] for entry in features], dtype=np.float64).reshape(-1, 2).T
+    lo, span = np.array([entry[4:] for entry in features], dtype=np.float64).reshape(-1, 2).T
+    scale = SCALES[[entry[3] for entry in features]]
     X, y = np.empty((rows, len(features))), np.empty(rows)
     with open(path, "rb") as fh:
         try:
@@ -356,6 +371,7 @@ def _read_cleaned(run_dir: Path) -> tuple[Table, CategoryMapping]:
             for name, cols in zip(_TYPE_NAMES, fields):
                 block[:, cols] = records[name]
             y[start:start + len(block)] = records["label"]
+            block /= scale  # exact where p = 0
             block -= lo
             block /= span
         if fh.read(1):

@@ -11,7 +11,8 @@ one of the mapping's keys. Only cleaning reads that: `plan_cleaning` exempts
 category codes from the row checks and from normalization. Cleaning never
 mutates: `plan_cleaning` finds the rows and columns to keep, each kept
 column's normalization and the narrowest type that holds its kept cells
-exactly, with a CleaningReport describing what was removed and why; the
+exactly, as whole numbers x * 10**p of the fewest decimal places p where
+they are, with a CleaningReport describing what was removed and why; the
 kept cells are copied out of the loaded matrix a block of rows at a time
 where the cleaned table is written (`pipeline.stage_preprocess`), so the
 cleaned matrix is never held beside the loaded one, and normalized where it
@@ -75,12 +76,17 @@ SUBTABLE_BLOCK = 128
 # 0.18 s as one gather written by np.savez
 CLEAN_BLOCK = 256
 # The types a kept column's cells are stored in, narrowest first: a column
-# takes the first into which each of its kept cells casts and back bit for
-# bit, so the unsigned integers hold whole numbers from +0.0 below their
-# limits (_STORED_LIMITS), and float64 holds every other column: one with a
-# -0.0, a negative or fractional cell, or a cell of 2^32 or more
+# whose every kept cell x is k / 10**p bit for bit, k = rint(x * 10**p) a
+# whole number from 0, is stored as its k in the first unsigned integer type
+# whose limit (_STORED_LIMITS) is above them all, and float64 holds every
+# other column: one with a -0.0 or negative cell, or one that no p up to
+# MOST_PLACES and no integer type holds
 STORED_TYPES = (np.dtype("u1"), np.dtype("<u2"), np.dtype("<u4"), np.dtype("<f8"))
 _STORED_LIMITS = (2.0 ** 8, 2.0 ** 16, 2.0 ** 32)
+# the most decimal places p whose 10**p a u4 holds: 10**9 < 2**32 < 10**10;
+# SCALES[p] is 10**p, exact, from an int rather than a float pow
+MOST_PLACES = int(np.log10(_STORED_LIMITS[-1]))
+SCALES = np.array([10 ** p for p in range(MOST_PLACES + 1)], dtype=np.float64)
 
 
 class TableError(ValueError):
@@ -602,9 +608,10 @@ class CleaningPlan:
     """What cleaning keeps of a table and how it normalizes and stores it:
     the kept rows and feature columns of its matrix, as indices in order,
     the kept features' names, the kept rows' labels, for each kept column
-    the `lo` and `span` of its (x - lo) / span and the position in
-    STORED_TYPES of the type that holds its kept cells, and that of the
-    labels' type."""
+    the `lo` and `span` of its (x - lo) / span, the position in
+    STORED_TYPES of the type that holds its kept cells and their decimal
+    places p, stored as rint(x * 10**p) (0 for f8), and the position of the
+    labels' type, which hold whole numbers (p = 0) or are f8."""
 
     feature_names: tuple[str, ...]
     rows: np.ndarray
@@ -613,21 +620,58 @@ class CleaningPlan:
     lo: np.ndarray
     span: np.ndarray
     types: np.ndarray
+    places: np.ndarray
     y_type: int
 
 
-def _stored_types(blocks, width: int) -> np.ndarray:
+def _exact(cells: np.ndarray, scale) -> np.ndarray:
+    """Per column of `cells`, whether each cell x is k / scale bit for bit,
+    k = rint(x * scale): equal to it and without a sign bit (no -0.0, no
+    negative; NaN is equal to nothing)."""
+    k = cells * scale
+    np.rint(k, out=k)
+    k /= scale
+    return ((k == cells) > np.signbit(cells)).all(axis=0)
+
+
+def _stored_types(blocks, width: int,
+                  most: int = MOST_PLACES) -> tuple[np.ndarray, np.ndarray]:
     """For each of the `width` columns of the (start, block of rows) pairs
-    `blocks`, the position in STORED_TYPES of the narrowest type into which
-    each of its cells casts and back bit for bit, as uint8."""
+    `blocks`, the position in STORED_TYPES of the type its cells are stored
+    in and their decimal places, both as uint8: the fewest places p, up to
+    `most`, for which each cell is k / 10**p bit for bit (`_exact`), and the
+    narrowest integer type holding every such k; f8 and 0 places where none
+    does.
+
+    A column's p is carried from block to block and only grows, so each
+    block is checked once at the p so far, and only a column it refutes is
+    tried at more places. That holds because a cell x = k / 10**p is also
+    (k 10**d) / 10**(p + d) while k 10**d < 2**32: that product and
+    10**(p + d) are exact float64, so the division rounds the same real
+    number k / 10**p, and rint(x 10**(p + d)) is k 10**d, from which
+    x 10**(p + d) is less than 2**32 * 2**-52 away. Whether every k fits is
+    checked once, at the end: rint(x * 10**p) grows with x, so the column's
+    largest cell has the largest k, and a column whose k outgrows u4 at the
+    fewest places its cells need has no places at all."""
+    places = np.zeros(width, dtype=np.uint8)
     inexact = np.zeros(width, dtype=bool)
     top = np.zeros(width)
-    for _, block in blocks:
-        # a -0.0 or negative cell has its sign bit set; NaN is not its trunc
-        inexact |= (np.signbit(block) | (np.trunc(block) != block)).any(axis=0)
-        np.maximum(top, block.max(axis=0, initial=0.0), out=top)
-    fits = np.searchsorted(_STORED_LIMITS, top, side="right")
-    return np.where(inexact, len(_STORED_LIMITS), fits).astype(np.uint8)
+    # a cell near the float64 limit overflows to inf at more places: no k
+    with np.errstate(over="ignore"):
+        for _, block in blocks:
+            for j in np.flatnonzero(~_exact(block, SCALES[places]) > inexact):
+                p = next((p for p in range(places[j] + 1, most + 1)
+                          if _exact(block[:, j:j + 1], SCALES[p])[0]), None)
+                if p is None:
+                    inexact[j] = True
+                else:
+                    places[j] = p
+            np.maximum(top, block.max(axis=0, initial=0.0), out=top)
+        types = np.searchsorted(_STORED_LIMITS, np.rint(top * SCALES[places]),
+                                side="right").astype(np.uint8)
+    types[inexact] = len(_STORED_LIMITS)
+    places[types == len(_STORED_LIMITS)] = 0
+    return types, places
 
 
 def plan_cleaning(t: Table, mapping: CategoryMapping,
@@ -639,9 +683,10 @@ def plan_cleaning(t: Table, mapping: CategoryMapping,
     (max - min), by the extrema over the kept rows that also find the columns
     row removal left single-valued; categorical columns go through as
     (x - 0) / 1, which leaves every code as it is. A feature is numeric
-    unless `mapping` holds its categories. Each kept column's type, and the
-    labels', is picked from its kept cells, CLEAN_BLOCK rows at a time.
-    No kept cell is copied here."""
+    unless `mapping` holds its categories. Each kept column's stored type
+    and decimal places, and the labels' type (whole numbers only), are
+    picked from its kept cells in one pass of CLEAN_BLOCK rows at a time
+    (`_stored_types`). No kept cell is copied here."""
     report = CleaningReport()
     for name in excluded:
         if name == t.label_name:
@@ -684,10 +729,11 @@ def plan_cleaning(t: Table, mapping: CategoryMapping,
     # above 0, so it has no such choice
     for j in np.flatnonzero(numeric & (lo == 0.0)):
         lo[j] = t.X[rows, keep[j]].min()
-    types = _stored_types(row_blocks(t.X, rows, CLEAN_BLOCK), len(t.feature_names))[keep]
+    types, places = _stored_types(row_blocks(t.X, rows, CLEAN_BLOCK), len(t.feature_names))
     y = t.y[rows]
-    plan = CleaningPlan(tuple(t.feature_names[j] for j in keep), rows, keep, y,
-                        lo, hi - lo, types, int(_stored_types([(0, y[:, None])], 1)[0]))
+    y_type, _ = _stored_types([(0, y[:, None])], 1, most=0)
+    plan = CleaningPlan(tuple(t.feature_names[j] for j in keep), rows, keep, y, lo, hi - lo,
+                        types[keep], places[keep], int(y_type[0]))
     return plan, report
 
 

@@ -5,6 +5,7 @@ nothing more."""
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -418,6 +419,28 @@ def clean_ref(columns, rows, excluded):
     kept = [j for j, (_, kind) in enumerate(columns) if j in keep or kind == "label"]
     return ([columns[j] for j in kept], [[row[j] for j in kept] for row in out_rows],
             report, warned)
+
+
+def stored_type_ref(cells, most_places=9):
+    """The (type, places) a kept column of the float `cells` is stored as,
+    tried cell by cell for each places p from 0 to `most_places` and each of
+    "u1", "u2" and "u4" in turn: the first (p, type) for which every cell x
+    is k / 10**p bit for bit, k a whole number from 0 below the type's
+    limit. The k tried are the two whole numbers nearest the exact rational
+    x * 10**p, and k / 10**p is Python's correctly rounded int division.
+    ("f8", 0) if no (p, type) holds every cell."""
+    def holds(x, p, limit):
+        if not math.isfinite(x):
+            return False
+        v = Fraction(x) * 10 ** p
+        return any(0 <= k < limit and (k / 10 ** p).hex() == x.hex()
+                   for k in (math.floor(v), math.ceil(v)))
+
+    for p in range(most_places + 1):
+        for name, limit in (("u1", 2 ** 8), ("u2", 2 ** 16), ("u4", 2 ** 32)):
+            if all(holds(x, p, limit) for x in cells):
+                return name, p
+    return "f8", 0
 
 
 def _read_raw(path) -> tuple[list[str], list[list[str]], int]:

@@ -11,12 +11,15 @@ that nothing but its tests reads any more. The package declares Python
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import flow_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flowsieve"
@@ -180,3 +183,30 @@ def test_each_module_of_the_import_cycle_imports_first(first):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_run_on_one_cpu_does_not_import_numpy_ma(tmp_path):
+    # np.unique without a return_* flag imports numpy.ma (10-16 ms) under
+    # NumPy 2.x. Pinned to one CPU, a fresh interpreter runs every relief
+    # batch and train-eval cell itself, so its modules are all a run imports
+    csv = flow_csv(tmp_path / "flows.csv", 400)
+    config = {"inputs": [str(csv)], "label_column": "Label", "benign_label": "Benign",
+              "attacks": ["Attack"], "excluded_columns": ["Timestamp"], "relief_m": 50,
+              "output_dir": str(tmp_path / "out"),
+              "sampling": {"schemes": {"Attack": "fraction_stratified"}}}
+    code = ("import json, os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import numpy\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "from flowsieve.config import parse_config\n"
+            "from flowsieve.pipeline import cmd_run\n"
+            f"cmd_run(parse_config(json.loads({json.dumps(config)!r})))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_run = proc.stdout.split()
+    if at_import == "True":
+        pytest.skip("this NumPy imports numpy.ma with numpy")
+    assert after_run == "False"

@@ -113,17 +113,18 @@ def test_preprocess_outputs(cfg):
                                             "negative": 1}
     # one cleaned table for all attacks, with the original label codes
     prep = json.loads((ctx.run_dir / "preprocess.json").read_text())
-    # proto's codes fit uint8 and are not normalized; the three fractional
-    # columns stay float64
-    assert [entry[:3] for entry in prep["columns"]] == [
-        ["proto", "categorical", "u1"], ["sig", "numeric", "f8"], ["anti", "numeric", "f8"],
-        ["noise", "numeric", "f8"], ["Label", "label", "u1"]]
-    assert prep["columns"][0][3:] == [0.0, 1.0]
+    # proto's codes fit uint8 and are not normalized; the three columns of
+    # six decimal places below 1.01 are stored as millionths in uint32
+    assert [entry[:4] for entry in prep["columns"]] == [
+        ["proto", "categorical", "u1", 0], ["sig", "numeric", "u4", 6],
+        ["anti", "numeric", "u4", 6], ["noise", "numeric", "u4", 6], ["Label", "label", "u1"]]
+    assert prep["columns"][0][4:] == [0.0, 1.0]
     records = np.load(ctx.run_dir / "cleaned.npy")
     assert records.shape == (480 + 60 + 60,) and records["label"].dtype == np.uint8
-    lo, span = np.array([entry[3:] for entry in prep["columns"][1:4]]).T
-    assert (records["f8"].min(axis=0) == lo).all()
-    assert (records["f8"].max(axis=0) - lo == span).all()
+    lo, span = np.array([entry[4:] for entry in prep["columns"][1:4]]).T
+    cells = records["u4"] / 1e6
+    assert (cells.min(axis=0) == lo).all()
+    assert (cells.max(axis=0) - lo == span).all()
     table, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
     X, y = table.X, table.y
     assert X.shape == (480 + 60 + 60, 4) and X.dtype == np.float64 and X.flags.c_contiguous
@@ -156,7 +157,7 @@ def test_preprocess_json_marks_the_mapping_features_and_lists_the_label_last(tmp
     _, mapping, _ = load_csv_merged(cfg.inputs, cfg.label_column)
     assert set(mapping.categories) == {"Label", "proto", "svc"}
     assert [entry[:3] for entry in prep["columns"]] == [
-        ["proto", "categorical", "u1"], ["sig", "numeric", "f8"], ["svc", "categorical", "u1"],
+        ["proto", "categorical", "u1"], ["sig", "numeric", "u4"], ["svc", "categorical", "u1"],
         ["Label", "label", "u1"]]
     table, _ = load_preprocessed(RunContext(cfg, ctx.run_dir))
     assert (table.feature_names, table.label_name) == (("proto", "sig", "svc"), "Label")
@@ -476,14 +477,17 @@ def dirty_table(rng, n: int):
     column single-valued only on the rows kept, categorical columns (one
     with negative codes, which no row check reads), an excluded column, a
     constant one, whole-number columns at the limits of each stored type,
-    and columns whose low or span only the shortest float text in
+    columns whose low or span only the shortest float text in
     preprocess.json gives back exactly: a -0.0 low, a subnormal low, cells
-    near 1.7e308 and whole numbers above 2^53."""
+    near 1.7e308 and whole numbers above 2^53; and decimal columns, one of
+    tenths up to uint16's limit, one whose cells are whole but in the last
+    kept row, which has three places."""
     kinds = {"zeros": "numeric", "cat": "categorical", "rate": "numeric", "late": "numeric",
              "Label": "label", "Timestamp": "numeric", "neg_cat": "categorical",
              "const": "numeric", "x": "numeric", "flag": "numeric", "port": "numeric",
              "bytes": "numeric", "big": "numeric", "neg_zero": "numeric",
-             "subnormal": "numeric", "huge": "numeric", "above_2_53": "numeric"}
+             "subnormal": "numeric", "huge": "numeric", "above_2_53": "numeric",
+             "tenths": "numeric", "late_places": "numeric"}
     cells = {
         "zeros": rng.choice([0.0, -0.0, 0.5, 2.0], n),
         "cat": rng.integers(0, 4, n).astype(float),
@@ -503,6 +507,8 @@ def dirty_table(rng, n: int):
         "subnormal": rng.choice([5e-324, 1e-310, 0.3], n),
         "huge": rng.uniform(1.6e308, 1.7e308, n),
         "above_2_53": rng.choice([2.0 ** 53 + 2, 2.0 ** 53 + 6, 2.0 ** 60 + 2 ** 8], n),
+        "tenths": rng.integers(0, 2 ** 16, n) / 10,
+        "late_places": rng.integers(0, 1000, n).astype(float),
     }
     cells["late"][:2] = [-1.0, 7.0]  # single-valued only once row checks drop -1
     kept = np.isfinite(cells["rate"]) & (cells["late"] >= 0)
@@ -515,6 +521,8 @@ def dirty_table(rng, n: int):
     # the lows, in rows that are kept
     cells["neg_zero"][first[0]], cells["subnormal"][first[0]] = -0.0, 5e-324
     cells["above_2_53"][first[0]] = 2.0 ** 53 + 2
+    cells["tenths"][first] = [0.1, (2 ** 16 - 1) / 10]
+    cells["late_places"][np.flatnonzero(kept)[-1]] = 12.345
     features = [name for name in kinds if name != "Label"]
     # which zero is the minimum depends on the order a min visits the cells:
     # draw `zeros` until a min over the whole matrix's kept rows picks the
@@ -584,20 +592,24 @@ def test_cleaned_npz_holds_the_bytes_of_the_cleaning_oracles(tmp_path, monkeypat
 
     entries = json.loads((tmp_path / "preprocess.json").read_text())["columns"]
     assert entries[-1] == ["Label", "label", "u1"]
-    assert np.array([e[3] for e in entries[:-1]]).tobytes() == plan.lo.tobytes()
-    assert np.array([e[4] for e in entries[:-1]]).tobytes() == plan.span.tobytes()
+    assert np.array([e[4] for e in entries[:-1]]).tobytes() == plan.lo.tobytes()
+    assert np.array([e[5] for e in entries[:-1]]).tobytes() == plan.span.tobytes()
     lows = dict(zip(plan.feature_names, plan.lo.tolist()))
     assert str(lows["neg_zero"]) == "-0.0" and lows["subnormal"] == 5e-324
     assert lows["huge"] > 1.6e308 and lows["above_2_53"] == 2.0 ** 53 + 2
-    stored = {name: kind for name, _, kind, *_ in entries[:-1]}
-    assert stored == {"zeros": "f8", "cat": "u1", "rate": "f8", "neg_cat": "f8", "x": "f8",
-                      "flag": "u1", "port": "u2", "bytes": "u4", "big": "f8",
-                      "neg_zero": "f8", "subnormal": "f8", "huge": "f8", "above_2_53": "f8"}
+    stored = {name: (kind, places) for name, _, kind, places, *_ in entries[:-1]}
+    assert stored == {"zeros": ("f8", 0), "cat": ("u1", 0), "rate": ("f8", 0),
+                      "neg_cat": ("f8", 0), "x": ("f8", 0), "flag": ("u1", 0),
+                      "port": ("u2", 0), "bytes": ("u4", 0), "big": ("f8", 0),
+                      "neg_zero": ("f8", 0), "subnormal": ("f8", 0), "huge": ("f8", 0),
+                      "above_2_53": ("f8", 0), "tenths": ("u2", 1), "late_places": ("u4", 3)}
+    assert plan.places.tolist() == [places for _, _, _, places, *_ in entries[:-1]]
     # an npy file of one record per row, which np.load reads as it is
     path = tmp_path / "cleaned.npy"
     records = np.load(path)
     assert records.dtype.names == ("u1", "u2", "u4", "f8", "label")
-    assert records.dtype.itemsize == 1 + 1 + 2 + 4 + 8 * 9 + 1 and records.shape == (len(X),)
+    assert records.dtype.itemsize == 1 * 2 + 2 * 2 + 4 * 2 + 8 * 9 + 1
+    assert records.shape == (len(X),)
     assert records["label"].dtype == np.uint8
     assert records["label"].tobytes() == y.astype(np.uint8).tobytes()
     assert path.stat().st_size == npy_header_bytes(path) + records.nbytes
@@ -752,6 +764,49 @@ def test_cleaned_arrays_disagreeing_with_columns_fail_closed(cfg):
         assert manifest["error"] == f"PipelineError: {message}", case
         assert manifest["stages_completed"] == ["preprocess"], case
         assert not (ctx.run_dir / "attacka").exists(), case
+
+
+# (edit of the `sig` entry [name, kind, type, places, lo, span], the
+# reason its refusal gives after "`columns` entry <entry> ")
+PLACES_CASES = {
+    "no places": (lambda e: e[:3] + [None] + e[4:],
+                  "has places None, not an int from 0 to 9 as type u4 takes"),
+    "negative places": (lambda e: e[:3] + [-1] + e[4:],
+                        "has places -1, not an int from 0 to 9 as type u4 takes"),
+    "places above 9": (lambda e: e[:3] + [10] + e[4:],
+                       "has places 10, not an int from 0 to 9 as type u4 takes"),
+    "fractional places": (lambda e: e[:3] + [6.5] + e[4:],
+                          "has places 6.5, not an int from 0 to 9 as type u4 takes"),
+    "places of a float": (lambda e: e[:3] + [6.0] + e[4:],
+                          "has places 6.0, not an int from 0 to 9 as type u4 takes"),
+    "boolean places": (lambda e: e[:3] + [True] + e[4:],
+                       "has places True, not an int from 0 to 9 as type u4 takes"),
+    "places on an f8 column": (lambda e: e[:2] + ["f8"] + e[3:],
+                               "has places 6, not an int from 0 to 0 as type f8 takes"),
+    "an entry from before places": (
+        lambda e: e[:3] + e[4:],
+        'is not [name, kind, type, places, lo, span] or [name, "label", type], type one of '
+        "('u1', 'u2', 'u4', 'f8')"),
+}
+
+
+@pytest.mark.parametrize("case", PLACES_CASES)
+def test_columns_of_bad_places_fail_closed_naming_the_file(cfg, case):
+    edit, why = PLACES_CASES[case]
+    ctx = cmd_preprocess(cfg)
+    prep_path = ctx.run_dir / "preprocess.json"
+    prep = json.loads(prep_path.read_text())
+    assert prep["columns"][1][:4] == ["sig", "numeric", "u4", 6]
+    entry = prep["columns"][1] = edit(prep["columns"][1])
+    prep_path.write_text(json.dumps(prep))
+    with pytest.raises(PipelineError) as caught:
+        cmd_select(cfg)
+    message = f"{prep_path}: `columns` entry {entry} {why}; run `preprocess` again"
+    assert str(caught.value) == message
+    manifest = json.loads((ctx.run_dir / "run_manifest.json").read_text())
+    assert manifest["error"] == f"PipelineError: {message}"
+    assert manifest["stages_completed"] == ["preprocess"]
+    assert not (ctx.run_dir / "attacka").exists()
 
 
 def edit_json(change):

@@ -301,7 +301,7 @@ def test_plan_stores_each_column_in_the_narrowest_type_holding_its_cells(monkeyp
         "at_2_32": ([0.0] * (n - 1) + [2.0 ** 32], "float64"),
         "above_2_32": ([5.0] * (n - 1) + [2.0 ** 40], "float64"),
         "minus_zero": ([1.0] * (n - 1) + [-0.0], "float64"),
-        "fraction": ([2.0] * (n - 1) + [0.5], "float64"),
+        "fraction": ([2.0] * (n - 1) + [0.5], "uint8"),
         "tiny": ([1.0] * (n - 1) + [1e-300], "float64"),
         "codes": ([0.0, 1.0] * (n // 2), "uint8"),
         "negative_codes": ([0.0] * (n - 1) + [-1.0], "float64"),
@@ -316,9 +316,71 @@ def test_plan_stores_each_column_in_the_narrowest_type_holding_its_cells(monkeyp
     assert [STORED_TYPES[code].name for code in plan.types] == [
         kind for _, kind in columns.values()]
     assert plan.types.dtype == np.uint8 and STORED_TYPES[plan.y_type] == np.uint8
+    # fraction's 0.5 is 5 / 10**1: its cells are stored as ten times their value
+    assert plan.places.tolist() == [1 if name == "fraction" else 0 for name in columns]
     for j, code in enumerate(plan.types):
-        cells = X[plan.rows, j]
-        assert cells.astype(STORED_TYPES[code]).astype(np.float64).tobytes() == cells.tobytes()
+        cells, scale = X[plan.rows, j], float(10 ** int(plan.places[j]))
+        stored = (np.rint(cells * scale) if code < 3 else cells).astype(STORED_TYPES[code])
+        assert (stored.astype(np.float64) / scale).tobytes() == cells.tobytes()
+
+
+def limit_cells() -> tuple[float, ...]:
+    """Cells at the edges of the stored types and places: k / 10**p for k
+    at each integer type's limit and one below and above it, each with its
+    float neighbours."""
+    cells = []
+    for p in range(11):
+        for limit in (2 ** 8, 2 ** 16, 2 ** 32):
+            for k in (limit - 1, limit, limit + 1):
+                x = k / 10 ** p
+                cells += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    return tuple(cells)
+
+
+LIMIT_CELLS = limit_cells()
+# cells that no type but f8 holds
+ODD_CELLS = (0.1 + 0.2, 1e-300, 5e-324, -0.0, -1.0, 2.0 ** 53 + 2, 2.0 ** 60, 1.7e308)
+
+
+@st.composite
+def stored_columns(draw):
+    """A column of k / 10**p for whole k below a drawn bound, p from 0 to 9,
+    maybe with a cell or two of LIMIT_CELLS or ODD_CELLS at random rows, and
+    maybe a last cell of more places (q > p, up to 10), so that its places
+    grow only in a late block; and whether the column is categorical, which
+    keeps a negative cell."""
+    n = draw(st.integers(1, 600))
+    p = draw(st.integers(0, 9))
+    bound = draw(st.sampled_from([2 ** 8, 2 ** 16, 2 ** 32, 2 ** 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = rng.integers(0, bound, n) / 10 ** p
+    edges = draw(st.lists(st.sampled_from(LIMIT_CELLS) | st.sampled_from(ODD_CELLS),
+                          max_size=2) | st.just([]))
+    cells[rng.integers(0, n, len(edges))] = np.array(edges, dtype=np.float64)
+    if draw(st.booleans()):
+        q = draw(st.integers(p + 1, 10))
+        cells[-1] = (10 * int(rng.integers(0, bound // 10 ** (q - p) + 1)) + 1) / 10 ** q
+    return cells, draw(st.booleans())
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(stored_columns(), min_size=1, max_size=3))
+def test_plan_stores_each_column_as_the_brute_force_oracle_does(block, columns):
+    # the (type, places) of each kept column, picked a block of rows at a
+    # time with places carried from block to block, are those found by
+    # trying every (places, type) on every kept cell
+    n = min(len(cells) for cells, _ in columns)
+    X = np.column_stack([cells[len(cells) - n:] for cells, _ in columns])
+    t = Table(tuple(f"c{j}" for j in range(len(columns))), "Label", X, np.arange(n) % 2.0)
+    mapping = CategoryMapping({f"c{j}": ("a",) for j, (_, cat) in enumerate(columns) if cat})
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(tabular, "CLEAN_BLOCK", block)
+        warnings.simplefilter("ignore", UserWarning)  # columns cleaning drops
+        plan, _ = plan_cleaning(t, mapping, [])
+    for j, col in enumerate(plan.cols):
+        want = ref.stored_type_ref(X[plan.rows, col].tolist())
+        assert (STORED_TYPES[plan.types[j]].str[1:], int(plan.places[j])) == want, j
 
 
 @pytest.mark.parametrize("labels, kind", [
